@@ -15,8 +15,8 @@ import time
 from conftest import EMBEDDING_CAP, SCALE, TIME_LIMIT
 from repro.ccsr import CCSRStore
 from repro.core import CSCE
-from repro.core.executor import MatchOptions, execute
 from repro.datasets import load_dataset
+from repro.engine import MatchOptions, compile_plan, execute_physical
 from repro.graph.sampling import sample_pattern_suite
 
 
@@ -37,8 +37,8 @@ def test_ablation_sce(benchmark, report):
             for pattern in patterns:
                 plan = engine.build_plan(pattern, "edge_induced")
                 start = time.perf_counter()
-                result = execute(
-                    plan,
+                result = execute_physical(
+                    compile_plan(plan),
                     MatchOptions(
                         count_only=True,
                         use_sce=use_sce,
@@ -121,8 +121,8 @@ def test_ablation_planner_tiebreaks(benchmark, report):
             counts = []
             for pattern in patterns:
                 plan = engine.build_plan(pattern, "edge_induced", planner=planner)
-                result = execute(
-                    plan,
+                result = execute_physical(
+                    compile_plan(plan),
                     MatchOptions(
                         count_only=True,
                         max_embeddings=EMBEDDING_CAP,

@@ -15,8 +15,8 @@ import statistics
 
 from conftest import EMBEDDING_CAP, SCALE, TIME_LIMIT
 from repro.core import CSCE
-from repro.core.executor import MatchOptions, execute
 from repro.datasets import load_dataset
+from repro.engine import MatchOptions, compile_plan, execute_physical
 from repro.graph.sampling import sample_pattern_suite
 
 PLANNERS = ("rm", "ri", "ri_cluster", "csce", "cost")
@@ -36,8 +36,8 @@ def test_fig13_plan_quality(benchmark, report):
         for planner in PLANNERS:
             for idx, pattern in enumerate(patterns):
                 plan = engine.build_plan(pattern, "edge_induced", planner=planner)
-                result = execute(
-                    plan,
+                result = execute_physical(
+                    compile_plan(plan),
                     MatchOptions(
                         count_only=True,
                         max_embeddings=EMBEDDING_CAP,

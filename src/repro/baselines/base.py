@@ -16,8 +16,8 @@ import logging
 import time
 from typing import Hashable, Iterator
 
-from repro.core.executor import MatchResult
 from repro.core.variants import Variant
+from repro.engine.results import MatchResult
 from repro.errors import (
     EmbeddingLimitExceeded,
     TimeLimitExceeded,

@@ -24,8 +24,8 @@ from repro.baselines import (
     WCOJMatcher,
 )
 from repro.core.csce import CSCE
-from repro.core.executor import MatchResult
 from repro.core.variants import Variant
+from repro.engine.results import MatchResult
 from repro.errors import VariantError
 from repro.graph.model import Graph
 from repro.obs import Observation, build_run_report, write_run_report

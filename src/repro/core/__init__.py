@@ -2,8 +2,8 @@
 
 Execution itself lives in :mod:`repro.engine` (logical plans are compiled
 to physical operators and run iteratively); this package keeps the
-planning pipeline and re-exports the engine's public contract for
-compatibility.
+planning pipeline and re-exports the engine's options/result contract
+(:class:`MatchOptions`, :class:`MatchResult`).
 """
 
 from repro.core.variants import Variant
@@ -13,8 +13,6 @@ from repro.core.equivalence import SCEStats, nec_classes, sce_statistics
 from repro.core.gcf import gcf_order, rapidmatch_order
 from repro.core.ldsf import ldsf_order
 from repro.core.plan import Plan, assemble_plan
-from repro.core.executor import MatchOptions, MatchResult, execute
-from repro.core.counting import count_embeddings
 from repro.core.csce import CSCE, PLANNERS
 from repro.core.cost import cost_based_order
 from repro.core.continuous import (
@@ -22,6 +20,7 @@ from repro.core.continuous import (
     DeltaResult,
     embeddings_containing_edge,
 )
+from repro.engine.results import MatchOptions, MatchResult
 
 __all__ = [
     "Variant",
@@ -39,8 +38,6 @@ __all__ = [
     "assemble_plan",
     "MatchOptions",
     "MatchResult",
-    "execute",
-    "count_embeddings",
     "CSCE",
     "PLANNERS",
     "cost_based_order",

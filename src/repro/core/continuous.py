@@ -3,7 +3,7 @@
 Graphflow — one of the paper's baselines — answers *continuous* subgraph
 queries: when an edge arrives, report the embeddings it creates. With
 incremental CCSR updates (:meth:`~repro.ccsr.store.CCSRStore.insert_edge`)
-and seeded execution (:class:`~repro.core.executor.MatchOptions` ``seed``),
+and seeded execution (:class:`~repro.engine.results.MatchOptions` ``seed``),
 CSCE supports the same workload:
 
     every embedding created by a new edge must *use* that edge, so it
@@ -43,7 +43,7 @@ class DeltaResult:
     pins_tried: int
     stats: dict = field(default_factory=dict)
     """Unified search counters summed over every pinned run (the same key
-    set as :attr:`repro.core.executor.MatchResult.stats`)."""
+    set as :attr:`repro.engine.results.MatchResult.stats`)."""
 
     stop_reason: str | None = None
     """Why the delta stopped early (a pinned run hit a governor limit or

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.core.executor import MatchResult
 from repro.core.variants import Variant
+from repro.engine.results import MatchResult
 from repro.graph.dsl import parse_pattern
 from repro.graph.model import Graph
 

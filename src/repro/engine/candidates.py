@@ -20,10 +20,61 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.candidates import CandidateStats, intersect_sorted
 from repro.engine.physical import ExtendOp, PhysicalPlan
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def intersect_sorted(small: np.ndarray, big: np.ndarray) -> np.ndarray:
+    """Intersection of two sorted unique arrays, smallest first.
+
+    A vectorized binary-search membership test — O(|small| log |big|) —
+    which beats ``np.intersect1d``'s sort-merge on the short, skewed arrays
+    cluster intersections produce.
+    """
+    idx = np.searchsorted(big, small)
+    idx[idx == big.shape[0]] = big.shape[0] - 1
+    return small[big[idx] == small]
+
+
+class CandidateStats:
+    """Candidate-computation counters (part of the unified stats schema,
+    :data:`repro.obs.counters.STAT_KEYS`).
+
+    ``computed`` counts every cold computation; ``memo_hits`` /
+    ``memo_misses`` split the SCE cache lookups, so a cold compute under
+    ``use_sce=False`` (no lookup at all) is distinguishable from a cache
+    miss (``computed`` grows without ``memo_misses``). ``negation_checks``
+    counts vertex-induced negation-cluster probes evaluated.
+
+    Kept as plain slotted integers — the hot loops bump these millions of
+    times; they are folded into the run's counter registry at snapshot
+    time (see :func:`repro.obs.counters.unified_stats`).
+    """
+
+    __slots__ = (
+        "computed",
+        "memo_hits",
+        "memo_misses",
+        "intersections",
+        "negation_checks",
+    )
+
+    def __init__(self) -> None:
+        self.computed = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self.intersections = 0
+        self.negation_checks = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "computed": self.computed,
+            "memo_hits": self.memo_hits,
+            "memo_misses": self.memo_misses,
+            "intersections": self.intersections,
+            "negation_checks": self.negation_checks,
+        }
 
 
 class CandidateComputer:

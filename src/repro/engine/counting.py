@@ -27,15 +27,12 @@ limits are cooperative (the partial top-level count is returned with the
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
-from repro.engine.candidates import CandidateComputer
+from repro.engine.executor import Runtime
 from repro.engine.physical import PhysicalPlan
-from repro.engine.results import MatchOptions, STOP_TIME_LIMIT
-from repro.obs import NULL_OBS, NULL_RECORDER, ProgressEstimator, unified_stats
-from repro.testing import faults
-
-_TIME_CHECK_INTERVAL = 2048
+from repro.engine.results import MatchOptions
+from repro.obs import search_state_fraction
 
 _SEQ = 0
 _PROD = 1
@@ -69,8 +66,29 @@ class _Frame:
         self.pending_key = None
 
 
+def _stack_fraction(stack: list[_Frame]) -> float:
+    """Explored fraction read off the counter's frame stack. Only the
+    top-level chain of sequential frames contributes (a product frame ends
+    the chain: its groups have no defined scan order), which still yields
+    a monotone, conservative estimate."""
+    chain: list[_Frame] = []
+    for frame in stack:
+        if frame.kind != _SEQ:
+            break
+        chain.append(frame)
+    return search_state_fraction(
+        [frame.values for frame in chain], [frame.index for frame in chain]
+    )
+
+
 class FactorizedCounter:
     """Counts embeddings of a compiled plan with SCE factorization.
+
+    Runs on the executor's :class:`~repro.engine.executor.Runtime`: ticks,
+    limits, governance, heartbeats, the flight recorder and the node,
+    backtrack and prune counters are the runtime's, and the top-level
+    count so far is its ``emitted``. The counter adds the region split,
+    the product frames and the group memo.
 
     Only sound for unseeded, unrestricted counting — the eligibility gate
     lives in :func:`repro.engine.executor.execute_physical`.
@@ -80,18 +98,8 @@ class FactorizedCounter:
         plan = physical.logical
         self.physical = physical
         self.plan = plan
-        self.options = options
-        obs = options.obs or NULL_OBS
-        profiler = getattr(obs, "profile", None)
-        self._profile = (
-            profiler.search if profiler is not None and profiler.enabled else None
-        )
-        self.computer = CandidateComputer(
-            physical,
-            use_sce=options.use_sce,
-            memo_limit=options.memo_limit,
-            profile=self._profile,
-        )
+        self.use_sce = options.use_sce
+        self.runtime = Runtime(physical, options)
         self.ops = physical.ops
         self.position = plan.position
         self.order = plan.order
@@ -101,50 +109,9 @@ class FactorizedCounter:
         ]
         self.assignment = [-1] * plan.num_vertices
         self.used: set[int] = set()
-        self.nodes = 0
         self.factorizations = 0
         self.group_memo_hits = 0
-        self.backtracks = 0
-        self.prunes_injective = 0
-        self.timed_out = False
-        self.stop_reason: str | None = None
-        self.degradation: list[str] = []
-        self.gov_stage = 0
         self._group_memo: dict[tuple, int] = {}
-        gov = options.governor
-        self.governor = gov
-        if gov is not None:
-            gov.ensure_tracing()
-            self._deadline = gov.effective_deadline(options.time_limit)
-        else:
-            self._deadline = (
-                time.perf_counter() + options.time_limit
-                if options.time_limit is not None
-                else None
-            )
-        self._heartbeat = obs.heartbeat
-        self._recorder = getattr(obs, "recorder", NULL_RECORDER)
-        # Same contract as the enumeration Runtime: the estimator exists
-        # exactly when an observation is attached, and registers on it so
-        # heartbeats/metrics/reports all read the one object.
-        if obs.enabled:
-            self.progress: ProgressEstimator | None = ProgressEstimator()
-            obs.attach_progress(self.progress)
-        else:
-            self.progress = None
-        #: The live frame stack, published by :meth:`count` for the
-        #: tick-time progress probe.
-        self._stack: list[_Frame] | None = None
-        self._interval = 1 if faults.active() else _TIME_CHECK_INTERVAL
-        self._ticking = (
-            self._deadline is not None
-            or self._heartbeat.enabled
-            or gov is not None
-            or self._recorder.enabled
-            or self.progress is not None
-            or self._interval == 1
-        )
-        self._top_level_count = 0
 
     # ------------------------------------------------------------------
     def count(self) -> int:
@@ -157,28 +124,22 @@ class FactorizedCounter:
         partial count can lag the work done. The same value flows into the
         exception, the :class:`~repro.engine.results.MatchResult`, and the
         run-report (the ``partial_count`` consistency contract)."""
-        if self.physical.impossible():
+        runtime = self.runtime
+        if self.physical.impossible() or not runtime.preflight():
             return 0
-        gov = self.governor
-        if gov is not None:
-            reason = gov.check(self)
-            if reason is not None:
-                self.stop_reason = reason
-                self._note_stop(reason)
-                return 0
-        n = len(self.ops)
         stack: list[_Frame] = []
-        # Publish for the tick-time progress probe.
-        self._stack = stack
-        retval = self._enter(tuple(range(n)), stack, top_level=True)
-        while stack and self.stop_reason is None:
+        # The probe holds the stack, not the counter, so the runtime never
+        # points back at the counter (and its memo) after the count.
+        runtime.probe = partial(_stack_fraction, stack)
+        retval = self._enter(tuple(range(len(self.ops))), stack, top_level=True)
+        while stack and runtime.stop_reason is None:
             frame = stack[-1]
             if frame.kind == _SEQ:
                 retval = self._step_seq(frame, stack, retval)
             else:
                 retval = self._step_prod(frame, stack, retval)
-        if self.stop_reason is not None:
-            return self._top_level_count
+        if runtime.stop_reason is not None:
+            return runtime.emitted
         return retval
 
     # ------------------------------------------------------------------
@@ -186,10 +147,11 @@ class FactorizedCounter:
         self, positions: tuple[int, ...], stack: list[_Frame], top_level: bool = False
     ) -> int | None:
         """Start counting ``positions``: resolve trivially (returning the
-        value) or push the appropriate frame (returning ``None``)."""
+        value) or push the appropriate frame (returning ``None``, also
+        when the tick stopped the run)."""
         if not positions:
             return 1
-        if self.options.use_sce and len(positions) > 1:
+        if self.use_sce and len(positions) > 1:
             groups = self._independent_groups(positions)
             if len(groups) > 1:
                 self.factorizations += 1
@@ -200,11 +162,13 @@ class FactorizedCounter:
                 return None
         # Sequential step: scan the first position's candidates.
         pos = positions[0]
-        self._tick(pos)
+        runtime = self.runtime
+        if not runtime.tick(pos, "count"):
+            return None
         op = self.ops[pos]
-        candidates = self.computer.raw(op, self.assignment)
-        if self._profile is not None:
-            self._profile.visit(pos, candidates.shape[0])
+        candidates = runtime.computer.raw(op, self.assignment)
+        if runtime.profile is not None:
+            runtime.profile.visit(pos, candidates.shape[0])
         frame = _Frame(_SEQ, top_level=top_level)
         frame.pos = pos
         frame.u = op.u
@@ -226,7 +190,7 @@ class FactorizedCounter:
             self.assignment[frame.u] = -1
             frame.awaiting = False
             if frame.top_level:
-                self._top_level_count = frame.acc
+                self.runtime.emitted = frame.acc
         vals = frame.values
         i = frame.index
         chosen = -1
@@ -234,16 +198,17 @@ class FactorizedCounter:
             v = vals[i]
             i += 1
             if self.injective and v in self.used:
-                self.prunes_injective += 1
+                self.runtime.prunes_injective += 1
                 continue
             chosen = v
             break
         frame.index = i
         if chosen < 0:
             if frame.acc == 0:
-                self.backtracks += 1
-                if self._profile is not None:
-                    self._profile.backtrack(frame.pos)
+                runtime = self.runtime
+                runtime.backtracks += 1
+                if runtime.profile is not None:
+                    runtime.profile.backtrack(frame.pos)
             stack.pop()
             return frame.acc
         self.assignment[frame.u] = chosen
@@ -351,90 +316,6 @@ class FactorizedCounter:
             merged.setdefault(find(idx), []).extend(component)
         return [sorted(group) for group in merged.values()]
 
-    # ------------------------------------------------------------------
-    def _fraction(self) -> float:
-        """Explored fraction of the candidate space, read off the live
-        frame stack — the counting twin of
-        :func:`repro.obs.progress.search_state_fraction`. Only the
-        top-level chain of sequential frames contributes (a product frame
-        ends the chain: its groups have no defined scan order), which
-        still yields a monotone, conservative estimate."""
-        stack = self._stack
-        if not stack:
-            return 0.0
-        fraction = 0.0
-        scale = 1.0
-        for frame in stack:
-            if frame.kind != _SEQ:
-                break
-            total = len(frame.values)
-            if total == 0:
-                break
-            fraction += scale * max(0, frame.index - 1) / total
-            scale /= total
-            if scale < 1e-18:
-                break
-        return min(1.0, fraction)
-
-    def _note_stop(self, reason: str, depth: int = 0) -> None:
-        """Leave the stop event in the flight-recorder ring (no-op when
-        the recorder is off)."""
-        if self._recorder.enabled:
-            self._recorder.record(
-                "stop",
-                reason=reason,
-                nodes=self.nodes,
-                emitted=self._top_level_count,
-                depth=depth,
-            )
-
-    def _tick(self, depth: int = 0) -> None:
-        self.nodes += 1
-        if self._ticking and self.nodes % self._interval == 0:
-            recorder = self._recorder
-            if faults.ACTIVE is not None:
-                # Record before firing so a raising action still leaves
-                # its mark in the ring buffer.
-                if recorder.enabled:
-                    recorder.record(
-                        "fault", site="engine.tick", depth=depth,
-                        phase="count", nodes=self.nodes,
-                    )
-                faults.fire(
-                    "engine.tick", depth=depth, phase="count", nodes=self.nodes
-                )
-            progress = self.progress
-            if progress is not None:
-                progress.update(self._fraction())
-            if self._heartbeat.enabled:
-                self._heartbeat.beat(
-                    self.nodes, self._top_level_count, depth, phase="count",
-                    progress=progress,
-                )
-            if recorder.enabled:
-                recorder.record(
-                    "tick", nodes=self.nodes, emitted=self._top_level_count,
-                    depth=depth, phase="count",
-                )
-            gov = self.governor
-            if gov is not None:
-                reason = gov.check(self)
-                if reason is not None:
-                    if reason == STOP_TIME_LIMIT:
-                        # A governor-imposed deadline (e.g. tightened
-                        # mid-run) keeps the legacy flag in step.
-                        self.timed_out = True
-                    self.stop_reason = reason
-                    self._note_stop(reason, depth)
-                    return
-            if (
-                self._deadline is not None
-                and time.perf_counter() > self._deadline
-            ):
-                self.timed_out = True
-                self.stop_reason = STOP_TIME_LIMIT
-                self._note_stop(STOP_TIME_LIMIT, depth)
-
 
 def count_physical(
     physical: PhysicalPlan, options: MatchOptions
@@ -452,12 +333,8 @@ def count_physical(
     """
     counter = FactorizedCounter(physical, options)
     total = counter.count()
-    stats = unified_stats(
-        nodes=counter.nodes,
-        candidate_stats=counter.computer.stats,
-        backtracks=counter.backtracks,
-        prunes_injective=counter.prunes_injective,
-        factorizations=counter.factorizations,
-        group_memo_hits=counter.group_memo_hits,
-    )
-    return total, stats, counter.stop_reason, list(counter.degradation)
+    runtime = counter.runtime
+    stats = runtime.stats()
+    stats["factorizations"] = counter.factorizations
+    stats["group_memo_hits"] = counter.group_memo_hits
+    return total, stats, runtime.stop_reason, list(runtime.degradation)

@@ -22,8 +22,10 @@ buys four things the old recursive interpreter could not offer:
   needs 2000 stack frames under recursion; here it needs three parallel
   arrays of length 2000.
 
-Counting runs share the same :class:`Runtime`; factorized counting lives in
-:mod:`repro.engine.counting` on its own frame machine. Resource governance
+Streaming, capped counting and factorized counting
+(:mod:`repro.engine.counting`) all run on one :class:`Runtime`; the first
+two share the frame machine :func:`_search`, which yields only in stream
+mode. Resource governance
 (budgets, the degradation ladder, cancel tokens) is polled at tick
 boundaries via :class:`repro.engine.governor.ResourceGovernor`; the
 ``engine.tick`` fault site fires at the same cadence for the chaos suite.
@@ -36,7 +38,7 @@ import time
 
 import numpy as np
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.engine.candidates import CandidateComputer
 from repro.engine.physical import PhysicalPlan, compile_plan
@@ -162,12 +164,18 @@ class SearchState:
             int(payload["pos"]),
         )
 
+    def fraction(self) -> float:
+        """Explored fraction of the candidate space (the progress probe)."""
+        return search_state_fraction(self.values, self.index)
+
 
 class Runtime:
     """Mutable per-run execution state: counters, limits, instruments.
 
-    Shared by the streaming generator and the counting fast path so both
-    report identical :data:`~repro.obs.counters.STAT_KEYS` semantics. When
+    Shared by stream mode, count mode and the factorized counter
+    (:class:`~repro.engine.counting.FactorizedCounter`), so all three
+    report identical :data:`~repro.obs.counters.STAT_KEYS` semantics and
+    stop, tick and report through one implementation. When
     a :class:`~repro.engine.governor.ResourceGovernor` is attached, its
     budget folds into the deadline/cap (tightest wins) and its
     memory/cancellation checks run at tick boundaries; ``degradation`` and
@@ -192,6 +200,7 @@ class Runtime:
         "max_embeddings",
         "progress",
         "search_state",
+        "probe",
         "_deadline",
         "_heartbeat",
         "_recorder",
@@ -247,8 +256,11 @@ class Runtime:
         else:
             self.progress = None
         #: The live frame stack, published by stream()/count_capped() so
-        #: the tick-time progress probe can read the candidate cursors.
+        #: tick-time readers see the candidate cursors.
         self.search_state: SearchState | None = None
+        #: Explored-fraction probe over the live frames, published by
+        #: whichever frame machine runs on this runtime.
+        self.probe: Callable[[], float] | None = None
         # Under fault injection every tick must reach the fault site, so
         # the periodic work runs densely; in production it is amortized.
         self._interval = 1 if faults.active() else _TIME_CHECK_INTERVAL
@@ -303,10 +315,11 @@ class Runtime:
         self.nodes += 1
         if self._ticking and self.nodes % self._interval == 0:
             if self.search_state is not None:
-                # stream() keeps `pos` in a local for speed and only syncs
-                # it at suspension points; sync it here too so anything
-                # sampled at a tick (the progress probe, an on-demand
-                # checkpoint from the inspector) sees a consistent state.
+                # The frame machine keeps `pos` in a local for speed and
+                # only syncs it at suspension points; sync it here too so
+                # anything sampled at a tick (the progress probe, an
+                # on-demand checkpoint from the inspector) sees a
+                # consistent state.
                 self.search_state.pos = depth
             recorder = self._recorder
             if faults.ACTIVE is not None:
@@ -321,11 +334,8 @@ class Runtime:
                     "engine.tick", depth=depth, phase=phase, nodes=self.nodes
                 )
             progress = self.progress
-            if progress is not None and self.search_state is not None:
-                state = self.search_state
-                progress.update(
-                    search_state_fraction(state.values, state.index)
-                )
+            if progress is not None and self.probe is not None:
+                progress.update(self.probe())
             if self._heartbeat.enabled:
                 self._heartbeat.beat(
                     self.nodes, self.emitted, depth, phase=phase,
@@ -386,13 +396,20 @@ class Runtime:
         return self.progress.as_dict()
 
 
-def stream(
-    physical: PhysicalPlan, runtime: Runtime, state: SearchState | None = None
+def _search(
+    physical: PhysicalPlan,
+    runtime: Runtime,
+    state: SearchState | None,
+    emit: bool,
 ) -> Iterator[tuple[int, ...]]:
-    """Iteratively enumerate embeddings; yields tuples indexed by pattern
-    vertex id. Cooperative: on a limit, sets ``runtime.stop_reason`` and
-    returns. Pass a restored :class:`SearchState` to resume a checkpointed
-    search mid-frame; the state is kept current at every suspension point.
+    """The frame machine behind :func:`stream` and :func:`count_capped`.
+
+    With ``emit`` it yields each embedding as a tuple indexed by pattern
+    vertex id; without, it only counts into ``runtime.emitted`` and never
+    yields, so a single ``next()`` runs the whole search. Cooperative: on
+    a limit it sets ``runtime.stop_reason`` and returns. A restored
+    :class:`SearchState` resumes a checkpointed search mid-frame; the
+    state is kept current at every suspension point and on every exit.
     """
     if physical.impossible():
         return
@@ -402,13 +419,17 @@ def stream(
         return
     if n == 0:
         runtime.emitted += 1
-        yield ()
+        if emit:
+            yield ()
         return
     if state is None:
         state = SearchState.fresh(n)
-    # Publish the frame stack for the tick-time progress probe (the probe
-    # reads the same list objects the loop mutates below).
+    # Publish the frame stack for the tick-time progress probe, the pos
+    # sync, and a pool worker's split listener (they read the same list
+    # objects the loop mutates below).
     runtime.search_state = state
+    runtime.probe = state.fraction
+    phase = "enumerate" if emit else "count"
     # Hot path: everything the loop touches is bound to locals.
     raw = runtime.computer.raw
     injective = physical.injective
@@ -430,7 +451,7 @@ def stream(
             if vals is None:
                 # Entering this depth fresh: one tick per expansion, exactly
                 # like one recursive extend() call.
-                if not runtime.tick(pos):
+                if not runtime.tick(pos, phase):
                     return
                 candidates = raw(op, assignment)
                 if profile is not None:
@@ -478,8 +499,9 @@ def stream(
                 add(chosen)
             if pos + 1 == n:
                 runtime.emitted += 1
-                state.pos = pos
-                yield tuple(assignment)
+                if emit:
+                    state.pos = pos
+                    yield tuple(assignment)
                 if max_embeddings is not None and runtime.emitted >= max_embeddings:
                     runtime.truncated = True
                     runtime.stop_reason = STOP_EMBEDDING_LIMIT
@@ -493,14 +515,26 @@ def stream(
         state.pos = pos
 
 
+def stream(
+    physical: PhysicalPlan, runtime: Runtime, state: SearchState | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Iteratively enumerate embeddings; yields tuples indexed by pattern
+    vertex id. Cooperative: on a limit, sets ``runtime.stop_reason`` and
+    returns. Pass a restored :class:`SearchState` to resume a checkpointed
+    search mid-frame; the state is kept current at every suspension point.
+    """
+    return _search(physical, runtime, state, emit=True)
+
+
 def count_capped(
     physical: PhysicalPlan,
     runtime: Runtime,
     state: SearchState | None = None,
 ) -> int:
-    """Count embeddings without yielding — the fast path for capped,
+    """Count embeddings without yielding — the path for capped,
     restricted, or seeded counting runs (no per-embedding generator
-    hand-off). Same frame machine as :func:`stream`.
+    hand-off); returns ``runtime.emitted``. Same frame machine as
+    :func:`stream`.
 
     Pass a restored :class:`SearchState` to resume mid-frame — the path
     pool workers use to execute a portable
@@ -508,93 +542,8 @@ def count_capped(
     current on every exit (limit stops and exhaustion), so a stopped
     count is itself re-shardable.
     """
-    if physical.impossible():
-        return 0
-    ops = physical.ops
-    n = len(ops)
-    if not runtime.preflight():
-        return 0
-    if n == 0:
-        runtime.emitted += 1
-        return runtime.emitted
-    raw = runtime.computer.raw
-    injective = physical.injective
-    max_embeddings = runtime.max_embeddings
-    profile = runtime.profile
-    if state is None:
-        state = SearchState.fresh(n)
-    assignment = state.assignment
-    used = state.used
-    add, discard = used.add, used.discard
-    values = state.values
-    index = state.index
-    emitted_at = state.emitted_at
-    pos = state.pos
-    # Publish the loop's live lists so the progress probe (and a pool
-    # worker's split listener) sees the cursors.
-    runtime.search_state = state
-    try:
-        while pos >= 0:
-            op = ops[pos]
-            vals = values[pos]
-            if vals is None:
-                if not runtime.tick(pos, phase="count"):
-                    return runtime.emitted
-                candidates = raw(op, assignment)
-                if profile is not None:
-                    profile.visit(pos, candidates.shape[0])
-                pin = op.pin
-                if pin is not None:
-                    vals = [pin] if _contains_sorted(candidates, pin) else []
-                else:
-                    vals = candidates.tolist()
-                values[pos] = vals
-                index[pos] = 0
-                emitted_at[pos] = runtime.emitted
-            u = op.u
-            if assignment[u] != -1:
-                if injective:
-                    discard(assignment[u])
-                assignment[u] = -1
-            i = index[pos]
-            restrictions = op.restrictions
-            chosen = -1
-            while i < len(vals):
-                v = vals[i]
-                i += 1
-                if injective and v in used:
-                    runtime.prunes_injective += 1
-                    continue
-                if restrictions and not _satisfies(v, assignment, restrictions):
-                    runtime.prunes_restriction += 1
-                    continue
-                chosen = v
-                break
-            index[pos] = i
-            if chosen < 0:
-                if runtime.emitted == emitted_at[pos]:
-                    runtime.backtracks += 1
-                    if profile is not None:
-                        profile.backtrack(pos)
-                values[pos] = None
-                pos -= 1
-                continue
-            assignment[u] = chosen
-            if injective:
-                add(chosen)
-            if pos + 1 == n:
-                runtime.emitted += 1
-                if max_embeddings is not None and runtime.emitted >= max_embeddings:
-                    runtime.truncated = True
-                    runtime.stop_reason = STOP_EMBEDDING_LIMIT
-                    runtime.note_stop(STOP_EMBEDDING_LIMIT, pos)
-                    return runtime.emitted
-                continue
-            pos += 1
-        return runtime.emitted
-    finally:
-        # Mirror stream(): the state stays resumable on every exit path.
-        state.pos = pos
+    next(_search(physical, runtime, state, emit=False), None)
+    return runtime.emitted
 
 
 class EmbeddingStream:
@@ -808,8 +757,9 @@ def execute_physical(
                     physical, options
                 )
                 timed_out = stop_reason == STOP_TIME_LIMIT
+                truncated = stop_reason == STOP_EMBEDDING_LIMIT
                 span.set("count", count)
-            # The factorized counter attaches its own estimator to the
+            # The counter's Runtime attached its estimator to the
             # Observation; snapshot it (pinned to 100% on exhaustive runs).
             estimator = getattr(obs, "progress", None)
             if estimator is not None:

@@ -127,11 +127,12 @@ class ResourceGovernor:
     runs, applying the graceful-degradation ladder on memory breaches.
 
     The governor is attached via ``MatchOptions(governor=...)`` and polled
-    by the engine's tick machinery through :meth:`check`, which is
-    duck-typed over the executor's :class:`~repro.engine.executor.Runtime`
-    and the counter's :class:`~repro.engine.counting.FactorizedCounter`
-    (both expose ``computer``, ``options``, ``degradation`` and
-    ``gov_stage``). It owns tracemalloc the same way
+    by the engine's tick machinery through :meth:`check`. Only two run
+    types reach it: the executor's :class:`~repro.engine.executor.Runtime`
+    (every sequential run — streaming, capped and factorized counting)
+    and the pool's parent probe (``repro.engine.pool._ParentProbe``);
+    both expose ``computer``, ``emitted``, ``degradation`` and
+    ``gov_stage``. It owns tracemalloc the same way
     :class:`repro.obs.profile.Profiler` does: starts tracing only when a
     memory budget exists and tracing is off, and stops it only if it
     started it.
@@ -236,9 +237,9 @@ class ResourceGovernor:
     def check(self, run: Any) -> str | None:
         """One governance step; returns a stop reason or ``None``.
 
-        ``run`` is the executor's ``Runtime`` or the factorized counter —
-        anything with ``computer`` (a
-        :class:`~repro.engine.candidates.CandidateComputer`),
+        ``run`` is the executor's ``Runtime`` or the pool's parent probe —
+        each has ``computer`` (a
+        :class:`~repro.engine.candidates.CandidateComputer`), ``emitted``,
         ``degradation`` (list of ladder events) and ``gov_stage`` (int
         ladder position, starts at 0). Called from ``tick()`` at the same
         cadence as the deadline check, so its cost is amortized over
@@ -258,10 +259,8 @@ class ResourceGovernor:
         if deadline is not None and time.perf_counter() >= deadline:
             return STOP_TIME_LIMIT
         cap = self._cap_override
-        if cap is not None:
-            emitted = getattr(run, "emitted", None)
-            if emitted is not None and emitted >= cap:
-                return STOP_EMBEDDING_LIMIT
+        if cap is not None and run.emitted >= cap:
+            return STOP_EMBEDDING_LIMIT
         limit = self.budget.memory_limit_mb
         if limit is None:
             return None

@@ -104,7 +104,6 @@ from repro.obs import (
     WorkerSnapshot,
     merge_counters,
     merge_run_reports,
-    search_state_fraction,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -322,7 +321,7 @@ def _run_unit(
                 unit_id,
                 live.get("nodes", 0) - banked["stats"].get("nodes", 0),
                 runtime.emitted - banked["emitted"],
-                search_state_fraction(state.values, state.index),
+                state.fraction(),
             )
         )
         if not need_work.is_set():

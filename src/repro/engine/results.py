@@ -1,10 +1,8 @@
 """Run options and results for the physical-operator engine.
 
-These used to live in ``repro.core.executor``; they moved here with the
-compiled engine so that every execution front-end (the :class:`repro.core.CSCE`
-facade, :mod:`repro.core.continuous`, the baselines, and the bench harness)
-shares one options/result contract. ``repro.core.executor`` re-exports both
-names for compatibility.
+Every execution front-end (the :class:`repro.core.CSCE` facade,
+:mod:`repro.core.continuous`, the baselines, and the bench harness) shares
+this one options/result contract; :mod:`repro.core` re-exports both names.
 
 This module deliberately imports nothing from ``repro`` — it sits at the
 bottom of the engine layer and must stay importable mid-way through package

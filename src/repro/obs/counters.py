@@ -76,7 +76,7 @@ def unified_stats(
 ) -> dict[str, int]:
     """Assemble the canonical stats dict (see :data:`STAT_KEYS`).
 
-    ``candidate_stats`` is a :class:`~repro.core.candidates.CandidateStats`
+    ``candidate_stats`` is a :class:`~repro.engine.candidates.CandidateStats`
     (or ``None`` for engines without candidate memoization, e.g. the
     baselines, which then report zeros for those counters).
     """

@@ -238,10 +238,10 @@ class TestCompare:
 class TestHarnessTimeoutPath:
     @pytest.fixture
     def timed_out_record(self, monkeypatch):
-        # Check the deadline every 4 nodes on both execution paths, then
+        # Check the deadline every 4 nodes (every execution path ticks on
+        # the one executor Runtime), then
         # enumerate a workload far too large for a microsecond budget.
         monkeypatch.setattr("repro.engine.executor._TIME_CHECK_INTERVAL", 4)
-        monkeypatch.setattr("repro.engine.counting._TIME_CHECK_INTERVAL", 4)
         n = 12
         clique = Graph.from_edges(
             n, [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -19,10 +19,15 @@ from repro.engine import (
     MatchOptions,
     MatchResult,
     MatchSession,
+    Runtime,
+    SearchState,
     compile_plan,
+    count_capped,
     count_physical,
     execute_physical,
+    stream,
 )
+from repro.engine.executor import specialize
 from repro.errors import PlanError
 from repro.graph import Graph
 
@@ -128,17 +133,75 @@ class TestIterativeExecutor:
         # Contiguous segments of the long path, in either direction.
         assert result.count == 2 * (n - depth + 1)
 
-    def test_count_capped_equals_stream_drain(self, engine):
+    @pytest.mark.parametrize("case", ["plain", "restriction", "seed", "cap"])
+    @pytest.mark.parametrize(
+        "variant", ["edge_induced", "vertex_induced", "homomorphic"]
+    )
+    def test_count_capped_equals_stream_drain(self, engine, variant, case):
+        # Count mode and stream mode are one frame machine: the same run
+        # must end with the same count, stats, stop and frame stack.
         p = small_pattern()
-        plan = engine.build_plan(p, "edge_induced")
-        physical = compile_plan(plan)
-        counted = execute_physical(
-            physical,
-            MatchOptions(count_only=True, max_embeddings=10_000),
-        ).count
-        with EmbeddingStream(physical) as s:
-            drained = sum(1 for _ in s)
+        physical = compile_plan(engine.build_plan(p, variant))
+        options = MatchOptions(count_only=True)
+        if case == "restriction":
+            options = MatchOptions(count_only=True, restrictions=((0, 1),))
+        elif case == "seed":
+            with EmbeddingStream(physical) as s:
+                first = next(s)
+            options = MatchOptions(count_only=True, seed={0: first[0]})
+        elif case == "cap":
+            options = MatchOptions(count_only=True, max_embeddings=3)
+        physical = specialize(physical, options)
+
+        def run(emit):
+            runtime = Runtime(physical, options)
+            state = SearchState.fresh(len(physical.ops))
+            if emit:
+                count = sum(1 for _ in stream(physical, runtime, state))
+            else:
+                count = count_capped(physical, runtime, state)
+            return count, runtime.stats(), runtime.stop_reason, state.to_payload()
+
+        counted, drained = run(emit=False), run(emit=True)
         assert counted == drained
+        assert counted[0] > 0
+        if case == "cap":
+            assert counted[0] == 3 and counted[2] == "embedding_limit"
+        else:
+            assert counted[2] is None
+
+    def test_capped_count_resumes_as_stream(self, random_graph, engine):
+        p = small_pattern()
+        physical = compile_plan(engine.build_plan(p, "edge_induced"))
+        runtime = Runtime(physical, MatchOptions(count_only=True, max_embeddings=3))
+        state = SearchState.fresh(len(physical.ops))
+        head = count_capped(physical, runtime, state)
+        assert head == 3 and runtime.stop_reason == "embedding_limit"
+        tail = sum(1 for _ in stream(physical, Runtime(physical, MatchOptions()), state))
+        assert head + tail == brute_count(random_graph, p, "edge_induced")
+
+    @pytest.mark.parametrize("path", ["factorized", "capped", "stream"])
+    def test_tick_stop_computes_nothing_more(self, monkeypatch, path):
+        # A tick that stops the run must end it before that node's
+        # candidate set is computed, on every execution path.
+        monkeypatch.setattr("repro.engine.executor._TIME_CHECK_INTERVAL", 4)
+        n = 16
+        clique = CSCE(
+            Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        )
+        p = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        options = {"use_sce": False, "time_limit": 1e-9}
+        if path == "stream":
+            with clique.match_iter(p, "edge_induced", **options) as s:
+                list(s)
+            result = s.result()
+        else:
+            cap = 10**12 if path == "capped" else None
+            result = clique.match(
+                p, "edge_induced", count_only=True, max_embeddings=cap, **options
+            )
+        assert result.stop_reason == "time_limit"
+        assert result.stats["computed"] == result.stats["nodes"] - 1
 
 
 class TestStreaming:

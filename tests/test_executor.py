@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import CSCE, MatchOptions, Variant, execute
+from repro.core import CSCE, MatchOptions, Variant
+from repro.engine import compile_plan, execute_physical
 from repro.graph import Graph
 
 from conftest import brute_count
@@ -164,10 +165,10 @@ class TestMatchResult:
 class TestExecuteDirect:
     def test_execute_with_default_options(self, square_engine, path3):
         plan = square_engine.build_plan(path3, Variant.EDGE_INDUCED)
-        result = execute(plan)
+        result = execute_physical(compile_plan(plan))
         assert result.count == 16
 
     def test_execute_with_options_object(self, square_engine, path3):
         plan = square_engine.build_plan(path3, Variant.EDGE_INDUCED)
-        result = execute(plan, MatchOptions(count_only=True))
+        result = execute_physical(compile_plan(plan), MatchOptions(count_only=True))
         assert result.count == 16

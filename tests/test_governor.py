@@ -227,6 +227,28 @@ class TestFactorizedStopConsistency:
             result.check()
         assert exc.value.partial_count == result.count
 
+    def test_midrun_cap_tightening_stops_the_counter(self):
+        # The counter runs on the executor's Runtime, so an embedding cap
+        # tightened mid-run (the inspector's `budget` command) stops it
+        # through the same contract as every other path.
+        engine, star = self._factorizing_task()
+        governor = ResourceGovernor()
+
+        def tighten(rule, site, ctx):
+            governor.tighten(max_embeddings=1)
+
+        with FaultInjector(seed=2).on("engine.tick", tighten, after=3):
+            result = engine.match(
+                star, "homomorphic", count_only=True, governor=governor
+            )
+        full = engine.match(star, "homomorphic", count_only=True).count
+        assert result.stop_reason == STOP_EMBEDDING_LIMIT
+        assert result.truncated
+        assert 1 <= result.count < full
+        with pytest.raises(EmbeddingLimitExceeded) as exc:
+            result.check()
+        assert exc.value.partial_count == result.count
+
 
 class TestContractPinning:
     def test_report_literals_match_engine_constants(self):

@@ -257,7 +257,7 @@ class TestHeartbeat:
         assert sum(obs.heartbeat.depth_histogram.values()) == obs.heartbeat.beats
 
     def test_sce_counter_ticks_heartbeat(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.counting._TIME_CHECK_INTERVAL", 4)
+        monkeypatch.setattr("repro.engine.executor._TIME_CHECK_INTERVAL", 4)
         lines = []
         obs = Observation(
             trace=False, heartbeat=Heartbeat(interval=0.0, emit=lines.append)
