@@ -24,7 +24,7 @@ from repro.errors import (
     VariantError,
 )
 from repro.graph.model import Graph
-from repro.obs import NULL_HEARTBEAT, NULL_OBS, unified_stats
+from repro.obs import NULL_HEARTBEAT, NULL_OBS, RunSnapshot, unified_stats
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,9 @@ class SearchBudget:
         self.nodes += 1
         if self._ticking and self.nodes % _TIME_CHECK_INTERVAL == 0:
             if self.heartbeat.enabled:
-                self.heartbeat.beat(self.nodes, emitted, phase="baseline")
+                self.heartbeat.beat(
+                    lambda: self.snapshot(emitted), 0, phase="baseline"
+                )
             if (
                 self.deadline is not None
                 and time.perf_counter() > self.deadline
@@ -60,6 +62,10 @@ class SearchBudget:
                 raise TimeLimitExceeded(
                     "baseline time limit", partial_count=emitted
                 )
+
+    def snapshot(self, emitted: int) -> RunSnapshot:
+        """The heartbeat's view of the baseline search."""
+        return RunSnapshot(emitted, self.nodes, unified_stats(nodes=self.nodes))
 
 
 class DataIndex:

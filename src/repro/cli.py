@@ -300,13 +300,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
     usr2_handler = None
     try:
         if parallel:
-            pool_monitor = None
             if args.inspect is not None and obs is not None:
-                from repro.engine import PoolMonitor
-
-                pool_monitor = PoolMonitor()
+                # The pool's heartbeat snapshots carry the per-worker rows;
+                # there is no stream, so checkpoint-now answers with an
+                # error (pool checkpoints are written at stop time).
                 inspector = MatchInspector(
-                    pool_monitor, obs, governor=governor
+                    None, obs, governor=governor
                 ).attach()
                 server = InspectorServer(inspector, args.inspect).start()
                 print(f"inspector   : listening on {server.endpoint}",
@@ -321,7 +320,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     governor=governor,
                     obs=obs,
                     checkpoint_dir=args.checkpoint,
-                    monitor=pool_monitor,
                     stall_timeout=args.stall_timeout,
                     max_respawns=args.max_respawns,
                     max_unit_attempts=args.max_unit_attempts,
@@ -340,7 +338,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     governor=governor,
                     workers=workers,
                     pool_checkpoint_dir=args.checkpoint,
-                    pool_monitor=pool_monitor,
                     stall_timeout=args.stall_timeout,
                     max_respawns=args.max_respawns,
                     max_unit_attempts=args.max_unit_attempts,

@@ -138,7 +138,6 @@ class CSCE:
         governor=None,
         workers: int = 1,
         pool_checkpoint_dir=None,
-        pool_monitor=None,
         stall_timeout: float | None = None,
         max_respawns: int | None = None,
         max_unit_attempts: int = 3,
@@ -185,16 +184,15 @@ class CSCE:
             portable work units executed by a :mod:`repro.engine.pool`
             process pool (requires ``count_only=True``); the merged count
             is exactly the sequential count and ``result.shards``
-            summarizes the per-worker split.
+            summarizes the per-worker split. The heartbeat of ``obs``
+            then carries per-worker rows and supervision health, so a
+            :class:`repro.obs.MatchInspector` attached to it serves the
+            pool as it serves any run.
         pool_checkpoint_dir:
             With ``workers > 1``: a directory that receives one shard
             checkpoint per unfinished work unit when the pool stops early;
             :meth:`resume_pool` continues from it with exact combined
             counts. Requires a session-compiled plan (no ``plan=``).
-        pool_monitor:
-            With ``workers > 1``: a :class:`repro.engine.PoolMonitor` the
-            pool keeps refreshed with merged counters and per-worker rows
-            (the live `csce top` hook for parallel runs).
         stall_timeout:
             With ``workers > 1``: seconds a busy worker may go silent
             before the stall watchdog SIGKILLs it and re-dispatches its
@@ -234,7 +232,7 @@ class CSCE:
             if workers > 1:
                 result = self._match_parallel(
                     physical, options, pattern, variant, planner, plan,
-                    pool_checkpoint_dir, pool_monitor,
+                    pool_checkpoint_dir,
                 )
             else:
                 result = execute_physical(physical, options)
@@ -243,10 +241,10 @@ class CSCE:
 
     def _match_parallel(
         self, physical, options, pattern, variant, planner, plan,
-        pool_checkpoint_dir, pool_monitor,
+        pool_checkpoint_dir,
     ) -> MatchResult:
         """Dispatch a ``workers > 1`` match to the process pool, wiring the
-        shard-checkpoint directory and live monitor that can't ride on
+        shard-checkpoint directory that can't ride on
         :class:`MatchOptions`."""
         from repro.engine.executor import specialize
         from repro.engine.pool import execute_parallel
@@ -267,7 +265,6 @@ class CSCE:
             specialize(physical, options),
             options,
             checkpoint=checkpoint,
-            monitor=pool_monitor,
         )
 
     def match_iter(
@@ -379,7 +376,6 @@ class CSCE:
         governor=None,
         obs=None,
         checkpoint_dir=None,
-        monitor=None,
         stall_timeout: float | None = None,
         max_respawns: int | None = None,
         max_unit_attempts: int = 3,
@@ -394,9 +390,7 @@ class CSCE:
         returned result folds the checkpointed progress into the new run:
         its count is exactly the count the uninterrupted sequential match
         would have produced. ``checkpoint_dir`` re-arms shard
-        checkpointing for repeated suspend/resume cycles; ``monitor``
-        attaches a live :class:`repro.engine.PoolMonitor` as in
-        :meth:`match`.
+        checkpointing for repeated suspend/resume cycles.
         """
         from repro.engine.checkpoint import load_checkpoint_dir
         from repro.engine.pool import resume_parallel
@@ -411,7 +405,6 @@ class CSCE:
             governor=governor,
             obs=obs or self.obs,
             checkpoint_dir=checkpoint_dir,
-            monitor=monitor,
             stall_timeout=stall_timeout,
             max_respawns=max_respawns,
             max_unit_attempts=max_unit_attempts,

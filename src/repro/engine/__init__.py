@@ -82,7 +82,6 @@ from repro.engine.workunit import (
     split_search_state,
 )
 from repro.engine.pool import (
-    PoolMonitor,
     execute_parallel,
     resume_parallel,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "make_root_units",
     "root_candidates",
     "split_search_state",
-    "PoolMonitor",
     "execute_parallel",
     "resume_parallel",
     "ExtendOp",

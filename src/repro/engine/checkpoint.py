@@ -473,8 +473,9 @@ def restore_stream(
     for key in _CANDIDATE_COUNTERS:
         if key in counters:
             setattr(runtime.computer.stats, key, int(counters[key]))
+    # The governor reads the ladder position off this list, so the
+    # resumed run climbs on from the checkpoint's last rung.
     runtime.degradation = degradation
-    runtime.gov_stage = 2 if "disable_memo" in degradation else 0
     return stream
 
 

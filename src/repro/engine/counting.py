@@ -319,9 +319,9 @@ class FactorizedCounter:
 
 def count_physical(
     physical: PhysicalPlan, options: MatchOptions
-) -> tuple[int, dict, str | None, list[str]]:
+) -> tuple[int, dict, str | None, list[str], dict | None]:
     """Count embeddings of a compiled plan; returns
-    ``(count, stats, stop_reason, degradation)``.
+    ``(count, stats, stop_reason, degradation, progress)``.
 
     ``stats`` carries the full unified key set
     (:data:`repro.obs.counters.STAT_KEYS`), matching the enumeration path
@@ -329,7 +329,8 @@ def count_physical(
     restrictions force the enumeration path. On an early stop the count is
     the partial top-level count (cooperative, no exception) and
     ``stop_reason`` names the cause; ``degradation`` lists any
-    governor-ladder events.
+    governor-ladder events; ``progress`` is the estimator block (pinned
+    to 100% on an exhaustive run), ``None`` without an observation.
     """
     counter = FactorizedCounter(physical, options)
     total = counter.count()
@@ -337,4 +338,5 @@ def count_physical(
     stats = runtime.stats()
     stats["factorizations"] = counter.factorizations
     stats["group_memo_hits"] = counter.group_memo_hits
-    return total, stats, runtime.stop_reason, list(runtime.degradation)
+    progress = runtime.progress_snapshot(complete=True)
+    return total, stats, runtime.stop_reason, list(runtime.degradation), progress

@@ -52,6 +52,7 @@ from repro.obs import (
     NULL_OBS,
     NULL_RECORDER,
     ProgressEstimator,
+    RunSnapshot,
     search_state_fraction,
     unified_stats,
 )
@@ -178,8 +179,8 @@ class Runtime:
     stop, tick and report through one implementation. When
     a :class:`~repro.engine.governor.ResourceGovernor` is attached, its
     budget folds into the deadline/cap (tightest wins) and its
-    memory/cancellation checks run at tick boundaries; ``degradation`` and
-    ``gov_stage`` record the ladder's progress.
+    memory/cancellation checks run at tick boundaries; ``degradation``
+    records the ladder's progress.
     """
 
     __slots__ = (
@@ -196,7 +197,6 @@ class Runtime:
         "timed_out",
         "stop_reason",
         "degradation",
-        "gov_stage",
         "max_embeddings",
         "progress",
         "search_state",
@@ -231,7 +231,6 @@ class Runtime:
         self.timed_out = False
         self.stop_reason: str | None = None
         self.degradation: list[str] = []
-        self.gov_stage = 0
         gov = options.governor
         self.governor = gov
         if gov is not None:
@@ -248,13 +247,11 @@ class Runtime:
         self._heartbeat = obs.heartbeat
         self._recorder = getattr(obs, "recorder", NULL_RECORDER)
         # Progress estimation exists exactly when an observation is
-        # attached; the estimator registers on the observation so
-        # heartbeats, the metrics pump, and run-reports read one object.
-        if obs.enabled:
-            self.progress: ProgressEstimator | None = ProgressEstimator()
-            obs.attach_progress(self.progress)
-        else:
-            self.progress = None
+        # attached; heartbeats and their listeners read it through
+        # snapshot(), results and run-reports through progress_snapshot().
+        self.progress: ProgressEstimator | None = (
+            ProgressEstimator() if obs.enabled else None
+        )
         #: The live frame stack, published by stream()/count_capped() so
         #: tick-time readers see the candidate cursors.
         self.search_state: SearchState | None = None
@@ -283,7 +280,7 @@ class Runtime:
         gov = self.governor
         if gov is None:
             return True
-        reason = gov.check(self)
+        reason = gov.check(self.emitted, self.degradation, self.computer)
         if reason is not None:
             if reason == STOP_TIME_LIMIT:
                 self.timed_out = True
@@ -337,10 +334,7 @@ class Runtime:
             if progress is not None and self.probe is not None:
                 progress.update(self.probe())
             if self._heartbeat.enabled:
-                self._heartbeat.beat(
-                    self.nodes, self.emitted, depth, phase=phase,
-                    progress=progress,
-                )
+                self._heartbeat.beat(self.snapshot, depth, phase=phase)
             if recorder.enabled:
                 recorder.record(
                     "tick", nodes=self.nodes, emitted=self.emitted,
@@ -348,7 +342,7 @@ class Runtime:
                 )
             gov = self.governor
             if gov is not None:
-                reason = gov.check(self)
+                reason = gov.check(self.emitted, self.degradation, self.computer)
                 if reason is not None:
                     # Keep the legacy flags in step with governor-imposed
                     # stops (a mid-run `budget` tightening arrives here,
@@ -383,6 +377,19 @@ class Runtime:
             backtracks=self.backtracks,
             prunes_injective=self.prunes_injective,
             prunes_restriction=self.prunes_restriction,
+        )
+
+    def snapshot(self) -> RunSnapshot:
+        """The run's live state as one :class:`RunSnapshot` of copies —
+        what the heartbeat line and its listeners read."""
+        progress = self.progress
+        return RunSnapshot(
+            emitted=self.emitted,
+            nodes=self.nodes,
+            stats=self.stats(),
+            stop_reason=self.stop_reason,
+            degradation=tuple(self.degradation),
+            progress=None if progress is None else progress.as_dict(),
         )
 
     def progress_snapshot(self, complete: bool = False) -> dict | None:
@@ -753,19 +760,12 @@ def execute_physical(
             with obs.tracer.span(
                 "execute", mode="count", variant=plan.variant.value
             ) as span:
-                count, stats, stop_reason, degradation = count_physical(
-                    physical, options
-                )
+                (
+                    count, stats, stop_reason, degradation, progress
+                ) = count_physical(physical, options)
                 timed_out = stop_reason == STOP_TIME_LIMIT
                 truncated = stop_reason == STOP_EMBEDDING_LIMIT
                 span.set("count", count)
-            # The counter's Runtime attached its estimator to the
-            # Observation; snapshot it (pinned to 100% on exhaustive runs).
-            estimator = getattr(obs, "progress", None)
-            if estimator is not None:
-                if stop_reason is None:
-                    estimator.complete()
-                progress = estimator.as_dict()
         else:
             runtime = Runtime(physical, options)
             count = 0

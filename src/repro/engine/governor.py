@@ -35,7 +35,7 @@ a single attribute check per tick window.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import random
 import threading
@@ -52,6 +52,9 @@ from repro.engine.results import (  # noqa: F401  (re-exported)
     STOP_TIME_LIMIT,
 )
 from repro.testing import faults
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.engine.candidates import CandidateComputer
 
 #: Degradation-ladder event names, in escalation order.
 DEGRADE_EVICT = "evict_memo"
@@ -127,12 +130,12 @@ class ResourceGovernor:
     runs, applying the graceful-degradation ladder on memory breaches.
 
     The governor is attached via ``MatchOptions(governor=...)`` and polled
-    by the engine's tick machinery through :meth:`check`. Only two run
-    types reach it: the executor's :class:`~repro.engine.executor.Runtime`
-    (every sequential run — streaming, capped and factorized counting)
-    and the pool's parent probe (``repro.engine.pool._ParentProbe``);
-    both expose ``computer``, ``emitted``, ``degradation`` and
-    ``gov_stage``. It owns tracemalloc the same way
+    by the engine's tick machinery through :meth:`check`, which takes the
+    run's emitted count, its ladder list and its candidate computer: the
+    executor's :class:`~repro.engine.executor.Runtime` (every sequential
+    run — streaming, capped and factorized counting) passes its own, the
+    pool's parent drive loop passes ``computer=None`` (the memos live in
+    the workers). It owns tracemalloc the same way
     :class:`repro.obs.profile.Profiler` does: starts tracing only when a
     memory budget exists and tracing is off, and stops it only if it
     started it.
@@ -234,15 +237,22 @@ class ResourceGovernor:
         return current
 
     # -- the cooperative check ----------------------------------------
-    def check(self, run: Any) -> str | None:
+    def check(
+        self,
+        emitted: int,
+        degradation: list[str],
+        computer: CandidateComputer | None,
+    ) -> str | None:
         """One governance step; returns a stop reason or ``None``.
 
-        ``run`` is the executor's ``Runtime`` or the pool's parent probe —
-        each has ``computer`` (a
-        :class:`~repro.engine.candidates.CandidateComputer`), ``emitted``,
-        ``degradation`` (list of ladder events) and ``gov_stage`` (int
-        ladder position, starts at 0). Called from ``tick()`` at the same
-        cadence as the deadline check, so its cost is amortized over
+        ``emitted`` is the run's embedding count; a memory breach appends
+        to ``degradation``, the ladder list, whose events also give the
+        ladder position (``evict_memo`` → 1, ``disable_memo`` → 2), so a
+        resumed run climbs on from its checkpoint. The rungs act on
+        ``computer``; with ``None`` nothing is evicted, so the first
+        breach climbs straight to ``disable_memo`` and the next suspends.
+        Called from ``tick()`` at the same cadence as the deadline check,
+        so its cost is amortized over
         :data:`~repro.engine.executor._TIME_CHECK_INTERVAL` frame steps.
 
         The time/embedding dimensions of the budget are *not* checked here
@@ -259,7 +269,7 @@ class ResourceGovernor:
         if deadline is not None and time.perf_counter() >= deadline:
             return STOP_TIME_LIMIT
         cap = self._cap_override
-        if cap is not None and run.emitted >= cap:
+        if cap is not None and emitted >= cap:
             return STOP_EMBEDDING_LIMIT
         limit = self.budget.memory_limit_mb
         if limit is None:
@@ -267,12 +277,16 @@ class ResourceGovernor:
         if self.memory_mb() <= limit:
             return None
         # Memory breach: climb the degradation ladder one rung per breach.
-        stage = run.gov_stage
-        computer = run.computer
+        stage = (
+            2 if DEGRADE_DISABLE in degradation
+            else 1 if DEGRADE_EVICT in degradation
+            else 0
+        )
         if stage == 0:
-            evicted = computer.evict(EVICT_FRACTION)
-            run.gov_stage = 1
-            run.degradation.append(DEGRADE_EVICT)
+            evicted = (
+                computer.evict(EVICT_FRACTION) if computer is not None else 0
+            )
+            degradation.append(DEGRADE_EVICT)
             self._count("governor_evictions")
             self._record_degrade(DEGRADE_EVICT, 1)
             if evicted:
@@ -281,14 +295,14 @@ class ResourceGovernor:
             # than burning another full tick window under pressure.
             stage = 1
         if stage == 1:
-            computer.disable_memo()
-            run.gov_stage = 2
-            run.degradation.append(DEGRADE_DISABLE)
+            if computer is not None:
+                computer.disable_memo()
+            degradation.append(DEGRADE_DISABLE)
             self._count("governor_memo_disabled")
             self._record_degrade(DEGRADE_DISABLE, 2)
             return None
         # stage >= 2: eviction and disabling did not relieve pressure.
-        run.degradation.append(DEGRADE_SUSPEND)
+        degradation.append(DEGRADE_SUSPEND)
         self._count("governor_suspensions")
         self._record_degrade(DEGRADE_SUSPEND, 3)
         return STOP_MEMORY_LIMIT

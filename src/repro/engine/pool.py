@@ -38,9 +38,11 @@ returning a resumable residual. The merged ``stop_reason`` is
 deterministic: the parent's initiating reason wins; worker ``cancelled``
 echoes of that initiation stay per-shard only.
 
-Observability: worker heartbeats feed the parent's progress/ETA and the
-live inspector (per-worker rows via :class:`PoolMonitor`); the flight
-recorder logs ``unit``/``steal``/``worker`` events; the final
+Observability: worker heartbeats feed the parent's progress/ETA; the
+parent's heartbeat builds one :class:`~repro.obs.progress.RunSnapshot`
+with merged totals, per-worker rows and supervision health, which the
+live inspector reads like any run's; the flight recorder logs
+``unit``/``steal``/``worker`` events; the final
 :class:`~repro.engine.results.MatchResult` carries the
 ``merge_run_reports`` shards block and exact merged counters.
 
@@ -101,6 +103,7 @@ from repro.obs import (
     Heartbeat,
     Observation,
     ProgressEstimator,
+    RunSnapshot,
     WorkerSnapshot,
     merge_counters,
     merge_run_reports,
@@ -188,76 +191,6 @@ class _SharedCancelToken:
         self._event.set()
 
 
-class _NullComputer:
-    """Stand-in candidate computer for the parent's governor probe: the
-    memory ladder's evict/disable hooks have nothing to act on in the
-    parent process (the memos live in the workers)."""
-
-    def evict(self) -> int:
-        return 0
-
-    def disable_memo(self) -> None:
-        return None
-
-
-class _ParentProbe:
-    """The minimal runtime surface :meth:`ResourceGovernor.check` needs,
-    so the parent drive loop honors cancel tokens, inspector-tightened
-    budgets, and the memory ladder between queue drains."""
-
-    def __init__(self) -> None:
-        self.computer = _NullComputer()
-        self.degradation: list[str] = []
-        self.gov_stage = 0
-        self.emitted = 0
-        self.truncated = False
-        self.timed_out = False
-
-
-class _PoolRuntime:
-    """Duck-typed ``stream.runtime`` for the live inspector: the parent
-    drive loop refreshes these fields each iteration, and the inspector's
-    heartbeat listener samples them exactly like a sequential run's
-    :class:`~repro.engine.executor.Runtime`."""
-
-    def __init__(self) -> None:
-        self.emitted = 0
-        self.nodes = 0
-        self.stop_reason: str | None = None
-        self.degradation: list[str] = []
-        self.gov_stage = 0
-        self.progress: ProgressEstimator | None = None
-        self._stats: dict = {}
-
-    def stats(self) -> dict:
-        return dict(self._stats)
-
-
-class PoolMonitor:
-    """Duck-typed "stream" the :class:`~repro.obs.inspect.MatchInspector`
-    can attach to while a pool run is live: ``runtime`` mirrors the merged
-    pool state, ``worker_rows()`` feeds the per-worker table in
-    ``csce top``. ``checkpoint_sink`` stays ``None`` — the inspector's
-    ``checkpoint-now`` answers "no checkpoint target" (pool checkpoints
-    are directory-scoped and written at stop time)."""
-
-    def __init__(self) -> None:
-        self.runtime = _PoolRuntime()
-        self.checkpoint_sink = None
-        self._rows: list[dict] = []
-        self._health: dict = {}
-
-    def worker_rows(self) -> list[dict]:
-        return [dict(row) for row in self._rows]
-
-    def health(self) -> dict:
-        """Supervision snapshot for the inspector's ``health`` command:
-        ``{"stall_timeout", "stall_kills", "quarantined_units",
-        "respawns_left", "max_beat_age"}`` — refreshed by the parent
-        drive loop each iteration."""
-        return dict(self._health)
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -309,18 +242,18 @@ def _run_unit(
     op_vertices = tuple(op.u for op in physical.ops)
     injective = physical.injective
 
-    def on_beat() -> None:
+    def on_beat(snapshot: RunSnapshot) -> None:
         # Runs on the executor thread at a tick boundary — the only
         # point where splitting the live frame stack is sound.
         faults.fire("pool.worker_beat", worker=worker_id, unit=unit_id)
-        live = runtime.stats()
+        live = dict(snapshot.stats)
         results.put(
             (
                 "beat",
                 worker_id,
                 unit_id,
                 live.get("nodes", 0) - banked["stats"].get("nodes", 0),
-                runtime.emitted - banked["emitted"],
+                snapshot.emitted - banked["emitted"],
                 state.fraction(),
             )
         )
@@ -330,9 +263,9 @@ def _run_unit(
         if donated is None:
             return
         need_work.clear()
-        d_emitted = runtime.emitted - banked["emitted"]
+        d_emitted = snapshot.emitted - banked["emitted"]
         d_stats = _stats_delta(live, banked["stats"])
-        banked["emitted"] = runtime.emitted
+        banked["emitted"] = snapshot.emitted
         banked["stats"] = live
         results.put(
             (
@@ -439,7 +372,6 @@ class _PoolDriver:
         prior_emitted: int = 0,
         prior_counters: dict | None = None,
         checkpoint: "PoolCheckpointDir | None" = None,
-        monitor: PoolMonitor | None = None,
         on_event: Callable[[str, tuple], None] | None = None,
     ) -> None:
         self.ctx = ctx
@@ -447,7 +379,6 @@ class _PoolDriver:
         self.options = options
         self.obs = options.obs or NULL_OBS
         self.checkpoint = checkpoint
-        self.monitor = monitor
         self.on_event = on_event
         self.prior_emitted = prior_emitted
         self.prior_counters = dict(prior_counters or {})
@@ -469,7 +400,8 @@ class _PoolDriver:
         self.worker_memory_mb = (
             mem / options.workers if mem is not None else None
         )
-        self.probe = _ParentProbe()
+        #: The parent's own memory-ladder events (the governor appends).
+        self.gov_degradation: list[str] = []
         # Unit table: id -> {payload, attempts, status, worker}. Status
         # lifecycle: pending -> queued -> started -> done | stopped; a
         # death or failure resets to pending (attempts capped).
@@ -501,11 +433,9 @@ class _PoolDriver:
         self.worker_stops: set[str] = set()
         self.sentinels_sent = False
         self.stop_started: float | None = None
-        if self.obs.enabled:
-            self.estimator: ProgressEstimator | None = ProgressEstimator()
-            self.obs.attach_progress(self.estimator)
-        else:
-            self.estimator = None
+        self.estimator: ProgressEstimator | None = (
+            ProgressEstimator() if self.obs.enabled else None
+        )
         recorder = getattr(self.obs, "recorder", None)
         self.recorder = recorder if recorder is not None and recorder.enabled else None
 
@@ -884,8 +814,10 @@ class _PoolDriver:
         if self._stopping():
             return
         if self.governor is not None:
-            self.probe.emitted = self._live_emitted()
-            reason = self.governor.check(self.probe)
+            # No computer: the memos the ladder acts on live in the workers.
+            reason = self.governor.check(
+                self._live_emitted(), self.gov_degradation, None
+            )
             if reason is not None:
                 self._initiate(reason)
                 return
@@ -899,8 +831,6 @@ class _PoolDriver:
             self._initiate(STOP_EMBEDDING_LIMIT)
 
     def _observe(self) -> None:
-        emitted = self._live_emitted()
-        nodes = self._total_nodes()
         if self.estimator is not None:
             total = len(self.units) or 1
             done = sum(
@@ -912,26 +842,28 @@ class _PoolDriver:
                 if w["state"] == "busy"
             )
             self.estimator.update((done + inflight) / total)
-        if self.obs.enabled and self.obs.heartbeat.enabled:
-            self.obs.heartbeat.beat(
-                nodes, emitted, 0, phase="pool", progress=self.estimator
-            )
-        if self.monitor is not None:
-            self._refresh_monitor(emitted, nodes)
+        # The drive loop has no search frontier: no depth sample.
+        self.obs.heartbeat.beat(self.snapshot, phase="pool")
 
-    def _refresh_monitor(self, emitted: int, nodes: int) -> None:
-        runtime = self.monitor.runtime
-        runtime.emitted = emitted
-        runtime.nodes = nodes
-        runtime.stop_reason = self.initiated
-        runtime.progress = self.estimator
-        merged = merge_counters(
+    def merged_stats(self) -> dict:
+        """Confirmed stats: prior (resumed) counters plus every worker's."""
+        return merge_counters(
             self.prior_counters,
             *(agg["stats"] for agg in self.per_worker.values()),
         )
-        runtime._stats = merged
-        ladders = [agg["degradation"] for agg in self.per_worker.values()]
-        runtime.degradation = max(ladders, key=len, default=[])
+
+    def worker_ladder(self) -> list[str]:
+        """The longest worker degradation ladder — the pool's ladder."""
+        return max(
+            (agg["degradation"] for agg in self.per_worker.values()),
+            key=len,
+            default=[],
+        )
+
+    def snapshot(self) -> RunSnapshot:
+        """The pool's live state: merged totals, per-worker rows (the
+        ``csce top`` worker table) and supervision health (the
+        inspector's ``health`` command)."""
         rows = []
         now = time.perf_counter()
         ages = []
@@ -959,14 +891,24 @@ class _PoolDriver:
                     "beat_age": age,
                 }
             )
-        self.monitor._rows = rows
-        self.monitor._health = {
-            "stall_timeout": self.stall_timeout,
-            "stall_kills": self.stall_kills,
-            "quarantined_units": len(self.quarantined),
-            "respawns_left": self.respawns_left,
-            "max_beat_age": max(ages, default=None),
-        }
+        return RunSnapshot(
+            emitted=self._live_emitted(),
+            nodes=self._total_nodes(),
+            stats=self.merged_stats(),
+            stop_reason=self.initiated,
+            degradation=tuple(self.worker_ladder()),
+            progress=(
+                None if self.estimator is None else self.estimator.as_dict()
+            ),
+            workers=tuple(rows),
+            health={
+                "stall_timeout": self.stall_timeout,
+                "stall_kills": self.stall_kills,
+                "quarantined_units": len(self.quarantined),
+                "respawns_left": self.respawns_left,
+                "max_beat_age": max(ages, default=None),
+            },
+        )
 
     # -- drive loop ----------------------------------------------------
     def _drain_results(self) -> None:
@@ -1058,6 +1000,10 @@ class _PoolDriver:
                 self._handle(msg)
             if self.governor is not None:
                 self.governor.release()
+        # Live readers (the inspector) keep the final per-worker rows and
+        # health, which no due heartbeat may have caught.
+        if self.obs.heartbeat.enabled:
+            self.obs.heartbeat.publish(self.snapshot())
         merged_stop = self._merged_stop()
         return merged_stop, time.perf_counter() - started
 
@@ -1082,6 +1028,36 @@ class _PoolDriver:
         ]
 
 
+def _shard_report(
+    variant_value: str,
+    count: int,
+    counters: dict,
+    stop_reasons: list[str] | tuple[str, ...] = (),
+    degradation: list[str] | tuple[str, ...] = (),
+    execute_seconds: float = 0.0,
+) -> dict:
+    """One shard's mini run-report for :func:`merge_run_reports`; its
+    stop reason is the first of ``stop_reasons``."""
+    return {
+        "format": "repro-run-report",
+        "version": RUN_REPORT_VERSION,
+        "engine": "CSCE",
+        "variant": variant_value,
+        "count": count,
+        "truncated": STOP_EMBEDDING_LIMIT in stop_reasons,
+        "timed_out": STOP_TIME_LIMIT in stop_reasons,
+        "stop_reason": stop_reasons[0] if stop_reasons else None,
+        "degradation": list(degradation),
+        "timings": {
+            "read_seconds": 0.0,
+            "plan_seconds": 0.0,
+            "execute_seconds": execute_seconds,
+            "total_seconds": execute_seconds,
+        },
+        "counters": dict(counters),
+    }
+
+
 def _shard_reports(
     driver: _PoolDriver, variant_value: str
 ) -> tuple[list[dict], list[str]]:
@@ -1092,49 +1068,22 @@ def _shard_reports(
     if driver.prior_emitted or driver.prior_counters:
         tags.append("checkpoint")
         reports.append(
-            {
-                "format": "repro-run-report",
-                "version": RUN_REPORT_VERSION,
-                "engine": "CSCE",
-                "variant": variant_value,
-                "count": driver.prior_emitted,
-                "truncated": False,
-                "timed_out": False,
-                "stop_reason": None,
-                "degradation": [],
-                "timings": {
-                    "read_seconds": 0.0,
-                    "plan_seconds": 0.0,
-                    "execute_seconds": 0.0,
-                    "total_seconds": 0.0,
-                },
-                "counters": dict(driver.prior_counters),
-            }
+            _shard_report(
+                variant_value, driver.prior_emitted, driver.prior_counters
+            )
         )
     for wid in driver.worker_order:
         agg = driver.per_worker[wid]
         tags.append(wid)
         reports.append(
-            {
-                "format": "repro-run-report",
-                "version": RUN_REPORT_VERSION,
-                "engine": "CSCE",
-                "variant": variant_value,
-                "count": agg["emitted"],
-                "truncated": STOP_EMBEDDING_LIMIT in agg["stop_reasons"],
-                "timed_out": STOP_TIME_LIMIT in agg["stop_reasons"],
-                "stop_reason": agg["stop_reasons"][0]
-                if agg["stop_reasons"]
-                else None,
-                "degradation": list(agg["degradation"]),
-                "timings": {
-                    "read_seconds": 0.0,
-                    "plan_seconds": 0.0,
-                    "execute_seconds": agg["execute_seconds"],
-                    "total_seconds": agg["execute_seconds"],
-                },
-                "counters": dict(agg["stats"]),
-            }
+            _shard_report(
+                variant_value,
+                agg["emitted"],
+                agg["stats"],
+                agg["stop_reasons"],
+                agg["degradation"],
+                agg["execute_seconds"],
+            )
         )
     return reports, tags
 
@@ -1157,34 +1106,12 @@ def _package_result(
     if not reports:
         # Nothing ran (empty root range / impossible plan): one synthetic
         # zero shard keeps the shards invariant "workers>1 → shards set".
-        reports = [
-            {
-                "format": "repro-run-report",
-                "version": RUN_REPORT_VERSION,
-                "engine": "CSCE",
-                "variant": plan.variant.value,
-                "count": 0,
-                "truncated": False,
-                "timed_out": False,
-                "stop_reason": None,
-                "degradation": [],
-                "timings": {
-                    "read_seconds": 0.0,
-                    "plan_seconds": 0.0,
-                    "execute_seconds": 0.0,
-                    "total_seconds": 0.0,
-                },
-                "counters": {},
-            }
-        ]
+        reports = [_shard_report(plan.variant.value, 0, {})]
         tags = ["w0"]
     merged = merge_run_reports(reports, workers=tags)
     if quarantined:
         merged["shards"]["quarantined_units"] = quarantined
-    stats = merge_counters(
-        driver.prior_counters,
-        *(driver.per_worker[wid]["stats"] for wid in driver.worker_order),
-    )
+    stats = driver.merged_stats()
     if driver.estimator is not None and merged_stop is None:
         driver.estimator.complete()
     progress = (
@@ -1225,7 +1152,6 @@ def execute_parallel(
     prior_emitted: int = 0,
     prior_counters: dict | None = None,
     checkpoint: "PoolCheckpointDir | None" = None,
-    monitor: PoolMonitor | None = None,
     on_event: Callable[[str, tuple], None] | None = None,
 ) -> MatchResult:
     """Execute a compiled counting plan across ``options.workers``
@@ -1236,7 +1162,6 @@ def execute_parallel(
     checkpoint's confirmed progress into the totals; ``checkpoint`` (a
     :class:`~repro.engine.checkpoint.PoolCheckpointDir`) receives one
     shard checkpoint per unfinished unit when the pool stops early;
-    ``monitor`` is a live :class:`PoolMonitor` for the inspector;
     ``on_event`` observes every parent-processed message (tests hook
     cancellation mid-steal through it).
     """
@@ -1285,7 +1210,6 @@ def execute_parallel(
         prior_emitted=prior_emitted,
         prior_counters=prior_counters,
         checkpoint=checkpoint,
-        monitor=monitor,
         on_event=on_event,
     )
     if not units:
@@ -1308,24 +1232,9 @@ def _maybe_checkpoint(
                 options,
                 unfinished,
                 driver.confirmed,
-                merge_counters(
-                    driver.prior_counters,
-                    *(
-                        driver.per_worker[wid]["stats"]
-                        for wid in driver.worker_order
-                    ),
-                ),
+                driver.merged_stats(),
                 merged_stop,
-                list(
-                    max(
-                        (
-                            agg["degradation"]
-                            for agg in driver.per_worker.values()
-                        ),
-                        key=len,
-                        default=[],
-                    )
-                ),
+                list(driver.worker_ladder()),
             )
             driver._record(
                 "checkpoint", path=checkpoint.directory,
@@ -1403,24 +1312,14 @@ def _execute_inline(
     stats = merge_counters(prior_counters or {}, shard_stats)
     if obs.enabled:
         obs.counters.merge(stats)
-    shard = {
-        "format": "repro-run-report",
-        "version": RUN_REPORT_VERSION,
-        "engine": "CSCE",
-        "variant": plan.variant.value,
-        "count": total - prior_emitted,
-        "truncated": stop_reason == STOP_EMBEDDING_LIMIT,
-        "timed_out": stop_reason == STOP_TIME_LIMIT,
-        "stop_reason": stop_reason,
-        "degradation": list(degradation),
-        "timings": {
-            "read_seconds": 0.0,
-            "plan_seconds": 0.0,
-            "execute_seconds": execute_seconds,
-            "total_seconds": execute_seconds,
-        },
-        "counters": dict(shard_stats),
-    }
+    shard = _shard_report(
+        plan.variant.value,
+        total - prior_emitted,
+        shard_stats,
+        [stop_reason] if stop_reason is not None else [],
+        degradation,
+        execute_seconds,
+    )
     merged = merge_run_reports([shard], workers=["w0"])
     return MatchResult(
         count=total,
@@ -1449,7 +1348,6 @@ def resume_parallel(
     governor=None,
     obs=None,
     checkpoint_dir: str | os.PathLike | None = None,
-    monitor: PoolMonitor | None = None,
     on_event: Callable[[str, tuple], None] | None = None,
     stall_timeout: float | None = None,
     max_respawns: int | None = None,
@@ -1552,6 +1450,5 @@ def resume_parallel(
         prior_emitted=prior_emitted,
         prior_counters=prior_counters,
         checkpoint=checkpoint,
-        monitor=monitor,
         on_event=on_event,
     )

@@ -82,6 +82,7 @@ from repro.obs.progress import (
     Heartbeat,
     NullHeartbeat,
     ProgressEstimator,
+    RunSnapshot,
     search_state_fraction,
 )
 from repro.obs.recorder import (
@@ -124,9 +125,7 @@ class Observation:
     profiling hooks, ``metrics=MetricsPump(...)`` to stream metrics,
     ``record=False`` to drop the flight recorder. When both profiling and
     tracing are on, the tracer is a :class:`MemoryTracer` so every span
-    carries memory attributes. ``progress`` is set by the engine
-    (:meth:`attach_progress`) once a run creates its
-    :class:`ProgressEstimator`.
+    carries memory attributes.
     """
 
     __slots__ = (
@@ -136,7 +135,6 @@ class Observation:
         "profile",
         "metrics",
         "recorder",
-        "progress",
     )
 
     enabled = True
@@ -180,16 +178,12 @@ class Observation:
         self.profile = profile
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.recorder = recorder
-        self.progress: ProgressEstimator | None = None
         if self.metrics.enabled and heartbeat.enabled:
             # Sample live metrics at the heartbeat cadence — the hot loops
             # pay nothing beyond the tick they already pay for.
-            heartbeat.add_listener(lambda: self.metrics.sample(self))
-
-    def attach_progress(self, estimator: ProgressEstimator) -> None:
-        """Adopt a run's progress estimator (called by the engine), so
-        heartbeat lines, the metrics pump, and run-reports read it."""
-        self.progress = estimator
+            heartbeat.add_listener(
+                lambda snapshot: self.metrics.sample(self, snapshot.progress)
+            )
 
     def finish(self, result: Any = None) -> None:
         """Close out the run: final metrics sample, profiler teardown."""
@@ -219,10 +213,6 @@ class _NullObservation:
     profile = NULL_PROFILE
     metrics = NULL_METRICS
     recorder = NULL_RECORDER
-    progress = None
-
-    def attach_progress(self, estimator: ProgressEstimator) -> None:
-        pass
 
     def finish(self, result: Any = None) -> None:
         pass
@@ -249,6 +239,7 @@ __all__ = [
     "NullHeartbeat",
     "NULL_HEARTBEAT",
     "ProgressEstimator",
+    "RunSnapshot",
     "search_state_fraction",
     "FlightRecorder",
     "NullFlightRecorder",

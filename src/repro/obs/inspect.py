@@ -8,16 +8,17 @@ channel the ROADMAP's multi-process fan-out needs.
 
 Three pieces:
 
-* :class:`MatchInspector` — binds to an
-  :class:`~repro.engine.executor.EmbeddingStream` + its
+* :class:`MatchInspector` — attaches to a run's
   :class:`~repro.obs.Observation` (+ optionally its
   :class:`~repro.engine.governor.ResourceGovernor`) and **samples the run
-  on the existing heartbeat tick**: the executor thread, at the tick it
-  already pays for, publishes one fresh, immutable sample (status,
-  progress, stats, counters, recorder dump, hot clusters) under a lock.
-  Socket threads only ever read the latest published sample — they never
-  touch the mutating frame stack — so attaching N clients costs the hot
-  loop nothing beyond the tick. Mutating commands are **cooperative**: no
+  on the existing heartbeat tick**: each heartbeat line hands it the
+  run's :class:`~repro.obs.progress.RunSnapshot` (a pool's adds
+  per-worker rows and supervision health), from which it publishes one
+  fresh, immutable sample (status, progress, stats, counters, recorder
+  dump, hot clusters) under a lock. Socket threads only ever read the
+  latest published sample — they never touch the mutating frame stack —
+  so attaching N clients costs the hot loop nothing beyond the tick.
+  Mutating commands are **cooperative**: no
   thread kills, ever. ``cancel`` trips the
   :class:`~repro.engine.governor.CancelToken` the executor already polls;
   ``budget`` calls :meth:`~repro.engine.governor.ResourceGovernor.tighten`
@@ -48,10 +49,13 @@ import socket
 import stat
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Mapping
 
 from repro.errors import InspectorError, WireError
+from repro.obs.counters import unified_stats
 from repro.obs.merge import WorkerSnapshot
+from repro.obs.progress import ProgressEstimator, RunSnapshot
 from repro.obs.wire import (
     KNOWN_COMMANDS,
     MAX_FRAME_BYTES,
@@ -85,6 +89,14 @@ def _parse_tcp(address: str) -> tuple[str, int] | None:
     return None
 
 
+def _ladder_stage(degradation: list[str]) -> int:
+    """The governor's ladder position (the ``gov_stage`` status key), read
+    off the ladder events as ``ResourceGovernor.check`` reads it."""
+    if "disable_memo" in degradation:
+        return 2
+    return 1 if "evict_memo" in degradation else 0
+
+
 class _CheckpointRequest:
     """One pending checkpoint-now, serviced on the executor thread."""
 
@@ -98,13 +110,15 @@ class _CheckpointRequest:
 
 
 class MatchInspector:
-    """The control-plane core: samples one live stream, serves commands.
+    """The control-plane core: samples one live run, serves commands.
 
-    ``stream`` is the :class:`~repro.engine.executor.EmbeddingStream`
-    being consumed elsewhere; ``obs`` its observation (a live heartbeat is
-    required — that tick is the publication point); ``governor`` enables
-    ``cancel``/``budget``; ``checkpoint_factory`` (``path -> CheckpointSink``)
-    enables ``checkpoint-now`` with a caller-supplied path, and
+    ``obs`` is the run's observation (a live heartbeat is required — its
+    snapshots are the only view of the run); ``governor`` enables
+    ``cancel``/``budget``. ``stream`` (the
+    :class:`~repro.engine.executor.EmbeddingStream` being consumed
+    elsewhere) is used only by ``checkpoint-now``; ``None`` for a pool run.
+    ``checkpoint_factory`` (``path -> CheckpointSink``) enables
+    ``checkpoint-now`` with a caller-supplied path, and
     ``default_checkpoint_path`` is used when a request names no path and
     the stream carries no sink of its own.
     """
@@ -140,6 +154,10 @@ class MatchInspector:
         self.checkpoint_factory = checkpoint_factory
         self.default_checkpoint_path = default_checkpoint_path
         self._lock = threading.Lock()
+        #: The last published snapshot; zero until the first heartbeat.
+        self._snapshot = RunSnapshot(
+            0, 0, unified_stats(), progress=ProgressEstimator().as_dict()
+        )
         self._sample: dict | None = None
         self._pending: list[_CheckpointRequest] = []
         self._finished = False
@@ -150,60 +168,73 @@ class MatchInspector:
 
     # -- lifecycle -----------------------------------------------------
     def attach(self) -> "MatchInspector":
-        """Register on the heartbeat and publish the first sample."""
+        """Register on the heartbeat and publish a zero first sample."""
         heartbeat = self.obs.heartbeat
         if not heartbeat.enabled:
             raise InspectorError(
                 "the inspector samples on heartbeat ticks; attach an"
                 " Observation with heartbeat_interval set"
             )
-        heartbeat.add_listener(self._on_tick)
-        self.publish()
+        heartbeat.add_listener(self.publish)
+        self.publish(self._snapshot)
         return self
 
-    def finish(self, result: Any = None) -> None:
-        """Publish the final sample once the run has ended. Late clients
-        (and the E2E counters-equality check) read this quiescent state."""
+    def finish(self, result: Any) -> None:
+        """Publish the final sample once the run has ended, built from its
+        :class:`~repro.engine.results.MatchResult` — so the final
+        ``counters`` equal the run-report's by construction. A pool's
+        per-worker rows and health carry over from its last snapshot.
+        Late clients read this quiescent state."""
         with self._lock:
             self._finished = True
-        self.publish()
+            last = self._snapshot
+        self.publish(
+            replace(
+                last,
+                emitted=result.count,
+                nodes=int(result.stats.get("nodes", 0)),
+                stats=dict(result.stats),
+                stop_reason=result.stop_reason,
+                degradation=tuple(result.degradation),
+                progress=result.progress,
+            )
+        )
 
-    # -- publication (executor thread / quiescent points only) ---------
-    def _on_tick(self) -> None:
-        self.publish()
+    # -- publication (run thread / quiescent points only) --------------
+    def publish(self, snapshot: RunSnapshot) -> None:
+        """Service pending control requests, then publish a fresh sample
+        built from ``snapshot``.
 
-    def publish(self) -> None:
-        """Service pending control requests, then publish a fresh sample.
-
-        Runs on the executor thread inside the heartbeat tick (the one
-        point where the frame stack is consistent mid-run), and from
-        :meth:`attach`/:meth:`finish` while the run is quiescent.
+        Runs on the run's thread as a heartbeat listener (for a stream,
+        the one point where the frame stack is consistent mid-run), and
+        from :meth:`attach`/:meth:`finish` while the run is quiescent.
         """
         with self._lock:
             pending, self._pending = self._pending, []
         for request in pending:
             self._service_checkpoint(request)
-        sample = self._build_sample()
+        sample = self._build_sample(snapshot)
         with self._lock:
+            self._snapshot = snapshot
             self._sample = sample
 
-    def _build_sample(self) -> dict:
-        runtime = self.stream.runtime
+    def _build_sample(self, snapshot: RunSnapshot) -> dict:
         obs = self.obs
         heartbeat = obs.heartbeat
         with self._lock:
             finished = self._finished
             clients = self._clients
+        degradation = list(snapshot.degradation)
         status: dict = {
             "state": "finished" if finished else "running",
             "worker": self.worker,
             "pid": os.getpid(),
-            "emitted": runtime.emitted,
-            "nodes": runtime.nodes,
+            "emitted": snapshot.emitted,
+            "nodes": snapshot.nodes,
             "elapsed_seconds": round(time.monotonic() - self._started, 3),
-            "stop_reason": runtime.stop_reason,
-            "degradation": list(runtime.degradation),
-            "gov_stage": runtime.gov_stage,
+            "stop_reason": snapshot.stop_reason,
+            "degradation": degradation,
+            "gov_stage": _ladder_stage(degradation),
             "beats": heartbeat.beats,
             "clients": clients,
         }
@@ -217,25 +248,22 @@ class MatchInspector:
             }
         if self.last_checkpoint is not None:
             status["checkpoint"] = dict(self.last_checkpoint)
-        worker_rows = getattr(self.stream, "worker_rows", None)
-        if callable(worker_rows):
-            # Pool-backed streams (engine.pool.PoolMonitor) expose live
-            # per-worker rows; `csce top` renders them as a worker table.
-            status["workers"] = worker_rows()
-        health = getattr(self.stream, "health", None)
-        if callable(health):
+        if snapshot.workers is not None:
+            # Pool runs carry live per-worker rows; `csce top` renders
+            # them as a worker table.
+            status["workers"] = [dict(row) for row in snapshot.workers]
+        if snapshot.health is not None:
             # Supervision state (stall watchdog, quarantine, respawn
             # budget) rides the same sample; `health` reads it back out.
-            status["health"] = health()
+            status["health"] = dict(snapshot.health)
         progress: dict | None = None
-        estimator = runtime.progress
-        if estimator is not None:
-            progress = estimator.as_dict()
+        if snapshot.progress is not None:
+            progress = dict(snapshot.progress)
             progress["depth_histogram"] = {
                 str(depth): count
                 for depth, count in sorted(heartbeat.depth_histogram.items())
             }
-        stats = runtime.stats()
+        stats = dict(snapshot.stats)
         # Mirror build_run_report's counter block exactly (stats, then
         # registry totals winning, then the heartbeat total), so a live
         # `counters` read at finish equals the final run-report's.
@@ -418,16 +446,20 @@ class MatchInspector:
         handler: one list append). With ``wait=True`` blocks until the
         tick services the request or ``timeout`` passes. Once the run has
         finished, the request is serviced inline — the stream is
-        quiescent, so the snapshot is consistent without a tick.
+        quiescent, so the snapshot is consistent without a tick. Without
+        a stream (a pool run) it fails at once.
         """
         request = _CheckpointRequest(path)
         with self._lock:
             finished = self._finished
-            if not finished:
+            inline = finished or self.stream is None
+            if not inline:
                 self._pending.append(request)
-        if finished:
+        if inline:
             self._service_checkpoint(request)
-            self.publish()  # refresh the stored sample (quiescent stream)
+            if finished:
+                # Refresh the stored sample (the run is quiescent).
+                self.publish(self._snapshot)
         elif wait and not request.event.wait(timeout):
             raise InspectorError(
                 f"checkpoint-now timed out after {timeout:g}s waiting for"
@@ -444,6 +476,12 @@ class MatchInspector:
         """
         try:
             sink = None
+            if self.stream is None:
+                request.error = (
+                    "checkpoint-now needs a stream; a pool run writes"
+                    " shard checkpoints when it stops (--checkpoint DIR)"
+                )
+                return
             if request.path is not None:
                 if self.checkpoint_factory is None:
                     request.error = (
@@ -467,7 +505,7 @@ class MatchInspector:
                 return
             sink.write_on_demand(self.stream)
             self.on_demand_sink = sink
-            emitted = self.stream.runtime.emitted
+            emitted = self.stream.count
             info = {
                 "path": str(sink.path),
                 "written": True,

@@ -316,8 +316,15 @@ class MetricsPump:
         self.exporters = list(exporters or [])
         self.samples = 0
 
-    def sample(self, obs: Any = None, ts: float | None = None) -> None:
-        """Fold the observation's counters in and push to every exporter."""
+    def sample(
+        self,
+        obs: Any = None,
+        progress: Mapping[str, Any] | None = None,
+        ts: float | None = None,
+    ) -> None:
+        """Fold the observation's counters and a run's ``progress`` block
+        (its heartbeat snapshot's, or its result's) in, and push to every
+        exporter."""
         if obs is not None:
             counters = getattr(obs, "counters", None)
             if counters is not None and counters.enabled:
@@ -327,18 +334,18 @@ class MetricsPump:
                 self.registry.gauge(
                     "heartbeat_beats", "heartbeat lines emitted"
                 ).set(heartbeat.beats)
-            progress = getattr(obs, "progress", None)
-            if progress is not None and progress.enabled:
+        if progress is not None:
+            self.registry.gauge(
+                "progress_percent",
+                "monotone percent-complete of the current search",
+            ).set(progress["percent"])
+            eta = progress.get("eta_seconds")
+            if eta is not None:
                 self.registry.gauge(
-                    "progress_percent",
-                    "monotone percent-complete of the current search",
-                ).set(progress.percent)
-                eta = progress.eta_seconds()
-                if eta is not None:
-                    self.registry.gauge(
-                        "eta_seconds",
-                        "smoothed estimated seconds to completion",
-                    ).set(eta)
+                    "eta_seconds",
+                    "smoothed estimated seconds to completion",
+                ).set(eta)
+        if obs is not None:
             recorder = getattr(obs, "recorder", None)
             if recorder is not None and recorder.enabled:
                 self.registry.gauge(
@@ -350,6 +357,7 @@ class MetricsPump:
 
     def finalize(self, result: Any = None, obs: Any = None) -> None:
         """Export the terminal sample, adding the run's reporting fields."""
+        progress = None
         if result is not None:
             self.registry.gauge(
                 "read_seconds", "ReadCSR phase time of the last run"
@@ -373,7 +381,8 @@ class MetricsPump:
             self.registry.gauge(
                 "timed_out", "1 when the last run hit its time limit"
             ).set(1.0 if result.timed_out else 0.0)
-        self.sample(obs=obs)
+            progress = getattr(result, "progress", None)
+        self.sample(obs, progress)
 
 
 class NullMetricsPump:
@@ -383,7 +392,12 @@ class NullMetricsPump:
     samples = 0
     exporters: list = []
 
-    def sample(self, obs: Any = None, ts: float | None = None) -> None:
+    def sample(
+        self,
+        obs: Any = None,
+        progress: Mapping[str, Any] | None = None,
+        ts: float | None = None,
+    ) -> None:
         pass
 
     def finalize(self, result: Any = None, obs: Any = None) -> None:

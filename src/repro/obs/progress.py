@@ -28,6 +28,11 @@ clamps to a running maximum, so the reported percent is **monotone** by
 construction. The ETA divides the remaining fraction by an
 exponentially-smoothed progress rate.
 
+:class:`RunSnapshot` is the one view of a live run: the run builds it
+only when a line is due, the heartbeat formats the line from it and hands
+the same object to every listener (metrics pump, live inspector, a pool
+worker's beat reporter).
+
 The disabled paths are :data:`NULL_HEARTBEAT` (``enabled = False``) and a
 ``None`` estimator; the hot loops guard on those, so runs without
 observability never even reach the modulo when no time limit is set
@@ -38,7 +43,8 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -85,8 +91,6 @@ class ProgressEstimator:
     backwards; the rate is an exponential moving average of
     fraction-per-second, so the ETA stabilizes as the run progresses.
     """
-
-    enabled = True
 
     def __init__(self, alpha: float = 0.3) -> None:
         if not 0.0 < alpha <= 1.0:
@@ -146,9 +150,7 @@ class ProgressEstimator:
 
     def describe(self) -> str:
         """Compact ``NN.N% (ETA Ns)`` rendering for progress lines."""
-        eta = self.eta_seconds()
-        suffix = f" (ETA {eta:.0f}s)" if eta is not None else ""
-        return f"{self.percent:.1f}%{suffix}"
+        return _describe(self.percent, self.eta_seconds())
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot (``MatchResult.progress`` / run-reports)."""
@@ -161,6 +163,36 @@ class ProgressEstimator:
 
     def __repr__(self) -> str:
         return f"<ProgressEstimator {self.describe()} updates={self.updates}>"
+
+
+def _describe(percent: float, eta: float | None) -> str:
+    suffix = f" (ETA {eta:.0f}s)" if eta is not None else ""
+    return f"{percent:.1f}%{suffix}"
+
+
+@dataclass(frozen=True)
+class RunSnapshot:
+    """One sample of a live run, built when a heartbeat line is due.
+
+    Holds copies only, never the runtime, computer or pool driver that
+    built it, so a kept snapshot cannot keep a finished run's memo alive.
+    ``progress`` is :meth:`ProgressEstimator.as_dict` (``None`` without an
+    estimator); ``workers`` (per-worker rows) and ``health`` (supervision
+    state) are ``None`` outside a pool.
+    """
+
+    emitted: int
+    nodes: int
+    stats: Mapping[str, Any]
+    stop_reason: str | None = None
+    degradation: tuple[str, ...] = ()
+    progress: Mapping[str, Any] | None = None
+    workers: tuple[Mapping[str, Any], ...] | None = None
+    health: Mapping[str, Any] | None = None
+
+
+#: What heartbeat listeners receive: the snapshot the line was built from.
+Listener = Callable[[RunSnapshot], None]
 
 
 class Heartbeat:
@@ -185,49 +217,57 @@ class Heartbeat:
         self.beats = 0
         self.depth_histogram: dict[int, int] = {}
         self._last = self.started
-        #: Callables invoked (no args) each time a line is emitted — the
-        #: hook the metrics pump uses to sample on the heartbeat cadence.
-        self.listeners: list[Callable[[], None]] = []
+        #: Callables invoked with the snapshot each time a line is emitted
+        #: — the hook the metrics pump and the inspector sample on.
+        self.listeners: list[Listener] = []
 
-    def add_listener(self, listener: Callable[[], None]) -> None:
+    def add_listener(self, listener: Listener) -> None:
         self.listeners.append(listener)
 
     def beat(
         self,
-        nodes: int,
-        emitted: int,
-        depth: int = 0,
+        snapshot: Callable[[], RunSnapshot],
+        depth: int | None = None,
         phase: str = "search",
-        progress: ProgressEstimator | None = None,
     ) -> bool:
         """Record one tick; emit a progress line if ``interval`` elapsed.
 
         Called on ``_TIME_CHECK_INTERVAL`` boundaries only, so the depth
-        histogram is a *sample* of the search frontier, not an exact count.
-        ``progress`` (when the run carries a :class:`ProgressEstimator`)
-        adds the percent-complete/ETA segment to the line. Returns True
-        when a line was emitted.
+        histogram is a *sample* of the search frontier, not an exact count;
+        ``depth=None`` (the pool's drive loop, which has no frontier)
+        records no sample. ``snapshot`` is called only when a line is due:
+        the line is formatted from its result, which then goes to every
+        listener. Returns True when a line was emitted.
         """
-        self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
+        if depth is not None:
+            self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
         now = time.monotonic()
         if now - self._last < self.interval:
             return False
         self._last = now
         self.beats += 1
-        elapsed = now - self.started
+        snap = snapshot()
+        progress = snap.progress
         done = (
-            f" {progress.describe()} done,"
-            if progress is not None and progress.enabled
+            f" {_describe(progress['percent'], progress['eta_seconds'])} done,"
+            if progress is not None
             else ""
         )
         self.emit(
-            f"[heartbeat] {phase}: {emitted} embeddings, {nodes} nodes,"
-            f"{done} depth sample {self.depth_summary()},"
-            f" {elapsed:.1f}s elapsed"
+            f"[heartbeat] {phase}: {snap.emitted} embeddings,"
+            f" {snap.nodes} nodes,{done} depth sample {self.depth_summary()},"
+            f" {now - self.started:.1f}s elapsed"
         )
+        self.publish(snap)
+        return True
+
+    def publish(self, snapshot: RunSnapshot) -> None:
+        """Hand one snapshot to every listener without emitting a line —
+        :meth:`beat` after its line, and a pool run once at its end, so
+        live readers see the final per-worker state."""
         for listener in list(self.listeners):
             try:
-                listener()
+                listener(snapshot)
             except Exception:
                 # A broken observer (metrics pump, inspector publisher, a
                 # user hook) must never abort the match it is watching:
@@ -239,7 +279,6 @@ class Heartbeat:
                     self.listeners.remove(listener)
                 except ValueError:
                     pass
-        return True
 
     def depth_summary(self) -> str:
         """Compact ``depth:count`` rendering of the sampled histogram."""
@@ -266,18 +305,19 @@ class NullHeartbeat:
     depth_histogram: dict = {}
     listeners: list = []
 
-    def add_listener(self, listener: Callable[[], None]) -> None:
+    def add_listener(self, listener: Listener) -> None:
         pass
 
     def beat(
         self,
-        nodes: int,
-        emitted: int,
-        depth: int = 0,
+        snapshot: Callable[[], RunSnapshot],
+        depth: int | None = None,
         phase: str = "search",
-        progress: ProgressEstimator | None = None,
     ) -> bool:
         return False
+
+    def publish(self, snapshot: RunSnapshot) -> None:
+        pass
 
     def depth_summary(self) -> str:
         return "{}"

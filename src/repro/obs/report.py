@@ -193,8 +193,6 @@ def build_run_report(
     progress = getattr(result, "progress", None)
     if progress:
         report["progress"] = dict(progress)
-    elif obs is not None and getattr(obs, "progress", None) is not None:
-        report["progress"] = obs.progress.as_dict()
     shards = getattr(result, "shards", None)
     if shards:
         # Parallel runs carry the merge_run_reports shards block; its

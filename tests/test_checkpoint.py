@@ -8,6 +8,9 @@ import pytest
 from repro.core import CSCE
 from repro.engine import (
     STOP_EMBEDDING_LIMIT,
+    STOP_MEMORY_LIMIT,
+    Budget,
+    ResourceGovernor,
     load_checkpoint,
     write_checkpoint,
 )
@@ -18,6 +21,8 @@ from repro.engine.checkpoint import (
 )
 from repro.errors import CheckpointError, PlanError
 from repro.graph import Graph
+from repro.obs import build_run_report, robustness_problems
+from repro.testing import FaultInjector, memory_spike
 
 from conftest import make_random_graph
 
@@ -118,6 +123,42 @@ class TestRoundTrip:
             engine.match_iter(
                 square(), plan=plan, checkpoint_path=tmp_path / "ck.json"
             )
+
+
+class TestLadderResume:
+    def test_resume_climbs_on_from_the_checkpointed_rung(self, tmp_path):
+        # A checkpoint taken after only evict_memo must resume at the
+        # disable_memo rung, not evict again (the ladder stays in order).
+        engine = CSCE(make_random_graph(30, 80, num_labels=2, seed=3))
+        path = tmp_path / "ck.json"
+        # One breach on the fourth governor sample: the memo is populated
+        # by then, so eviction relieves it and the ladder stops at rung 1.
+        gov = ResourceGovernor(budget=Budget(memory_limit_mb=256.0))
+        with FaultInjector(seed=1).on(
+            "governor.memory", memory_spike(10_000.0), after=3, times=1
+        ):
+            drain(
+                engine.match_iter(
+                    square(), "edge_induced", max_embeddings=5,
+                    governor=gov, checkpoint_path=path,
+                )
+            )
+        assert load_checkpoint(path)["progress"]["degradation"] == [
+            "evict_memo"
+        ]
+        gov = ResourceGovernor(budget=Budget(memory_limit_mb=256.0))
+        with FaultInjector(seed=1).on(
+            "governor.memory", memory_spike(10_000.0)
+        ):
+            _, resumed = drain(
+                engine.resume(path, max_embeddings=None, governor=gov)
+            )
+        assert resumed.stop_reason == STOP_MEMORY_LIMIT
+        assert resumed.degradation == [
+            "evict_memo", "disable_memo", "suspend",
+        ]
+        report = build_run_report(resumed, engine="CSCE")
+        assert robustness_problems(report) == []
 
 
 class TestStoreGuard:

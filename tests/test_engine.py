@@ -382,7 +382,7 @@ class TestFactorizedCountingParity:
         p = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         plan = engine.build_plan(p, "homomorphic")
         physical = compile_plan(plan)
-        total, stats, stop_reason, degradation = count_physical(
+        total, stats, stop_reason, degradation, progress = count_physical(
             physical, MatchOptions(count_only=True)
         )
         enumerated = execute_physical(
@@ -391,6 +391,7 @@ class TestFactorizedCountingParity:
         assert total == enumerated
         assert stop_reason is None
         assert degradation == []
+        assert progress is None  # no observation, no estimator
         assert stats["nodes"] >= 0
 
     def test_compile_seconds_in_result(self, engine):

@@ -44,7 +44,7 @@ from repro.obs.inspect import (
     resolve_endpoint,
 )
 from repro.obs.merge import SpanContext, WorkerSnapshot, merge_counters
-from repro.obs.progress import Heartbeat
+from repro.obs.progress import Heartbeat, RunSnapshot
 from repro.obs.wire import (
     KNOWN_COMMANDS,
     MAX_FRAME_BYTES,
@@ -557,15 +557,18 @@ class TestHeartbeatHardening:
         heartbeat = Heartbeat(interval=0.0, emit=lambda line: None)
         calls = []
 
-        def bad():
+        def bad(snapshot):
             raise RuntimeError("broken observer")
 
         heartbeat.add_listener(bad)
-        heartbeat.add_listener(lambda: calls.append(1))
-        assert heartbeat.beat(1, 0) is True  # no exception escapes
+        heartbeat.add_listener(lambda snapshot: calls.append(1))
+        # no exception escapes
+        assert heartbeat.beat(
+            lambda: RunSnapshot(emitted=0, nodes=1, stats={})
+        ) is True
         assert calls == [1]
         assert bad not in heartbeat.listeners
-        heartbeat.beat(2, 0)
+        heartbeat.beat(lambda: RunSnapshot(emitted=0, nodes=2, stats={}))
         assert calls == [1, 1]
 
     def test_inspector_survives_a_poisoned_sibling_listener(
@@ -574,7 +577,10 @@ class TestHeartbeatHardening:
         run = LiveRun(graph, tmp_path)
         try:
             run.obs.heartbeat.listeners.insert(
-                0, lambda: (_ for _ in ()).throw(RuntimeError("sibling"))
+                0,
+                lambda snapshot: (_ for _ in ()).throw(
+                    RuntimeError("sibling")
+                ),
             )
             _, result = run.drain()
             assert result.stop_reason is None

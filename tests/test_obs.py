@@ -19,6 +19,7 @@ from repro.obs import (
     CounterRegistry,
     Heartbeat,
     Observation,
+    RunSnapshot,
     Tracer,
     assert_stat_keys,
     build_run_report,
@@ -231,16 +232,26 @@ class TestNoopMode:
 class TestHeartbeat:
     def test_beat_samples_depth_and_rate_limits(self):
         lines = []
+        built = []
+
+        def snapshot(nodes, emitted):
+            built.append(nodes)
+            return RunSnapshot(emitted=emitted, nodes=nodes, stats={})
+
         hb = Heartbeat(interval=10.0, emit=lines.append)
-        assert hb.beat(10, 1, depth=2) is False  # within interval
+        # within interval
+        assert hb.beat(lambda: snapshot(10, 1), depth=2) is False
         assert hb.depth_histogram == {2: 1}
+        assert built == []  # no line due, no snapshot built
         hb._last -= 11.0  # simulate elapsed interval
-        assert hb.beat(20, 2, depth=3) is True
+        assert hb.beat(lambda: snapshot(20, 2), depth=3) is True
         assert hb.beats == 1
+        assert built == [20]
         assert "[heartbeat]" in lines[0] and "2 embeddings" in lines[0]
 
     def test_null_heartbeat_never_emits(self):
-        assert NULL_HEARTBEAT.beat(1, 1) is False
+        snapshot = RunSnapshot(emitted=1, nodes=1, stats={})
+        assert NULL_HEARTBEAT.beat(lambda: snapshot) is False
         assert NULL_HEARTBEAT.beats == 0
 
     def test_enumerator_ticks_heartbeat(self, monkeypatch):

@@ -27,7 +27,6 @@ from repro.engine.executor import Runtime, SearchState, count_capped, specialize
 from repro.engine.governor import Budget, CancelToken, ResourceGovernor
 from repro.engine.pool import (
     _STOP_SEVERITY,
-    PoolMonitor,
     execute_parallel,
 )
 from repro.engine.results import MatchOptions
@@ -36,9 +35,14 @@ from repro.engine.workunit import (
     root_candidates,
     split_search_state,
 )
-from repro.errors import CheckpointError, PoolError
+from repro.errors import CheckpointError, InspectorError, PoolError
 from repro.graph.patterns import CATALOG
-from repro.obs import Observation, build_run_report, validate_run_report
+from repro.obs import (
+    MatchInspector,
+    Observation,
+    build_run_report,
+    validate_run_report,
+)
 from repro.testing import faults
 
 from conftest import make_random_graph
@@ -285,6 +289,26 @@ class TestChaos:
         # in-flight unit may finish its last banked batch).
         assert cap <= par.count <= seq.count
 
+    def test_parent_memory_breach_suspends_the_pool(self, engine):
+        # Pressure in the parent only (workers carry REPRO_WORKER). The
+        # parent has no memo to evict: its first breach climbs to
+        # disable_memo, its second suspends the pool.
+        def parent_spike(rule, site, ctx):
+            return None if os.environ.get("REPRO_WORKER") else 1e9
+
+        obs = Observation(trace=False)
+        gov = ResourceGovernor(budget=Budget(memory_limit_mb=1e5), obs=obs)
+        with faults.FaultInjector(seed=1).on("governor.memory", parent_spike):
+            result = engine.match(
+                CATALOG["path4"](), "homomorphic", count_only=True,
+                workers=2, governor=gov, obs=obs,
+            )
+        assert result.stop_reason == "memory_limit"
+        counters = obs.counters.snapshot()
+        assert counters["governor_evictions"] == 1
+        assert counters["governor_memo_disabled"] == 1
+        assert counters["governor_suspensions"] == 1
+
     def test_stop_severity_order_is_stable(self):
         # The severity ladder is the documented merge tie-break; keep it
         # a module-level immutable in the fork entrypoint.
@@ -391,18 +415,34 @@ class TestPoolObservability:
 
     def test_monitor_rows_and_progress(self, engine):
         pattern = CATALOG["square"]()
-        monitor = PoolMonitor()
         obs = Observation(trace=False, heartbeat_interval=0.01)
+        inspector = MatchInspector(None, obs).attach()
         result = engine.match(pattern, "homomorphic", count_only=True,
-                              workers=2, obs=obs, pool_monitor=monitor)
-        rows = monitor.worker_rows()
+                              workers=2, obs=obs)
+        inspector.finish(result)
+        status = inspector.handle("status")
+        rows = status["workers"]
         assert {row["worker"] for row in rows} == {"w0", "w1"}
         for row in rows:
             assert set(row) >= {"worker", "pid", "state", "units",
                                 "emitted", "nodes"}
-        assert monitor.runtime.emitted == result.count
+        assert status["emitted"] == result.count
         assert result.progress is not None
         assert result.progress["percent"] == 100.0
+        report = build_run_report(result, engine="CSCE", obs=obs)
+        assert inspector.handle("stats")["counters"] == report["counters"]
+        # No stream to snapshot: pool checkpoints are written at stop time.
+        with pytest.raises(InspectorError, match="needs a stream"):
+            inspector.handle("checkpoint-now")
+
+    def test_pool_beats_record_no_depth_sample(self, engine):
+        # The parent's drive loop has no search frontier; its beats must
+        # not pose as depth-0 samples.
+        obs = Observation(trace=False, heartbeat_interval=0.0)
+        engine.match(CATALOG["square"](), "homomorphic", count_only=True,
+                     workers=2, obs=obs)
+        assert obs.heartbeat.beats > 0
+        assert obs.heartbeat.depth_histogram == {}
 
     def test_merged_stats_match_sequential_keys(self, engine):
         pattern = CATALOG["triangle"]()

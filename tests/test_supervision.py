@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.csce import CSCE
 from repro.engine.checkpoint import load_quarantine_dir
 from repro.engine.governor import RetryPolicy
-from repro.engine.pool import PoolMonitor
 from repro.engine.results import STOP_QUARANTINED, STOP_REASONS
 from repro.errors import CheckpointError, ClusterReadError
 from repro.graph.patterns import CATALOG
@@ -194,21 +193,22 @@ class TestRetryingClusterReads:
 class TestStallWatchdog:
     def test_hung_worker_killed_and_recovered_exact(self, engine, reference):
         obs = Observation(trace=True, heartbeat_interval=0.05)
-        monitor = PoolMonitor()
+        inspector = MatchInspector(None, obs).attach()
         injector = faults.FaultInjector(seed=7).on(
             "pool.worker_beat", hang_worker("w0"), times=1
         )
         with injector:
             result = engine.match(
                 CATALOG["path4"](), "homomorphic", count_only=True,
-                workers=2, stall_timeout=0.5, obs=obs, pool_monitor=monitor,
+                workers=2, stall_timeout=0.5, obs=obs,
             )
+        inspector.finish(result)
         assert result.count == reference
         assert result.stop_reason is None
         names = [e["name"] for e in obs.recorder.as_dict()["events"]]
         assert names.count("worker_stall") == 1
         assert obs.counters.snapshot()["pool.stall_kills"] == 1
-        health = monitor.health()
+        health = inspector.handle("health")
         assert health["stall_timeout"] == 0.5
         assert health["stall_kills"] == 1
         assert health["quarantined_units"] == 0
@@ -227,12 +227,14 @@ class TestStallWatchdog:
         assert "worker_stall" not in names
 
     def test_watchdog_disarmed_by_default(self, engine):
-        monitor = PoolMonitor()
-        engine.match(
+        obs = Observation(trace=False, heartbeat_interval=60.0)
+        inspector = MatchInspector(None, obs).attach()
+        result = engine.match(
             CATALOG["triangle"](), "homomorphic", count_only=True,
-            workers=2, pool_monitor=monitor,
+            workers=2, obs=obs,
         )
-        health = monitor.health()
+        inspector.finish(result)
+        health = inspector.handle("health")
         assert health["stall_timeout"] is None
         assert health["stall_kills"] == 0
 
@@ -425,13 +427,13 @@ class TestSupervisionSurfaces:
         assert robustness_problems(good) == []
 
     def test_health_command_over_pool_monitor(self, engine):
-        monitor = PoolMonitor()
         obs = Observation(trace=False, heartbeat_interval=0.05)
-        engine.match(
+        inspector = MatchInspector(None, obs, worker="t").attach()
+        result = engine.match(
             CATALOG["square"](), "homomorphic", count_only=True,
-            workers=2, stall_timeout=10.0, obs=obs, pool_monitor=monitor,
+            workers=2, stall_timeout=10.0, obs=obs,
         )
-        inspector = MatchInspector(monitor, obs, worker="t").attach()
+        inspector.finish(result)
         payload = inspector.handle("health")
         assert payload["supervised"] is True
         assert payload["stall_timeout"] == 10.0
