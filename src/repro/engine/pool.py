@@ -11,9 +11,12 @@ the search subtree (see :mod:`repro.engine.workunit`).
 Transactional message protocol (exactness under worker death)
 -------------------------------------------------------------
 Each worker owns a private task queue (one dispatched unit at a time) and
-reports on a shared result queue. Every message atomically transfers
-responsibility, and a SIGKILL can only truncate the *tail* of a worker's
-message stream, so the parent always holds a consistent prefix:
+reports on a private result pipe whose only write end it holds. Sends are
+synchronous (no feeder thread, no write lock shared with other workers),
+so a SIGKILL can only truncate the *tail* of that worker's message
+stream, never wedge another worker's reports, and the worker's exit reads
+as end-of-file in the parent. Every message atomically transfers
+responsibility, so the parent always holds a consistent prefix:
 
 * ``split`` carries the truncated *kept* payload, the *donated* payload,
   and the emitted/stats delta since the worker's last bank. The parent
@@ -80,6 +83,7 @@ import signal
 import time
 
 from collections import deque
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.executor import Runtime, SearchState, count_capped
@@ -114,8 +118,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 
 logger = logging.getLogger(__name__)
 
-#: Every message kind a worker may put on the shared result queue, in
-#: protocol order. Closed registry — the ``message_protocol`` reprolint
+#: Every message kind a worker may send on its result pipe, in protocol
+#: order. Closed registry — the ``message_protocol`` reprolint
 #: pass checks that every send site uses a registered kind and that the
 #: parent dispatch (:meth:`_PoolDriver._handle`) handles all of them
 #: exhaustively, so an unroutable message fails lint instead of silently
@@ -140,7 +144,7 @@ MAX_UNIT_ATTEMPTS = 3
 #: Worker heartbeat interval (seconds) — the steal-check/beat cadence.
 _WORKER_HEARTBEAT = 0.1
 
-#: Parent drive-loop result-queue poll timeout (seconds).
+#: Parent drive-loop result-pipe poll timeout (seconds).
 _POLL_INTERVAL = 0.05
 
 #: Seconds to wait for workers to drain after a stop before terminating.
@@ -247,7 +251,7 @@ def _run_unit(
         # point where splitting the live frame stack is sound.
         faults.fire("pool.worker_beat", worker=worker_id, unit=unit_id)
         live = dict(snapshot.stats)
-        results.put(
+        results.send(
             (
                 "beat",
                 worker_id,
@@ -267,7 +271,7 @@ def _run_unit(
         d_stats = _stats_delta(live, banked["stats"])
         banked["emitted"] = snapshot.emitted
         banked["stats"] = live
-        results.put(
+        results.send(
             (
                 "split",
                 worker_id,
@@ -290,7 +294,7 @@ def _run_unit(
     snapshot = WorkerSnapshot(
         worker=worker_id, stats=_stats_delta(final, banked["stats"])
     )
-    results.put(
+    results.send(
         (
             "done",
             worker_id,
@@ -322,7 +326,7 @@ def _worker_main(
     # a terminal ^C must not kill children mid-unit.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.environ["REPRO_WORKER"] = worker_id
-    results.put(("ready", worker_id, os.getpid()))
+    results.send(("ready", worker_id, os.getpid()))
     while True:
         try:
             item = tasks.get(timeout=0.2)
@@ -333,7 +337,7 @@ def _worker_main(
         if item is None:
             break
         unit_id, payload, cap = item
-        results.put(("started", worker_id, unit_id))
+        results.send(("started", worker_id, unit_id))
         try:
             _run_unit(
                 worker_id,
@@ -352,8 +356,8 @@ def _worker_main(
             # A unit-level error (e.g. an injected ClusterReadError) is
             # reported, not fatal to the worker: the parent re-enqueues
             # the unit (nothing was merged) up to MAX_UNIT_ATTEMPTS.
-            results.put(("failed", worker_id, unit_id, repr(exc)))
-    results.put(("bye", worker_id))
+            results.send(("failed", worker_id, unit_id, repr(exc)))
+    results.send(("bye", worker_id))
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +413,7 @@ class _PoolDriver:
         self.pending: deque[int] = deque()
         for payload in units:
             self._add_unit(payload)
-        # Worker table: id -> {proc, queue, state, unit, pid, live_*}.
+        # Worker table: id -> {proc, queue, results, state, unit, pid, live_*}.
         self.workers: dict[str, dict] = {}
         self.worker_order: list[str] = []
         self.per_worker: dict[str, dict] = {}
@@ -425,7 +429,6 @@ class _PoolDriver:
         self.stall_timeout = options.stall_timeout
         self.stall_kills = 0
         self.quarantined: list[int] = []
-        self.results = ctx.Queue()
         self.cancel_event = ctx.Event()
         self.need_work = ctx.Event()
         self.confirmed = prior_emitted
@@ -468,6 +471,7 @@ class _PoolDriver:
         wid = f"w{self.spawned}"
         self.spawned += 1
         tasks = self.ctx.Queue()
+        reader, writer = self.ctx.Pipe(duplex=False)
         proc = self.ctx.Process(
             target=_worker_main,
             args=(
@@ -475,7 +479,7 @@ class _PoolDriver:
                 self.physical,
                 self.options,
                 tasks,
-                self.results,
+                writer,
                 self.cancel_event,
                 self.need_work,
                 self.deadline,
@@ -484,9 +488,13 @@ class _PoolDriver:
             daemon=True,
         )
         proc.start()
+        # The child now holds the only write end: its exit (or death)
+        # reads as end-of-file on ``reader``.
+        writer.close()
         self.workers[wid] = {
             "proc": proc,
             "queue": tasks,
+            "results": reader,
             "state": "idle",
             "unit": None,
             "pid": proc.pid,
@@ -727,6 +735,11 @@ class _PoolDriver:
                 continue
             if worker["proc"].is_alive():
                 continue
+            # What it sent before exiting still counts: bank it first, so
+            # a reported unit is never re-run and a clean exit is no death.
+            self._drain_pipe(worker)
+            if worker["state"] == "exited":
+                continue
             worker["state"] = "dead"
             self._record("worker", id=wid, pid=worker["pid"], event="death")
             logger.warning("pool worker %s (pid %s) died", wid, worker["pid"])
@@ -911,17 +924,30 @@ class _PoolDriver:
         )
 
     # -- drive loop ----------------------------------------------------
-    def _drain_results(self) -> None:
-        try:
-            msg = self.results.get(timeout=_POLL_INTERVAL)
-        except queue_mod.Empty:
-            return
-        self._handle(msg)
-        while True:
+    def _drain_results(self, timeout: float = _POLL_INTERVAL) -> None:
+        """Handle every message waiting on the open result pipes, first
+        waiting up to ``timeout`` for one to become readable."""
+        open_pipes = {
+            w["results"]: w for w in self.workers.values()
+            if w["results"] is not None
+        }
+        for conn in wait(list(open_pipes), timeout):
+            self._drain_pipe(open_pipes[conn])
+
+    def _drain_pipe(self, worker: dict) -> None:
+        """Handle what one worker's pipe holds now; at end-of-file (the
+        worker is gone; a message its death cut short goes with it)
+        close the pipe."""
+        conn = worker["results"]
+        while conn is not None:
             try:
-                msg = self.results.get_nowait()
-            except queue_mod.Empty:
-                break
+                if not conn.poll():
+                    return
+                msg = conn.recv()
+            except (EOFError, OSError):
+                conn.close()
+                worker["results"] = conn = None
+                return
             self._handle(msg)
 
     def _send_sentinels(self) -> None:
@@ -980,7 +1006,15 @@ class _PoolDriver:
         finally:
             self.need_work.clear()
             self._send_sentinels()
+            # Keep reading while the workers exit: messages flushed before
+            # exit still count (done/split sent but not yet processed),
+            # and a worker never blocks on a full pipe. A pipe reaches
+            # end-of-file when its worker has exited.
             deadline = time.perf_counter() + 5.0
+            while time.perf_counter() < deadline and any(
+                w["results"] is not None for w in self.workers.values()
+            ):
+                self._drain_results()
             for worker in self.workers.values():
                 proc = worker["proc"]
                 proc.join(timeout=max(0.1, deadline - time.perf_counter()))
@@ -990,14 +1024,10 @@ class _PoolDriver:
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=1.0)
-            # Post-join drain: banked messages flushed before exit still
-            # count (done/split sent but not yet processed).
-            while True:
-                try:
-                    msg = self.results.get_nowait()
-                except (queue_mod.Empty, OSError):
-                    break
-                self._handle(msg)
+                self._drain_pipe(worker)
+                if worker["results"] is not None:
+                    worker["results"].close()
+                    worker["results"] = None
             if self.governor is not None:
                 self.governor.release()
         # Live readers (the inspector) keep the final per-worker rows and

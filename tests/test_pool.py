@@ -230,6 +230,38 @@ class TestChaos:
         assert result.count == seq.count
         assert result.stop_reason is None
 
+    def test_worker_sigkill_mid_send_never_wedges_the_pool(self, engine):
+        # A kill can land while the worker is still writing a report.
+        # Each worker writes only its own pipe, so the survivor's reports
+        # keep flowing and the count stays exact wherever the kill lands.
+        # A wedged pool fails here on the alarm instead of hanging.
+        pattern = CATALOG["path4"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True)
+
+        def kill_w1(rule, site, ctx):
+            if os.environ.get("REPRO_WORKER") == "w1":
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def wedged(signum, frame):
+            raise TimeoutError("pool wedged after a worker SIGKILL")
+
+        previous = signal.signal(signal.SIGALRM, wedged)
+        try:
+            for after in range(60, 140, 10):
+                injector = faults.FaultInjector(seed=1)
+                injector.on("engine.tick", kill_w1, after=after, times=1)
+                physical, opts = compiled(engine, pattern, "homomorphic")
+                opts.workers = 2
+                signal.alarm(30)
+                with injector.install():
+                    result = execute_parallel(physical, opts)
+                signal.alarm(0)
+                assert result.count == seq.count, after
+                assert result.stop_reason is None
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_cluster_read_fault_in_worker_is_requeued(self, engine):
         # A transient exception inside a worker fails the unit; the pool
         # re-runs it (attempts < MAX) and the final count stays exact.

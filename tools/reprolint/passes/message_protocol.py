@@ -7,9 +7,10 @@ actually routes: an unregistered kind would fall through
 So ``engine/pool.py`` declares ``MESSAGE_KINDS`` and this pass checks,
 purely from the file's AST:
 
-* every send site — ``<queue>.put(("kind", ...))`` with a literal string
-  head — uses a registered kind (tuples headed by a non-literal, like the
-  task queue's ``(uid, payload, cap)`` dispatch, are not protocol sends);
+* every send site — ``<channel>.put(("kind", ...))`` or
+  ``<channel>.send(("kind", ...))`` with a literal string head — uses a
+  registered kind (tuples headed by a non-literal, like the task queue's
+  ``(uid, payload, cap)`` dispatch, are not protocol sends);
 * a dispatcher exists: a function containing ``kind = <param>[0]``;
 * every kind literal the dispatcher compares against is registered (no
   dead or typo'd branches);
@@ -49,12 +50,12 @@ def _registry(tree: ast.Module) -> tuple[tuple[str, ...], int] | None:
 
 
 def _send_sites(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, kind) of every ``<expr>.put(("kind", ...))`` call."""
+    """(line, kind) of every ``<expr>.put/send(("kind", ...))`` call."""
     sites: list[tuple[int, str]] = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "put"
+                and node.func.attr in ("put", "send")
                 and node.args
                 and isinstance(node.args[0], ast.Tuple)
                 and node.args[0].elts):
