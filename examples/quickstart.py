@@ -55,7 +55,8 @@ for variant in ("edge_induced", "vertex_induced", "homomorphic"):
         print(f"  {mapped}")
 
 # ---------------------------------------------------------------------------
-# 4. Counting without materializing embeddings uses SCE factorization.
+# 4. Counting without materializing embeddings; SCE factorization kicks in
+#    when the plan splits into independent regions (see `csce explain`).
 # ---------------------------------------------------------------------------
 count = engine.count(pattern, "edge_induced")
 print(f"\ncount-only edge-induced: {count}")

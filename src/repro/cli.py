@@ -755,7 +755,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     # A live tracer makes the planner record its order rationale (the GCF
     # rule firings EXPLAIN renders).
     obs = Observation()
-    plan = engine.build_plan(
+    compiled = engine.session.compile(
         pattern, args.variant, planner=args.planner, obs=obs
     )
     run_report = None
@@ -767,7 +767,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         run_report = reports[-1] if reports else None
-    info = build_explain(plan, report=run_report)
+    info = build_explain(
+        compiled.plan, report=run_report, physical=compiled.physical
+    )
     if args.json:
         print(json.dumps(info, indent=2, default=str))
         return 0

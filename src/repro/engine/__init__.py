@@ -12,8 +12,10 @@ The engine separates the *logical* plan (what each step must check — see
   cooperative flags, not exceptions);
 * :class:`EmbeddingStream` streams embeddings lazily (``CSCE.match_iter``);
 * :func:`count_physical` is the SCE-factorized counting terminal over the
-  same operators; streaming, capped counting and factorized counting all
-  run on one :class:`Runtime` (ticks, limits, governance, heartbeats);
+  same operators, used for exact counts whose plan's region table says a
+  suffix splits (other counts run :func:`count_capped`); streaming,
+  capped counting and factorized counting all run on one
+  :class:`Runtime` (ticks, limits, governance, heartbeats);
 * :class:`MatchSession` holds a store plus an LRU cache of compiled plans,
   shared by enumeration, counting, continuous matching, and baselines;
 * :class:`ResourceGovernor` enforces a unified :class:`Budget` (deadline,

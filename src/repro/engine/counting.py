@@ -10,7 +10,9 @@ Under the injective variants the product is only sound when sibling regions
 cannot compete for the same data vertices. Candidates always carry their
 pattern vertex's label, so regions with disjoint label sets are safe —
 exactly Definition 1's observation that ``C \\ {v_x} = C`` when labels
-differ. Regions sharing labels are merged and enumerated jointly.
+differ. Regions sharing labels are merged and enumerated jointly. The
+splits depend only on the plan and come from its
+:class:`~repro.engine.physical.RegionTable`, computed once per plan.
 
 Region counts are memoized on (region, images of its dependency frontier,
 the used data vertices that could collide with it), so identical subproblems
@@ -20,7 +22,8 @@ same way" reuse.
 Like the enumeration executor, the counter is **iterative**: each
 ``count(positions)`` activation of the old recursion is an explicit frame —
 a *sequential* frame scanning one op's candidates, or a *product* frame
-multiplying independent group counts — on a heap-allocated stack, and time
+multiplying independent group counts — on a heap-allocated stack (a
+single-position region returns its survivor count without a frame), and time
 limits are cooperative (the partial top-level count is returned with the
 ``timed_out`` flag, never an exception).
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.engine.executor import Runtime
+from repro.engine.executor import Runtime, leaf_count
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import MatchOptions
 from repro.obs import search_state_fraction
@@ -91,7 +94,8 @@ class FactorizedCounter:
     the product frames and the group memo.
 
     Only sound for unseeded, unrestricted counting — the eligibility gate
-    lives in :func:`repro.engine.executor.execute_physical`.
+    lives in :func:`repro.engine.executor.execute_physical`. Region splits
+    come from the plan's :class:`~repro.engine.physical.RegionTable`.
     """
 
     def __init__(self, physical: PhysicalPlan, options: MatchOptions) -> None:
@@ -99,14 +103,10 @@ class FactorizedCounter:
         self.physical = physical
         self.plan = plan
         self.use_sce = options.use_sce
+        self.regions = physical.regions
         self.runtime = Runtime(physical, options)
         self.ops = physical.ops
-        self.position = plan.position
-        self.order = plan.order
         self.injective = plan.variant.injective
-        self.labels = [
-            plan.pattern.vertex_label(v) for v in range(plan.num_vertices)
-        ]
         self.assignment = [-1] * plan.num_vertices
         self.used: set[int] = set()
         self.factorizations = 0
@@ -152,7 +152,7 @@ class FactorizedCounter:
         if not positions:
             return 1
         if self.use_sce and len(positions) > 1:
-            groups = self._independent_groups(positions)
+            groups = self.regions.groups(positions)
             if len(groups) > 1:
                 self.factorizations += 1
                 frame = _Frame(_PROD)
@@ -169,11 +169,22 @@ class FactorizedCounter:
         candidates = runtime.computer.raw(op, self.assignment)
         if runtime.profile is not None:
             runtime.profile.visit(pos, candidates.shape[0])
+        values = candidates.tolist()
+        if len(positions) == 1:
+            # Bulk leaf: the region's count is its survivor count, with
+            # the prunes and backtrack a per-candidate scan would record.
+            kept, pruned, _ = leaf_count(values, self.used, (), self.assignment)
+            runtime.prunes_injective += pruned
+            if not kept:
+                runtime.backtracks += 1
+                if runtime.profile is not None:
+                    runtime.profile.backtrack(pos)
+            return kept
         frame = _Frame(_SEQ, top_level=top_level)
         frame.pos = pos
         frame.u = op.u
         frame.rest = positions[1:]
-        frame.values = candidates.tolist()
+        frame.values = values
         frame.index = 0
         stack.append(frame)
         return None
@@ -249,17 +260,8 @@ class FactorizedCounter:
     def _group_key(self, positions: tuple[int, ...]) -> tuple:
         """Memo key of one independent region: its dependency-frontier
         images plus the used data vertices that could collide with it."""
-        members = {self.order[p] for p in positions}
-        frontier = sorted(
-            {
-                prior
-                for p in positions
-                for prior in self.ops[p].priors
-                if prior not in members
-            }
-        )
+        frontier, group_labels = self.regions.frontier(positions)
         if self.injective:
-            group_labels = {self.labels[self.order[p]] for p in positions}
             data_labels = self.plan.task_clusters.data_vertex_labels
             relevant_used = frozenset(
                 v for v in self.used if data_labels[v] in group_labels
@@ -272,50 +274,6 @@ class FactorizedCounter:
             relevant_used,
         )
 
-    def _independent_groups(
-        self, positions: tuple[int, ...]
-    ) -> list[tuple[int, ...]]:
-        """Split the suffix into independent groups.
-
-        Components come from ``H`` restricted to the unmatched vertices; for
-        injective variants, components sharing any vertex label are merged
-        back together (the product would otherwise double-count collisions).
-        """
-        vertices = [self.order[p] for p in positions]
-        components = self.plan.dag.undirected_components(vertices)
-        if len(components) <= 1:
-            return [positions]
-        if self.injective:
-            components = self._merge_by_labels(components)
-            if len(components) <= 1:
-                return [positions]
-        return [
-            tuple(sorted(self.position[v] for v in component))
-            for component in components
-        ]
-
-    def _merge_by_labels(self, components: list[list[int]]) -> list[list[int]]:
-        parent = list(range(len(components)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        owner: dict = {}
-        for idx, component in enumerate(components):
-            for v in component:
-                label = self.labels[v]
-                if label in owner:
-                    parent[find(idx)] = find(owner[label])
-                else:
-                    owner[label] = idx
-        merged: dict[int, list[int]] = {}
-        for idx, component in enumerate(components):
-            merged.setdefault(find(idx), []).extend(component)
-        return [sorted(group) for group in merged.values()]
-
 
 def count_physical(
     physical: PhysicalPlan, options: MatchOptions
@@ -323,10 +281,15 @@ def count_physical(
     """Count embeddings of a compiled plan; returns
     ``(count, stats, stop_reason, degradation, progress)``.
 
+    :func:`~repro.engine.executor.execute_physical` calls it only for an
+    exact count whose plan's :class:`~repro.engine.physical.RegionTable`
+    has a splitting suffix; on any other plan it still counts exactly,
+    visiting the frame machine's nodes at a higher cost per node.
+
     ``stats`` carries the full unified key set
     (:data:`repro.obs.counters.STAT_KEYS`), matching the enumeration path
     key-for-key; ``prunes_restriction`` is always 0 here because
-    restrictions force the enumeration path. On an early stop the count is
+    restrictions force the frame machine. On an early stop the count is
     the partial top-level count (cooperative, no exception) and
     ``stop_reason`` names the cause; ``degradation`` lists any
     governor-ladder events; ``progress`` is the estimator block (pinned

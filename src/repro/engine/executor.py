@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -86,6 +87,39 @@ def _satisfies(
         elif candidate <= image:
             return False
     return True
+
+
+def leaf_count(
+    values: list[int],
+    used: set[int],
+    restrictions: tuple[tuple[int, bool], ...],
+    assignment: list[int],
+) -> tuple[int, int, int]:
+    """Scan the last position's sorted candidate list in bulk.
+
+    Returns ``(survivors, injective prunes, restriction prunes)`` exactly
+    as a one-by-one scan counts them (injectivity is checked first). The
+    restriction slots become one open value interval whose ends are found
+    by binary search. Under a non-injective variant ``used`` is empty.
+    """
+    clash = used.intersection(values) if used else ()
+    if not restrictions:
+        return len(values) - len(clash), len(clash), 0
+    low, high = -1, None
+    for other, candidate_is_smaller in restrictions:
+        image = assignment[other]
+        if candidate_is_smaller:
+            high = image if high is None else min(high, image)
+        else:
+            low = max(low, image)
+    stop = len(values) if high is None else bisect_left(values, high)
+    inside = max(0, stop - bisect_right(values, low))
+    clash_inside = sum(1 for v in clash if low < v and (high is None or v < high))
+    return (
+        inside - clash_inside,
+        len(clash),
+        len(values) - inside - (len(clash) - clash_inside),
+    )
 
 
 def specialize(physical: PhysicalPlan, options: MatchOptions) -> PhysicalPlan:
@@ -413,10 +447,13 @@ def _search(
 
     With ``emit`` it yields each embedding as a tuple indexed by pattern
     vertex id; without, it only counts into ``runtime.emitted`` and never
-    yields, so a single ``next()`` runs the whole search. Cooperative: on
-    a limit it sets ``runtime.stop_reason`` and returns. A restored
-    :class:`SearchState` resumes a checkpointed search mid-frame; the
-    state is kept current at every suspension point and on every exit.
+    yields, so a single ``next()`` runs the whole search. Count mode
+    counts the last position in bulk (:func:`leaf_count`), leaving the
+    counters and frames as the scan would; a leaf the embedding cap would
+    stop inside is scanned, so the stop lands on the exact candidate.
+    Cooperative: on a limit it sets ``runtime.stop_reason`` and returns. A
+    restored :class:`SearchState` resumes a checkpointed search mid-frame;
+    the state is kept current at every suspension point and on every exit.
     """
     if physical.impossible():
         return
@@ -437,6 +474,7 @@ def _search(
     runtime.search_state = state
     runtime.probe = state.fraction
     phase = "enumerate" if emit else "count"
+    leaf = -1 if emit else n - 1
     # Hot path: everything the loop touches is bound to locals.
     raw = runtime.computer.raw
     injective = physical.injective
@@ -468,6 +506,24 @@ def _search(
                     vals = [pin] if _contains_sorted(candidates, pin) else []
                 else:
                     vals = candidates.tolist()
+                if pos == leaf:
+                    emitted = runtime.emitted
+                    kept, pruned_inj, pruned_res = leaf_count(
+                        vals, used, op.restrictions, assignment
+                    )
+                    if max_embeddings is None or emitted + kept < max_embeddings:
+                        runtime.prunes_injective += pruned_inj
+                        runtime.prunes_restriction += pruned_res
+                        index[pos] = len(vals)
+                        emitted_at[pos] = emitted
+                        if kept:
+                            runtime.emitted = emitted + kept
+                        else:
+                            runtime.backtracks += 1
+                            if profile is not None:
+                                profile.backtrack(pos)
+                        pos -= 1
+                        continue
                 values[pos] = vals
                 index[pos] = 0
                 emitted_at[pos] = runtime.emitted
@@ -539,9 +595,10 @@ def count_capped(
     state: SearchState | None = None,
 ) -> int:
     """Count embeddings without yielding — the path for capped,
-    restricted, or seeded counting runs (no per-embedding generator
-    hand-off); returns ``runtime.emitted``. Same frame machine as
-    :func:`stream`.
+    restricted, or seeded counting runs, and for exact counts whose plan
+    never factorizes (no per-embedding generator hand-off; the last
+    position is counted in bulk); returns ``runtime.emitted``. Same frame
+    machine as :func:`stream`.
 
     Pass a restored :class:`SearchState` to resume mid-frame — the path
     pool workers use to execute a portable
@@ -706,11 +763,15 @@ def execute_physical(
 ) -> MatchResult:
     """Run a compiled plan to completion and package the result.
 
-    Counting runs go through the SCE-factorized counter when eligible
-    (uncapped, unrestricted, unseeded); every other run drives the
-    iterative frame machine. Limits surface as ``stop_reason`` (plus the
-    legacy ``truncated``/``timed_out`` flags) with the partial count,
-    never as exceptions.
+    A count goes to the SCE-factorized counter when it is eligible
+    (uncapped, unrestricted, unseeded, ``use_sce`` on) and the plan's
+    :class:`~repro.engine.physical.RegionTable` says some suffix of the
+    order splits into independent regions. Any other count runs the frame
+    machine's count mode (:func:`count_capped`, bulk-counting the last
+    position), which visits the same nodes a never-splitting factorized
+    count would; enumeration runs stream. Limits surface as
+    ``stop_reason`` (plus the legacy ``truncated``/``timed_out`` flags)
+    with the partial count, never as exceptions.
     """
     options = options or MatchOptions()
     if options.workers > 1:
@@ -746,14 +807,16 @@ def execute_physical(
     # (results are counted one by one up to the cap, the 1e5-cap convention
     # of existing works), and restrictions/seeds couple independent regions.
     # A governed embedding cap disqualifies it the same way an option cap
-    # does.
+    # does. A plan that never splits gains nothing from it.
     try:
         if (
             options.count_only
+            and options.use_sce
             and not physical.restrictions
             and not physical.has_pins
             and options.max_embeddings is None
             and (gov is None or gov.budget.max_embeddings is None)
+            and physical.regions.factorizes
         ):
             from repro.engine.counting import count_physical
 

@@ -19,7 +19,10 @@ at compile time instead of per search-tree node:
   position where their later endpoint is matched;
 * seed pins ride on the op (:meth:`PhysicalPlan.with_seed` rebinding is a
   cheap dataclass replace, so continuous matching reuses one compiled plan
-  across every pin of a delta).
+  across every pin of a delta);
+* the independent-region splits the factorized counter multiplies over
+  (:class:`RegionTable`) are computed once per plan, lazily, on the first
+  exact count that asks.
 
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -99,6 +103,13 @@ class PhysicalPlan:
     def has_pins(self) -> bool:
         return any(op.pin is not None for op in self.ops)
 
+    @cached_property
+    def regions(self) -> RegionTable:
+        """The plan's :class:`RegionTable`, built on first use and kept
+        with the plan (so in the session's plan cache). Pinned copies made
+        by :meth:`with_seed` start without one and never need it."""
+        return RegionTable(self.logical)
+
     def impossible(self) -> bool:
         """True when a pattern edge has no cluster: zero embeddings."""
         return self.logical.impossible()
@@ -142,6 +153,114 @@ class PhysicalPlan:
             f"<PhysicalPlan {len(self.ops)} ops"
             f" specs={self.num_specs} variant={self.logical.variant}>"
         )
+
+
+class RegionTable:
+    """Independent-region splits of a plan's position sets (paper §V).
+
+    ``groups(positions)`` splits order positions into the components of
+    ``H`` restricted to their pattern vertices; under the injective
+    variants, components sharing a vertex label are merged back (sibling
+    regions could compete for the same data vertices, so their product
+    would double-count). A split depends only on the plan, so each
+    positions tuple is split once and memoized.
+
+    The same table decides the counting strategy: the factorized counter
+    only ever splits a suffix of the order or a region split off one, so a
+    plan none of whose suffixes split (:attr:`factorizes` false) counts
+    exactly like the frame machine and is routed there.
+    """
+
+    def __init__(self, plan: Plan) -> None:
+        self._plan = plan
+        self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._frontiers: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset]] = {}
+
+    def groups(self, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        split = self._splits.get(positions)
+        if split is None:
+            split = self._splits[positions] = self._split(positions)
+        return split
+
+    def _split(self, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        plan = self._plan
+        components = plan.dag.undirected_components(
+            plan.order[p] for p in positions
+        )
+        if len(components) > 1 and plan.variant.injective:
+            components = _merge_by_labels(components, plan.pattern)
+        if len(components) <= 1:
+            return (positions,)
+        position = plan.position
+        return tuple(
+            tuple(sorted(position[v] for v in component))
+            for component in components
+        )
+
+    def frontier(
+        self, positions: tuple[int, ...]
+    ) -> tuple[tuple[int, ...], frozenset]:
+        """A region's dependency frontier (the outside vertices its memo
+        priors name, sorted) and its vertex labels: the static half of the
+        factorized counter's region-memo key."""
+        entry = self._frontiers.get(positions)
+        if entry is None:
+            plan = self._plan
+            members = {plan.order[p] for p in positions}
+            frontier = sorted(
+                {
+                    prior
+                    for p in positions
+                    for prior in plan.memo_priors[p]
+                    if prior not in members
+                }
+            )
+            labels = frozenset(plan.pattern.vertex_label(v) for v in members)
+            entry = self._frontiers[positions] = (tuple(frontier), labels)
+        return entry
+
+    @property
+    def suffixes(self) -> int:
+        """Suffixes of the order with at least two positions."""
+        return max(0, self._plan.num_vertices - 1)
+
+    @cached_property
+    def split_suffixes(self) -> int:
+        """How many of those split into more than one region."""
+        n = self._plan.num_vertices
+        return sum(
+            len(self.groups(tuple(range(k, n)))) > 1 for k in range(n - 1)
+        )
+
+    @property
+    def factorizes(self) -> bool:
+        return self.split_suffixes > 0
+
+
+def _merge_by_labels(
+    components: list[list[int]], pattern: Graph
+) -> list[list[int]]:
+    """Union components that share any vertex label."""
+    parent = list(range(len(components)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner: dict = {}
+    for idx, component in enumerate(components):
+        for v in component:
+            label = pattern.vertex_label(v)
+            if label in owner:
+                parent[find(idx)] = find(owner[label])
+            else:
+                owner[label] = idx
+    merged: dict[int, list[int]] = {}
+    for idx, component in enumerate(components):
+        merged.setdefault(find(idx), []).extend(component)
+    return [sorted(group) for group in merged.values()]
 
 
 def pattern_fingerprint(pattern: Graph) -> tuple:

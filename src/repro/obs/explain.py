@@ -10,6 +10,10 @@
 * the dependency DAG ``H`` (Algorithm 2) and its *equivalence pairs* —
   vertex pairs with no path in either direction, exactly the pairs
   Definition 1 declares sequentially candidate-equivalent;
+* the exact-count strategy — factorized counter or frame machine — read
+  off the compiled plan's region table, the one
+  :func:`~repro.engine.executor.execute_physical` routes by, with the
+  number of order suffixes that split into independent regions;
 * **estimated** candidate counts per step (static-pool sizes and average
   cluster neighbor-list lengths), and — when a profiled run-report is
   supplied — the **actual** mean candidate counts measured per depth, so
@@ -91,6 +95,8 @@ def build_explain(
     }
     estimates = estimate_candidates(plan)
     actuals = _actuals_from_report(report)
+    regions = physical.regions
+    strategy = "factorized" if regions.factorizes else "frame machine"
 
     steps: list[dict] = []
     for pos, u in enumerate(plan.order):
@@ -150,6 +156,14 @@ def build_explain(
             "num_ops": len(physical.ops),
             "num_specs": physical.num_specs,
             "ops": physical.step_table(),
+            "counting": {
+                "strategy": strategy,
+                "split_suffixes": regions.split_suffixes,
+                "suffixes": regions.suffixes,
+                "regions": (
+                    "label-disjoint" if plan.variant.injective else "independent"
+                ),
+            },
         },
         "has_actuals": bool(actuals),
     }
@@ -261,6 +275,13 @@ def format_explain(info: dict) -> str:
                     else ""
                 )
                 + (f"  [{', '.join(flags)}]" if flags else "")
+            )
+        counting = physical.get("counting")
+        if counting:
+            lines.append(
+                f"exact-count strategy: {counting['strategy']}:"
+                f" {counting['split_suffixes']} of {counting['suffixes']}"
+                f" suffixes split into {counting['regions']} regions"
             )
     if not info["has_actuals"]:
         lines.append(

@@ -27,7 +27,9 @@ from repro.engine import (
     execute_physical,
     stream,
 )
+import repro.engine.executor as executor_module
 from repro.engine.executor import specialize
+from repro.engine.results import STOP_EMBEDDING_LIMIT
 from repro.errors import PlanError
 from repro.graph import Graph
 
@@ -46,6 +48,10 @@ def engine(random_graph):
 
 def small_pattern():
     return Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def complete_graph(n):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestCompiler:
@@ -195,13 +201,104 @@ class TestIterativeExecutor:
             with clique.match_iter(p, "edge_induced", **options) as s:
                 list(s)
             result = s.result()
-        else:
-            cap = 10**12 if path == "capped" else None
-            result = clique.match(
-                p, "edge_induced", count_only=True, max_embeddings=cap, **options
+            stop_reason, stats = result.stop_reason, result.stats
+        elif path == "factorized":
+            # Forced: a path never splits on an unlabeled clique, so a
+            # routed count would run on the frame machine.
+            physical = clique.session.compile(p, "edge_induced").physical
+            _, stats, stop_reason, _, _ = count_physical(
+                physical, MatchOptions(count_only=True, **options)
             )
-        assert result.stop_reason == "time_limit"
-        assert result.stats["computed"] == result.stats["nodes"] - 1
+        else:
+            result = clique.match(
+                p, "edge_induced", count_only=True, max_embeddings=10**12,
+                **options,
+            )
+            stop_reason, stats = result.stop_reason, result.stats
+        assert stop_reason == "time_limit"
+        assert stats["computed"] == stats["nodes"] - 1
+
+
+class TestBulkLeafCounting:
+    """Count mode counts the last position in bulk; the counters, the
+    stop and the frame stack must end up as the one-by-one scan leaves
+    them."""
+
+    @staticmethod
+    def _run(physical, options, emit, state=None):
+        runtime = Runtime(physical, options)
+        state = state or SearchState.fresh(len(physical.ops))
+        if emit:
+            count = sum(1 for _ in stream(physical, runtime, state))
+        else:
+            count = count_capped(physical, runtime, state)
+        return count, runtime.stats(), runtime.stop_reason, state
+
+    def test_cap_inside_a_leaf_stops_exactly_and_resumes(self):
+        # K6 and a triangle: every leaf has 4 survivors, so caps 1-3 land
+        # inside the first leaf and later caps inside or at the end of
+        # later ones.
+        engine = CSCE(complete_graph(6))
+        physical = compile_plan(engine.build_plan(small_pattern(), "edge_induced"))
+        total = 6 * 5 * 4
+        for cap in (1, 2, 3, 4, 5, 119, total):
+            options = MatchOptions(count_only=True, max_embeddings=cap)
+            head, stats, stop, state = self._run(physical, options, emit=False)
+            drained = self._run(physical, options, emit=True)
+            assert head == cap and stop == STOP_EMBEDDING_LIMIT
+            assert (head, stats, stop) == drained[:3]
+            assert state.to_payload() == drained[3].to_payload()
+            resumed = SearchState.from_payload(state.to_payload())
+            tail = count_capped(
+                physical, Runtime(physical, MatchOptions(count_only=True)), resumed
+            )
+            assert head + tail == total
+
+    def test_symmetry_restricted_leaf_takes_the_bulk_path(self, monkeypatch):
+        # The 8-clique case study's shape: every automorphism broken by a
+        # total order, so the leaf carries seven restriction slots.
+        n, k = 10, 8
+        data, pattern = complete_graph(n), complete_graph(k)
+        restrictions = tuple((i, j) for i in range(k) for j in range(i + 1, k))
+        physical = compile_plan(
+            CSCE(data).build_plan(pattern, "edge_induced"), restrictions=restrictions
+        )
+        options = MatchOptions(count_only=True, restrictions=restrictions)
+        calls = []
+        bulk = executor_module.leaf_count
+        monkeypatch.setattr(
+            executor_module,
+            "leaf_count",
+            lambda *args: calls.append(args[2]) or bulk(*args),
+        )
+        counted = self._run(physical, options, emit=False)
+        assert calls and all(len(slots) == k - 1 for slots in calls)
+        drained = self._run(physical, options, emit=True)
+        assert counted[0] == 45  # C(10, 8)
+        assert counted[1]["prunes_restriction"] > 0
+        assert counted[:3] == drained[:3]
+        assert counted[3].to_payload() == drained[3].to_payload()
+
+    def test_never_factorizing_count_runs_on_the_frame_machine(
+        self, monkeypatch
+    ):
+        graph = make_random_graph(30, 90, num_labels=1, seed=3)
+        pattern = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+        engine = CSCE(graph)
+        physical = engine.session.compile(pattern, "edge_induced").physical
+        assert not physical.regions.factorizes
+
+        def forbidden(*args):
+            raise AssertionError("routed to the factorized counter")
+
+        monkeypatch.setattr("repro.engine.counting.count_physical", forbidden)
+        result = engine.match(pattern, "edge_induced", count_only=True)
+        count, stats, stop, _ = self._run(
+            physical, MatchOptions(count_only=True), emit=False
+        )
+        assert result.count == count == brute_count(graph, pattern, "edge_induced")
+        assert result.stats["factorizations"] == 0
+        assert result.stats == stats and stop is None
 
 
 class TestStreaming:

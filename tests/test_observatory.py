@@ -32,6 +32,8 @@ from repro.obs import (
 )
 from repro.obs.metrics import COUNTER, metric_name
 
+from conftest import make_random_graph
+
 
 def _triangle_fan(n=12):
     """A small graph with enough embeddings to drive counters."""
@@ -401,6 +403,28 @@ class TestExplain:
         assert info["steps"][0]["actual_mean_candidates"] == 2.5
         text = format_explain(info)
         assert "act.cand" in text
+
+    @pytest.mark.parametrize(
+        "variant, strategy",
+        [("edge_induced", "frame machine"), ("homomorphic", "factorized")],
+    )
+    def test_counting_strategy_read_off_the_routing_table(self, variant, strategy):
+        # An unlabeled star: label sharing merges the leaves back under
+        # injectivity, homomorphism multiplies them.
+        engine = CSCE(make_random_graph(40, 120, num_labels=1, seed=11))
+        star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        compiled = engine.session.compile(star, variant)
+        info = build_explain(compiled.plan, physical=compiled.physical)
+        counting = info["physical"]["counting"]
+        assert counting["strategy"] == strategy
+        assert counting["suffixes"] == 4
+        assert (counting["split_suffixes"] > 0) == (strategy == "factorized")
+        assert f"exact-count strategy: {strategy}: " in format_explain(info)
+        # The table explain read is the one the routed count uses.
+        table = compiled.physical.regions
+        result = engine.match(star, variant, count_only=True)
+        assert engine.session.compile(star, variant).physical.regions is table
+        assert (result.stats["factorizations"] > 0) == (strategy == "factorized")
 
     def test_format_explain_renders_sections(self):
         info = build_explain(self._plan())

@@ -7,6 +7,15 @@ from repro.ccsr import CCSRStore
 from repro.core import CSCE, Variant, build_dag, compute_descendant_sizes
 from repro.core.gcf import gcf_order
 from repro.core.ldsf import ldsf_order
+from repro.engine import (
+    MatchOptions,
+    Runtime,
+    SearchState,
+    count_capped,
+    count_physical,
+    stream,
+)
+from repro.engine.executor import specialize
 from repro.graph import Graph
 from repro.graph.io import format_graph_text, parse_graph_text
 
@@ -177,6 +186,63 @@ class TestMatchingProperties:
             engine.match(p, "edge_induced", count_only=True, use_sce=True).count
             == engine.match(p, "edge_induced", count_only=True, use_sce=False).count
         )
+
+    @given(
+        graph_and_pattern(),
+        st.sampled_from(["edge_induced", "vertex_induced", "homomorphic"]),
+        st.booleans(),
+        st.data(),
+    )
+    @_SETTINGS
+    def test_every_count_path_agrees(self, gp, variant, restricted, data):
+        """One input through every count path: the routed count, the
+        forced factorized counter, the frame machine's count mode with no
+        cap and with a drawn cap, and a stream drain. Count mode and the
+        drain must also leave the same counters and frame stack."""
+        g, p = gp
+        engine = CSCE(g)
+        restrictions = ((0, 1),) if restricted else ()
+        options = MatchOptions(count_only=True, restrictions=restrictions)
+        physical = specialize(
+            engine.session.compile(p, variant).physical, options
+        )
+
+        def run(cap, emit):
+            opts = MatchOptions(
+                count_only=True, restrictions=restrictions, max_embeddings=cap
+            )
+            runtime = Runtime(physical, opts)
+            state = SearchState.fresh(len(physical.ops))
+            if emit:
+                count = sum(1 for _ in stream(physical, runtime, state))
+            else:
+                count = count_capped(physical, runtime, state)
+            stats = {
+                key: runtime.stats()[key]
+                for key in (
+                    "nodes", "backtracks", "prunes_injective", "prunes_restriction"
+                )
+            }
+            return count, stats, runtime.stop_reason, state.to_payload()
+
+        counted = run(None, emit=False)
+        total = counted[0]
+        assert counted == run(None, emit=True)
+        routed = engine.match(
+            p, variant, count_only=True, restrictions=restrictions or None
+        )
+        assert routed.count == total
+        if not restricted:
+            factorized, stats = count_physical(physical, options)[:2]
+            assert factorized == total == brute_count(g, p, variant)
+            if not physical.regions.factorizes:
+                # Nothing splits: the counter walks the frame machine's tree.
+                assert {key: stats[key] for key in counted[1]} == counted[1]
+        if total:
+            cap = data.draw(st.integers(min_value=1, max_value=total))
+            capped = run(cap, emit=False)
+            assert capped[0] == cap
+            assert capped == run(cap, emit=True)
 
     @given(graph_and_pattern())
     @_SETTINGS
