@@ -35,26 +35,61 @@ class CompressedCSR:
       giving O(1) ``cols[I_R[v]:I_R[v+1]]`` neighbor slices.
     """
 
-    __slots__ = ("rows", "row_counts", "cols", "_offsets", "full_offsets", "num_vertices")
+    __slots__ = (
+        "rows",
+        "row_counts",
+        "cols",
+        "_offsets",
+        "full_offsets",
+        "num_vertices",
+        "_rows_view",
+    )
 
     def __init__(
         self, adjacency: dict[int, list[int]], num_vertices: int
     ) -> None:
         rows = sorted(adjacency)
-        self.num_vertices = num_vertices
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.row_counts = np.asarray(
-            [len(adjacency[r]) for r in rows], dtype=np.int64
-        )
         cols: list[int] = []
         for r in rows:
             cols.extend(sorted(adjacency[r]))
-        self.cols = np.asarray(cols, dtype=np.int64)
+        self._adopt(
+            np.asarray(rows, dtype=np.int64),
+            np.asarray([len(adjacency[r]) for r in rows], dtype=np.int64),
+            np.asarray(cols, dtype=np.int64),
+            num_vertices,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        rows: np.ndarray,
+        row_counts: np.ndarray,
+        cols: np.ndarray,
+        num_vertices: int,
+    ) -> CompressedCSR:
+        """A CSR over already-compressed arrays (the store loader's path)."""
+        csr = cls.__new__(cls)
+        csr._adopt(rows, row_counts, cols, num_vertices)
+        return csr
+
+    def _adopt(
+        self,
+        rows: np.ndarray,
+        row_counts: np.ndarray,
+        cols: np.ndarray,
+        num_vertices: int,
+    ) -> None:
+        """Set every slot; the one assignment path of both constructors."""
+        self.num_vertices = num_vertices
+        self.rows = rows
+        self.row_counts = row_counts
+        self.cols = cols
         # Offsets into cols per *stored* row; len(rows)+1.
-        self._offsets = np.concatenate(
-            ([0], np.cumsum(self.row_counts))
-        ).astype(np.int64)
+        self._offsets = np.concatenate(([0], np.cumsum(row_counts))).astype(
+            np.int64
+        )
         self.full_offsets: np.ndarray | None = None
+        self._rows_view: tuple[frozenset[int], tuple[int, ...]] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -107,6 +142,15 @@ class CompressedCSR:
             return _EMPTY
         return self.cols[self._offsets[idx] : self._offsets[idx + 1]]
 
+    def rows_view(self) -> tuple[frozenset[int], tuple[int, ...]]:
+        """``rows`` as a ``(frozenset, sorted tuple)`` pair, built on first
+        use and cached with the CSR: the matcher's static candidate pool
+        for a position whose vertex has no earlier neighbour."""
+        if self._rows_view is None:
+            values = tuple(self.rows.tolist())
+            self._rows_view = (frozenset(values), values)
+        return self._rows_view
+
     def degree(self, v: int) -> int:
         return int(self.neighbors(v).shape[0])
 
@@ -137,9 +181,14 @@ class Cluster:
     incoming (``dst``'s in-neighbors) — so both traversal directions are
     constant-time. An undirected cluster needs only one CSR because each
     undirected edge is stored in both orientations inside it.
+
+    The matcher reads rows as ``frozenset`` views (:meth:`successor_set`,
+    :meth:`predecessor_set`), built on a row's first read and cached here,
+    so they are dropped with the cluster. The numpy arrays stay the
+    storage: :meth:`nbytes` counts only them.
     """
 
-    __slots__ = ("key", "out_csr", "in_csr")
+    __slots__ = ("key", "out_csr", "in_csr", "_out_rows", "_in_rows", "__weakref__")
 
     def __init__(
         self,
@@ -149,21 +198,49 @@ class Cluster:
     ) -> None:
         """``edges`` are (src, dst) pairs; for an undirected cluster each
         undirected edge must appear exactly once (either orientation)."""
-        self.key = key
         out: dict[int, list[int]] = {}
         if key.directed:
             incoming: dict[int, list[int]] = {}
             for src, dst in edges:
                 out.setdefault(src, []).append(dst)
                 incoming.setdefault(dst, []).append(src)
-            self.out_csr = CompressedCSR(out, num_vertices)
-            self.in_csr: CompressedCSR | None = CompressedCSR(incoming, num_vertices)
+            self._adopt(
+                key,
+                CompressedCSR(out, num_vertices),
+                CompressedCSR(incoming, num_vertices),
+            )
         else:
             for src, dst in edges:
                 out.setdefault(src, []).append(dst)
                 out.setdefault(dst, []).append(src)
-            self.out_csr = CompressedCSR(out, num_vertices)
-            self.in_csr = None
+            self._adopt(key, CompressedCSR(out, num_vertices), None)
+
+    @classmethod
+    def from_csrs(
+        cls,
+        key: ClusterKey,
+        out_csr: CompressedCSR,
+        in_csr: CompressedCSR | None,
+    ) -> Cluster:
+        """A cluster over prebuilt CSRs (``in_csr`` only when directed)."""
+        cluster = cls.__new__(cls)
+        cluster._adopt(key, out_csr, in_csr)
+        return cluster
+
+    def _adopt(
+        self,
+        key: ClusterKey,
+        out_csr: CompressedCSR,
+        in_csr: CompressedCSR | None,
+    ) -> None:
+        """Set every slot; the one assignment path of both constructors."""
+        self.key = key
+        self.out_csr = out_csr
+        self.in_csr = in_csr
+        # Row views, filled one row at a time by successor_set /
+        # predecessor_set. An undirected cluster has one CSR, so one cache.
+        self._out_rows: dict[int, frozenset[int]] = {}
+        self._in_rows = self._out_rows if in_csr is None else {}
 
     # ------------------------------------------------------------------
     @property
@@ -203,6 +280,22 @@ class Cluster:
         if self.in_csr is None:
             return self.out_csr.neighbors(v)
         return self.in_csr.neighbors(v)
+
+    def successor_set(self, v: int) -> frozenset[int]:
+        """:meth:`successors` as a set, built on first read and cached on
+        the cluster (the candidate kernel's operand)."""
+        row = self._out_rows.get(v)
+        if row is None:
+            row = self._out_rows[v] = frozenset(self.out_csr.neighbors(v).tolist())
+        return row
+
+    def predecessor_set(self, v: int) -> frozenset[int]:
+        """:meth:`predecessors` as a set, cached like :meth:`successor_set`."""
+        row = self._in_rows.get(v)
+        if row is None:
+            csr = self.out_csr if self.in_csr is None else self.in_csr
+            row = self._in_rows[v] = frozenset(csr.neighbors(v).tolist())
+        return row
 
     def contains_edge(self, src: int, dst: int) -> bool:
         """True if the cluster stores an edge allowing ``src -> dst``."""

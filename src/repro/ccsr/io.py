@@ -70,14 +70,12 @@ def _csr_arrays(csr: CompressedCSR, prefix: str) -> dict[str, np.ndarray]:
 def _csr_from_arrays(
     archive: np.lib.npyio.NpzFile, prefix: str, num_vertices: int
 ) -> CompressedCSR:
-    csr = CompressedCSR.__new__(CompressedCSR)
-    csr.num_vertices = num_vertices
-    csr.rows = archive[f"{prefix}_rows"].astype(np.int64)
-    csr.row_counts = archive[f"{prefix}_counts"].astype(np.int64)
-    csr.cols = archive[f"{prefix}_cols"].astype(np.int64)
-    csr._offsets = np.concatenate(([0], np.cumsum(csr.row_counts))).astype(np.int64)
-    csr.full_offsets = None
-    return csr
+    return CompressedCSR.from_arrays(
+        archive[f"{prefix}_rows"].astype(np.int64),
+        archive[f"{prefix}_counts"].astype(np.int64),
+        archive[f"{prefix}_cols"].astype(np.int64),
+        num_vertices,
+    )
 
 
 def save_store(
@@ -185,18 +183,14 @@ def _load_store(path: str | os.PathLike) -> CCSRStore:
                 _decode_label(meta["edge_label"]),
                 bool(meta["directed"]),
             )
-            cluster = Cluster.__new__(Cluster)
-            cluster.key = key
-            cluster.out_csr = _csr_from_arrays(
-                archive, f"{meta['prefix']}_out", store.num_vertices
+            prefix = meta["prefix"]
+            store.clusters[key] = Cluster.from_csrs(
+                key,
+                _csr_from_arrays(archive, f"{prefix}_out", store.num_vertices),
+                _csr_from_arrays(archive, f"{prefix}_in", store.num_vertices)
+                if key.directed
+                else None,
             )
-            if key.directed:
-                cluster.in_csr = _csr_from_arrays(
-                    archive, f"{meta['prefix']}_in", store.num_vertices
-                )
-            else:
-                cluster.in_csr = None
-            store.clusters[key] = cluster
             pair = frozenset((key.src_label, key.dst_label))
             store._pair_index.setdefault(pair, []).append(key)
         store.build_seconds = 0.0

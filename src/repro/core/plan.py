@@ -36,20 +36,15 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 @dataclass(frozen=True)
 class EdgeConstraint:
-    """One backward pattern edge: intersect candidates with a neighbor list.
+    """One backward pattern edge: intersect candidates with a neighbor row.
 
-    ``direction`` selects ``cluster.successors(f(prior))`` or
-    ``cluster.predecessors(f(prior))``.
+    ``direction`` selects ``cluster.successor_set(f(prior))`` or
+    ``cluster.predecessor_set(f(prior))``.
     """
 
     prior: int
     cluster: Cluster
     direction: str
-
-    def neighbor_array(self, mapped_prior: int) -> np.ndarray:
-        if self.direction == SUCCESSORS:
-            return self.cluster.successors(mapped_prior)
-        return self.cluster.predecessors(mapped_prior)
 
 
 @dataclass(frozen=True)
@@ -58,33 +53,14 @@ class NegationConstraint:
 
     ``swap`` encodes argument order: the underlying :class:`NegationCheck`
     was registered for the pattern pair in ascending vertex-id order, which
-    may be the reverse of (prior, current).
+    may be the reverse of (prior, current). The probe excludes exactly one
+    row of ``f(prior)`` in ``check.cluster``: its successors when
+    ``(check.mode == FORWARD) != swap``, else its predecessors.
     """
 
     prior: int
     check: NegationCheck
     swap: bool
-
-    def violated(self, mapped_prior: int, candidate: int) -> bool:
-        if self.swap:
-            return self.check.violated(candidate, mapped_prior)
-        return self.check.violated(mapped_prior, candidate)
-
-    def exclusion_array(self, mapped_prior: int) -> np.ndarray:
-        """All candidates this probe forbids, as a sorted array.
-
-        The probe "no cluster edge between f(prior) and the candidate in
-        direction X" excludes exactly one neighbor list of ``f(prior)``,
-        which lets the executor filter candidates vectorized instead of
-        binary-searching per candidate.
-        """
-        from repro.ccsr.store import FORWARD
-
-        use_successors = (self.check.mode == FORWARD) != self.swap
-        cluster = self.check.cluster
-        if use_successors:
-            return cluster.successors(mapped_prior)
-        return cluster.predecessors(mapped_prior)
 
 
 @dataclass
@@ -351,12 +327,12 @@ class _AlwaysEmptyCluster:
     key = None
 
     @staticmethod
-    def successors(_v: int) -> np.ndarray:
-        return _EMPTY
+    def successor_set(_v: int) -> frozenset[int]:
+        return frozenset()
 
     @staticmethod
-    def predecessors(_v: int) -> np.ndarray:
-        return _EMPTY
+    def predecessor_set(_v: int) -> frozenset[int]:
+        return frozenset()
 
     @property
     def num_entries(self) -> int:

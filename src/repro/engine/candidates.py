@@ -1,8 +1,8 @@
 """Candidate computation over physical operators, with SCE-based reuse.
 
 ``C(u | Phi, f)`` — the candidates of a pattern vertex given a partial
-embedding — is computed by intersecting the cluster neighbor lists of the
-op's backward constraints, then filtering vertex-induced negations. By
+embedding — is computed by intersecting the cluster neighbor rows of the
+op's backward constraints, then subtracting vertex-induced negations. By
 Definition 1 the raw set depends only on the mappings of the vertex's
 dependency priors, so it is memoized on exactly that key; injectivity
 filtering (the ``\\ {v_x}`` part) happens at use time and never enters the
@@ -10,31 +10,18 @@ cache. NEC falls out for free: equivalent pattern vertices were compiled to
 the same ``spec_id`` and therefore share cached candidate sets.
 
 The computer consumes :class:`~repro.engine.physical.ExtendOp` operators —
-constraints and negations arrive as prebound ``(prior, fetch)`` pairs, so
-the hot loop is two function calls and an intersection per constraint.
+constraints and negations arrive as prebound ``(prior, fetch)`` pairs whose
+fetchers return cluster rows as cached ``frozenset``\\ s, so the hot loop is
+two function calls and one set ``&`` per constraint. The operands are
+short (a handful to a few dozen vertices), where Python set algebra costs
+a fraction of a numpy call's fixed overhead.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.engine.physical import ExtendOp, PhysicalPlan
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def intersect_sorted(small: np.ndarray, big: np.ndarray) -> np.ndarray:
-    """Intersection of two sorted unique arrays, smallest first.
-
-    A vectorized binary-search membership test — O(|small| log |big|) —
-    which beats ``np.intersect1d``'s sort-merge on the short, skewed arrays
-    cluster intersections produce.
-    """
-    idx = np.searchsorted(big, small)
-    idx[idx == big.shape[0]] = big.shape[0] - 1
-    return small[big[idx] == small]
 
 
 class CandidateStats:
@@ -78,7 +65,13 @@ class CandidateStats:
 
 
 class CandidateComputer:
-    """Computes (and, with SCE, reuses) raw candidate arrays per op."""
+    """Computes (and, with SCE, reuses) raw candidate lists per op.
+
+    A candidate list is a sorted ``tuple`` of data vertices. Memo entries
+    are shared by every caller that hits them, which is why they are
+    immutable: a search frame that scans or truncates a list takes its
+    own ``list`` copy.
+    """
 
     def __init__(
         self,
@@ -94,7 +87,7 @@ class CandidateComputer:
         #: Optional :class:`repro.obs.profile.SearchDepthProfile` receiving
         #: per-depth memo hit/miss events; ``None`` keeps the hot path free.
         self._profile = profile
-        self._memo: dict[tuple, np.ndarray] = {}
+        self._memo: dict[tuple, tuple[int, ...]] = {}
 
     def clear(self) -> None:
         self._memo.clear()
@@ -130,8 +123,8 @@ class CandidateComputer:
         self.use_sce = False
         self._memo.clear()
 
-    def raw(self, op: ExtendOp, assignment: list[int]) -> np.ndarray:
-        """The sorted raw candidate array of ``op.u`` under the current
+    def raw(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
+        """The sorted raw candidate tuple of ``op.u`` under the current
         partial embedding (before injectivity filtering)."""
         if self.use_sce:
             key = (op.spec_id, *[assignment[p] for p in op.priors])
@@ -149,37 +142,39 @@ class CandidateComputer:
             self._memo[key] = result
         return result
 
-    def _compute(self, op: ExtendOp, assignment: list[int]) -> np.ndarray:
+    def _compute(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
         stats = self.stats
         stats.computed += 1
+        ordered: tuple[int, ...] | None = None
         if op.constraints:
-            arrays = []
+            rows = []
             for prior, fetch in op.constraints:
-                arr = fetch(assignment[prior])
-                if arr.shape[0] == 0:
-                    return _EMPTY
-                arrays.append(arr)
-            arrays.sort(key=len)
-            result = arrays[0]
-            for arr in arrays[1:]:
+                row = fetch(assignment[prior])
+                if not row:
+                    return ()
+                rows.append(row)
+            rows.sort(key=len)
+            result = rows[0]
+            for row in rows[1:]:
                 stats.intersections += 1
-                result = intersect_sorted(result, arr)
-                if result.shape[0] == 0:
-                    return _EMPTY
+                result = result & row
+                if not result:
+                    return ()
         else:
-            result = op.static_pool
+            pool = op.static_pool
+            assert pool is not None  # compile_plan pools every such op
+            result, ordered = pool
         for prior, fetch in op.negations:
-            if result.shape[0] == 0:
+            if not result:
                 break
             stats.negation_checks += 1
             excluded = fetch(assignment[prior])
-            if excluded.shape[0] == 0:
+            if not excluded:
                 continue
-            # Sorted-array membership: forbid candidates present in the
-            # exclusion list (vectorized version of Definition 1's check).
-            idx = np.searchsorted(excluded, result)
-            idx[idx == excluded.shape[0]] = excluded.shape[0] - 1
-            violates = excluded[idx] == result
-            if violates.any():
-                result = result[~violates]
-        return result
+            # Forbid candidates adjacent to f(prior) in the negation
+            # cluster (Definition 1's vertex-induced check).
+            result = result - excluded
+            ordered = None
+        if ordered is not None:
+            return ordered
+        return tuple(sorted(result))

@@ -168,12 +168,11 @@ class FactorizedCounter:
         op = self.ops[pos]
         candidates = runtime.computer.raw(op, self.assignment)
         if runtime.profile is not None:
-            runtime.profile.visit(pos, candidates.shape[0])
-        values = candidates.tolist()
+            runtime.profile.visit(pos, len(candidates))
         if len(positions) == 1:
             # Bulk leaf: the region's count is its survivor count, with
             # the prunes and backtrack a per-candidate scan would record.
-            kept, pruned, _ = leaf_count(values, self.used, (), self.assignment)
+            kept, pruned, _ = leaf_count(candidates, self.used, (), self.assignment)
             runtime.prunes_injective += pruned
             if not kept:
                 runtime.backtracks += 1
@@ -184,7 +183,9 @@ class FactorizedCounter:
         frame.pos = pos
         frame.u = op.u
         frame.rest = positions[1:]
-        frame.values = values
+        # Unlike the frame machine's lists, these are never truncated or
+        # shipped, so a frame may scan the (possibly memoized) tuple as is.
+        frame.values = candidates
         frame.index = 0
         stack.append(frame)
         return None

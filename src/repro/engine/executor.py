@@ -36,10 +36,7 @@ from __future__ import annotations
 import logging
 import time
 from bisect import bisect_left, bisect_right
-
-import numpy as np
-
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.engine.candidates import CandidateComputer
 from repro.engine.physical import PhysicalPlan, compile_plan
@@ -67,12 +64,6 @@ logger = logging.getLogger(__name__)
 _TIME_CHECK_INTERVAL = 2048
 
 
-def _contains_sorted(array: np.ndarray, value: int) -> bool:
-    """Membership test in a sorted candidate array (binary search)."""
-    idx = int(np.searchsorted(array, value))
-    return idx < array.shape[0] and int(array[idx]) == value
-
-
 def _satisfies(
     candidate: int,
     assignment: list[int],
@@ -90,7 +81,7 @@ def _satisfies(
 
 
 def leaf_count(
-    values: list[int],
+    values: Sequence[int],
     used: set[int],
     restrictions: tuple[tuple[int, bool], ...],
     assignment: list[int],
@@ -500,21 +491,19 @@ def _search(
                     return
                 candidates = raw(op, assignment)
                 if profile is not None:
-                    profile.visit(pos, candidates.shape[0])
+                    profile.visit(pos, len(candidates))
                 pin = op.pin
                 if pin is not None:
-                    vals = [pin] if _contains_sorted(candidates, pin) else []
-                else:
-                    vals = candidates.tolist()
+                    candidates = (pin,) if pin in candidates else ()
                 if pos == leaf:
                     emitted = runtime.emitted
                     kept, pruned_inj, pruned_res = leaf_count(
-                        vals, used, op.restrictions, assignment
+                        candidates, used, op.restrictions, assignment
                     )
                     if max_embeddings is None or emitted + kept < max_embeddings:
                         runtime.prunes_injective += pruned_inj
                         runtime.prunes_restriction += pruned_res
-                        index[pos] = len(vals)
+                        index[pos] = len(candidates)
                         emitted_at[pos] = emitted
                         if kept:
                             runtime.emitted = emitted + kept
@@ -524,7 +513,9 @@ def _search(
                                 profile.backtrack(pos)
                         pos -= 1
                         continue
-                values[pos] = vals
+                # The frame owns its list: the tuple may be a memo entry,
+                # and a steal truncates the frame's list in place.
+                values[pos] = vals = list(candidates)
                 index[pos] = 0
                 emitted_at[pos] = runtime.emitted
             u = op.u

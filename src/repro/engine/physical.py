@@ -5,14 +5,16 @@ check; this module lowers it once into a tuple of :class:`ExtendOp` step
 operators that describe *how* — with everything the hot loop needs resolved
 at compile time instead of per search-tree node:
 
-* backward edge constraints become prebound cluster fetchers
-  (``cluster.successors`` / ``cluster.predecessors``), so the executor calls
-  one function per constraint with no direction branch and no attribute
-  lookups;
-* vertex-induced negation probes likewise become prebound exclusion-list
+* backward edge constraints become prebound cluster row-set fetchers
+  (``cluster.successor_set`` / ``cluster.predecessor_set``), so the
+  executor calls one function per constraint with no direction branch and
+  no attribute lookups;
+* vertex-induced negation probes likewise become prebound exclusion-set
   fetchers (the direction arithmetic of
-  :meth:`~repro.core.plan.NegationConstraint.exclusion_array` runs once,
-  here);
+  :class:`~repro.core.plan.NegationConstraint` runs once, here);
+* a static candidate pool becomes a ``(frozenset, sorted tuple)`` pair;
+  a cluster's row-index pool is built once, cached on its CSR and shared
+  by every plan that reads it;
 * SCE memo specs are interned to small integer ``spec_id``\\ s — NEC-
   equivalent steps share an id and therefore share cached candidate sets;
 * symmetry restrictions are folded into per-step slots evaluated at the
@@ -51,8 +53,11 @@ class ExtendOp:
 
     All fields are resolved at compile time; execution only indexes into
     them. ``constraints`` and ``negations`` hold ``(prior, fetch)`` pairs
-    where ``fetch(f(prior))`` returns a sorted neighbor array to intersect
-    (respectively to exclude). ``restrictions`` holds
+    where ``fetch(f(prior))`` returns one cluster row as a ``frozenset``
+    to intersect (respectively to subtract); the set is cached on the
+    cluster and shared, so it must never be mutated. ``static_pool``
+    (unconstrained positions only) is the pool as a ``(frozenset, sorted
+    tuple)`` pair. ``restrictions`` holds
     ``(other_vertex, candidate_is_smaller)`` order checks anchored at this
     step. ``pin`` fixes the step to a single data vertex (seeded runs).
     """
@@ -61,9 +66,9 @@ class ExtendOp:
     u: int
     spec_id: int
     priors: tuple[int, ...]
-    constraints: tuple[tuple[int, Callable[[int], np.ndarray]], ...]
-    negations: tuple[tuple[int, Callable[[int], np.ndarray]], ...]
-    static_pool: np.ndarray | None
+    constraints: tuple[tuple[int, Callable[[int], frozenset[int]]], ...]
+    negations: tuple[tuple[int, Callable[[int], frozenset[int]]], ...]
+    static_pool: tuple[frozenset[int], tuple[int, ...]] | None
     restrictions: tuple[tuple[int, bool], ...] = ()
     pin: int | None = None
 
@@ -140,7 +145,7 @@ class PhysicalPlan:
                 "constraints": len(op.constraints),
                 "negations": len(op.negations),
                 "static_pool": (
-                    None if op.static_pool is None else int(len(op.static_pool))
+                    None if op.static_pool is None else len(op.static_pool[1])
                 ),
                 "restrictions": len(op.restrictions),
                 "pinned": op.pin is not None,
@@ -273,6 +278,27 @@ def pattern_fingerprint(pattern: Graph) -> tuple:
     return pattern.fingerprint()
 
 
+def _pool_view(
+    plan: Plan, pool: np.ndarray | None
+) -> tuple[frozenset[int], tuple[int, ...]] | None:
+    """The ``(frozenset, sorted tuple)`` view of a static pool array.
+
+    A pool that is a task cluster's row index shares the view cached on
+    that CSR with every plan over the cluster; any other pool (a label
+    pool, built per plan) gets a view of its own.
+    """
+    if pool is None:
+        return None
+    for cluster in plan.task_clusters.edge_clusters.values():
+        if cluster is None:
+            continue
+        for csr in (cluster.out_csr, cluster.in_csr):
+            if csr is not None and csr.rows is pool:
+                return csr.rows_view()
+    values = tuple(pool.tolist())
+    return frozenset(values), values
+
+
 def compile_plan(
     plan: Plan,
     restrictions: tuple[tuple[int, int], ...] | None = None,
@@ -312,22 +338,24 @@ def compile_plan(
         constraints = tuple(
             (
                 c.prior,
-                c.cluster.successors
+                c.cluster.successor_set
                 if c.direction == SUCCESSORS
-                else c.cluster.predecessors,
+                else c.cluster.predecessor_set,
             )
             for c in plan.backward[pos]
         )
         negations = []
         for negation in plan.negations[pos]:
-            # Same direction arithmetic as NegationConstraint.exclusion_array,
-            # evaluated once here instead of per probe.
+            # NegationConstraint's direction arithmetic, evaluated once
+            # here instead of per probe.
             use_successors = (negation.check.mode == FORWARD) != negation.swap
             cluster = negation.check.cluster
             negations.append(
                 (
                     negation.prior,
-                    cluster.successors if use_successors else cluster.predecessors,
+                    cluster.successor_set
+                    if use_successors
+                    else cluster.predecessor_set,
                 )
             )
         ops.append(
@@ -338,7 +366,7 @@ def compile_plan(
                 priors=plan.memo_priors[pos],
                 constraints=constraints,
                 negations=tuple(negations),
-                static_pool=plan.first_candidates[pos],
+                static_pool=_pool_view(plan, plan.first_candidates[pos]),
                 restrictions=tuple(restriction_at[pos]),
                 pin=pinned.get(u),
             )

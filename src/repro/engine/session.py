@@ -235,6 +235,11 @@ class MatchSession:
 
             verify_physical(physical, self.store).raise_for_errors()
         entry = CompiledQuery(plan=plan, physical=physical, cached=False)
+        # Plans for an older store version can never hit again, and they
+        # pin the clusters (and row caches) that version replaced.
+        version = self.store.version
+        for stale in [k for k in self._cache if k[-1] != version]:
+            del self._cache[stale]
         self._cache[key] = entry
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)

@@ -434,7 +434,21 @@ def _fetch_owner(fetch: Callable) -> object | None:
 
 
 def _is_sentinel_fetch(fetch: Callable) -> bool:
-    return fetch in (_EMPTY_CLUSTER.successors, _EMPTY_CLUSTER.predecessors)
+    return fetch in (_EMPTY_CLUSTER.successor_set, _EMPTY_CLUSTER.predecessor_set)
+
+
+def _fetch_direction(fetch: Callable) -> str | None:
+    """:data:`SUCCESSORS` or :data:`PREDECESSORS` when ``fetch`` is that
+    row-set fetcher of the cluster it is bound to (or of the sentinel),
+    ``None`` for anything else."""
+    owner = _fetch_owner(fetch)
+    if owner is None:
+        owner = _EMPTY_CLUSTER
+    if fetch == getattr(owner, "successor_set", None):
+        return SUCCESSORS
+    if fetch == getattr(owner, "predecessor_set", None):
+        return PREDECESSORS
+    return None
 
 
 def _check_ops(
@@ -449,7 +463,10 @@ def _check_ops(
             f" {n}-vertex pattern",
         )
         return
-    direction_name = {SUCCESSORS: "successors", PREDECESSORS: "predecessors"}
+    direction_name: dict[str | None, str] = {
+        SUCCESSORS: "successor_set",
+        PREDECESSORS: "predecessor_set",
+    }
     for pos, op in enumerate(physical.ops):
         if op.pos != pos or op.u != plan.order[pos]:
             out.add(
@@ -484,11 +501,12 @@ def _check_ops(
                         position=pos,
                     )
                     continue
-                name = getattr(fetch, "__name__", "?")
-                if name != direction_name.get(logical.direction):
+                direction = _fetch_direction(fetch)
+                if direction != logical.direction:
                     out.add(
                         OP_TABLE_INCONSISTENT,
-                        f"op {pos} fetcher {k} is {name}(); the plan"
+                        f"op {pos} fetcher {k} is"
+                        f" {direction_name.get(direction, '?')}(); the plan"
                         f" direction {logical.direction!r} mandates"
                         f" {direction_name.get(logical.direction)}()",
                         position=pos,
@@ -547,11 +565,7 @@ def _check_op_negations(
                 position=pos,
             )
             continue
-        have.add((
-            prior,
-            id(owner),
-            getattr(fetch, "__name__", "") == "successors",
-        ))
+        have.add((prior, id(owner), _fetch_direction(fetch) == SUCCESSORS))
     missing = len(expected) - len(expected & have) if expected else 0
     if missing:
         out.add(

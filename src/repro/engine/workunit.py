@@ -32,7 +32,7 @@ listener runs exactly there.
 from __future__ import annotations
 
 from repro.engine.candidates import CandidateComputer
-from repro.engine.executor import SearchState, _contains_sorted
+from repro.engine.executor import SearchState
 from repro.engine.physical import PhysicalPlan
 
 #: A donated depth must keep at least this many unconsumed candidates to
@@ -54,8 +54,8 @@ def root_candidates(physical: PhysicalPlan) -> list[int]:
     candidates = computer.raw(op, [-1] * len(physical.ops))
     pin = op.pin
     if pin is not None:
-        return [pin] if _contains_sorted(candidates, pin) else []
-    return [int(v) for v in candidates.tolist()]
+        return [pin] if pin in candidates else []
+    return list(candidates)
 
 
 def make_root_units(physical: PhysicalPlan, shards: int) -> list[dict]:

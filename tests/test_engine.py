@@ -103,6 +103,20 @@ class TestCompiler:
         # Rebinding back to no-seed state reuses the same compiled ops.
         assert pinned.logical is physical.logical
 
+    def test_static_pool_view_shared_across_plans(self):
+        # Unlabeled: every root pool is the one cluster's row index, so
+        # all plans share one pool view cached on its CSR.
+        engine = CSCE(make_random_graph(30, 60, num_labels=0, seed=3))
+        pools = []
+        for p in (small_pattern(), complete_graph(4)):
+            for variant in ("edge_induced", "vertex_induced"):
+                physical = compile_plan(engine.build_plan(p, variant))
+                pools += [op.static_pool for op in physical.ops if op.static_pool]
+        assert len(pools) == 4
+        assert all(pool is pools[0] for pool in pools)
+        members, ordered = pools[0]
+        assert list(ordered) == sorted(members)
+
     def test_plan_seconds_clamped_nonnegative(self, engine):
         plan = engine.build_plan(small_pattern(), "edge_induced")
         assert plan.plan_seconds >= 0.0
@@ -374,6 +388,29 @@ class TestMatchSession:
         # references to rebuilt clusters) must not be reused.
         assert not after.cached
         assert after.physical is not before.physical
+
+    def test_store_updates_purge_stale_plans(self, random_graph):
+        import gc
+        import weakref
+
+        session = MatchSession(random_graph)
+        p = small_pattern()
+        before = session.compile(p, Variant.EDGE_INDUCED)
+        store = session.store
+        key = before.plan.backward[1][0].cluster.key
+        cluster = weakref.ref(store.clusters[key])
+        src = store.vertex_labels.index(key.src_label)
+        del before
+        for _ in range(3):
+            # Each insert rebuilds the cluster the pattern reads.
+            v = store.insert_vertex(key.dst_label)
+            store.insert_edge(src, v, key.edge_label, key.directed)
+            session.compile(p, Variant.EDGE_INDUCED)
+        gc.collect()
+        # Only the current version's plan survives, and nothing holds the
+        # cluster the first insert replaced.
+        assert cluster() is None
+        assert session.cache_info["size"] == 1
 
     def test_lru_eviction(self, random_graph):
         session = MatchSession(random_graph, cache_size=1)

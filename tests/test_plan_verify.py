@@ -26,6 +26,7 @@ from repro.engine.verify import (
     DAG_CYCLE,
     NEGATION_PROBE_MISSING,
     NEGATION_UNEXPECTED,
+    OP_TABLE_INCONSISTENT,
     ORDER_DISCONNECTED,
     ORDER_NOT_PERMUTATION,
     RESTRICTION_MALFORMED,
@@ -36,6 +37,7 @@ from repro.engine.verify import (
 )
 from repro.errors import PlanVerificationError
 from repro.graph.patterns import CATALOG, by_name
+from repro.graph.sampling import sample_pattern
 
 VARIANTS = [v.value for v in Variant]
 
@@ -158,6 +160,49 @@ def test_misplaced_restriction_rejected(store):
     broken = dataclasses.replace(physical, ops=ops)
     report = verify_physical(broken, store)
     assert RESTRICTION_MALFORMED in report.codes()
+
+
+def _swap_direction(physical, pick):
+    """Replace the first fetcher ``pick(op)`` yields that reads a directed
+    cluster's successor rows with that cluster's predecessor fetcher."""
+    for pos, op in enumerate(physical.ops):
+        fetchers = pick(op)
+        for k, (prior, fetch) in enumerate(fetchers):
+            cluster = getattr(fetch, "__self__", None)
+            if cluster is None or not cluster.key.directed:
+                continue
+            if fetch != cluster.successor_set:
+                continue
+            swapped = list(fetchers)
+            swapped[k] = (prior, cluster.predecessor_set)
+            field = "constraints" if fetchers is op.constraints else "negations"
+            op = dataclasses.replace(op, **{field: tuple(swapped)})
+            ops = physical.ops[:pos] + (op,) + physical.ops[pos + 1 :]
+            return dataclasses.replace(physical, ops=ops)
+    raise AssertionError("no directed successor fetcher to swap")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_swapped_direction_rejected_on_directed_clusters(seed):
+    """A predecessor fetcher bound where the plan reads successors of a
+    directed cluster reads the wrong rows; the verifier must say so for
+    edge constraints and for negation probes alike."""
+    graph = load_dataset("subcategory", scale=0.05)
+    directed = CCSRStore(graph)
+    pattern = sample_pattern(graph, 4, rng=seed)
+    edge = compile_plan(plan_query(directed, pattern))
+    assert verify_physical(edge, directed).ok
+    report = verify_physical(
+        _swap_direction(edge, lambda op: op.constraints), directed
+    )
+    assert OP_TABLE_INCONSISTENT in report.codes()
+
+    induced = compile_plan(plan_query(directed, pattern, variant="vertex_induced"))
+    assert verify_physical(induced, directed).ok
+    report = verify_physical(
+        _swap_direction(induced, lambda op: op.negations), directed
+    )
+    assert NEGATION_PROBE_MISSING in report.codes()
 
 
 def test_stale_store_version_rejected(store):

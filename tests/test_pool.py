@@ -140,6 +140,35 @@ class TestWorkUnits:
                 rt.release()
         assert total == seq.count
 
+    def test_split_after_memo_hit_keeps_memo_whole(self, engine):
+        # The depth-0 frame is filled from a memo hit; stealing its back
+        # half truncates the frame's list in place, which must not reach
+        # the memoized candidate list the next hit returns.
+        physical, opts = compiled(
+            engine, CATALOG["path4"](), "homomorphic", max_embeddings=5
+        )
+        n = len(physical.ops)
+        root = physical.ops[0]
+        runtime = Runtime(physical, opts)
+        try:
+            computer = runtime.computer
+            whole = list(computer.raw(root, [-1] * n))
+            assert computer.stats.memo_hits == 0
+            state = SearchState.fresh(n)
+            count_capped(physical, runtime, state)
+            assert computer.stats.memo_hits >= 1
+            assert state.values[0] == whole
+            donated = split_search_state(
+                state, False, tuple(op.u for op in physical.ops)
+            )
+            assert donated is not None and donated["pos"] == 0
+            assert len(state.values[0]) < len(whole)
+            hits = computer.stats.memo_hits
+            assert list(computer.raw(root, [-1] * n)) == whole
+            assert computer.stats.memo_hits == hits + 1
+        finally:
+            runtime.release()
+
     def test_split_fresh_state_returns_none(self, engine):
         physical, _ = compiled(engine, CATALOG["triangle"](), "homomorphic")
         state = SearchState.fresh(len(physical.ops))

@@ -1,9 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import os
+import tempfile
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.ccsr import CCSRStore
+from repro.ccsr.io import load_store, save_store
 from repro.core import CSCE, Variant, build_dag, compute_descendant_sizes
 from repro.core.gcf import gcf_order
 from repro.core.ldsf import ldsf_order
@@ -232,6 +236,17 @@ class TestMatchingProperties:
             p, variant, count_only=True, restrictions=restrictions or None
         )
         assert routed.count == total
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store.npz")
+            save_store(engine.session.store, path)
+            loaded = CSCE(load_store(path))
+        # A loaded store builds its clusters on the loader's path.
+        assert (
+            loaded.match(
+                p, variant, count_only=True, restrictions=restrictions or None
+            ).count
+            == total
+        )
         if not restricted:
             factorized, stats = count_physical(physical, options)[:2]
             assert factorized == total == brute_count(g, p, variant)
