@@ -1150,13 +1150,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="machine-readable output")
     p_retry.set_defaults(func=_cmd_retry_quarantined)
 
-    from repro.obs.wire import COMMAND_HELP, KNOWN_COMMANDS
+    from repro.obs.catalog import KNOWN_COMMANDS
 
     p_inspect = sub.add_parser(
         "inspect",
         help="query or steer a live match served with --inspect",
         description="Commands: " + "; ".join(
-            f"{name} — {COMMAND_HELP[name]}" for name in KNOWN_COMMANDS
+            f"{name} — {text}" for name, text in KNOWN_COMMANDS.items()
         ),
     )
     p_inspect.add_argument("socket", help="inspector address: the --inspect"

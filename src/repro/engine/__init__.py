@@ -42,7 +42,6 @@ from repro.engine.results import (
     STOP_EMBEDDING_LIMIT,
     STOP_MEMORY_LIMIT,
     STOP_QUARANTINED,
-    STOP_REASONS,
     STOP_TIME_LIMIT,
     MatchOptions,
     MatchResult,
@@ -100,6 +99,7 @@ from repro.engine.verify import (
     verify_physical,
     verify_plan,
 )
+from repro.obs.catalog import STOP_REASONS
 
 __all__ = [
     "MIN_THROUGHPUT_ELAPSED",

@@ -22,11 +22,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.engine.physical import ExtendOp, PhysicalPlan
+from repro.obs.catalog import CANDIDATE_STAT_KEYS
 
 
 class CandidateStats:
     """Candidate-computation counters (part of the unified stats schema,
-    :data:`repro.obs.counters.STAT_KEYS`).
+    :data:`repro.obs.catalog.STAT_KEYS`).
 
     ``computed`` counts every cold computation; ``memo_hits`` /
     ``memo_misses`` split the SCE cache lookups, so a cold compute under
@@ -39,13 +40,7 @@ class CandidateStats:
     time (see :func:`repro.obs.counters.unified_stats`).
     """
 
-    __slots__ = (
-        "computed",
-        "memo_hits",
-        "memo_misses",
-        "intersections",
-        "negation_checks",
-    )
+    __slots__ = CANDIDATE_STAT_KEYS
 
     def __init__(self) -> None:
         self.computed = 0
@@ -55,13 +50,7 @@ class CandidateStats:
         self.negation_checks = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "computed": self.computed,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "intersections": self.intersections,
-            "negation_checks": self.negation_checks,
-        }
+        return {key: getattr(self, key) for key in CANDIDATE_STAT_KEYS}
 
 
 class CandidateComputer:

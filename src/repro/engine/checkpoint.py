@@ -44,13 +44,16 @@ import os
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.executor import EmbeddingStream, SearchState
+from repro.engine.governor import DEGRADE_DISABLE
 from repro.engine.results import STOP_QUARANTINED, MatchOptions
 from repro.errors import CheckpointError
+from repro.obs.catalog import CANDIDATE_STAT_KEYS, RUNTIME_STAT_KEYS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.ccsr.store import CCSRStore
     from repro.core.variants import Variant
     from repro.engine.governor import ResourceGovernor
+    from repro.engine.physical import PhysicalPlan
     from repro.engine.session import MatchSession
     from repro.graph.model import Graph
 
@@ -90,6 +93,7 @@ WIRE_MANIFESTS: dict[str, dict] = {
         ),
         "decoders": (
             "validate_checkpoint",
+            "_restore_query",
             "restore_stream",
             "check_store_compatibility",
         ),
@@ -112,21 +116,6 @@ WIRE_MANIFESTS: dict[str, dict] = {
         "decoders": ("validate_checkpoint",),
     },
 }
-
-#: Runtime counters carried across the suspend/resume boundary.
-_RUNTIME_COUNTERS = (
-    "nodes",
-    "backtracks",
-    "prunes_injective",
-    "prunes_restriction",
-)
-_CANDIDATE_COUNTERS = (
-    "computed",
-    "memo_hits",
-    "memo_misses",
-    "intersections",
-    "negation_checks",
-)
 
 #: Sentinel for "keep the checkpoint's limit" in resume overrides.
 KEEP = object()
@@ -218,11 +207,8 @@ def checkpoint_payload(
             "stop_reason": runtime.stop_reason,
             "degradation": list(runtime.degradation),
             "counters": {
-                **{k: getattr(runtime, k) for k in _RUNTIME_COUNTERS},
-                **{
-                    k: getattr(runtime.computer.stats, k)
-                    for k in _CANDIDATE_COUNTERS
-                },
+                **{k: getattr(runtime, k) for k in RUNTIME_STAT_KEYS},
+                **runtime.computer.stats.as_dict(),
             },
         },
         "state": stream.state.to_payload(),
@@ -382,6 +368,71 @@ class CheckpointSink:
         return self.written
 
 
+def _restore_query(
+    payload: dict,
+    session: MatchSession,
+    degradation: list[str],
+    max_embeddings: Any,
+    time_limit: Any,
+    governor: ResourceGovernor | None,
+    obs: Any,
+    **options: Any,
+) -> tuple[Graph, Variant, str, PhysicalPlan, MatchOptions]:
+    """Decode a validated checkpoint's query and recompile it through
+    ``session``: the resume step :func:`restore_stream` and the pool's
+    ``resume_parallel`` share.
+
+    Returns ``(pattern, variant, planner, physical, options)``.
+    ``max_embeddings``/``time_limit`` of :data:`KEEP` take the
+    checkpoint's own limits; ``degradation`` is the ladder the run
+    reached; extra keyword ``options`` go to :class:`MatchOptions`.
+    """
+    from repro.core.variants import Variant
+    from repro.graph.io import parse_graph_text
+
+    pattern_block = payload["pattern"]
+    pattern = parse_graph_text(pattern_block["text"], name="checkpoint")
+    if pattern_digest(pattern) != pattern_block.get("digest"):
+        raise CheckpointError(
+            "checkpoint pattern does not match its digest (corrupt document)"
+        )
+    query = payload["query"]
+    variant = Variant.parse(query["variant"])
+    planner = query["planner"]
+    restrictions = (
+        tuple((int(u), int(v)) for u, v in query["restrictions"])
+        if query["restrictions"]
+        else None
+    )
+    seed = (
+        {int(u): int(v) for u, v in query["seed"]}
+        if query.get("seed")
+        else None
+    )
+    limits = payload["limits"]
+    if max_embeddings is KEEP:
+        max_embeddings = limits.get("max_embeddings")
+    if time_limit is KEEP:
+        time_limit = limits.get("time_limit")
+    compiled = session.compile(
+        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
+    )
+    # A run that degraded past DEGRADE_DISABLE must not re-enable the memo
+    # on resume — the memory pressure that forced it off is still the
+    # operative assumption until the governor says otherwise.
+    use_sce = bool(query["use_sce"]) and DEGRADE_DISABLE not in degradation
+    return pattern, variant, planner, compiled.physical, MatchOptions(
+        max_embeddings=max_embeddings,
+        time_limit=time_limit,
+        use_sce=use_sce,
+        restrictions=restrictions,
+        seed=seed,
+        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
+        governor=governor,
+        **options,
+    )
+
+
 def restore_stream(
     payload: dict,
     session: MatchSession,
@@ -402,55 +453,13 @@ def restore_stream(
     restarts from resume time). ``checkpoint_path`` re-arms
     auto-checkpointing on the resumed stream.
     """
-    from repro.core.variants import Variant
-    from repro.graph.io import parse_graph_text
-
     validate_checkpoint(payload)
     check_store_compatibility(payload, session.store)
-
-    pattern_block = payload["pattern"]
-    pattern = parse_graph_text(pattern_block["text"], name="checkpoint")
-    if pattern_digest(pattern) != pattern_block.get("digest"):
-        raise CheckpointError(
-            "checkpoint pattern does not match its digest (corrupt document)"
-        )
-
-    query = payload["query"]
-    variant = Variant.parse(query["variant"])
-    planner = query["planner"]
-    restrictions = (
-        tuple((int(u), int(v)) for u, v in query["restrictions"])
-        if query["restrictions"]
-        else None
-    )
-    seed = (
-        {int(u): int(v) for u, v in query["seed"]}
-        if query.get("seed")
-        else None
-    )
-    limits = payload["limits"]
-    if max_embeddings is KEEP:
-        max_embeddings = limits.get("max_embeddings")
-    if time_limit is KEEP:
-        time_limit = limits.get("time_limit")
-
-    compiled = session.compile(
-        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
-    )
     progress = payload["progress"]
     degradation = list(progress.get("degradation") or [])
-    # A run that degraded past "disable_memo" must not re-enable the memo
-    # on resume — the memory pressure that forced it off is still the
-    # operative assumption until the governor says otherwise.
-    use_sce = bool(query["use_sce"]) and "disable_memo" not in degradation
-    options = MatchOptions(
-        max_embeddings=max_embeddings,
-        time_limit=time_limit,
-        use_sce=use_sce,
-        restrictions=restrictions,
-        seed=seed,
-        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-        governor=governor,
+    pattern, variant, planner, physical, options = _restore_query(
+        payload, session, degradation, max_embeddings, time_limit,
+        governor, obs,
     )
     sink = None
     if checkpoint_path is not None:
@@ -459,7 +468,7 @@ def restore_stream(
         )
     state = SearchState.from_payload(payload["state"])
     stream = EmbeddingStream(
-        compiled.physical,
+        physical,
         options,
         state=state,
         emitted=int(progress["emitted"]),
@@ -467,10 +476,10 @@ def restore_stream(
     )
     counters = progress.get("counters") or {}
     runtime = stream.runtime
-    for key in _RUNTIME_COUNTERS:
+    for key in RUNTIME_STAT_KEYS:
         if key in counters:
             setattr(runtime, key, int(counters[key]))
-    for key in _CANDIDATE_COUNTERS:
+    for key in CANDIDATE_STAT_KEYS:
         if key in counters:
             setattr(runtime.computer.stats, key, int(counters[key]))
     # The governor reads the ladder position off this list, so the

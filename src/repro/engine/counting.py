@@ -288,7 +288,7 @@ def count_physical(
     visiting the frame machine's nodes at a higher cost per node.
 
     ``stats`` carries the full unified key set
-    (:data:`repro.obs.counters.STAT_KEYS`), matching the enumeration path
+    (:data:`repro.obs.catalog.STAT_KEYS`), matching the enumeration path
     key-for-key; ``prunes_restriction`` is always 0 here because
     restrictions force the frame machine. On an early stop the count is
     the partial top-level count (cooperative, no exception) and

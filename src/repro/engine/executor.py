@@ -200,7 +200,7 @@ class Runtime:
 
     Shared by stream mode, count mode and the factorized counter
     (:class:`~repro.engine.counting.FactorizedCounter`), so all three
-    report identical :data:`~repro.obs.counters.STAT_KEYS` semantics and
+    report identical :data:`~repro.obs.catalog.STAT_KEYS` semantics and
     stop, tick and report through one implementation. When
     a :class:`~repro.engine.governor.ResourceGovernor` is attached, its
     budget folds into the deadline/cap (tightest wins) and its

@@ -43,23 +43,20 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
-from repro.engine.results import (  # noqa: F401  (re-exported)
-    RESUMABLE_STOP_REASONS,
+from repro.engine.results import (
     STOP_CANCELLED,
     STOP_EMBEDDING_LIMIT,
     STOP_MEMORY_LIMIT,
-    STOP_REASONS,
     STOP_TIME_LIMIT,
 )
+from repro.obs.catalog import DEGRADATION_LADDER, ladder_stage
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.engine.candidates import CandidateComputer
 
 #: Degradation-ladder event names, in escalation order.
-DEGRADE_EVICT = "evict_memo"
-DEGRADE_DISABLE = "disable_memo"
-DEGRADE_SUSPEND = "suspend"
+DEGRADE_EVICT, DEGRADE_DISABLE, DEGRADE_SUSPEND = DEGRADATION_LADDER
 
 #: Fraction of the memo evicted on the ladder's first rung.
 EVICT_FRACTION = 0.5
@@ -277,11 +274,7 @@ class ResourceGovernor:
         if self.memory_mb() <= limit:
             return None
         # Memory breach: climb the degradation ladder one rung per breach.
-        stage = (
-            2 if DEGRADE_DISABLE in degradation
-            else 1 if DEGRADE_EVICT in degradation
-            else 0
-        )
+        stage = ladder_stage(degradation)
         if stage == 0:
             evicted = (
                 computer.evict(EVICT_FRACTION) if computer is not None else 0

@@ -103,6 +103,7 @@ from repro.errors import PoolError
 from repro.testing import faults
 from repro.obs import (
     NULL_OBS,
+    NULL_RECORDER,
     RUN_REPORT_VERSION,
     Heartbeat,
     Observation,
@@ -439,8 +440,7 @@ class _PoolDriver:
         self.estimator: ProgressEstimator | None = (
             ProgressEstimator() if self.obs.enabled else None
         )
-        recorder = getattr(self.obs, "recorder", None)
-        self.recorder = recorder if recorder is not None and recorder.enabled else None
+        self.recorder = getattr(self.obs, "recorder", NULL_RECORDER)
 
     # -- unit/worker bookkeeping -------------------------------------
     def _add_unit(self, payload: dict) -> int:
@@ -505,11 +505,7 @@ class _PoolDriver:
         }
         self.worker_order.append(wid)
         self._agg(wid)
-        self._record("worker", id=wid, pid=proc.pid, event="spawn")
-
-    def _record(self, name: str, **fields) -> None:
-        if self.recorder is not None:
-            self.recorder.record(name, **fields)
+        self.recorder.record("worker", id=wid, pid=proc.pid, event="spawn")
 
     def _emit(self, kind: str, payload: tuple) -> None:
         if self.on_event is not None:
@@ -531,8 +527,9 @@ class _PoolDriver:
         self.initiated = reason
         self.cancel_event.set()
         self.stop_started = time.perf_counter()
-        self._record("stop", reason=reason, nodes=self._total_nodes(),
-                     emitted=self._live_emitted())
+        self.recorder.record("stop", reason=reason,
+                             nodes=self._total_nodes(),
+                             emitted=self._live_emitted())
         logger.info("pool stopping: %s (confirmed %d embeddings)",
                     reason, self.confirmed)
 
@@ -591,7 +588,8 @@ class _PoolDriver:
                 worker["live_nodes"] = 0
                 worker["live_emitted"] = 0
             new_uid = self._add_unit(donated)
-            self._record("steal", victim=wid, unit=uid, new_unit=new_uid)
+            self.recorder.record("steal", victim=wid, unit=uid,
+                                 new_unit=new_uid)
         elif kind == "done":
             (_, wid, uid, snapshot, d_emitted, stop_reason, degradation,
              elapsed, residual) = msg
@@ -620,8 +618,8 @@ class _PoolDriver:
                     self._initiate(stop_reason)
                 else:
                     self.worker_stops.add(stop_reason)
-            self._record("unit", id=uid, worker=wid, event="done",
-                         stop=stop_reason)
+            self.recorder.record("unit", id=uid, worker=wid, event="done",
+                                 stop=stop_reason)
         elif kind == "failed":
             _, wid, uid, err = msg
             self._worker_idle(wid)
@@ -662,7 +660,7 @@ class _PoolDriver:
         unit["status"] = "pending"
         unit["worker"] = None
         self.pending.appendleft(uid)
-        self._record("unit", id=uid, worker=None, event="requeue")
+        self.recorder.record("unit", id=uid, worker=None, event="requeue")
 
     def _quarantine(self, uid: int, err: str | None) -> None:
         """Declare a unit poisonous: terminal ``quarantined`` status,
@@ -683,7 +681,7 @@ class _PoolDriver:
             )
         if self.obs.enabled:
             self.obs.counters.inc("pool.quarantined_units")
-        self._record(
+        self.recorder.record(
             "quarantine", unit=uid, attempts=unit["attempts"], path=path
         )
         logger.warning(
@@ -714,7 +712,7 @@ class _PoolDriver:
             self.stall_kills += 1
             if self.obs.enabled:
                 self.obs.counters.inc("pool.stall_kills")
-            self._record(
+            self.recorder.record(
                 "worker_stall", worker=wid, pid=worker["pid"],
                 unit=worker["unit"], age=round(age, 3),
             )
@@ -741,7 +739,8 @@ class _PoolDriver:
             if worker["state"] == "exited":
                 continue
             worker["state"] = "dead"
-            self._record("worker", id=wid, pid=worker["pid"], event="death")
+            self.recorder.record("worker", id=wid, pid=worker["pid"],
+                                 event="death")
             logger.warning("pool worker %s (pid %s) died", wid, worker["pid"])
             # Recover the undispatched item from its private queue first
             # (no live worker competes on it), then the in-flight unit.
@@ -809,7 +808,7 @@ class _PoolDriver:
             unit["worker"] = wid
             worker["state"] = "busy"
             worker["unit"] = uid
-            self._record("unit", id=uid, worker=wid, event="dispatch")
+            self.recorder.record("unit", id=uid, worker=wid, event="dispatch")
 
     def _arbitrate_steal(self) -> None:
         if self._stopping() or self.pending:
@@ -1149,13 +1148,12 @@ def _package_result(
     )
     if obs.enabled:
         obs.counters.merge(stats)
-    if driver.recorder is not None:
-        driver.recorder.record(
-            "run_end",
-            count=driver.confirmed,
-            nodes=int(stats.get("nodes", 0)),
-            stop_reason=merged_stop,
-        )
+    driver.recorder.record(
+        "run_end",
+        count=driver.confirmed,
+        nodes=int(stats.get("nodes", 0)),
+        stop_reason=merged_stop,
+    )
     return MatchResult(
         count=driver.confirmed,
         variant=plan.variant,
@@ -1204,15 +1202,13 @@ def execute_parallel(
     if options.workers < 1:
         raise PoolError(f"workers must be positive: {options.workers}")
     obs = options.obs or NULL_OBS
-    recorder = getattr(obs, "recorder", None)
-    if recorder is not None and recorder.enabled:
-        recorder.record(
-            "run_start",
-            mode="pool",
-            variant=physical.logical.variant.value,
-            ops=len(physical.ops),
-            workers=options.workers,
-        )
+    getattr(obs, "recorder", NULL_RECORDER).record(
+        "run_start",
+        mode="pool",
+        variant=physical.logical.variant.value,
+        ops=len(physical.ops),
+        workers=options.workers,
+    )
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
@@ -1266,7 +1262,7 @@ def _maybe_checkpoint(
                 merged_stop,
                 list(driver.worker_ladder()),
             )
-            driver._record(
+            driver.recorder.record(
                 "checkpoint", path=checkpoint.directory,
                 emitted=driver.confirmed, shards=len(written),
             )
@@ -1394,15 +1390,13 @@ def resume_parallel(
     override — including ``None`` for unlimited — to change them);
     ``checkpoint_dir`` re-arms pool checkpointing for another suspend.
     """
-    from repro.core.variants import Variant
     from repro.engine.checkpoint import (
         KEEP,
         PoolCheckpointDir,
+        _restore_query,
         check_store_compatibility,
-        pattern_digest,
         validate_checkpoint,
     )
-    from repro.graph.io import parse_graph_text
 
     if not payloads:
         raise PoolError("resume_parallel needs at least one shard payload")
@@ -1410,38 +1404,9 @@ def resume_parallel(
         max_embeddings = KEEP
     if time_limit is ...:
         time_limit = KEEP
-    first = payloads[0]
     for payload in payloads:
         validate_checkpoint(payload)
         check_store_compatibility(payload, session.store)
-    pattern_block = first["pattern"]
-    pattern = parse_graph_text(pattern_block["text"], name="checkpoint")
-    if pattern_digest(pattern) != pattern_block.get("digest"):
-        raise PoolError(
-            "pool checkpoint pattern does not match its digest"
-            " (corrupt document)"
-        )
-    query = first["query"]
-    variant = Variant.parse(query["variant"])
-    planner = query["planner"]
-    restrictions = (
-        tuple((int(u), int(v)) for u, v in query["restrictions"])
-        if query["restrictions"]
-        else None
-    )
-    seed = (
-        {int(u): int(v) for u, v in query["seed"]}
-        if query.get("seed")
-        else None
-    )
-    limits = first["limits"]
-    if max_embeddings is KEEP:
-        max_embeddings = limits.get("max_embeddings")
-    if time_limit is KEEP:
-        time_limit = limits.get("time_limit")
-    compiled = session.compile(
-        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
-    )
     prior_emitted = sum(
         int(p["progress"].get("emitted", 0)) for p in payloads
     )
@@ -1453,16 +1418,10 @@ def resume_parallel(
         key=len,
         default=[],
     )
-    use_sce = bool(query["use_sce"]) and "disable_memo" not in degradation
-    options = MatchOptions(
+    pattern, variant, planner, physical, options = _restore_query(
+        payloads[0], session, degradation, max_embeddings, time_limit,
+        governor, obs,
         count_only=True,
-        max_embeddings=max_embeddings,
-        time_limit=time_limit,
-        use_sce=use_sce,
-        restrictions=restrictions,
-        seed=seed,
-        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-        governor=governor,
         workers=workers,
         stall_timeout=stall_timeout,
         max_respawns=max_respawns,
@@ -1474,7 +1433,7 @@ def resume_parallel(
             checkpoint_dir, session.store, pattern, variant, planner
         )
     return execute_parallel(
-        compiled.physical,
+        physical,
         options,
         initial_units=[dict(p["state"]) for p in payloads],
         prior_emitted=prior_emitted,

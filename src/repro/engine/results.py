@@ -4,15 +4,17 @@ Every execution front-end (the :class:`repro.core.CSCE` facade,
 :mod:`repro.core.continuous`, the baselines, and the bench harness) shares
 this one options/result contract; :mod:`repro.core` re-exports both names.
 
-This module deliberately imports nothing from ``repro`` — it sits at the
-bottom of the engine layer and must stay importable mid-way through package
-initialization.
+This module imports nothing from ``repro`` but the import-free
+:mod:`repro.obs.catalog` — it sits at the bottom of the engine layer and
+must stay importable mid-way through package initialization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NoReturn
+
+from repro.obs.catalog import STOP_REASONS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.variants import Variant
@@ -23,36 +25,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 MIN_THROUGHPUT_ELAPSED = 1e-6
 
 # Stop reasons: why a run ended before exhausting the search space. A
-# completed run has ``stop_reason=None``. Defined here (not in
-# ``engine.governor``) because this module sits at the bottom of the engine
-# layer; the governor re-exports them.
-STOP_TIME_LIMIT = "time_limit"
-STOP_EMBEDDING_LIMIT = "embedding_limit"
-STOP_MEMORY_LIMIT = "memory_limit"
-STOP_CANCELLED = "cancelled"
-STOP_QUARANTINED = "quarantined"
-
-#: All valid non-None ``stop_reason`` values (run-report validation).
-STOP_REASONS = (
+# completed run has ``stop_reason=None``. One constant per member of
+# :data:`repro.obs.catalog.STOP_REASONS`, in its order.
+(
     STOP_TIME_LIMIT,
     STOP_EMBEDDING_LIMIT,
     STOP_MEMORY_LIMIT,
     STOP_CANCELLED,
     STOP_QUARANTINED,
-)
-
-#: Stop reasons that leave the frame stack intact and therefore support
-#: checkpoint/resume (an embedding-limit stop is resumable too: the cap
-#: fires *after* emitting, so the next step continues cleanly). A
-#: ``"quarantined"`` stop is *not* resumable through the stream path —
-#: its residue lives in quarantine files replayed by
-#: ``csce retry-quarantined``.
-RESUMABLE_STOP_REASONS = (
-    STOP_TIME_LIMIT,
-    STOP_EMBEDDING_LIMIT,
-    STOP_MEMORY_LIMIT,
-    STOP_CANCELLED,
-)
+) = STOP_REASONS
 
 
 def raise_stop(stop_reason: str, partial_count: int) -> NoReturn:
@@ -182,9 +163,10 @@ class MatchResult:
     time-limit ↔ timed_out) for existing callers."""
 
     degradation: list[str] = field(default_factory=list)
-    """Governor degradation-ladder events, in order: ``"evict_memo"``
-    (LRU-evicted half the SCE memo), ``"disable_memo"`` (memoization off
-    for the rest of the run), ``"suspend"`` (pressure persisted; the run
+    """Governor degradation-ladder events
+    (:data:`repro.obs.catalog.DEGRADATION_LADDER`), in order: ``evict_memo``
+    (LRU-evicted half the SCE memo), ``disable_memo`` (memoization off
+    for the rest of the run), ``suspend`` (pressure persisted; the run
     stopped with ``stop_reason="memory_limit"``). Empty on ungoverned runs."""
 
     progress: dict | None = None
@@ -198,7 +180,7 @@ class MatchResult:
     stats: dict = field(default_factory=dict)
     """Unified search counters — the same key set on *every* execution path
     (enumeration and ``count_only`` factorized counting emit identical
-    keys; see :data:`repro.obs.counters.STAT_KEYS`):
+    keys; see :data:`repro.obs.catalog.STAT_KEYS`):
 
     * ``nodes`` — search-tree nodes expanded;
     * ``computed`` / ``memo_hits`` / ``memo_misses`` — candidate-set cold

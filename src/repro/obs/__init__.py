@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.obs.catalog import KNOWN_COMMANDS, KNOWN_EVENTS, STAT_KEYS
 from repro.obs.counters import (
     NULL_COUNTERS,
-    STAT_KEYS,
     CounterRegistry,
     NullCounterRegistry,
     assert_stat_keys,
@@ -86,7 +86,6 @@ from repro.obs.progress import (
     search_state_fraction,
 )
 from repro.obs.recorder import (
-    KNOWN_EVENTS,
     NULL_RECORDER,
     FlightRecorder,
     NullFlightRecorder,
@@ -107,7 +106,6 @@ from repro.obs.report import (
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.wire import (
-    KNOWN_COMMANDS,
     decode_frame,
     decode_snapshot,
     encode_frame,

@@ -13,12 +13,12 @@ Two layers cooperate here:
   run's :class:`CounterRegistry` so spans, heartbeats, and the run-report
   all read from the same numbers.
 
-:data:`STAT_KEYS` is the contract: the enumeration path and the counting
-path (``count_only=True``) emit **exactly** this key set, so downstream
-consumers (bench rows, run-reports, the CLI) never branch on which path
-produced a result. ``computed``, ``memo_hits``, ``intersections``,
-``factorizations``, ``group_memo_hits``, and ``nodes`` are the seed's
-original keys, kept as-is (aliases of the unified schema).
+:data:`~repro.obs.catalog.STAT_KEYS` is the contract: the enumeration
+path and the counting path (``count_only=True``) emit **exactly** this key
+set, so downstream consumers (bench rows, run-reports, the CLI) never
+branch on which path produced a result. ``computed``, ``memo_hits``,
+``intersections``, ``factorizations``, ``group_memo_hits``, and ``nodes``
+are the seed's original keys, kept as-is (aliases of the unified schema).
 """
 
 from __future__ import annotations
@@ -26,43 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Mapping
 
-#: Canonical ``MatchResult.stats`` keys, emitted by *both* execution paths.
-STAT_KEYS: tuple[str, ...] = (
-    "nodes",
-    "computed",
-    "memo_hits",
-    "memo_misses",
-    "intersections",
-    "negation_checks",
-    "backtracks",
-    "prunes_injective",
-    "prunes_restriction",
-    "factorizations",
-    "group_memo_hits",
-)
-
-#: Every registry counter name bumped outside the unified stats fold —
-#: the dotted subsystem counters (``ccsr.*``, ``plan_cache.*``,
-#: ``continuous.*``) and the governor's degradation events. The
-#: ``obs_keys`` reprolint pass checks every ``.inc()``/``._count()``
-#: string literal against ``STAT_KEYS`` + this tuple, so a new counter
-#: name must be registered here before the code bumping it can land.
-KNOWN_COUNTERS: tuple[str, ...] = (
-    "plan_cache.hits",
-    "plan_cache.misses",
-    "ccsr.clusters_read",
-    "ccsr.bytes_read",
-    "ccsr.rows_read",
-    "ccsr.read_retries",
-    "continuous.updates",
-    "continuous.pins",
-    "continuous.delta_embeddings",
-    "governor_evictions",
-    "governor_memo_disabled",
-    "governor_suspensions",
-    "pool.stall_kills",
-    "pool.quarantined_units",
-)
+from repro.obs.catalog import STAT_KEYS
 
 
 def unified_stats(
@@ -80,19 +44,15 @@ def unified_stats(
     (or ``None`` for engines without candidate memoization, e.g. the
     baselines, which then report zeros for those counters).
     """
-    stats = {
-        "nodes": nodes,
-        "computed": 0,
-        "memo_hits": 0,
-        "memo_misses": 0,
-        "intersections": 0,
-        "negation_checks": 0,
-        "backtracks": backtracks,
-        "prunes_injective": prunes_injective,
-        "prunes_restriction": prunes_restriction,
-        "factorizations": factorizations,
-        "group_memo_hits": group_memo_hits,
-    }
+    stats = dict.fromkeys(STAT_KEYS, 0)
+    stats.update(
+        nodes=nodes,
+        backtracks=backtracks,
+        prunes_injective=prunes_injective,
+        prunes_restriction=prunes_restriction,
+        factorizations=factorizations,
+        group_memo_hits=group_memo_hits,
+    )
     if candidate_stats is not None:
         stats.update(candidate_stats.as_dict())
     return stats

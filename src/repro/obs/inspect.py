@@ -53,11 +53,11 @@ from dataclasses import replace
 from typing import Any, Callable, Mapping
 
 from repro.errors import InspectorError, WireError
+from repro.obs.catalog import KNOWN_COMMANDS, ladder_stage
 from repro.obs.counters import unified_stats
 from repro.obs.merge import WorkerSnapshot
 from repro.obs.progress import ProgressEstimator, RunSnapshot
 from repro.obs.wire import (
-    KNOWN_COMMANDS,
     MAX_FRAME_BYTES,
     decode_frame,
     decode_response,
@@ -89,14 +89,6 @@ def _parse_tcp(address: str) -> tuple[str, int] | None:
     return None
 
 
-def _ladder_stage(degradation: list[str]) -> int:
-    """The governor's ladder position (the ``gov_stage`` status key), read
-    off the ladder events as ``ResourceGovernor.check`` reads it."""
-    if "disable_memo" in degradation:
-        return 2
-    return 1 if "evict_memo" in degradation else 0
-
-
 class _CheckpointRequest:
     """One pending checkpoint-now, serviced on the executor thread."""
 
@@ -124,7 +116,7 @@ class MatchInspector:
     """
 
     #: Command-name → handler-method registry. Keys are pinned against
-    #: :data:`~repro.obs.wire.KNOWN_COMMANDS` by the ``inspector_commands``
+    #: :data:`~repro.obs.catalog.KNOWN_COMMANDS` by the ``catalog``
     #: reprolint pass and a test; drift fails lint, not a live attach.
     HANDLERS: dict[str, str] = {
         "status": "_cmd_status",
@@ -234,7 +226,7 @@ class MatchInspector:
             "elapsed_seconds": round(time.monotonic() - self._started, 3),
             "stop_reason": snapshot.stop_reason,
             "degradation": degradation,
-            "gov_stage": _ladder_stage(degradation),
+            "gov_stage": ladder_stage(degradation),
             "beats": heartbeat.beats,
             "clients": clients,
         }

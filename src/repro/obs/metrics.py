@@ -42,26 +42,6 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 #: Default histogram buckets (seconds-ish scale; powers of 4 keep it short).
 DEFAULT_BUCKETS = (0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384)
 
-#: Every metric name created by literal in this codebase (the dotted
-#: counter names folded in by :meth:`MetricsRegistry.sample_counters` are
-#: dynamic and not listed). The ``obs_keys`` reprolint pass checks every
-#: ``.gauge()``/``.counter()``/``.histogram()`` string literal against
-#: this tuple, so a new time series must be registered here first.
-KNOWN_METRICS: tuple[str, ...] = (
-    "heartbeat_beats",
-    "read_seconds",
-    "plan_seconds",
-    "execute_seconds",
-    "total_seconds",
-    "throughput_embeddings_per_second",
-    "embeddings",
-    "timed_out",
-    "progress_percent",
-    "eta_seconds",
-    "recorder_events",
-)
-
-
 def metric_name(raw: str, kind: str = GAUGE) -> str:
     """Normalize a registry counter name to a Prometheus metric name.
 

@@ -22,9 +22,10 @@ The recorder is dumped three ways:
   same ``time.perf_counter`` timeline, loadable in ``ui.perfetto.dev`` or
   ``chrome://tracing``.
 
-Event names are a closed registry (:data:`KNOWN_EVENTS`): the ``obs_keys``
-reprolint pass checks every ``.record()`` string literal against it, so a
-typo'd event name fails lint instead of silently fragmenting the stream.
+Event names are a closed vocabulary
+(:data:`~repro.obs.catalog.KNOWN_EVENTS`): the ``catalog`` reprolint pass
+checks every ``.record()`` string literal against it, so a typo'd event
+name fails lint instead of silently fragmenting the stream.
 """
 
 from __future__ import annotations
@@ -34,25 +35,6 @@ import os
 import time
 from collections import deque
 from typing import Any
-
-#: Every event name recorded by literal in this codebase. The ``obs_keys``
-#: reprolint pass gates ``.record()`` string literals against this tuple,
-#: so a new event type must be registered here before the code emitting it
-#: can land.
-KNOWN_EVENTS: tuple[str, ...] = (
-    "run_start",  # a run/stream opened (mode, op count)
-    "tick",       # periodic tick sample (nodes, emitted, depth, phase)
-    "degrade",    # governor degradation rung (rung name, stage)
-    "checkpoint", # a resumable checkpoint was written (path)
-    "fault",      # an injected fault site fired (site, context)
-    "stop",       # a cooperative stop (reason, nodes, emitted)
-    "run_end",    # the run/stream finished (count, stop reason)
-    "unit",       # a pool work unit changed state (id, worker, event)
-    "steal",      # a work-steal split (victim worker, unit, new unit)
-    "worker",     # a pool worker lifecycle event (id, pid, event)
-    "worker_stall",  # the stall watchdog escalated (worker, pid, unit, age)
-    "quarantine", # a poison unit was quarantined (unit, attempts, path)
-)
 
 DEFAULT_CAPACITY = 256
 

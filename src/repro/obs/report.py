@@ -3,7 +3,7 @@
 A run-report is a single JSON document capturing everything the paper's
 evaluation reads off a run: the per-phase time breakdown (read / optimize /
 execute — the paper's total-time definition, Figs. 6 and 11), the unified
-counter set (:data:`repro.obs.counters.STAT_KEYS` plus CCSR read
+counter set (:data:`repro.obs.catalog.STAT_KEYS` plus CCSR read
 telemetry), the completed span tree, the plan summary with its
 candidate-order rationale, and engine/graph/pattern identity. ``repro
 report PATH`` pretty-prints a saved report; :func:`validate_run_report` is
@@ -20,7 +20,7 @@ import os
 from typing import Any
 
 from repro.errors import FormatError
-from repro.obs.recorder import KNOWN_EVENTS
+from repro.obs.catalog import DEGRADATION_LADDER, KNOWN_EVENTS, STOP_REASONS
 
 RUN_REPORT_FORMAT = "repro-run-report"
 RUN_REPORT_VERSION = 1
@@ -40,16 +40,6 @@ _SCHEMA: dict[str, type | tuple] = {
 }
 
 _TIMING_KEYS = ("read_seconds", "plan_seconds", "execute_seconds", "total_seconds")
-
-# Valid robustness-field values. Literal copies of
-# repro.engine.results.STOP_REASONS and the repro.engine.governor ladder
-# events — obs sits below the engine in the layering, so it cannot import
-# them (tests pin the two lists against each other instead).
-_STOP_REASONS = (
-    "time_limit", "embedding_limit", "memory_limit", "cancelled",
-    "quarantined",
-)
-_DEGRADATION_EVENTS = ("evict_memo", "disable_memo", "suspend")
 
 #: Supervision knobs the ``config`` block may stamp, with their JSON
 #: types (``None`` is always allowed — the knob was left at "unset").
@@ -291,9 +281,9 @@ def robustness_problems(report: dict) -> list[str]:
     problems: list[str] = []
     if "stop_reason" in report:
         stop = report["stop_reason"]
-        if stop is not None and stop not in _STOP_REASONS:
+        if stop is not None and stop not in STOP_REASONS:
             problems.append(
-                f"stop_reason {stop!r} is not one of {list(_STOP_REASONS)}"
+                f"stop_reason {stop!r} is not one of {list(STOP_REASONS)}"
             )
     if "degradation" in report:
         ladder = report["degradation"]
@@ -301,17 +291,17 @@ def robustness_problems(report: dict) -> list[str]:
             problems.append("degradation must be a list")
         else:
             for event in ladder:
-                if event not in _DEGRADATION_EVENTS:
+                if event not in DEGRADATION_LADDER:
                     problems.append(
                         f"degradation event {event!r} is not one of"
-                        f" {list(_DEGRADATION_EVENTS)}"
+                        f" {list(DEGRADATION_LADDER)}"
                     )
-            known = [e for e in ladder if e in _DEGRADATION_EVENTS]
-            ranks = [_DEGRADATION_EVENTS.index(e) for e in known]
+            known = [e for e in ladder if e in DEGRADATION_LADDER]
+            ranks = [DEGRADATION_LADDER.index(e) for e in known]
             if ranks != sorted(ranks) or len(set(ranks)) != len(ranks):
                 problems.append(
                     "degradation events out of ladder order"
-                    f" (expected subsequence of {list(_DEGRADATION_EVENTS)})"
+                    f" (expected subsequence of {list(DEGRADATION_LADDER)})"
                 )
     if "checkpoint" in report:
         block = report["checkpoint"]

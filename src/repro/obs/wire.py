@@ -12,11 +12,11 @@ the transport provides (a unix-domain socket, a TCP loopback socket — see
     <- {"format": "repro-inspect", "version": 1, "ok": false,
         "cmd": "budget", "error": "no governor attached ..."}
 
-Command names are a **closed registry** (:data:`KNOWN_COMMANDS`), the
-same pattern as ``STAT_KEYS`` / ``KNOWN_EVENTS``: the
-``inspector_commands`` reprolint pass gates every command-name literal in
-the codebase against this tuple, so a typo'd command fails lint instead
-of failing at attach time.
+Command names are a **closed vocabulary**
+(:data:`~repro.obs.catalog.KNOWN_COMMANDS`), declared with the stats keys
+and recorder events in :mod:`repro.obs.catalog`: the ``catalog``
+reprolint pass gates every command-name literal in the codebase against
+it, so a typo'd command fails lint instead of failing at attach time.
 
 The ``stats`` / ``counters`` commands carry a
 :class:`~repro.obs.merge.WorkerSnapshot` — the merge-ready payload PR 6
@@ -37,6 +37,7 @@ import json
 from typing import Any, Mapping
 
 from repro.errors import WireError
+from repro.obs.catalog import KNOWN_COMMANDS
 from repro.obs.merge import WorkerSnapshot
 
 WIRE_FORMAT = "repro-inspect"
@@ -79,41 +80,6 @@ WIRE_MANIFESTS: dict[str, dict] = {
         "decoders": ("decode_snapshot",),
     },
 }
-
-#: Every command the inspector serves, in documentation order. Closed
-#: registry: the ``inspector_commands`` reprolint pass checks command
-#: literals against this tuple, and ``MatchInspector.HANDLERS`` must map
-#: exactly these names (pinned by a test).
-KNOWN_COMMANDS: tuple[str, ...] = (
-    "status",
-    "progress",
-    "stats",
-    "counters",
-    "recorder",
-    "health",
-    "checkpoint-now",
-    "budget",
-    "cancel",
-)
-
-#: One-line help per command (``csce inspect --help`` and docs render
-#: from here, so the CLI and the registry cannot drift).
-COMMAND_HELP: dict[str, str] = {
-    "status": "run state, worker identity, embeddings/nodes, stop flags",
-    "progress": "monotone percent-complete, ETA, depth-frontier sample",
-    "stats": "the live WorkerSnapshot (unified stats + counters)",
-    "counters": "alias of stats (same WorkerSnapshot payload)",
-    "recorder": "flight-recorder ring dump (args: limit=N for the tail)",
-    "health": "pool supervision state: stall watchdog, per-worker beat"
-              " ages, quarantined units, respawn budget",
-    "checkpoint-now": "write a resumable checkpoint at the next tick"
-                      " (args: path=..., timeout=SECONDS)",
-    "budget": "tighten deadline/embedding/memory caps (args: time_limit=,"
-              " max_embeddings=, memory_limit_mb=)",
-    "cancel": "trip the cancel token; the run stops with"
-              " stop_reason=cancelled (args: reason=...)",
-}
-
 
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
     """Serialize one frame to its wire form (UTF-8 JSON + ``\\n``)."""

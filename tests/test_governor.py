@@ -11,7 +11,6 @@ from repro.engine import (
     STOP_CANCELLED,
     STOP_EMBEDDING_LIMIT,
     STOP_MEMORY_LIMIT,
-    STOP_REASONS,
     STOP_TIME_LIMIT,
     Budget,
     CancelToken,
@@ -30,7 +29,7 @@ from repro.errors import (
 )
 from repro.graph import Graph
 from repro.obs import Observation
-from repro.obs.report import _DEGRADATION_EVENTS, _STOP_REASONS
+from repro.obs.catalog import DEGRADATION_LADDER, ladder_stage
 from repro.testing import FaultInjector, memory_spike, slowdown
 
 from conftest import make_random_graph
@@ -250,12 +249,32 @@ class TestFactorizedStopConsistency:
         assert exc.value.partial_count == result.count
 
 
-class TestContractPinning:
-    def test_report_literals_match_engine_constants(self):
-        # obs.report cannot import the engine (layering), so it carries
-        # literal copies of the stop reasons and ladder events. Keep them
-        # pinned together.
-        assert tuple(_STOP_REASONS) == tuple(STOP_REASONS)
-        assert tuple(_DEGRADATION_EVENTS) == (
-            DEGRADE_EVICT, DEGRADE_DISABLE, DEGRADE_SUSPEND,
+class _EvictableMemo:
+    """A candidate computer whose memo always has something to evict, so
+    each breach climbs exactly one rung."""
+
+    def evict(self, fraction):
+        return 1
+
+    def disable_memo(self):
+        pass
+
+
+class TestLadderStage:
+    @pytest.mark.parametrize("climbed", range(len(DEGRADATION_LADDER) + 1))
+    def test_ladder_stage_names_the_rung_check_climbs(self, climbed):
+        # The inspector's gov_stage and the governor's next rung are read
+        # off the same ladder events: on every prefix of the ladder, the
+        # rung one breach appends is the one ladder_stage points at.
+        degradation = list(DEGRADATION_LADDER[:climbed])
+        stage = ladder_stage(degradation)
+        # Each climbed rung moves one up; a suspended run stays on the
+        # last rung.
+        assert stage == min(climbed, len(DEGRADATION_LADDER) - 1)
+        gov = ResourceGovernor(budget=Budget(memory_limit_mb=256.0))
+        injector = FaultInjector(seed=1).on(
+            "governor.memory", memory_spike(10_000.0), times=1
         )
+        with injector:
+            gov.check(0, degradation, _EvictableMemo())
+        assert degradation[climbed] == DEGRADATION_LADDER[stage]

@@ -35,6 +35,7 @@ from repro.obs import (
     robustness_problems,
     validate_run_report,
 )
+from repro.obs.catalog import KNOWN_COMMANDS
 from repro.obs.inspect import (
     InspectorClient,
     InspectorServer,
@@ -46,7 +47,6 @@ from repro.obs.inspect import (
 from repro.obs.merge import SpanContext, WorkerSnapshot, merge_counters
 from repro.obs.progress import Heartbeat, RunSnapshot
 from repro.obs.wire import (
-    KNOWN_COMMANDS,
     MAX_FRAME_BYTES,
     WIRE_FORMAT,
     WIRE_VERSION,

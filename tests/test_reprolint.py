@@ -43,23 +43,40 @@ def run_fixture(pass_name: str, fixture: str):
     return run_passes(ctx, select=[pass_name])
 
 
+#: The catalog pass checks what three separate passes once did; each of
+#: those names keeps its own fixture and live-tree test over its slice of
+#: the catalog's vocabularies.
+CATALOG_SLICES: dict[str, tuple[str, ...]] = {
+    "inspector_commands": ("inspector command",),
+    "obs_keys": ("counter", "metric", "recorder event"),
+    "stop_reasons": ("stop_reason",),
+}
+
+
+def catalog_slice(violations, slice_name: str):
+    """The catalog violations whose vocabulary is in ``slice_name``."""
+    kinds = CATALOG_SLICES[slice_name]
+    return [
+        v for v in violations
+        if any(v.message.startswith(f"{kind} '") for kind in kinds)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Framework
 # ---------------------------------------------------------------------------
 def test_every_pass_registered():
     assert set(ALL_PASSES) == {
         "api_all",
+        "catalog",
         "checkpoint_fields",
         "clock_discipline",
         "exception_flow",
         "fork_safety",
-        "inspector_commands",
         "layering",
         "message_protocol",
         "no_recursion",
-        "obs_keys",
         "signal_safety",
-        "stop_reasons",
         "wire_schema",
     }
 
@@ -99,14 +116,42 @@ def test_no_recursion_fixture_flagged():
     assert "iterative" not in flagged
 
 
+def test_catalog_fixture_flagged():
+    violations = run_fixture("catalog", "catalog.py")
+    flagged = {v.message.split("'")[1] for v in violations}
+    assert flagged == {
+        "ccsr.bytes_red",  # .inc() counter typo
+        "reed_seconds",  # .gauge() metric typo
+        "degrad",  # .record() event typo
+        "time-limit",  # stop_reason assignment
+        "memory",  # stop_reason comparison
+        "emb_limit",  # stop_reason= keyword
+        "stauts",  # .request() typo
+        "shutdown",  # never-declared command
+        "progres",  # .handle() typo
+        "cancel-all",  # HANDLERS key
+    }
+    assert len(violations) == 10
+    # The clean literals — one member of each vocabulary, in each
+    # position — are not flagged.
+    for clean in (
+        "nodes", "plan_cache.hits", "embeddings", "degrade", "cancelled",
+        "status", "cancel", "progress",
+    ):
+        assert clean not in flagged
+
+
 def test_obs_keys_fixture_flagged():
-    violations = run_fixture("obs_keys", "obs_keys.py")
+    violations = catalog_slice(
+        run_fixture("catalog", "catalog.py"), "obs_keys"
+    )
     messages = " ".join(v.message for v in violations)
     assert "ccsr.bytes_red" in messages  # counter typo
     assert "reed_seconds" in messages  # metric typo
     assert "'degrad'" in messages  # recorder event typo
     # The fixture's clean literals (STAT_KEYS / KNOWN_COUNTERS /
     # KNOWN_METRICS / KNOWN_EVENTS members) are not flagged.
+    assert "'nodes'" not in messages
     assert "plan_cache.hits" not in messages
     assert "embeddings" not in messages
     assert "'degrade'" not in messages
@@ -114,11 +159,31 @@ def test_obs_keys_fixture_flagged():
 
 
 def test_stop_reasons_fixture_flagged():
-    violations = run_fixture("stop_reasons", "stop_reasons.py")
+    violations = catalog_slice(
+        run_fixture("catalog", "catalog.py"), "stop_reasons"
+    )
     flagged = {v.message.split("'")[1] for v in violations}
     assert flagged == {"time-limit", "memory", "emb_limit"}
     # The canonical member on the clean line is not flagged.
     assert "cancelled" not in flagged
+    assert len(violations) == 3
+
+
+def test_inspector_commands_fixture_flagged():
+    violations = catalog_slice(
+        run_fixture("catalog", "catalog.py"), "inspector_commands"
+    )
+    messages = " ".join(v.message for v in violations)
+    assert "'stauts'" in messages  # .request() typo
+    assert "'shutdown'" in messages  # never-registered command
+    assert "'progres'" in messages  # .handle() typo
+    assert "'cancel-all'" in messages  # HANDLERS key not registered
+    # The fixture's clean literals (KNOWN_COMMANDS members) are not
+    # flagged — neither as call args nor as HANDLERS keys.
+    assert "'status'" not in messages
+    assert "'cancel'" not in messages
+    assert "'progress'" not in messages
+    assert len(violations) == 4
 
 
 def test_checkpoint_fields_fixture_flagged():
@@ -136,21 +201,6 @@ def test_clock_discipline_fixture_flagged():
     assert "time.time()" in messages
     # Both the plain and the from-import alias wall-clock reads.
     assert sum("time.time()" in v.message for v in violations) == 2
-
-
-def test_inspector_commands_fixture_flagged():
-    violations = run_fixture("inspector_commands", "inspector_commands.py")
-    messages = " ".join(v.message for v in violations)
-    assert "'stauts'" in messages  # .request() typo
-    assert "'shutdown'" in messages  # never-registered command
-    assert "'progres'" in messages  # .handle() typo
-    assert "'cancel-all'" in messages  # HANDLERS key not registered
-    # The fixture's clean literals (KNOWN_COMMANDS members) are not
-    # flagged — neither as call args nor as HANDLERS keys.
-    assert "'status'" not in messages
-    assert "'cancel'" not in messages
-    assert "'progress'" not in messages
-    assert len(violations) == 4
 
 
 def test_fork_safety_fixture_flagged():
@@ -257,10 +307,18 @@ def test_signal_safety_fixture_flagged():
 # ---------------------------------------------------------------------------
 # Live tree: the repository itself is clean
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("pass_name", ALL_PASSES)
+LIVE_CHECKS = sorted([*ALL_PASSES, *CATALOG_SLICES])
+
+
+@pytest.mark.parametrize("pass_name", LIVE_CHECKS)
 def test_live_tree_clean(pass_name):
     ctx = LintContext(root=REPO)
-    violations = run_passes(ctx, select=[pass_name])
+    if pass_name in CATALOG_SLICES:
+        violations = catalog_slice(
+            run_passes(ctx, select=["catalog"]), pass_name
+        )
+    else:
+        violations = run_passes(ctx, select=[pass_name])
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
@@ -286,13 +344,12 @@ def test_cli_exit_two_on_missing_path(capsys):
 
 def test_cli_json_output(capsys):
     code = reprolint_main(
-        ["--json", "--select", "stop_reasons",
-         str(FIXTURES / "stop_reasons.py")]
+        ["--json", "--select", "catalog", str(FIXTURES / "catalog.py")]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"]
-    assert all(v["pass"] == "stop_reasons" for v in payload["violations"])
+    assert all(v["pass"] == "catalog" for v in payload["violations"])
 
 
 # ---------------------------------------------------------------------------

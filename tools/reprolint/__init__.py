@@ -1,9 +1,9 @@
 """reprolint: AST-based invariant passes for this repository.
 
 The codebase is held together by contracts that ordinary linters cannot
-see: the iterative engine must stay recursion-free, every counter/metric
-name must exist in a registry, ``stop_reason`` strings must be members of
-``STOP_REASONS``, the checkpoint document must track
+see: the iterative engine must stay recursion-free, every counter, metric,
+event, command and ``stop_reason`` literal must be declared in the
+instrument catalog, the checkpoint document must track
 ``CHECKPOINT_VERSION``, and the engine layer must never import the CLI.
 Each contract is one *pass* here — a small AST (or subprocess) check with
 its own known-bad fixture under ``tools/reprolint/fixtures/``.
@@ -25,12 +25,15 @@ add a pass.
 from __future__ import annotations
 
 import ast
-import sys
+import runpy
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 REPO = Path(__file__).resolve().parent.parent.parent
+
+#: The instrument catalog, relative to the repository root.
+CATALOG = "src/repro/obs/catalog.py"
 
 
 @dataclass(frozen=True)
@@ -73,16 +76,19 @@ class LintContext:
         )
         self._trees: dict[Path, ast.Module] = {}
         self._model = None
+        self._catalog: dict[str, Any] | None = None
 
     @property
     def fixture_mode(self) -> bool:
         return self.explicit_paths is not None
 
-    def ensure_importable(self) -> None:
-        """Make ``repro`` importable (passes read live registries)."""
-        src = str(self.root / "src")
-        if src not in sys.path:
-            sys.path.insert(0, src)
+    def catalog(self) -> dict[str, Any]:
+        """The namespace of ``repro.obs.catalog``, the closed vocabularies
+        passes check against. The module imports nothing, so it is run
+        from its file without importing ``repro``."""
+        if self._catalog is None:
+            self._catalog = runpy.run_path(str(self.root / CATALOG))
+        return self._catalog
 
     def files(self, *relative_scopes: str) -> Iterator[Path]:
         """Yield the Python files a pass should check.

@@ -8,16 +8,14 @@ dropping a known-bad snippet in ``tools/reprolint/fixtures/<name>.py``
 
 from tools.reprolint.passes import (  # noqa: F401  (registration side effect)
     api_all,
+    catalog,
     checkpoint_fields,
     clock_discipline,
     exception_flow,
     fork_safety,
-    inspector_commands,
     layering,
     message_protocol,
     no_recursion,
-    obs_keys,
     signal_safety,
-    stop_reasons,
     wire_schema,
 )

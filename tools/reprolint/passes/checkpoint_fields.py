@@ -6,10 +6,12 @@ pass carries a manifest of the key set every published version emits and
 compares it against the dict literal ``checkpoint_payload`` returns.
 Adding or removing a top-level field without bumping the version (and
 extending the manifest) is exactly the silent compatibility break the
-pass exists to catch. The counters carried across the suspend/resume
-boundary (``_RUNTIME_COUNTERS`` / ``_CANDIDATE_COUNTERS``) must also stay
-a subset of ``STAT_KEYS`` — resume writes them back into the runtime, so
-an unknown key would desynchronize the unified stats contract.
+pass exists to catch. The live module carries the catalog's stats-key
+slices across the suspend/resume boundary; a hand-listed counter tuple
+(``_RUNTIME_COUNTERS`` / ``_CANDIDATE_COUNTERS``) must stay a subset of
+``STAT_KEYS`` (read from ``repro.obs.catalog``) — resume writes the
+counters back into the runtime, so an unknown key would desynchronize the
+unified stats contract.
 """
 
 from __future__ import annotations
@@ -161,10 +163,7 @@ class CheckpointFieldsPass(LintPass):
                         f" {extra!r} without bumping CHECKPOINT_VERSION",
                     ))
 
-        ctx.ensure_importable()
-        from repro.obs.counters import STAT_KEYS
-
-        stat_keys = frozenset(STAT_KEYS)
+        stat_keys = frozenset(ctx.catalog()["STAT_KEYS"])
         for tuple_name in COUNTER_TUPLES:
             found = _module_str_tuple(tree, tuple_name)
             if found is None:
