@@ -17,7 +17,11 @@ import time
 from typing import Hashable, Iterator
 
 from repro.core.variants import Variant
-from repro.engine.results import MatchResult
+from repro.engine.results import (
+    STOP_EMBEDDING_LIMIT,
+    STOP_TIME_LIMIT,
+    MatchResult,
+)
 from repro.errors import (
     EmbeddingLimitExceeded,
     TimeLimitExceeded,
@@ -216,8 +220,7 @@ class BaselineMatcher(abc.ABC):
         budget = SearchBudget(time_limit, heartbeat=obs.heartbeat)
         start = time.perf_counter()
         count = 0
-        truncated = False
-        timed_out = False
+        stop_reason: str | None = None
         embeddings: list[dict[int, int]] | None = None if count_only else []
         with obs.tracer.span(
             "match", engine=self.display_name, variant=variant.value
@@ -233,9 +236,9 @@ class BaselineMatcher(abc.ABC):
                                 "limit", partial_count=count
                             )
                 except EmbeddingLimitExceeded:
-                    truncated = True
+                    stop_reason = STOP_EMBEDDING_LIMIT
                 except TimeLimitExceeded:
-                    timed_out = True
+                    stop_reason = STOP_TIME_LIMIT
                 span.set("count", count)
                 span.set("nodes", budget.nodes)
             match_span.set("count", count)
@@ -247,8 +250,7 @@ class BaselineMatcher(abc.ABC):
             variant=variant,
             embeddings=embeddings,
             elapsed=time.perf_counter() - start,
-            truncated=truncated,
-            timed_out=timed_out,
+            stop_reason=stop_reason,
             stats=stats,
         )
 

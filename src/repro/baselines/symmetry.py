@@ -149,7 +149,8 @@ class SymmetryBreakingMatcher(BaselineMatcher):
             read_seconds=result.read_seconds,
             plan_seconds=result.plan_seconds,
             compile_seconds=result.compile_seconds,
-            timed_out=result.timed_out,
+            stop_reason=result.stop_reason,
+            degradation=result.degradation,
             stats=stats,
         )
 

@@ -536,11 +536,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     print(f"engine      : {args.engine}")
     print(f"variant     : {result.variant}")
     print(f"pattern     : |V|={pattern.num_vertices} |E|={pattern.num_edges}")
-    if result.stop_reason:
-        suffix = f" (stopped: {result.stop_reason})"
-    else:
-        suffix = ((" (truncated)" if result.truncated else "")
-                  + (" (timed out)" if result.timed_out else ""))
+    suffix = f" (stopped: {result.stop_reason})" if result.stop_reason else ""
     print(f"embeddings  : {result.count}{suffix}")
     if result.shards is not None:
         counts = result.shards.get("counts") or []

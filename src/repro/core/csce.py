@@ -442,65 +442,30 @@ class CSCE:
         import os
 
         from repro.engine.checkpoint import (
+            KEEP,
+            _restore_query,
             check_store_compatibility,
             load_quarantine_dir,
-            pattern_digest,
         )
         from repro.engine.pool import _execute_inline
-        from repro.errors import CheckpointError
-        from repro.graph.io import parse_graph_text
 
         pairs = load_quarantine_dir(directory)
         paths = [path for path, _ in pairs]
         payloads = [payload for _, payload in pairs]
         for payload in payloads:
             check_store_compatibility(payload, self.store)
-        first = payloads[0]
-        pattern = parse_graph_text(
-            first["pattern"]["text"], name="quarantine"
-        )
-        if pattern_digest(pattern) != first["pattern"]["digest"]:
-            raise CheckpointError(
-                "quarantine residue pattern does not match its digest"
-                " (corrupt document)"
-            )
-        query = first["query"]
-        variant = Variant.parse(query["variant"])
-        restrictions = (
-            tuple((int(u), int(v)) for u, v in query["restrictions"])
-            if query["restrictions"]
-            else None
-        )
-        seed = (
-            {int(u): int(v) for u, v in query["seed"]}
-            if query.get("seed")
-            else None
-        )
-        limits = first["limits"]
-        if max_embeddings is ...:
-            max_embeddings = limits.get("max_embeddings")
-        if time_limit is ...:
-            time_limit = limits.get("time_limit")
-        obs = obs or self.obs
-        compiled = self.session.compile(
-            pattern,
-            variant,
-            planner=query["planner"],
-            restrictions=restrictions,
-            obs=obs,
-        )
-        options = MatchOptions(
+        *_, physical, options = _restore_query(
+            payloads[0],
+            self.session,
+            [],
+            KEEP if max_embeddings is ... else max_embeddings,
+            KEEP if time_limit is ... else time_limit,
+            governor,
+            obs or self.obs,
             count_only=True,
-            max_embeddings=max_embeddings,
-            time_limit=time_limit,
-            use_sce=bool(query["use_sce"]),
-            restrictions=restrictions,
-            seed=seed,
-            obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-            governor=governor,
         )
         result = _execute_inline(
-            compiled.physical,
+            physical,
             options,
             [dict(payload["state"]) for payload in payloads],
         )

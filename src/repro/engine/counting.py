@@ -24,8 +24,8 @@ Like the enumeration executor, the counter is **iterative**: each
 a *sequential* frame scanning one op's candidates, or a *product* frame
 multiplying independent group counts — on a heap-allocated stack (a
 single-position region returns its survivor count without a frame), and time
-limits are cooperative (the partial top-level count is returned with the
-``timed_out`` flag, never an exception).
+limits are cooperative (the partial top-level count is returned with a
+``stop_reason``, never an exception).
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ class FactorizedCounter:
     """Counts embeddings of a compiled plan with SCE factorization.
 
     Runs on the executor's :class:`~repro.engine.executor.Runtime`: ticks,
-    limits, governance, heartbeats, the flight recorder and the node,
-    backtrack and prune counters are the runtime's, and the top-level
-    count so far is its ``emitted``. The counter adds the region split,
-    the product frames and the group memo.
+    limits, governance, heartbeats, the flight recorder and every stats
+    counter are the runtime's, and the top-level count so far is its
+    ``emitted``. The counter adds the region split, the product frames
+    and the group memo.
 
     Only sound for unseeded, unrestricted counting — the eligibility gate
     lives in :func:`repro.engine.executor.execute_physical`. Region splits
@@ -109,13 +109,12 @@ class FactorizedCounter:
         self.injective = plan.variant.injective
         self.assignment = [-1] * plan.num_vertices
         self.used: set[int] = set()
-        self.factorizations = 0
-        self.group_memo_hits = 0
         self._group_memo: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     def count(self) -> int:
-        """Total embedding count (partial top-level count on a stop).
+        """Total embedding count (partial top-level count on a stop), also
+        left in ``runtime.emitted``.
 
         On an early stop (deadline, memory suspension, cancellation) the
         partial count is the last *committed* top-level sequential
@@ -138,9 +137,9 @@ class FactorizedCounter:
                 retval = self._step_seq(frame, stack, retval)
             else:
                 retval = self._step_prod(frame, stack, retval)
-        if runtime.stop_reason is not None:
-            return runtime.emitted
-        return retval
+        if runtime.stop_reason is None:
+            runtime.emitted = retval
+        return runtime.emitted
 
     # ------------------------------------------------------------------
     def _enter(
@@ -154,7 +153,7 @@ class FactorizedCounter:
         if self.use_sce and len(positions) > 1:
             groups = self.regions.groups(positions)
             if len(groups) > 1:
-                self.factorizations += 1
+                self.runtime.factorizations += 1
                 frame = _Frame(_PROD)
                 frame.groups = groups
                 frame.group_index = 0
@@ -247,7 +246,7 @@ class FactorizedCounter:
         key = self._group_key(group)
         cached = self._group_memo.get(key)
         if cached is not None:
-            self.group_memo_hits += 1
+            self.runtime.group_memo_hits += 1
             frame.acc *= cached
             if frame.acc == 0:
                 stack.pop()
@@ -276,31 +275,22 @@ class FactorizedCounter:
         )
 
 
-def count_physical(
-    physical: PhysicalPlan, options: MatchOptions
-) -> tuple[int, dict, str | None, list[str], dict | None]:
-    """Count embeddings of a compiled plan; returns
-    ``(count, stats, stop_reason, degradation, progress)``.
+def count_physical(physical: PhysicalPlan, options: MatchOptions) -> Runtime:
+    """Count embeddings of a compiled plan; returns the finished
+    :class:`~repro.engine.executor.Runtime`, whose ``emitted`` is the count.
 
     :func:`~repro.engine.executor.execute_physical` calls it only for an
     exact count whose plan's :class:`~repro.engine.physical.RegionTable`
     has a splitting suffix; on any other plan it still counts exactly,
     visiting the frame machine's nodes at a higher cost per node.
 
-    ``stats`` carries the full unified key set
+    The runtime's ``stats()`` carry the full unified key set
     (:data:`repro.obs.catalog.STAT_KEYS`), matching the enumeration path
     key-for-key; ``prunes_restriction`` is always 0 here because
     restrictions force the frame machine. On an early stop the count is
     the partial top-level count (cooperative, no exception) and
-    ``stop_reason`` names the cause; ``degradation`` lists any
-    governor-ladder events; ``progress`` is the estimator block (pinned
-    to 100% on an exhaustive run), ``None`` without an observation.
+    ``stop_reason`` names the cause.
     """
     counter = FactorizedCounter(physical, options)
-    total = counter.count()
-    runtime = counter.runtime
-    stats = runtime.stats()
-    stats["factorizations"] = counter.factorizations
-    stats["group_memo_hits"] = counter.group_memo_hits
-    progress = runtime.progress_snapshot(complete=True)
-    return total, stats, runtime.stop_reason, list(runtime.degradation), progress
+    counter.count()
+    return counter.runtime

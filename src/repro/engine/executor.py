@@ -39,12 +39,14 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.engine.candidates import CandidateComputer
+from repro.engine.governor import run_limits
 from repro.engine.physical import PhysicalPlan, compile_plan
 from repro.engine.results import (
     MatchOptions,
     MatchResult,
     STOP_EMBEDDING_LIMIT,
     STOP_TIME_LIMIT,
+    StopFlags,
 )
 from repro.obs import (
     NULL_OBS,
@@ -218,8 +220,8 @@ class Runtime:
         "backtracks",
         "prunes_injective",
         "prunes_restriction",
-        "truncated",
-        "timed_out",
+        "factorizations",
+        "group_memo_hits",
         "stop_reason",
         "degradation",
         "max_embeddings",
@@ -252,23 +254,14 @@ class Runtime:
         self.backtracks = 0
         self.prunes_injective = 0
         self.prunes_restriction = 0
-        self.truncated = False
-        self.timed_out = False
+        self.factorizations = 0
+        self.group_memo_hits = 0
+        #: Why the run stopped early, or ``None``: the only stop record.
         self.stop_reason: str | None = None
         self.degradation: list[str] = []
         gov = options.governor
         self.governor = gov
-        if gov is not None:
-            gov.ensure_tracing()
-            self.max_embeddings = gov.effective_cap(options.max_embeddings)
-            self._deadline = gov.effective_deadline(options.time_limit)
-        else:
-            self.max_embeddings = options.max_embeddings
-            self._deadline = (
-                time.perf_counter() + options.time_limit
-                if options.time_limit is not None
-                else None
-            )
+        self._deadline, self.max_embeddings = run_limits(options)
         self._heartbeat = obs.heartbeat
         self._recorder = getattr(obs, "recorder", NULL_RECORDER)
         # Progress estimation exists exactly when an observation is
@@ -307,19 +300,15 @@ class Runtime:
             return True
         reason = gov.check(self.emitted, self.degradation, self.computer)
         if reason is not None:
-            if reason == STOP_TIME_LIMIT:
-                self.timed_out = True
-            elif reason == STOP_EMBEDDING_LIMIT:
-                self.truncated = True
-            self.stop_reason = reason
-            self.note_stop(reason)
+            self.stop(reason)
             return False
         return True
 
-    def note_stop(self, reason: str, depth: int = 0) -> None:
-        """Record a cooperative stop in the flight recorder (no-op when
-        the recorder is off) — one place, so every stop path leaves the
-        same tail event."""
+    def stop(self, reason: str, depth: int = 0) -> None:
+        """Stop the run cooperatively: set ``stop_reason`` and leave the
+        flight recorder's ``stop`` event — one place, so every stop path
+        records the same state and tail event."""
+        self.stop_reason = reason
         if self._recorder.enabled:
             self._recorder.record(
                 "stop",
@@ -332,8 +321,7 @@ class Runtime:
     def tick(self, depth: int = 0, phase: str = "enumerate") -> bool:
         """Account one search-tree node; False once a limit fired (the
         deadline passed, the governor's budget breached and the ladder
-        bottomed out, or the cancel token tripped). Sets ``stop_reason``
-        (and the legacy ``timed_out`` flag) before returning False."""
+        bottomed out, or the cancel token tripped), after :meth:`stop`."""
         self.nodes += 1
         if self._ticking and self.nodes % self._interval == 0:
             if self.search_state is not None:
@@ -369,23 +357,13 @@ class Runtime:
             if gov is not None:
                 reason = gov.check(self.emitted, self.degradation, self.computer)
                 if reason is not None:
-                    # Keep the legacy flags in step with governor-imposed
-                    # stops (a mid-run `budget` tightening arrives here,
-                    # not through the runtime's own deadline/cap).
-                    if reason == STOP_TIME_LIMIT:
-                        self.timed_out = True
-                    elif reason == STOP_EMBEDDING_LIMIT:
-                        self.truncated = True
-                    self.stop_reason = reason
-                    self.note_stop(reason, depth)
+                    self.stop(reason, depth)
                     return False
             if (
                 self._deadline is not None
                 and time.perf_counter() > self._deadline
             ):
-                self.timed_out = True
-                self.stop_reason = STOP_TIME_LIMIT
-                self.note_stop(STOP_TIME_LIMIT, depth)
+                self.stop(STOP_TIME_LIMIT, depth)
                 return False
         return True
 
@@ -402,6 +380,8 @@ class Runtime:
             backtracks=self.backtracks,
             prunes_injective=self.prunes_injective,
             prunes_restriction=self.prunes_restriction,
+            factorizations=self.factorizations,
+            group_memo_hits=self.group_memo_hits,
         )
 
     def snapshot(self) -> RunSnapshot:
@@ -557,9 +537,7 @@ def _search(
                     state.pos = pos
                     yield tuple(assignment)
                 if max_embeddings is not None and runtime.emitted >= max_embeddings:
-                    runtime.truncated = True
-                    runtime.stop_reason = STOP_EMBEDDING_LIMIT
-                    runtime.note_stop(STOP_EMBEDDING_LIMIT, pos)
+                    runtime.stop(STOP_EMBEDDING_LIMIT, pos)
                     return
                 continue
             pos += 1
@@ -601,16 +579,16 @@ def count_capped(
     return runtime.emitted
 
 
-class EmbeddingStream:
+class EmbeddingStream(StopFlags):
     """A lazy, resumable iterator of embeddings (``CSCE.match_iter``).
 
     Yields ``{pattern vertex: data vertex}`` dicts one at a time; the
     search is suspended between ``next()`` calls, so consuming three
     embeddings of a billion-result query does three embeddings of work.
-    Progress counters (``count``, ``stats``) and the cooperative stop
-    flags (``truncated``, ``timed_out``, ``stop_reason``) are readable at
-    any point, also mid-iteration. ``close()`` (or exiting a ``with``
-    block) abandons the remaining search.
+    Progress counters (``count``, ``stats``) and the cooperative
+    ``stop_reason`` (with its derived ``truncated``/``timed_out`` flags)
+    are readable at any point, also mid-iteration. ``close()`` (or
+    exiting a ``with`` block) abandons the remaining search.
 
     ``state``/``emitted`` restore a checkpointed search
     (:func:`repro.engine.checkpoint.load_checkpoint` →
@@ -706,14 +684,6 @@ class EmbeddingStream:
         return self.runtime.emitted
 
     @property
-    def truncated(self) -> bool:
-        return self.runtime.truncated
-
-    @property
-    def timed_out(self) -> bool:
-        return self.runtime.timed_out
-
-    @property
     def stop_reason(self) -> str | None:
         """Why the stream stopped early, or ``None`` (still running or
         ran to exhaustion)."""
@@ -731,22 +701,34 @@ class EmbeddingStream:
         the consumer's time between ``next()`` calls); embeddings are not
         re-materialized.
         """
-        plan = self.physical.logical
-        return MatchResult(
-            count=self.runtime.emitted,
-            variant=plan.variant,
-            embeddings=None,
-            elapsed=time.perf_counter() - self._started,
-            read_seconds=plan.task_clusters.read_seconds,
-            plan_seconds=max(0.0, plan.plan_seconds),
-            compile_seconds=self.physical.compile_seconds,
-            truncated=self.runtime.truncated,
-            timed_out=self.runtime.timed_out,
-            stop_reason=self.runtime.stop_reason,
-            degradation=list(self.runtime.degradation),
-            progress=self.runtime.progress_snapshot(),
-            stats=self.runtime.stats(),
-        )
+        return _package_result(self.physical, self.runtime, self._started)
+
+
+def _package_result(
+    physical: PhysicalPlan,
+    runtime: Runtime,
+    started: float,
+    embeddings: list[dict[int, int]] | None = None,
+    complete: bool = False,
+) -> MatchResult:
+    """The :class:`MatchResult` of a run on ``runtime`` — every field the
+    runtime recorded, plus the plan's read/plan/compile timings.
+    ``complete=True`` pins the progress estimate of an exhaustive run to
+    100% (see :meth:`Runtime.progress_snapshot`)."""
+    plan = physical.logical
+    return MatchResult(
+        count=runtime.emitted,
+        variant=plan.variant,
+        embeddings=embeddings,
+        elapsed=time.perf_counter() - started,
+        read_seconds=plan.task_clusters.read_seconds,
+        plan_seconds=max(0.0, plan.plan_seconds),
+        compile_seconds=physical.compile_seconds,
+        stop_reason=runtime.stop_reason,
+        degradation=list(runtime.degradation),
+        progress=runtime.progress_snapshot(complete=complete),
+        stats=runtime.stats(),
+    )
 
 
 def execute_physical(
@@ -761,8 +743,7 @@ def execute_physical(
     machine's count mode (:func:`count_capped`, bulk-counting the last
     position), which visits the same nodes a never-splitting factorized
     count would; enumeration runs stream. Limits surface as
-    ``stop_reason`` (plus the legacy ``truncated``/``timed_out`` flags)
-    with the partial count, never as exceptions.
+    ``stop_reason`` with the partial count, never as exceptions.
     """
     options = options or MatchOptions()
     if options.workers > 1:
@@ -776,12 +757,7 @@ def execute_physical(
     physical = specialize(physical, options)
     plan = physical.logical
     start = time.perf_counter()
-    truncated = False
-    timed_out = False
-    stop_reason: str | None = None
-    degradation: list[str] = []
     embeddings: list[dict[int, int]] | None = None
-    progress: dict | None = None
 
     recorder = getattr(obs, "recorder", NULL_RECORDER)
     if recorder.enabled:
@@ -809,75 +785,49 @@ def execute_physical(
             and (gov is None or gov.budget.max_embeddings is None)
             and physical.regions.factorizes
         ):
-            from repro.engine.counting import count_physical
+            from repro.engine import counting
 
             with obs.tracer.span(
                 "execute", mode="count", variant=plan.variant.value
             ) as span:
-                (
-                    count, stats, stop_reason, degradation, progress
-                ) = count_physical(physical, options)
-                timed_out = stop_reason == STOP_TIME_LIMIT
-                truncated = stop_reason == STOP_EMBEDDING_LIMIT
-                span.set("count", count)
+                runtime = counting.count_physical(physical, options)
+                span.set("count", runtime.emitted)
         else:
             runtime = Runtime(physical, options)
-            count = 0
             with obs.tracer.span(
                 "execute", mode="enumerate", variant=plan.variant.value
             ) as span:
                 if options.count_only:
-                    count = count_capped(physical, runtime)
+                    count_capped(physical, runtime)
                 else:
-                    collected: list[dict[int, int]] = []
                     n = physical.num_vertices
-                    for tup in stream(physical, runtime):
-                        collected.append({u: tup[u] for u in range(n)})
-                    count = runtime.emitted
-                    embeddings = collected
-                truncated = runtime.truncated
-                timed_out = runtime.timed_out
-                stop_reason = runtime.stop_reason
-                degradation = list(runtime.degradation)
-                span.set("count", count)
+                    embeddings = [
+                        {u: tup[u] for u in range(n)}
+                        for tup in stream(physical, runtime)
+                    ]
+                span.set("count", runtime.emitted)
                 span.set("nodes", runtime.nodes)
-            stats = runtime.stats()
-            progress = runtime.progress_snapshot(complete=True)
     finally:
         if gov is not None:
             gov.release()
 
+    result = _package_result(physical, runtime, start, embeddings, complete=True)
     if recorder.enabled:
         recorder.record(
             "run_end",
-            count=count,
-            nodes=stats.get("nodes", 0),
-            stop_reason=stop_reason,
+            count=result.count,
+            nodes=result.stats["nodes"],
+            stop_reason=result.stop_reason,
         )
     if obs.enabled:
-        obs.counters.merge(stats)
-    result = MatchResult(
-        count=count,
-        variant=plan.variant,
-        embeddings=embeddings,
-        elapsed=time.perf_counter() - start,
-        read_seconds=plan.task_clusters.read_seconds,
-        plan_seconds=max(0.0, plan.plan_seconds),
-        compile_seconds=physical.compile_seconds,
-        truncated=truncated,
-        timed_out=timed_out,
-        stop_reason=stop_reason,
-        degradation=degradation,
-        progress=progress,
-        stats=stats,
-    )
+        obs.counters.merge(result.stats)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "executed %s: count=%d nodes=%d elapsed=%.4fs%s",
             plan.variant.value,
-            count,
-            stats.get("nodes", 0),
+            result.count,
+            result.stats["nodes"],
             result.elapsed,
-            f" (stopped: {stop_reason})" if stop_reason else "",
+            f" (stopped: {result.stop_reason})" if result.stop_reason else "",
         )
     return result

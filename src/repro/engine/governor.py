@@ -35,7 +35,7 @@ a single attribute check per tick window.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 import random
 import threading
@@ -54,12 +54,15 @@ from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.engine.candidates import CandidateComputer
+    from repro.engine.results import MatchOptions
 
 #: Degradation-ladder event names, in escalation order.
 DEGRADE_EVICT, DEGRADE_DISABLE, DEGRADE_SUSPEND = DEGRADATION_LADDER
 
 #: Fraction of the memo evicted on the ladder's first rung.
 EVICT_FRACTION = 0.5
+
+_Limit = TypeVar("_Limit", int, float)
 
 
 @dataclass(frozen=True)
@@ -315,30 +318,32 @@ class ResourceGovernor:
         if recorder is not None and recorder.enabled:
             recorder.record("degrade", rung=rung, stage=stage)
 
-    # -- convenience ---------------------------------------------------
-    def effective_deadline(self, time_limit: float | None) -> float | None:
-        """Absolute deadline combining the budget with a per-run option."""
-        limits = [
-            t for t in (time_limit, self.budget.time_limit) if t is not None
-        ]
-        if not limits:
-            return None
-        return time.perf_counter() + min(limits)
-
-    def effective_cap(self, max_embeddings: int | None) -> int | None:
-        """Embedding cap combining the budget with a per-run option."""
-        caps = [
-            c
-            for c in (max_embeddings, self.budget.max_embeddings)
-            if c is not None
-        ]
-        return min(caps) if caps else None
-
     def __repr__(self) -> str:
         return (
             f"<ResourceGovernor budget={self.budget}"
             f" cancel={self.cancel!r}>"
         )
+
+
+def run_limits(options: MatchOptions) -> tuple[float | None, int | None]:
+    """The ``(deadline, cap)`` a run enforces: the option limits,
+    tightened by the attached governor's budget (the tighter one wins).
+    The deadline is an absolute :func:`time.perf_counter` value. Starts a
+    governed run's memory tracing too, since every caller begins its run
+    right after."""
+    time_limit, cap = options.time_limit, options.max_embeddings
+    gov = options.governor
+    if gov is not None:
+        gov.ensure_tracing()
+        time_limit = _tighter(time_limit, gov.budget.time_limit)
+        cap = _tighter(cap, gov.budget.max_embeddings)
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    return deadline, cap
+
+
+def _tighter(a: _Limit | None, b: _Limit | None) -> _Limit | None:
+    """The smaller of two optional limits (``None`` is unlimited)."""
+    return min((x for x in (a, b) if x is not None), default=None)
 
 
 class RetryPolicy:
@@ -354,7 +359,7 @@ class RetryPolicy:
 
     Clock discipline: only :func:`time.perf_counter` is read, and a policy
     constructed with an absolute ``deadline`` (a ``perf_counter`` value,
-    e.g. :meth:`ResourceGovernor.effective_deadline`) never sleeps past
+    e.g. the deadline :func:`run_limits` returns) never sleeps past
     it — when the remaining budget cannot cover the next backoff, the
     original exception is re-raised immediately instead of burning the
     run's deadline on sleeps.

@@ -47,7 +47,7 @@ with merged totals, per-worker rows and supervision health, which the
 live inspector reads like any run's; the flight recorder logs
 ``unit``/``steal``/``worker`` events; the final
 :class:`~repro.engine.results.MatchResult` carries the
-``merge_run_reports`` shards block and exact merged counters.
+per-worker shards block and exact merged counters.
 
 Self-healing supervision (see ``docs/robustness.md``)
 -----------------------------------------------------
@@ -87,7 +87,7 @@ from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.executor import Runtime, SearchState, count_capped
-from repro.engine.governor import Budget, ResourceGovernor
+from repro.engine.governor import Budget, ResourceGovernor, run_limits
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import (
     STOP_CANCELLED,
@@ -104,14 +104,12 @@ from repro.testing import faults
 from repro.obs import (
     NULL_OBS,
     NULL_RECORDER,
-    RUN_REPORT_VERSION,
     Heartbeat,
     Observation,
     ProgressEstimator,
     RunSnapshot,
     WorkerSnapshot,
     merge_counters,
-    merge_run_reports,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -389,19 +387,8 @@ class _PoolDriver:
         self.prior_counters = dict(prior_counters or {})
         gov = options.governor
         self.governor = gov
-        if gov is not None:
-            gov.ensure_tracing()
-            self.deadline = gov.effective_deadline(options.time_limit)
-            self.cap = gov.effective_cap(options.max_embeddings)
-            mem = gov.budget.memory_limit_mb
-        else:
-            self.deadline = (
-                time.perf_counter() + options.time_limit
-                if options.time_limit is not None
-                else None
-            )
-            self.cap = options.max_embeddings
-            mem = None
+        self.deadline, self.cap = run_limits(options)
+        mem = gov.budget.memory_limit_mb if gov is not None else None
         self.worker_memory_mb = (
             mem / options.workers if mem is not None else None
         )
@@ -457,14 +444,7 @@ class _PoolDriver:
     def _agg(self, wid: str) -> dict:
         agg = self.per_worker.get(wid)
         if agg is None:
-            agg = self.per_worker[wid] = {
-                "emitted": 0,
-                "stats": {},
-                "units": 0,
-                "execute_seconds": 0.0,
-                "stop_reasons": [],
-                "degradation": [],
-            }
+            agg = self.per_worker[wid] = _new_agg()
         return agg
 
     def _spawn_worker(self) -> None:
@@ -1057,118 +1037,82 @@ class _PoolDriver:
         ]
 
 
-def _shard_report(
-    variant_value: str,
-    count: int,
-    counters: dict,
-    stop_reasons: list[str] | tuple[str, ...] = (),
-    degradation: list[str] | tuple[str, ...] = (),
-    execute_seconds: float = 0.0,
-) -> dict:
-    """One shard's mini run-report for :func:`merge_run_reports`; its
-    stop reason is the first of ``stop_reasons``."""
+def _new_agg() -> dict:
+    """A shard's running aggregate: confirmed count and stats, units run,
+    execute seconds, the stop reasons of its stopped units and the
+    longest ladder any of its units climbed."""
     return {
-        "format": "repro-run-report",
-        "version": RUN_REPORT_VERSION,
-        "engine": "CSCE",
-        "variant": variant_value,
-        "count": count,
-        "truncated": STOP_EMBEDDING_LIMIT in stop_reasons,
-        "timed_out": STOP_TIME_LIMIT in stop_reasons,
-        "stop_reason": stop_reasons[0] if stop_reasons else None,
-        "degradation": list(degradation),
-        "timings": {
-            "read_seconds": 0.0,
-            "plan_seconds": 0.0,
-            "execute_seconds": execute_seconds,
-            "total_seconds": execute_seconds,
-        },
-        "counters": dict(counters),
+        "emitted": 0,
+        "stats": {},
+        "units": 0,
+        "execute_seconds": 0.0,
+        "stop_reasons": [],
+        "degradation": [],
     }
 
 
-def _shard_reports(
-    driver: _PoolDriver, variant_value: str
-) -> tuple[list[dict], list[str]]:
-    """Per-worker mini run-reports (plus a synthetic ``checkpoint`` shard
-    carrying resumed prior progress) for :func:`merge_run_reports`."""
-    reports: list[dict] = []
-    tags: list[str] = []
-    if driver.prior_emitted or driver.prior_counters:
-        tags.append("checkpoint")
-        reports.append(
-            _shard_report(
-                variant_value, driver.prior_emitted, driver.prior_counters
-            )
-        )
-    for wid in driver.worker_order:
-        agg = driver.per_worker[wid]
-        tags.append(wid)
-        reports.append(
-            _shard_report(
-                variant_value,
-                agg["emitted"],
-                agg["stats"],
-                agg["stop_reasons"],
-                agg["degradation"],
-                agg["execute_seconds"],
-            )
-        )
-    return reports, tags
+def _shard_table(
+    prior_emitted: int, prior_counters: dict, workers: dict[str, dict]
+) -> dict[str, dict]:
+    """Shard tag → aggregate, in report order: a resumed pool's confirmed
+    prefix first, as the synthetic ``checkpoint`` shard, then each
+    worker's."""
+    if not (prior_emitted or prior_counters):
+        return dict(workers)
+    prior = dict(_new_agg(), emitted=prior_emitted, stats=dict(prior_counters))
+    return {"checkpoint": prior, **workers}
 
 
 def _package_result(
     physical: PhysicalPlan,
     options: MatchOptions,
-    driver: _PoolDriver,
-    merged_stop: str | None,
+    shards: dict[str, dict],
+    stop: str | None,
     elapsed: float,
+    estimator: ProgressEstimator | None = None,
+    quarantined: int = 0,
 ) -> MatchResult:
+    """The pool's one :class:`MatchResult`, computed from its shard
+    aggregates (see :func:`_shard_table`): count and stats are exact sums
+    over the shards, the ladder is the longest shard ladder, and each
+    shard reports the first stop reason of its units. Quarantine is the
+    least severe stop: any budget or cancel reason outranks it (the
+    quarantined count still rides on the result)."""
     plan = physical.logical
     obs = options.obs or NULL_OBS
-    quarantined = len(driver.quarantined)
-    if merged_stop is None and quarantined:
-        # Quarantine is the least severe stop: any budget/cancel reason
-        # outranks it (the quarantined count still rides on the result).
-        merged_stop = STOP_QUARANTINED
-    reports, tags = _shard_reports(driver, plan.variant.value)
-    if not reports:
-        # Nothing ran (empty root range / impossible plan): one synthetic
-        # zero shard keeps the shards invariant "workers>1 → shards set".
-        reports = [_shard_report(plan.variant.value, 0, {})]
-        tags = ["w0"]
-    merged = merge_run_reports(reports, workers=tags)
+    if not shards:
+        # Nothing ran (empty root range / impossible plan): one zero shard
+        # keeps the shards invariant "workers>1 → shards set".
+        shards = {"w0": _new_agg()}
+    aggs = list(shards.values())
+    block: dict = {
+        "count": len(aggs),
+        "workers": list(shards),
+        "counts": [agg["emitted"] for agg in aggs],
+        "stop_reasons": [next(iter(agg["stop_reasons"]), None) for agg in aggs],
+        "execute_seconds_sum": sum(agg["execute_seconds"] for agg in aggs),
+    }
     if quarantined:
-        merged["shards"]["quarantined_units"] = quarantined
-    stats = driver.merged_stats()
-    if driver.estimator is not None and merged_stop is None:
-        driver.estimator.complete()
-    progress = (
-        driver.estimator.as_dict() if driver.estimator is not None else None
-    )
+        block["quarantined_units"] = quarantined
+        stop = stop or STOP_QUARANTINED
+    stats = merge_counters(*(agg["stats"] for agg in aggs))
+    if estimator is not None and stop is None:
+        estimator.complete()
     if obs.enabled:
         obs.counters.merge(stats)
-    driver.recorder.record(
-        "run_end",
-        count=driver.confirmed,
-        nodes=int(stats.get("nodes", 0)),
-        stop_reason=merged_stop,
-    )
     return MatchResult(
-        count=driver.confirmed,
+        count=sum(block["counts"]),
         variant=plan.variant,
         embeddings=None,
         elapsed=elapsed,
         read_seconds=plan.task_clusters.read_seconds,
         plan_seconds=max(0.0, plan.plan_seconds),
         compile_seconds=physical.compile_seconds,
-        truncated=merged_stop == STOP_EMBEDDING_LIMIT,
-        timed_out=merged_stop == STOP_TIME_LIMIT,
-        stop_reason=merged_stop,
-        degradation=list(merged["degradation"]),
-        progress=progress,
+        stop_reason=stop,
+        degradation=list(max((agg["degradation"] for agg in aggs), key=len)),
+        progress=None if estimator is None else estimator.as_dict(),
         stats=stats,
-        shards=merged["shards"],
+        shards=block,
         quarantined_units=quarantined,
     )
 
@@ -1238,11 +1182,26 @@ def execute_parallel(
         checkpoint=checkpoint,
         on_event=on_event,
     )
-    if not units:
-        return _package_result(physical, options, driver, None, 0.0)
-    merged_stop, elapsed = driver.run()
+    merged_stop, elapsed = driver.run() if units else (None, 0.0)
     _maybe_checkpoint(driver, options, checkpoint, merged_stop)
-    return _package_result(physical, options, driver, merged_stop, elapsed)
+    result = _package_result(
+        physical,
+        options,
+        _shard_table(
+            driver.prior_emitted, driver.prior_counters, driver.per_worker
+        ),
+        merged_stop,
+        elapsed,
+        driver.estimator,
+        len(driver.quarantined),
+    )
+    driver.recorder.record(
+        "run_end",
+        count=result.count,
+        nodes=int(result.stats.get("nodes", 0)),
+        stop_reason=result.stop_reason,
+    )
+    return result
 
 
 def _maybe_checkpoint(
@@ -1280,25 +1239,11 @@ def _execute_inline(
     package them as a one-worker pool result. Exactness is trivial —
     it is the sequential machine over an exact partition."""
     started = time.perf_counter()
-    plan = physical.logical
-    obs = options.obs or NULL_OBS
-    gov = options.governor
-    deadline = None
-    cap = options.max_embeddings
-    if gov is not None:
-        gov.ensure_tracing()
-        deadline = gov.effective_deadline(options.time_limit)
-        cap = gov.effective_cap(options.max_embeddings)
-    elif options.time_limit is not None:
-        deadline = time.perf_counter() + options.time_limit
-    total = prior_emitted
-    shard_stats: dict = {}
-    stop_reason: str | None = None
-    degradation: list[str] = []
-    execute_seconds = 0.0
+    deadline, cap = run_limits(options)
+    agg = _new_agg()
+    stop: str | None = None
     try:
-        work = [None] if units is None else list(units)
-        for payload in work:
+        for payload in [None] if units is None else units:
             remaining_time = (
                 max(0.001, deadline - time.perf_counter())
                 if deadline is not None
@@ -1307,7 +1252,9 @@ def _execute_inline(
             unit_options = MatchOptions(
                 count_only=True,
                 max_embeddings=(
-                    None if cap is None else max(1, cap - total)
+                    None
+                    if cap is None
+                    else max(1, cap - prior_emitted - agg["emitted"])
                 ),
                 time_limit=remaining_time,
                 use_sce=options.use_sce,
@@ -1323,45 +1270,22 @@ def _execute_inline(
                 else None
             )
             unit_started = time.perf_counter()
-            emitted = count_capped(physical, runtime, state)
-            execute_seconds += time.perf_counter() - unit_started
-            total += emitted
-            shard_stats = merge_counters(shard_stats, runtime.stats())
-            if len(runtime.degradation) > len(degradation):
-                degradation = list(runtime.degradation)
-            if runtime.stop_reason is not None:
-                stop_reason = runtime.stop_reason
+            agg["emitted"] += count_capped(physical, runtime, state)
+            agg["execute_seconds"] += time.perf_counter() - unit_started
+            agg["stats"] = merge_counters(agg["stats"], runtime.stats())
+            stop = runtime.stop_reason
+            if stop is not None:
+                agg["stop_reasons"].append(stop)
                 break
     finally:
-        if gov is not None:
-            gov.release()
-    stats = merge_counters(prior_counters or {}, shard_stats)
-    if obs.enabled:
-        obs.counters.merge(stats)
-    shard = _shard_report(
-        plan.variant.value,
-        total - prior_emitted,
-        shard_stats,
-        [stop_reason] if stop_reason is not None else [],
-        degradation,
-        execute_seconds,
-    )
-    merged = merge_run_reports([shard], workers=["w0"])
-    return MatchResult(
-        count=total,
-        variant=plan.variant,
-        embeddings=None,
-        elapsed=time.perf_counter() - started,
-        read_seconds=plan.task_clusters.read_seconds,
-        plan_seconds=max(0.0, plan.plan_seconds),
-        compile_seconds=physical.compile_seconds,
-        truncated=stop_reason == STOP_EMBEDDING_LIMIT,
-        timed_out=stop_reason == STOP_TIME_LIMIT,
-        stop_reason=stop_reason,
-        degradation=degradation,
-        progress=None,
-        stats=stats,
-        shards=merged["shards"],
+        if options.governor is not None:
+            options.governor.release()
+    return _package_result(
+        physical,
+        options,
+        _shard_table(prior_emitted, prior_counters or {}, {"w0": agg}),
+        stop,
+        time.perf_counter() - started,
     )
 
 

@@ -39,8 +39,8 @@ MIN_THROUGHPUT_ELAPSED = 1e-6
 def raise_stop(stop_reason: str, partial_count: int) -> NoReturn:
     """Raise the typed :class:`~repro.errors.LimitExceeded` subclass for a
     ``stop_reason``, carrying ``partial_count``. The single place mapping
-    stop reasons to exception types, so every front-end that converts the
-    cooperative flags to exceptions reports the same partial count."""
+    stop reasons to exception types, so every front-end that converts a
+    cooperative stop to an exception reports the same partial count."""
     from repro.errors import (
         EmbeddingLimitExceeded,
         LimitExceeded,
@@ -71,8 +71,8 @@ class MatchOptions:
     and count factorization (the paper's headline optimization) for
     ablations; ``count_only`` skips materializing embeddings. Both limits
     are cooperative in the iterative engine: the run stops at the next
-    check, sets the ``truncated``/``timed_out`` flag, and returns the
-    partial count — no exceptions on the engine path.
+    check, sets ``stop_reason``, and returns the partial count — no
+    exceptions on the engine path.
     """
 
     count_only: bool = False
@@ -138,8 +138,26 @@ class MatchOptions:
     ``csce retry-quarantined``)."""
 
 
+class StopFlags:
+    """The ``truncated``/``timed_out`` booleans, derived from a
+    ``stop_reason`` attribute — never stored, so they cannot disagree
+    with it."""
+
+    stop_reason: str | None
+
+    @property
+    def truncated(self) -> bool:
+        """The run stopped at its embedding cap."""
+        return self.stop_reason == STOP_EMBEDDING_LIMIT
+
+    @property
+    def timed_out(self) -> bool:
+        """The run stopped at its time limit."""
+        return self.stop_reason == STOP_TIME_LIMIT
+
+
 @dataclass
-class MatchResult:
+class MatchResult(StopFlags):
     """Outcome of one matching run, with the paper's reporting fields."""
 
     count: int
@@ -153,14 +171,12 @@ class MatchResult:
     0.0 when the run reused a cached :class:`repro.engine.PhysicalPlan`
     from a :class:`repro.engine.MatchSession`."""
 
-    truncated: bool = False
-    timed_out: bool = False
     stop_reason: str | None = None
     """Why the run ended early, or ``None`` for an exhaustive run. One of
     :data:`STOP_REASONS`: ``"time_limit"``, ``"embedding_limit"``,
-    ``"memory_limit"``, or ``"cancelled"``. The legacy ``truncated`` /
-    ``timed_out`` booleans are kept in sync (embedding-limit ↔ truncated,
-    time-limit ↔ timed_out) for existing callers."""
+    ``"memory_limit"``, ``"cancelled"`` or ``"quarantined"``. The only
+    stored stop state: the ``truncated``/``timed_out`` booleans are
+    derived from it (see :class:`StopFlags`)."""
 
     degradation: list[str] = field(default_factory=list)
     """Governor degradation-ladder events
@@ -196,10 +212,11 @@ class MatchResult:
     """
 
     shards: dict | None = None
-    """Per-worker shard summary for parallel runs (``workers > 1``): the
-    ``merge_run_reports`` shards block — ``{"count", "workers", "counts",
-    "stop_reasons", "execute_seconds_sum"}`` — where ``counts`` sums
-    exactly to :attr:`count`. Pool runs that quarantined poison units add
+    """Per-worker shard summary for parallel runs (``workers > 1``):
+    ``{"count", "workers", "counts", "stop_reasons",
+    "execute_seconds_sum"}``, where ``counts`` sums exactly to
+    :attr:`count` (a resumed pool's confirmed prefix is its
+    ``checkpoint`` shard). Pool runs that quarantined poison units add
     ``quarantined_units`` to the block. ``None`` on single-process runs."""
 
     quarantined_units: int = 0

@@ -59,7 +59,6 @@ from repro.obs.merge import (
     WorkerSnapshot,
     WorkUnit,
     merge_counters,
-    merge_run_reports,
     merge_worker_snapshots,
 )
 from repro.obs.metrics import (
@@ -251,7 +250,6 @@ __all__ = [
     "WorkUnit",
     "merge_counters",
     "merge_worker_snapshots",
-    "merge_run_reports",
     "Profiler",
     "NullProfiler",
     "NULL_PROFILE",

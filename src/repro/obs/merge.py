@@ -22,9 +22,6 @@ fan-out plugs into, before any process pool exists:
 * :class:`WorkUnit` — a portable unit of work: an opaque frame-stack
   payload (e.g. :meth:`repro.engine.executor.SearchState.to_payload`)
   plus the worker tag and span context, round-trippable through JSON.
-* :func:`merge_run_reports` — N shard run-reports folded into one valid
-  aggregate report with a ``shards`` block, so ``csce report`` renders a
-  distributed run exactly like a local one.
 
 Everything here is pure data plumbing — no engine imports — so the future
 ``--workers N`` front-end and the bench harness can both use it.
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 
 def _new_id(nbytes: int = 8) -> str:
@@ -207,96 +204,3 @@ class WorkUnit:
             payload=dict(payload["payload"]),
             context=SpanContext.from_dict(payload["context"]),
         )
-
-
-# ----------------------------------------------------------------------
-# Run-report aggregation
-# ----------------------------------------------------------------------
-def _longest_ladder(reports: Sequence[Mapping]) -> list:
-    """The degradation ladder of the shard that degraded furthest — a
-    valid ladder subsequence, unlike a cross-shard concatenation."""
-    best: list = []
-    for report in reports:
-        ladder = report.get("degradation") or []
-        if len(ladder) > len(best):
-            best = list(ladder)
-    return best
-
-
-def merge_run_reports(
-    reports: Sequence[Mapping],
-    workers: Sequence[str] | None = None,
-) -> dict:
-    """Aggregate N shard run-reports into one valid run-report.
-
-    Counts and counters are exact sums; wall-clock timings take the
-    slowest shard (shards run in parallel), with per-shard detail and the
-    cross-shard sums preserved in the ``shards`` block; ``stop_reason``
-    is the first shard stop (``None`` when every shard ran to
-    completion); span trees are concatenated. The result passes
-    ``validate_run_report`` and ``robustness_problems``, so downstream
-    tooling treats a distributed run like a local one.
-    """
-    if not reports:
-        raise ValueError("merge_run_reports needs at least one report")
-    if workers is not None and len(workers) != len(reports):
-        raise ValueError(
-            f"{len(workers)} worker tag(s) for {len(reports)} report(s)"
-        )
-    tags = (
-        [str(w) for w in workers]
-        if workers is not None
-        else [f"shard-{i}" for i in range(len(reports))]
-    )
-    first = reports[0]
-    counters = merge_counters(*(r.get("counters", {}) for r in reports))
-    count = sum(int(r.get("count", 0)) for r in reports)
-    timing_keys = (
-        "read_seconds", "plan_seconds", "execute_seconds", "total_seconds"
-    )
-    timings = {
-        key: max(
-            float(r.get("timings", {}).get(key, 0.0) or 0.0) for r in reports
-        )
-        for key in timing_keys
-    }
-    stop_reason = next(
-        (r.get("stop_reason") for r in reports if r.get("stop_reason")), None
-    )
-    spans: list = []
-    for tag, report in zip(tags, reports):
-        for span in report.get("spans", []) or []:
-            entry = dict(span)
-            entry.setdefault("attrs", {})
-            entry["attrs"] = {**entry["attrs"], "worker": tag}
-            spans.append(entry)
-    execute = timings["execute_seconds"]
-    merged: dict = {
-        "format": first.get("format", "repro-run-report"),
-        "version": int(first.get("version", 1)),
-        "engine": str(first.get("engine", "CSCE")),
-        "variant": str(first.get("variant", "")),
-        "count": count,
-        "truncated": any(bool(r.get("truncated")) for r in reports),
-        "timed_out": any(bool(r.get("timed_out")) for r in reports),
-        "stop_reason": stop_reason,
-        "degradation": _longest_ladder(reports),
-        "timings": timings,
-        "throughput": (count / execute) if execute > 0 else 0.0,
-        "counters": counters,
-        "spans": spans,
-        "shards": {
-            "count": len(reports),
-            "workers": tags,
-            "counts": [int(r.get("count", 0)) for r in reports],
-            "stop_reasons": [r.get("stop_reason") for r in reports],
-            "execute_seconds_sum": sum(
-                float(r.get("timings", {}).get("execute_seconds", 0.0) or 0.0)
-                for r in reports
-            ),
-        },
-    }
-    for key in ("dataset", "graph", "pattern", "plan"):
-        if key in first:
-            merged[key] = first[key]
-    return merged

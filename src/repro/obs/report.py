@@ -41,6 +41,9 @@ _SCHEMA: dict[str, type | tuple] = {
 
 _TIMING_KEYS = ("read_seconds", "plan_seconds", "execute_seconds", "total_seconds")
 
+#: The legacy boolean keys and the ``stop_reason`` each one is derived from.
+_DERIVED_FLAGS = (("truncated", "embedding_limit"), ("timed_out", "time_limit"))
+
 #: Supervision knobs the ``config`` block may stamp, with their JSON
 #: types (``None`` is always allowed — the knob was left at "unset").
 _CONFIG_KNOBS: dict[str, tuple] = {
@@ -185,8 +188,8 @@ def build_run_report(
         report["progress"] = dict(progress)
     shards = getattr(result, "shards", None)
     if shards:
-        # Parallel runs carry the merge_run_reports shards block; its
-        # per-worker counts must sum exactly to `count`
+        # Parallel runs carry the pool's per-worker shards block; its
+        # counts must sum exactly to `count`
         # (validate_run_report checks this).
         report["shards"] = dict(shards)
     if recorder is not None and recorder.enabled and recorder.recorded:
@@ -285,6 +288,14 @@ def robustness_problems(report: dict) -> list[str]:
             problems.append(
                 f"stop_reason {stop!r} is not one of {list(STOP_REASONS)}"
             )
+        # The flags are derived from stop_reason; a document whose copies
+        # disagree was written by hand or by a broken engine.
+        for flag, reason in _DERIVED_FLAGS:
+            if flag in report and report[flag] != (stop == reason):
+                problems.append(
+                    f"{flag} is {report[flag]!r} but stop_reason is"
+                    f" {stop!r} ({flag} must be stop_reason == {reason!r})"
+                )
     if "degradation" in report:
         ladder = report["degradation"]
         if not isinstance(ladder, list):

@@ -12,8 +12,9 @@ from repro.baselines import (
     WCOJMatcher,
     symmetry_restrictions,
 )
+from repro.bench.harness import make_engine
 from repro.core import CSCE, Variant
-from repro.errors import VariantError
+from repro.errors import EmbeddingLimitExceeded, VariantError
 from repro.graph import Graph, count_automorphisms
 
 from conftest import brute_count, make_random_graph
@@ -67,6 +68,19 @@ class TestBacktracking:
         if full > 2:
             result = matcher.match(p, "edge_induced", max_embeddings=2)
             assert result.count == 2 and result.truncated
+
+    def test_capped_run_reports_stop_reason(self, unlabeled_graph):
+        # A capped baseline run records why it stopped, like CSCE: the
+        # typed limit carries the exact partial count.
+        gup = make_engine("GuP", unlabeled_graph)
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        result = gup.match(path, "edge_induced", max_embeddings=3)
+        assert result.count == 3
+        assert result.stop_reason == "embedding_limit"
+        assert result.truncated and not result.timed_out
+        with pytest.raises(EmbeddingLimitExceeded) as info:
+            result.check()
+        assert info.value.partial_count == 3
 
     def test_restrictions(self, unlabeled_graph):
         tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -197,6 +211,17 @@ class TestSymmetryBreaking:
         tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(VariantError):
             SymmetryBreakingMatcher(unlabeled_graph).match(tri, count_only=False)
+
+    def test_forwards_inner_stop_reason(self):
+        # The inner restricted run's stop reaches the caller unchanged.
+        clique = Graph.from_edges(
+            12, [(i, j) for i in range(12) for j in range(i + 1, 12)]
+        )
+        path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        result = SymmetryBreakingMatcher(clique).match(path, time_limit=1e-9)
+        assert result.stop_reason == "time_limit"
+        assert result.timed_out and not result.truncated
+        assert result.degradation == []
 
     def test_records_symmetry_seconds(self, unlabeled_graph):
         tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

@@ -220,9 +220,10 @@ class TestIterativeExecutor:
             # Forced: a path never splits on an unlabeled clique, so a
             # routed count would run on the frame machine.
             physical = clique.session.compile(p, "edge_induced").physical
-            _, stats, stop_reason, _, _ = count_physical(
+            runtime = count_physical(
                 physical, MatchOptions(count_only=True, **options)
             )
+            stop_reason, stats = runtime.stop_reason, runtime.stats()
         else:
             result = clique.match(
                 p, "edge_induced", count_only=True, max_embeddings=10**12,
@@ -516,17 +517,15 @@ class TestFactorizedCountingParity:
         p = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         plan = engine.build_plan(p, "homomorphic")
         physical = compile_plan(plan)
-        total, stats, stop_reason, degradation, progress = count_physical(
-            physical, MatchOptions(count_only=True)
-        )
+        runtime = count_physical(physical, MatchOptions(count_only=True))
         enumerated = execute_physical(
             physical, MatchOptions(count_only=True, max_embeddings=10**9)
         ).count
-        assert total == enumerated
-        assert stop_reason is None
-        assert degradation == []
-        assert progress is None  # no observation, no estimator
-        assert stats["nodes"] >= 0
+        assert runtime.emitted == enumerated
+        assert runtime.stop_reason is None
+        assert runtime.degradation == []
+        assert runtime.progress is None  # no observation, no estimator
+        assert runtime.stats()["nodes"] >= 0
 
     def test_compile_seconds_in_result(self, engine):
         result = engine.match(small_pattern(), "edge_induced", count_only=True)

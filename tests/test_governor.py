@@ -14,12 +14,14 @@ from repro.engine import (
     STOP_TIME_LIMIT,
     Budget,
     CancelToken,
+    MatchOptions,
     ResourceGovernor,
 )
 from repro.engine.governor import (
     DEGRADE_DISABLE,
     DEGRADE_EVICT,
     DEGRADE_SUSPEND,
+    run_limits,
 )
 from repro.errors import (
     EmbeddingLimitExceeded,
@@ -57,18 +59,20 @@ class TestBudget:
 
     def test_effective_deadline_takes_tighter_limit(self):
         gov = ResourceGovernor(budget=Budget(time_limit=100.0))
-        assert gov.effective_deadline(None) is not None
+        deadline, _ = run_limits(MatchOptions(governor=gov))
+        assert deadline is not None
         # The per-run option is tighter than the budget here.
         import time
 
-        tight = gov.effective_deadline(0.001)
+        tight, _ = run_limits(MatchOptions(time_limit=0.001, governor=gov))
         assert tight - time.perf_counter() < 1.0
+        assert run_limits(MatchOptions()) == (None, None)
 
     def test_effective_cap_takes_min(self):
         gov = ResourceGovernor(budget=Budget(max_embeddings=10))
-        assert gov.effective_cap(None) == 10
-        assert gov.effective_cap(3) == 3
-        assert ResourceGovernor().effective_cap(None) is None
+        assert run_limits(MatchOptions(governor=gov))[1] == 10
+        assert run_limits(MatchOptions(max_embeddings=3, governor=gov))[1] == 3
+        assert run_limits(MatchOptions(governor=ResourceGovernor()))[1] is None
 
 
 class TestGovernedRuns:

@@ -10,7 +10,9 @@ import json
 import pytest
 
 from repro.core.csce import CSCE
-from repro.engine.executor import SearchState
+from repro.engine.executor import SearchState, execute_physical
+from repro.engine.pool import _execute_inline, _new_agg, _package_result
+from repro.engine.results import MatchOptions
 from repro.graph.patterns import CATALOG
 from repro.obs import (
     Observation,
@@ -21,7 +23,6 @@ from repro.obs import (
     build_run_report,
     format_run_report,
     merge_counters,
-    merge_run_reports,
     merge_worker_snapshots,
     robustness_problems,
     validate_run_report,
@@ -180,111 +181,64 @@ class TestWorkerSnapshots:
 
 
 # ---------------------------------------------------------------------------
-# Run-report aggregation
+# Run-report aggregation: the pool's one result from its shard aggregates
 # ---------------------------------------------------------------------------
 class TestMergeRunReports:
-    def shard_reports(self, engine, pattern):
-        reports = []
-        total = 0
-        for tag, obs, result in shard_by_root(engine, pattern):
-            total += result.count
-            reports.append(
-                build_run_report(result, engine="CSCE", obs=obs)
-            )
-        return reports, total
+    """A pool run folds its per-worker shards into one result and one
+    run-report: exact sums, the longest ladder, and a ``shards`` block
+    that validates."""
 
     def test_merged_report_is_valid_and_exact(self, engine):
         pattern = CATALOG["triangle"]()
-        reports, total = self.shard_reports(engine, pattern)
-        merged = merge_run_reports(reports)
+        seq = engine.match(pattern, "edge_induced", count_only=True)
+        obs = Observation(trace=False)
+        result = engine.match(
+            pattern, "edge_induced", count_only=True, workers=2, obs=obs
+        )
+        merged = build_run_report(result, engine="CSCE", obs=obs)
         validate_run_report(merged)  # raises on schema problems
         assert robustness_problems(merged) == []
-        assert merged["count"] == total
-        assert merged["shards"]["count"] == len(reports)
-        assert sum(merged["shards"]["counts"]) == total
-        assert merged["counters"]["nodes"] == sum(
-            r["counters"]["nodes"] for r in reports
-        )
-        # Parallel wall-clock: the merged timing is the slowest shard, and
-        # the cross-shard work sum is preserved separately.
-        assert merged["timings"]["execute_seconds"] == max(
-            r["timings"]["execute_seconds"] for r in reports
-        )
-        assert merged["shards"]["execute_seconds_sum"] == pytest.approx(
-            sum(r["timings"]["execute_seconds"] for r in reports)
-        )
+        assert merged["count"] == seq.count
+        shards = merged["shards"]
+        assert shards["count"] == len(shards["workers"]) == 2
+        assert sum(shards["counts"]) == seq.count
+        assert shards["stop_reasons"] == [None, None]
+        assert shards["execute_seconds_sum"] >= 0.0
 
     def test_merged_report_renders_shards(self, engine):
         pattern = CATALOG["triangle"]()
-        reports, _ = self.shard_reports(engine, pattern)
-        rendered = format_run_report(
-            merge_run_reports(reports, workers=[f"w{i}" for i in
-                                               range(len(reports))])
+        result = engine.match(
+            pattern, "edge_induced", count_only=True, workers=2
         )
+        rendered = format_run_report(build_run_report(result, engine="CSCE"))
         assert "shards" in rendered
 
-    def test_worker_tags_stamped_on_spans(self):
-        base = {
-            "format": "repro-run-report", "version": 1, "engine": "CSCE",
-            "variant": "edge_induced", "count": 1,
-            "timings": {"execute_seconds": 0.5},
-            "spans": [{"name": "execute", "attrs": {}}],
+    def test_degradation_takes_longest_ladder(self, engine):
+        physical = engine.session.compile(
+            CATALOG["triangle"](), "edge_induced"
+        ).physical
+        shards = {
+            "w0": dict(_new_agg(), degradation=["evict_memo"]),
+            "w1": dict(_new_agg(), degradation=["evict_memo", "disable_memo"]),
         }
-        other = dict(base, spans=[{"name": "execute", "attrs": {}}])
-        merged = merge_run_reports([base, other], workers=["a", "b"])
-        tags = [s["attrs"]["worker"] for s in merged["spans"]]
-        assert tags == ["a", "b"]
-
-    def test_stop_reason_first_non_none(self):
-        base = {
-            "format": "repro-run-report", "version": 1, "engine": "CSCE",
-            "variant": "edge_induced", "count": 0,
-            "timings": {}, "stop_reason": None,
-        }
-        stopped = dict(base, stop_reason="time_limit", timed_out=True)
-        merged = merge_run_reports([base, stopped, base])
-        assert merged["stop_reason"] == "time_limit"
-        assert merged["timed_out"] is True
-
-    def test_degradation_takes_longest_ladder(self):
-        base = {
-            "format": "repro-run-report", "version": 1, "engine": "CSCE",
-            "variant": "edge_induced", "count": 0, "timings": {},
-        }
-        a = dict(base, degradation=["evict_memo"])
-        b = dict(base, degradation=["evict_memo", "disable_memo"])
-        merged = merge_run_reports([a, b])
-        assert merged["degradation"] == ["evict_memo", "disable_memo"]
+        merged = _package_result(
+            physical, MatchOptions(count_only=True), shards, None, 0.0
+        )
+        assert merged.degradation == ["evict_memo", "disable_memo"]
 
     def test_single_shard_identity(self, engine):
-        # Merging one shard report changes nothing observable: count,
-        # counters, stop flags, and timings all pass through, and the
-        # shards block degenerates to that one worker.
-        pattern = CATALOG["triangle"]()
-        obs = Observation(trace=False)
-        result = engine.match(
-            pattern, "edge_induced", count_only=False, obs=obs
-        )
-        report = build_run_report(result, engine="CSCE", obs=obs)
-        merged = merge_run_reports([report], workers=["solo"])
-        validate_run_report(merged)
-        assert merged["count"] == report["count"]
-        assert merged["counters"] == report["counters"]
-        assert merged["stop_reason"] == report.get("stop_reason")
-        assert merged["timings"]["execute_seconds"] == (
-            report["timings"]["execute_seconds"]
-        )
-        assert merged["shards"]["count"] == 1
-        assert merged["shards"]["workers"] == ["solo"]
-        assert merged["shards"]["counts"] == [report["count"]]
-
-    def test_empty_and_mismatched_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            merge_run_reports([])
-        with pytest.raises(ValueError):
-            merge_run_reports(
-                [{"format": "repro-run-report", "version": 1,
-                  "engine": "CSCE", "variant": "v", "count": 0,
-                  "timings": {}}],
-                workers=["a", "b"],
-            )
+        # Packaging one shard changes nothing observable: count, stats and
+        # stop reason pass through, and the shards block degenerates to
+        # that one worker.
+        physical = engine.session.compile(
+            CATALOG["triangle"](), "edge_induced"
+        ).physical
+        options = MatchOptions(count_only=True, max_embeddings=10**9)
+        seq = execute_physical(physical, options)
+        merged = _execute_inline(physical, options, None)
+        assert merged.count == seq.count
+        assert merged.stats == seq.stats
+        assert merged.stop_reason is seq.stop_reason is None
+        assert merged.shards["count"] == 1
+        assert merged.shards["workers"] == ["w0"]
+        assert merged.shards["counts"] == [seq.count]

@@ -388,6 +388,23 @@ class TestRunReport:
         bad = {**good, "stop_reason": None}
         assert robustness_problems(bad)
 
+    def test_robustness_problems_cross_checks_stop_flags(self):
+        from repro.obs import robustness_problems
+
+        report = self._report(trace=False)
+        # Flagged as truncated, yet no stop reason recorded.
+        stale = {**report, "truncated": True, "stop_reason": None}
+        problems = robustness_problems(stale)
+        assert problems and "truncated" in problems[0]
+        assert robustness_problems(
+            {**report, "timed_out": False, "stop_reason": "time_limit"}
+        )
+        capped = {**report, "truncated": True, "stop_reason": "embedding_limit"}
+        assert robustness_problems(capped) == []
+        # Without a stop_reason key there is nothing to cross-check.
+        legacy = {k: v for k, v in stale.items() if k != "stop_reason"}
+        assert robustness_problems(legacy) == []
+
     def test_format_run_report_shows_robustness(self):
         report = {
             **self._report(trace=False),

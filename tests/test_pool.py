@@ -27,6 +27,7 @@ from repro.engine.executor import Runtime, SearchState, count_capped, specialize
 from repro.engine.governor import Budget, CancelToken, ResourceGovernor
 from repro.engine.pool import (
     _STOP_SEVERITY,
+    _execute_inline,
     execute_parallel,
 )
 from repro.engine.results import MatchOptions
@@ -463,6 +464,43 @@ class TestPoolObservability:
         assert block["count"] == len(block["workers"])
         assert len(block["counts"]) == block["count"]
         assert sum(block["counts"]) == result.count
+
+    def test_resumed_pool_reports_checkpoint_shard(self, engine, tmp_path):
+        # The confirmed prefix of a resumed pool is its own shard, so the
+        # shard counts still sum exactly to the total.
+        pattern = CATALOG["square"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True)
+        cp_dir = tmp_path / "shards"
+        partial = engine.match(
+            pattern, "homomorphic", count_only=True, workers=2,
+            max_embeddings=max(1, seq.count // 3),
+            pool_checkpoint_dir=str(cp_dir),
+        )
+        resumed = engine.resume_pool(str(cp_dir), workers=2,
+                                     max_embeddings=None)
+        block = resumed.shards
+        assert block["workers"][0] == "checkpoint"
+        assert block["counts"][0] == partial.count
+        assert block["stop_reasons"][0] is None
+        assert sum(block["counts"]) == resumed.count == seq.count
+
+    def test_inline_path_counts_checkpoint_shard(self, engine):
+        # The single-process fallback reports a resumed prefix the same
+        # way the forked pool does.
+        physical = engine.session.compile(
+            CATALOG["square"](), "homomorphic"
+        ).physical
+        result = _execute_inline(
+            physical, MatchOptions(count_only=True), None,
+            prior_emitted=5, prior_counters={"nodes": 7},
+        )
+        fresh = Runtime(physical, MatchOptions(count_only=True))
+        count_capped(physical, fresh)
+        block = result.shards
+        assert block["workers"] == ["checkpoint", "w0"]
+        assert block["counts"] == [5, fresh.emitted]
+        assert sum(block["counts"]) == result.count
+        assert result.stats["nodes"] == 7 + fresh.nodes
 
     def test_run_report_includes_shards_and_validates(self, engine):
         pattern = CATALOG["square"]()

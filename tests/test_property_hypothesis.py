@@ -248,7 +248,8 @@ class TestMatchingProperties:
             == total
         )
         if not restricted:
-            factorized, stats = count_physical(physical, options)[:2]
+            runtime = count_physical(physical, options)
+            factorized, stats = runtime.emitted, runtime.stats()
             assert factorized == total == brute_count(g, p, variant)
             if not physical.regions.factorizes:
                 # Nothing splits: the counter walks the frame machine's tree.

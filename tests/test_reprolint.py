@@ -288,10 +288,12 @@ def test_exception_flow_fixture_flagged():
     # The handler that catches EmbeddingLimitExceeded and just logs.
     assert "EmbeddingLimitExceeded" in messages
     assert "swallow" in messages
-    assert len(violations) == 2
-    # The escape is reported at the raise site.
+    assert len(violations) == 3
+    # The escape is reported at the raise site; the handler that only
+    # sets a local `truncated` flag is a swallow too.
     lines = {v.line for v in violations}
     assert 19 in lines
+    assert 49 in lines
 
 
 def test_signal_safety_fixture_flagged():

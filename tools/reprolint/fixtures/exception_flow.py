@@ -1,7 +1,7 @@
 """Known-bad fixture for the exception_flow pass: a budget raise escapes
-through two call frames to an API root with no handler anywhere, and a
-local handler swallows the limit signal without mapping it to a
-stop-reason outcome."""
+through two call frames to an API root with no handler anywhere, and two
+local handlers swallow the limit signal without a stop-reason outcome
+(one only sets a ``truncated`` flag, which records no stop)."""
 
 
 class TimeLimitExceeded(Exception):
@@ -39,3 +39,14 @@ def swallow(budget):
         # violation: neither maps to a stop reason nor re-raises
         return None
     return budget
+
+
+def flag_only(budget):
+    truncated = False
+    try:
+        if budget <= 0:
+            raise EmbeddingLimitExceeded("cap reached")
+    except EmbeddingLimitExceeded:
+        # violation: a local flag is not a stop_reason
+        truncated = True
+    return truncated

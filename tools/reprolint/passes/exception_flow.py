@@ -5,9 +5,9 @@ match: every raise of the ``LimitExceeded`` family
 (``TimeLimitExceeded``, ``EmbeddingLimitExceeded``,
 ``MemoryLimitExceeded``, ``MatchCancelled``) is caught somewhere up the
 call chain by a handler that converts it into a typed partial result — a
-``STOP_REASONS`` member, a ``truncated``/``timed_out`` flag, a
-``partial_count``. A new raise path that misses its handler yields an
-untyped crash instead, which no per-file check can see.
+``STOP_REASONS`` member in ``stop_reason``, or a ``partial_count``. A new
+raise path that misses its handler yields an untyped crash instead, which
+no per-file check can see.
 
 This pass closes the loophole interprocedurally: it builds the
 :class:`~tools.reprolint.model.ProgramModel` call graph over the engine
@@ -15,8 +15,9 @@ sources, finds every family raise site, and propagates the escape along
 the (conservatively resolved) call edges:
 
 * a raise inside a ``try`` whose matching handler *maps* the exception
-  (references ``stop_reason``/``truncated``/``timed_out``/
-  ``partial_count``/``STOP_REASONS``/``raise_stop``) is sound;
+  (references ``stop_reason``/``partial_count``/``STOP_REASONS``/
+  ``raise_stop``) is sound — a ``truncated``/``timed_out`` flag is no
+  stop record, since both are derived from ``stop_reason``;
 * a matching handler that merely re-raises passes the escape through to
   the caller's callers;
 * a matching handler that does neither is flagged — it swallows the
@@ -52,7 +53,7 @@ CATCH_ALL = frozenset((
 #: A handler "maps" the exception when it references the machinery that
 #: turns a budget breach into a typed partial result.
 MAPPING_MARKERS = frozenset((
-    "stop_reason", "truncated", "timed_out", "partial_count", "raise_stop",
+    "stop_reason", "partial_count", "raise_stop",
 ))
 
 
@@ -176,8 +177,8 @@ class ExceptionFlowPass(LintPass):
             violations.append(self.violation(
                 ctx, path, handler.lineno,
                 f"handler catches {exc_name} but neither maps it to a"
-                " STOP_REASONS outcome (stop_reason / truncated /"
-                " timed_out / partial_count) nor re-raises — the budget"
+                " STOP_REASONS outcome (stop_reason / partial_count)"
+                " nor re-raises — the budget"
                 " signal is swallowed",
             ))
 
