@@ -28,9 +28,15 @@ from repro.bench.tables import print_table
 from repro.core.csce import CSCE
 from repro.core.variants import Variant
 from repro.datasets import DATASET_NAMES, dataset_table, load_dataset
+from repro.engine.checkpoint import (
+    CheckpointSink,
+    decode_query,
+    load_checkpoint_set,
+)
 from repro.engine.physical import compile_plan
-from repro.errors import FormatError
+from repro.errors import CheckpointError, FormatError
 from repro.graph.io import load_graph
+from repro.graph.model import Graph
 from repro.graph.sampling import sample_pattern
 from repro.obs import (
     DEFAULT_INSPECT_INTERVAL,
@@ -157,17 +163,26 @@ def _cmd_capabilities(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
+def _load_data_graph(args: argparse.Namespace) -> Graph | None:
+    """The data graph named by ``--data FILE`` or ``--dataset NAME``;
+    None (with the error printed) when neither is given."""
     if args.data:
         graph = load_graph(args.data, strict=not args.lenient)
     elif args.dataset:
         graph = load_dataset(args.dataset, scale=args.scale)
     else:
         print("error: provide --data FILE or --dataset NAME", file=sys.stderr)
-        return 2
+        return None
     if getattr(graph, "parse_warnings", 0):
         print(f"warning     : skipped {graph.parse_warnings} malformed"
               " line(s) in the data graph", file=sys.stderr)
+    return graph
+
+
+def _cmd_match(args: argparse.Namespace) -> int:
+    graph = _load_data_graph(args)
+    if graph is None:
+        return 2
     robustness = (
         args.memory_limit is not None
         or args.checkpoint is not None
@@ -195,37 +210,16 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    checkpoint_doc = None
-    resume_dir = None
-    if args.resume and os.path.isdir(args.resume):
-        # A directory of shard checkpoints (csce match --workers N
-        # --checkpoint DIR) resumes on the worker pool.
-        from repro.engine import load_checkpoint_dir
-        from repro.errors import CheckpointError
-        from repro.graph.io import parse_graph_text
-
+    variant, planner = args.variant, "csce"
+    resume_doc = None
+    if args.resume:
+        # The query comes from the checkpoint, never from the flags.
         try:
-            pool_docs = load_checkpoint_dir(args.resume)
+            resume_doc = next(iter(load_checkpoint_set(args.resume).values()))
+            pattern, variant, planner, *_ = decode_query(resume_doc)
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        resume_dir = args.resume
-        pattern = parse_graph_text(
-            pool_docs[0]["pattern"]["text"], name="resumed"
-        )
-    elif args.resume:
-        from repro.engine import load_checkpoint
-        from repro.errors import CheckpointError
-        from repro.graph.io import parse_graph_text
-
-        try:
-            checkpoint_doc = load_checkpoint(args.resume)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        pattern = parse_graph_text(
-            checkpoint_doc["pattern"]["text"], name="resumed"
-        )
     elif args.pattern:
         pattern = load_graph(args.pattern, strict=not args.lenient)
     else:
@@ -273,7 +267,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     plan = None
     if isinstance(engine, CSCE) and obs is not None:
         # Build the plan explicitly so the run-report can summarize it.
-        plan = engine.build_plan(pattern, args.variant, obs=obs)
+        plan = engine.build_plan(pattern, variant, planner=planner, obs=obs)
     governor = None
     previous_handler = None
     if isinstance(engine, CSCE):
@@ -287,11 +281,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
         )
         previous_handler = _install_sigint(token)
     usr1_handler = _install_sigusr1(obs) if obs is not None else None
-    parallel = workers > 1 or resume_dir is not None
+    # A directory of shard checkpoints (csce match --workers N
+    # --checkpoint DIR) always resumes on the worker pool.
+    parallel = workers > 1 or bool(args.resume and os.path.isdir(args.resume))
     use_stream = not parallel and (
         args.stream
         or args.checkpoint
-        or checkpoint_doc is not None
+        or resume_doc is not None
         or args.inspect is not None
     )
     checkpoint_block = None
@@ -311,9 +307,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 print(f"inspector   : listening on {server.endpoint}",
                       file=sys.stderr)
                 usr2_handler = _install_sigusr2(inspector)
-            if resume_dir is not None:
+            if resume_doc is not None:
                 result = engine.resume_pool(
-                    resume_dir,
+                    args.resume,
                     workers=workers,
                     max_embeddings=args.limit,
                     time_limit=args.time_limit,
@@ -330,7 +326,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 # pass `plan` when not checkpointing.
                 result = engine.match(
                     pattern,
-                    args.variant,
+                    variant,
                     count_only=True,
                     max_embeddings=args.limit,
                     time_limit=args.time_limit,
@@ -361,28 +357,22 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 print("error: --stream requires --engine CSCE",
                       file=sys.stderr)
                 return 2
-            if checkpoint_doc is not None:
-                from repro.errors import CheckpointError
-
-                try:
-                    stream = engine.resume(
-                        checkpoint_doc,
-                        max_embeddings=args.limit,
-                        time_limit=args.time_limit,
-                        governor=governor,
-                        obs=obs,
-                        checkpoint_path=args.checkpoint or args.resume,
-                    )
-                except CheckpointError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
+            if resume_doc is not None:
+                stream = engine.resume(
+                    resume_doc,
+                    max_embeddings=args.limit,
+                    time_limit=args.time_limit,
+                    governor=governor,
+                    obs=obs,
+                    checkpoint_path=args.checkpoint or args.resume,
+                )
             else:
                 # checkpoint_path forbids a caller-supplied plan (resume
                 # recompiles through the session), so only pass `plan`
                 # when not checkpointing.
                 stream = engine.match_iter(
                     pattern,
-                    args.variant,
+                    variant,
                     max_embeddings=args.limit,
                     time_limit=args.time_limit,
                     obs=obs,
@@ -395,18 +385,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     ),
                 )
             if args.inspect is not None and obs is not None:
-                from repro.engine import CheckpointSink
-
-                def _sink_factory(path):
-                    return CheckpointSink(
-                        path, engine.store, pattern, args.variant, "csce"
-                    )
-
                 inspector = MatchInspector(
                     stream,
                     obs,
                     governor=governor,
-                    checkpoint_factory=_sink_factory,
+                    checkpoint_factory=lambda path: CheckpointSink(
+                        path, engine.store
+                    ),
                     default_checkpoint_path=(
                         args.checkpoint
                         or f"csce-checkpoint-{os.getpid()}.json"
@@ -438,7 +423,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         else:
             result = engine.match(
                 pattern,
-                args.variant,
+                variant,
                 count_only=not args.enumerate,
                 max_embeddings=args.limit,
                 time_limit=args.time_limit,
@@ -446,6 +431,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 **({"plan": plan} if plan is not None else {}),
                 **({"governor": governor} if governor is not None else {}),
             )
+    except CheckpointError as exc:  # restore refused the checkpoint set
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if server is not None:
             server.stop()
@@ -580,14 +568,8 @@ def _cmd_retry_quarantined(args: argparse.Namespace) -> int:
     """Replay the quarantine-NNNN.json residue of a --workers run
     single-process and fold the missing counts (see
     :meth:`repro.core.CSCE.retry_quarantined`)."""
-    from repro.errors import CheckpointError
-
-    if args.data:
-        graph = load_graph(args.data, strict=not args.lenient)
-    elif args.dataset:
-        graph = load_dataset(args.dataset, scale=args.scale)
-    else:
-        print("error: provide --data FILE or --dataset NAME", file=sys.stderr)
+    graph = _load_data_graph(args)
+    if graph is None:
         return 2
     engine = CSCE(graph)
     overrides: dict = {}
@@ -596,14 +578,7 @@ def _cmd_retry_quarantined(args: argparse.Namespace) -> int:
     if args.time_limit is not None:
         overrides["time_limit"] = args.time_limit
     try:
-        replayed = len([
-            name
-            for name in os.listdir(args.directory)
-            if name.startswith("quarantine-") and name.endswith(".json")
-        ])
-    except OSError:
-        replayed = 0  # the engine call below reports the real error
-    try:
+        replayed = len(load_checkpoint_set(args.directory, quarantine=True))
         result = engine.retry_quarantined(
             args.directory, keep_files=args.keep_files, **overrides
         )
@@ -1084,9 +1059,10 @@ def build_parser() -> argparse.ArgumentParser:
                          " work unit")
     p_match.add_argument("--resume", metavar="PATH", default=None,
                          help="resume a suspended run from this checkpoint"
-                         " (pattern comes from the checkpoint; the data"
-                         " graph must be unchanged). A directory of shard"
-                         " checkpoints resumes on the worker pool")
+                         " file or shard directory (pattern and variant come"
+                         " from the checkpoint; the data graph must be"
+                         " unchanged). A directory, or any checkpoint with"
+                         " --workers N, resumes on the worker pool")
     p_match.add_argument("--lenient", action="store_true",
                          help="skip malformed graph-file lines with a"
                          " warning instead of failing (strict=False)")

@@ -36,8 +36,21 @@ from repro.core.dag import build_dag
 from repro.core.gcf import gcf_order
 from repro.core.plan import Plan
 from repro.core.variants import Variant
-from repro.engine.executor import EmbeddingStream, execute_physical
+from repro.engine.checkpoint import (
+    CheckpointSink,
+    PoolCheckpointDir,
+    load_checkpoint,
+    load_checkpoint_set,
+    restore,
+    restore_stream,
+)
+from repro.engine.executor import (
+    EmbeddingStream,
+    execute_physical,
+    specialize,
+)
 from repro.engine.physical import PhysicalPlan, compile_plan
+from repro.engine.pool import _execute_inline, execute_parallel
 from repro.engine.results import MatchOptions, MatchResult
 from repro.engine.session import PLANNERS, MatchSession, plan_query
 from repro.errors import PlanError
@@ -230,42 +243,31 @@ class CSCE:
                 max_unit_attempts=max_unit_attempts,
             )
             if workers > 1:
-                result = self._match_parallel(
-                    physical, options, pattern, variant, planner, plan,
-                    pool_checkpoint_dir,
+                result = execute_parallel(
+                    specialize(physical, options),
+                    options,
+                    checkpoint=self._checkpoint_writer(
+                        PoolCheckpointDir, pool_checkpoint_dir, plan,
+                        "pool_checkpoint_dir",
+                    ),
                 )
             else:
                 result = execute_physical(physical, options)
             span.set("count", result.count)
         return result
 
-    def _match_parallel(
-        self, physical, options, pattern, variant, planner, plan,
-        pool_checkpoint_dir,
-    ) -> MatchResult:
-        """Dispatch a ``workers > 1`` match to the process pool, wiring the
-        shard-checkpoint directory that can't ride on
-        :class:`MatchOptions`."""
-        from repro.engine.executor import specialize
-        from repro.engine.pool import execute_parallel
-
-        checkpoint = None
-        if pool_checkpoint_dir is not None:
-            if plan is not None:
-                raise PlanError(
-                    "pool_checkpoint_dir requires a session-compiled plan;"
-                    " drop the plan= argument"
-                )
-            from repro.engine.checkpoint import PoolCheckpointDir
-
-            checkpoint = PoolCheckpointDir(
-                pool_checkpoint_dir, self.store, pattern, variant, planner
+    def _checkpoint_writer(self, writer, path, plan, name):
+        """``writer(path, store)``, or None without a ``path``. Resume
+        recompiles the query through the session, so a run on a
+        caller-supplied ``plan`` cannot be checkpointed."""
+        if path is None:
+            return None
+        if plan is not None:
+            raise PlanError(
+                f"{name} requires a session-compiled plan;"
+                " drop the plan= argument"
             )
-        return execute_parallel(
-            specialize(physical, options),
-            options,
-            checkpoint=checkpoint,
-        )
+        return writer(path, self.store)
 
     def match_iter(
         self,
@@ -306,18 +308,9 @@ class CSCE:
         variant = Variant.parse(variant)
         obs = obs or self.obs or NULL_OBS
         restrictions = tuple(restrictions) if restrictions else None
-        sink = None
-        if checkpoint_path is not None:
-            if plan is not None:
-                raise PlanError(
-                    "checkpoint_path requires a session-compiled plan;"
-                    " drop the plan= argument"
-                )
-            from repro.engine.checkpoint import CheckpointSink
-
-            sink = CheckpointSink(
-                checkpoint_path, self.store, pattern, variant, planner
-            )
+        sink = self._checkpoint_writer(
+            CheckpointSink, checkpoint_path, plan, "checkpoint_path"
+        )
         physical = self._compiled(
             pattern, variant, planner, plan, restrictions, obs
         )
@@ -353,15 +346,13 @@ class CSCE:
         auto-checkpointing, so repeated suspend/resume cycles work with
         the same path.
         """
-        from repro.engine.checkpoint import KEEP, load_checkpoint, restore_stream
-
         if not isinstance(checkpoint, dict):
             checkpoint = load_checkpoint(checkpoint)
         return restore_stream(
             checkpoint,
             self.session,
-            max_embeddings=KEEP if max_embeddings is ... else max_embeddings,
-            time_limit=KEEP if time_limit is ... else time_limit,
+            max_embeddings=max_embeddings,
+            time_limit=time_limit,
             governor=governor,
             obs=obs or self.obs,
             checkpoint_path=checkpoint_path,
@@ -369,7 +360,7 @@ class CSCE:
 
     def resume_pool(
         self,
-        directory,
+        path,
         workers: int = 2,
         max_embeddings=...,
         time_limit=...,
@@ -380,34 +371,43 @@ class CSCE:
         max_respawns: int | None = None,
         max_unit_attempts: int = 3,
     ) -> MatchResult:
-        """Resume a partially-completed parallel match from a directory of
-        shard checkpoints (written via ``pool_checkpoint_dir`` /
-        ``csce match --workers N --checkpoint DIR``).
+        """Resume a checkpoint on the worker pool: a directory of shard
+        checkpoints (written via ``pool_checkpoint_dir`` / ``csce match
+        --workers N --checkpoint DIR``) or a single checkpoint file, such
+        as a suspended stream's.
 
-        Every shard is validated against this engine's store and against
-        its siblings (same pattern, store, and query configuration —
-        :class:`repro.errors.CheckpointError` on any mismatch). The
+        Every document is validated against this engine's store and
+        against its siblings (same pattern, store, and query configuration
+        — :class:`repro.errors.CheckpointError` on any mismatch). The
         returned result folds the checkpointed progress into the new run:
         its count is exactly the count the uninterrupted sequential match
         would have produced. ``checkpoint_dir`` re-arms shard
         checkpointing for repeated suspend/resume cycles.
         """
-        from repro.engine.checkpoint import load_checkpoint_dir
-        from repro.engine.pool import resume_parallel
-
-        payloads = load_checkpoint_dir(directory)
-        return resume_parallel(
-            payloads,
+        run = restore(
+            load_checkpoint_set(path),
             self.session,
-            workers,
-            max_embeddings=max_embeddings,
-            time_limit=time_limit,
-            governor=governor,
-            obs=obs or self.obs,
-            checkpoint_dir=checkpoint_dir,
+            max_embeddings,
+            time_limit,
+            governor,
+            obs or self.obs,
+            count_only=True,
+            workers=workers,
             stall_timeout=stall_timeout,
             max_respawns=max_respawns,
             max_unit_attempts=max_unit_attempts,
+        )
+        return execute_parallel(
+            run.physical,
+            run.options,
+            initial_units=run.units,
+            prior_emitted=run.emitted,
+            prior_counters=run.counters,
+            checkpoint=(
+                None
+                if checkpoint_dir is None
+                else PoolCheckpointDir(checkpoint_dir, self.store)
+            ),
         )
 
     def retry_quarantined(
@@ -441,36 +441,16 @@ class CSCE:
         """
         import os
 
-        from repro.engine.checkpoint import (
-            KEEP,
-            _restore_query,
-            check_store_compatibility,
-            load_quarantine_dir,
-        )
-        from repro.engine.pool import _execute_inline
-
-        pairs = load_quarantine_dir(directory)
-        paths = [path for path, _ in pairs]
-        payloads = [payload for _, payload in pairs]
-        for payload in payloads:
-            check_store_compatibility(payload, self.store)
-        *_, physical, options = _restore_query(
-            payloads[0],
-            self.session,
-            [],
-            KEEP if max_embeddings is ... else max_embeddings,
-            KEEP if time_limit is ... else time_limit,
-            governor,
-            obs or self.obs,
-            count_only=True,
+        residue = load_checkpoint_set(directory, quarantine=True)
+        run = restore(
+            residue, self.session, max_embeddings, time_limit, governor,
+            obs or self.obs, count_only=True,
         )
         result = _execute_inline(
-            physical,
-            options,
-            [dict(payload["state"]) for payload in payloads],
+            run.physical, run.options, run.units, run.emitted, run.counters
         )
         if result.stop_reason is None and not keep_files:
-            for path in paths:
+            for path in residue:
                 try:
                     os.unlink(path)
                 except OSError:  # pragma: no cover - best-effort cleanup

@@ -21,8 +21,9 @@ The engine separates the *logical* plan (what each step must check — see
 * :class:`ResourceGovernor` enforces a unified :class:`Budget` (deadline,
   embedding cap, memory ceiling with a graceful-degradation ladder) and a
   cooperative :class:`CancelToken` over any run;
-* :mod:`repro.engine.checkpoint` suspends/resumes the streaming executor's
-  frame stack across processes (``CSCE.resume``);
+* :mod:`repro.engine.checkpoint` suspends a stream or a pool to a set of
+  unit documents and resumes it through one :func:`restore`
+  (``CSCE.resume`` / ``resume_pool`` / ``retry_quarantined``);
 * :mod:`repro.engine.workunit` shards one search into portable
   :class:`SearchState` payloads (root-candidate ranges, work-steal splits)
   and :mod:`repro.engine.pool` executes them on a multi-process worker
@@ -70,11 +71,11 @@ from repro.engine.executor import (
 from repro.engine.checkpoint import (
     CheckpointSink,
     PoolCheckpointDir,
+    Restored,
     load_checkpoint,
-    load_checkpoint_dir,
-    load_quarantine_dir,
+    load_checkpoint_set,
+    restore,
     restore_stream,
-    worker_scoped_path,
     write_checkpoint,
 )
 from repro.engine.workunit import (
@@ -82,10 +83,7 @@ from repro.engine.workunit import (
     root_candidates,
     split_search_state,
 )
-from repro.engine.pool import (
-    execute_parallel,
-    resume_parallel,
-)
+from repro.engine.pool import execute_parallel
 from repro.engine.counting import FactorizedCounter, count_physical
 from repro.engine.session import (
     PLANNERS,
@@ -118,17 +116,16 @@ __all__ = [
     "SearchState",
     "CheckpointSink",
     "PoolCheckpointDir",
+    "Restored",
     "load_checkpoint",
-    "load_checkpoint_dir",
-    "load_quarantine_dir",
+    "load_checkpoint_set",
+    "restore",
     "restore_stream",
-    "worker_scoped_path",
     "write_checkpoint",
     "make_root_units",
     "root_candidates",
     "split_search_state",
     "execute_parallel",
-    "resume_parallel",
     "ExtendOp",
     "PhysicalPlan",
     "compile_plan",

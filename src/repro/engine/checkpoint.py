@@ -1,4 +1,4 @@
-"""Suspend/resume checkpoints for the streaming executor.
+"""Suspend/resume checkpoints for the streaming executor and the pool.
 
 Because the executor keeps its entire search state in an explicit
 :class:`~repro.engine.executor.SearchState` (frame stack, scan cursors,
@@ -18,6 +18,15 @@ Checkpoint document (``format`` = ``"repro-checkpoint"``, ``version`` 1)::
       "progress": {"emitted", "stop_reason", "degradation", "counters"},
       "state":    <SearchState payload>
     }
+
+**A checkpoint is a set of such documents** for one query: their
+``progress`` sections add up to the confirmed prefix and their ``state``
+payloads are the unfinished work units. A suspended stream writes a set of
+one; a suspended pool writes one ``shard-NNNN.json`` per unfinished unit
+and its poison units ``quarantine-NNNN.json``. Every writer stamps the
+query identity from the compiled plan it ran, and :func:`restore` is the
+one reader: stream resume, pool resume and quarantine replay all start
+from its :class:`Restored` query.
 
 **Compatibility guard.** A checkpoint stores candidate lists of concrete
 data-vertex ids, so it is only valid against the exact store it was taken
@@ -40,7 +49,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.executor import EmbeddingStream, SearchState
@@ -48,6 +59,7 @@ from repro.engine.governor import DEGRADE_DISABLE
 from repro.engine.results import STOP_QUARANTINED, MatchOptions
 from repro.errors import CheckpointError
 from repro.obs.catalog import CANDIDATE_STAT_KEYS, RUNTIME_STAT_KEYS
+from repro.obs.merge import merge_counters
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.ccsr.store import CCSRStore
@@ -61,9 +73,12 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
 
 #: Filename prefix of poison-unit residue documents in a pool checkpoint
-#: directory. ``load_checkpoint_dir`` skips them (resume must not re-run
-#: what ``csce retry-quarantined`` replays — that would double count).
+#: directory. A pool resume skips them (it must not re-run what
+#: ``csce retry-quarantined`` replays — that would double count).
 QUARANTINE_PREFIX = "quarantine-"
+
+#: A pool shard document's filename (``shard-NNNN.json``).
+_SHARD_NAME = re.compile(r"shard-\d+\.json")
 
 #: Declared wire-format manifests for this module, gated by the
 #: ``wire_schema`` reprolint pass: every listed encoder must write exactly
@@ -87,14 +102,11 @@ WIRE_MANIFESTS: dict[str, dict] = {
             "progress",
             "state",
         ),
-        "encoders": (
-            "checkpoint_payload",
-            "PoolCheckpointDir.write:payload",
-        ),
+        "encoders": ("checkpoint_payload",),
         "decoders": (
             "validate_checkpoint",
-            "_restore_query",
-            "restore_stream",
+            "decode_query",
+            "restore:payload",
             "check_store_compatibility",
         ),
     },
@@ -116,9 +128,6 @@ WIRE_MANIFESTS: dict[str, dict] = {
         "decoders": ("validate_checkpoint",),
     },
 }
-
-#: Sentinel for "keep the checkpoint's limit" in resume overrides.
-KEEP = object()
 
 
 def _digest(obj: object) -> str:
@@ -142,23 +151,25 @@ def store_digest(store: CCSRStore) -> str:
     return _digest((store.num_vertices, store.num_edges, clusters))
 
 
-def base_sections(
+def checkpoint_payload(
+    physical: PhysicalPlan,
     store: CCSRStore,
-    pattern: Graph,
-    variant: Variant | str,
-    planner: str,
     options: MatchOptions,
+    progress: dict,
+    state: dict,
 ) -> dict:
-    """The query-identity sections every checkpoint document shares —
-    format/version header, pattern and store guards, query, limits.
-    Shared by the single-stream serializer below and the pool's per-shard
-    writer (:class:`PoolCheckpointDir`)."""
+    """One checkpoint document: a work unit's ``state`` payload and the
+    ``progress`` it carries, stamped with the query identity (pattern,
+    variant, planner) of the compiled plan it ran and the run's
+    ``options``. Every writer — stream, pool shard, quarantine residue —
+    builds its document here."""
     from repro.graph.io import format_graph_text, parse_graph_text
 
+    plan = physical.logical
     # Digest the *re-parsed* text so the guard survives the label
     # stringification of the text format (int labels round-trip as int,
     # everything else as str).
-    text = format_graph_text(pattern)
+    text = format_graph_text(plan.pattern)
     digest = pattern_digest(parse_graph_text(text))
     seed = options.seed
     return {
@@ -173,8 +184,8 @@ def base_sections(
             "name": store.name,
         },
         "query": {
-            "variant": getattr(variant, "value", str(variant)),
-            "planner": planner,
+            "variant": plan.variant.value,
+            "planner": plan.planner_name,
             "restrictions": [
                 list(pair) for pair in (options.restrictions or ())
             ],
@@ -185,33 +196,8 @@ def base_sections(
             "max_embeddings": options.max_embeddings,
             "time_limit": options.time_limit,
         },
-    }
-
-
-def checkpoint_payload(
-    stream: EmbeddingStream,
-    store: CCSRStore,
-    pattern: Graph,
-    variant: Variant | str,
-    planner: str,
-) -> dict:
-    """Serialize a suspended :class:`EmbeddingStream` to a checkpoint
-    document. The stream must not be iterated afterwards (the state
-    snapshot aliases its live frame stack)."""
-    runtime = stream.runtime
-    options = stream.options
-    return {
-        **base_sections(store, pattern, variant, planner, options),
-        "progress": {
-            "emitted": runtime.emitted,
-            "stop_reason": runtime.stop_reason,
-            "degradation": list(runtime.degradation),
-            "counters": {
-                **{k: getattr(runtime, k) for k in RUNTIME_STAT_KEYS},
-                **runtime.computer.stats.as_dict(),
-            },
-        },
-        "state": stream.state.to_payload(),
+        "progress": progress,
+        "state": state,
     }
 
 
@@ -236,16 +222,28 @@ def _write_json_atomic(path: str | os.PathLike, payload: dict) -> None:
 
 
 def write_checkpoint(
-    path: str | os.PathLike,
-    stream: EmbeddingStream,
-    store: CCSRStore,
-    pattern: Graph,
-    variant: Variant | str,
-    planner: str,
+    path: str | os.PathLike, stream: EmbeddingStream, store: CCSRStore
 ) -> dict:
-    """Write a checkpoint document to ``path`` (atomically, via a temp
-    file) and return it."""
-    payload = checkpoint_payload(stream, store, pattern, variant, planner)
+    """Serialize a suspended :class:`EmbeddingStream` to ``path``
+    (atomically, via a temp file) and return the document. The stream
+    must not be iterated afterwards (the state snapshot aliases its live
+    frame stack)."""
+    runtime = stream.runtime
+    payload = checkpoint_payload(
+        stream.physical,
+        store,
+        stream.options,
+        {
+            "emitted": runtime.emitted,
+            "stop_reason": runtime.stop_reason,
+            "degradation": list(runtime.degradation),
+            "counters": {
+                **{k: getattr(runtime, k) for k in RUNTIME_STAT_KEYS},
+                **runtime.computer.stats.as_dict(),
+            },
+        },
+        stream.state.to_payload(),
+    )
     _write_json_atomic(path, payload)
     return payload
 
@@ -263,6 +261,41 @@ def load_checkpoint(path: str | os.PathLike) -> dict:
         ) from exc
     validate_checkpoint(payload)
     return payload
+
+
+def load_checkpoint_set(
+    path: str | os.PathLike, quarantine: bool = False
+) -> dict[str, dict]:
+    """Load a checkpoint set: one document file, or a pool checkpoint
+    directory's shards — every ``*.json`` except the quarantine residue,
+    or with ``quarantine=True`` only the ``quarantine-NNNN.json``
+    residue. Returns ``{path: document}`` in sorted-filename order; the
+    paths let ``retry_quarantined`` delete the residue it replayed.
+    Whether the documents belong together is :func:`restore`'s check."""
+    if not os.path.isdir(path):
+        return {str(path): load_checkpoint(path)}
+    try:
+        names = sorted(
+            name
+            for name in os.listdir(path)
+            if name.endswith(".json")
+            and name.startswith(QUARANTINE_PREFIX) == quarantine
+        )
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint directory {path}: {exc}"
+        ) from exc
+    if not names:
+        wanted = (
+            f"{QUARANTINE_PREFIX}*.json residue — nothing to retry"
+            if quarantine
+            else "*.json shards"
+        )
+        raise CheckpointError(
+            f"checkpoint directory {path} contains no {wanted}"
+        )
+    paths = [os.path.join(path, name) for name in names]
+    return {p: load_checkpoint(p) for p in paths}
 
 
 def validate_checkpoint(payload: dict) -> None:
@@ -307,15 +340,167 @@ def check_store_compatibility(payload: dict, store: CCSRStore) -> None:
         )
 
 
-def worker_scoped_path(path: str | os.PathLike, worker: int | str) -> str:
-    """Scope a checkpoint path to one pool worker: ``cp.json`` →
-    ``cp-w3.json`` for worker 3. Distinct final paths (plus the
-    pid-unique temp files of :func:`_write_json_atomic`) are what make N
-    workers and their parent safe to checkpoint concurrently against one
-    target."""
-    root, ext = os.path.splitext(str(path))
-    label = worker if isinstance(worker, str) else f"w{worker}"
-    return f"{root}-{label}{ext or '.json'}"
+def decode_query(
+    payload: dict,
+) -> tuple[Graph, Variant, str, tuple | None, dict | None]:
+    """The query a checkpoint document describes: its pattern (parsed and
+    checked against its digest), variant, planner, restrictions and seed,
+    as ``(pattern, variant, planner, restrictions, seed)``."""
+    from repro.core.variants import Variant
+    from repro.graph.io import parse_graph_text
+
+    pattern = parse_graph_text(payload["pattern"]["text"], name="resumed")
+    if pattern_digest(pattern) != payload["pattern"].get("digest"):
+        raise CheckpointError(
+            "checkpoint pattern does not match its digest (corrupt document)"
+        )
+    query = payload["query"]
+    restrictions = (
+        tuple((int(u), int(v)) for u, v in query["restrictions"])
+        if query["restrictions"]
+        else None
+    )
+    seed = (
+        {int(u): int(v) for u, v in query["seed"]}
+        if query.get("seed")
+        else None
+    )
+    return (
+        pattern, Variant.parse(query["variant"]), query["planner"],
+        restrictions, seed,
+    )
+
+
+@dataclass
+class Restored:
+    """A checkpoint set folded into one resumable query: the recompiled
+    plan and run options, the unfinished unit states, and the confirmed
+    prefix — the summed ``emitted``, the merged counters and the longest
+    degradation ladder of the set."""
+
+    physical: PhysicalPlan
+    options: MatchOptions
+    units: list[dict]
+    emitted: int
+    counters: dict
+    degradation: list[str]
+
+
+def restore(
+    documents: dict[str, dict],
+    session: MatchSession,
+    max_embeddings: Any = ...,
+    time_limit: Any = ...,
+    governor: ResourceGovernor | None = None,
+    obs: Any = None,
+    **options: Any,
+) -> Restored:
+    """Validate a checkpoint set and recompile its query through
+    ``session`` — the one restore step of stream resume, pool resume and
+    quarantine replay.
+
+    ``documents`` maps a label (the file path) to each document, as
+    :func:`load_checkpoint_set` returns it. Every document is validated,
+    all must describe the same pattern, store and query (a set of
+    unrelated checkpoints is refused rather than summed into a nonsense
+    count), and the store guard runs against ``session.store``.
+    ``max_embeddings``/``time_limit`` left at ``...`` keep the
+    checkpoint's own limits (pass an override — including ``None`` for
+    unlimited — to change them); extra keyword ``options`` go to
+    :class:`MatchOptions`.
+    """
+    if not documents:
+        raise CheckpointError("empty checkpoint set: nothing to restore")
+    (first_name, first), *siblings = documents.items()
+    validate_checkpoint(first)
+    for name, payload in siblings:
+        validate_checkpoint(payload)
+        for section in ("pattern", "store", "query"):
+            if payload[section] != first[section]:
+                raise CheckpointError(
+                    f"{name} does not belong to this checkpoint set"
+                    f" ({section} section differs from {first_name})"
+                )
+    check_store_compatibility(first, session.store)
+    pattern, variant, planner, restrictions, seed = decode_query(first)
+    progress = [payload["progress"] for payload in documents.values()]
+    degradation = max(
+        (list(p.get("degradation") or []) for p in progress), key=len
+    )
+    limits = first["limits"]
+    if max_embeddings is ...:
+        max_embeddings = limits.get("max_embeddings")
+    if time_limit is ...:
+        time_limit = limits.get("time_limit")
+    compiled = session.compile(
+        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
+    )
+    # A run that degraded past DEGRADE_DISABLE must not re-enable the memo
+    # on resume — the memory pressure that forced it off is still the
+    # operative assumption until the governor says otherwise.
+    use_sce = bool(first["query"]["use_sce"]) and (
+        DEGRADE_DISABLE not in degradation
+    )
+    return Restored(
+        physical=compiled.physical,
+        options=MatchOptions(
+            max_embeddings=max_embeddings,
+            time_limit=time_limit,
+            use_sce=use_sce,
+            restrictions=restrictions,
+            seed=seed,
+            obs=obs if getattr(obs, "enabled", False) else None,
+            governor=governor,
+            **options,
+        ),
+        units=[payload["state"] for payload in documents.values()],
+        emitted=sum(int(p.get("emitted", 0)) for p in progress),
+        counters=merge_counters(*(p.get("counters") or {} for p in progress)),
+        degradation=degradation,
+    )
+
+
+def restore_stream(
+    payload: dict,
+    session: MatchSession,
+    max_embeddings: Any = ...,
+    time_limit: Any = ...,
+    governor: ResourceGovernor | None = None,
+    obs: Any = None,
+    checkpoint_path: str | os.PathLike | None = None,
+) -> EmbeddingStream:
+    """Rebuild a live :class:`EmbeddingStream` from one checkpoint
+    document: :func:`restore`, then the restored counters and ladder
+    written back into the stream's runtime so stats stay cumulative.
+    A fresh ``time_limit`` budget restarts from resume time;
+    ``checkpoint_path`` re-arms auto-checkpointing on the resumed stream.
+    """
+    run = restore(
+        {"checkpoint": payload}, session, max_embeddings, time_limit,
+        governor, obs,
+    )
+    stream = EmbeddingStream(
+        run.physical,
+        run.options,
+        state=SearchState.from_payload(run.units[0]),
+        emitted=run.emitted,
+        checkpoint_sink=(
+            None
+            if checkpoint_path is None
+            else CheckpointSink(checkpoint_path, session.store)
+        ),
+    )
+    runtime = stream.runtime
+    for key in RUNTIME_STAT_KEYS:
+        if key in run.counters:
+            setattr(runtime, key, int(run.counters[key]))
+    for key in CANDIDATE_STAT_KEYS:
+        if key in run.counters:
+            setattr(runtime.computer.stats, key, int(run.counters[key]))
+    # The governor reads the ladder position off this list, so the
+    # resumed run climbs on from the checkpoint's last rung.
+    runtime.degradation = run.degradation
+    return stream
 
 
 class CheckpointSink:
@@ -327,36 +512,16 @@ class CheckpointSink:
     document (None until a write happens). The live inspector's
     ``checkpoint-now`` command routes through :meth:`write_on_demand`,
     which additionally counts in ``on_demand`` — mid-run snapshots of a
-    still-running stream, as opposed to the suspend-time write.
+    still-running stream, as opposed to the suspend-time write."""
 
-    ``worker`` (a pool worker id) scopes ``path`` through
-    :func:`worker_scoped_path` so concurrent sinks never share a
-    filename; :func:`load_checkpoint_dir` reassembles the shards."""
-
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        store: CCSRStore,
-        pattern: Graph,
-        variant: Variant | str,
-        planner: str,
-        worker: int | str | None = None,
-    ) -> None:
-        if worker is not None:
-            path = worker_scoped_path(path, worker)
+    def __init__(self, path: str | os.PathLike, store: CCSRStore) -> None:
         self.path = path
         self.store = store
-        self.pattern = pattern
-        self.variant = variant
-        self.planner = planner
         self.written: dict | None = None
         self.on_demand = 0
 
     def write(self, stream: EmbeddingStream) -> None:
-        self.written = write_checkpoint(
-            self.path, stream, self.store, self.pattern, self.variant,
-            self.planner,
-        )
+        self.written = write_checkpoint(self.path, stream, self.store)
 
     def write_on_demand(self, stream: EmbeddingStream) -> dict:
         """Write a mid-run checkpoint (inspector ``checkpoint-now`` /
@@ -368,254 +533,27 @@ class CheckpointSink:
         return self.written
 
 
-def _restore_query(
-    payload: dict,
-    session: MatchSession,
-    degradation: list[str],
-    max_embeddings: Any,
-    time_limit: Any,
-    governor: ResourceGovernor | None,
-    obs: Any,
-    **options: Any,
-) -> tuple[Graph, Variant, str, PhysicalPlan, MatchOptions]:
-    """Decode a validated checkpoint's query and recompile it through
-    ``session``: the resume step :func:`restore_stream` and the pool's
-    ``resume_parallel`` share.
-
-    Returns ``(pattern, variant, planner, physical, options)``.
-    ``max_embeddings``/``time_limit`` of :data:`KEEP` take the
-    checkpoint's own limits; ``degradation`` is the ladder the run
-    reached; extra keyword ``options`` go to :class:`MatchOptions`.
-    """
-    from repro.core.variants import Variant
-    from repro.graph.io import parse_graph_text
-
-    pattern_block = payload["pattern"]
-    pattern = parse_graph_text(pattern_block["text"], name="checkpoint")
-    if pattern_digest(pattern) != pattern_block.get("digest"):
-        raise CheckpointError(
-            "checkpoint pattern does not match its digest (corrupt document)"
-        )
-    query = payload["query"]
-    variant = Variant.parse(query["variant"])
-    planner = query["planner"]
-    restrictions = (
-        tuple((int(u), int(v)) for u, v in query["restrictions"])
-        if query["restrictions"]
-        else None
-    )
-    seed = (
-        {int(u): int(v) for u, v in query["seed"]}
-        if query.get("seed")
-        else None
-    )
-    limits = payload["limits"]
-    if max_embeddings is KEEP:
-        max_embeddings = limits.get("max_embeddings")
-    if time_limit is KEEP:
-        time_limit = limits.get("time_limit")
-    compiled = session.compile(
-        pattern, variant, planner=planner, restrictions=restrictions, obs=obs
-    )
-    # A run that degraded past DEGRADE_DISABLE must not re-enable the memo
-    # on resume — the memory pressure that forced it off is still the
-    # operative assumption until the governor says otherwise.
-    use_sce = bool(query["use_sce"]) and DEGRADE_DISABLE not in degradation
-    return pattern, variant, planner, compiled.physical, MatchOptions(
-        max_embeddings=max_embeddings,
-        time_limit=time_limit,
-        use_sce=use_sce,
-        restrictions=restrictions,
-        seed=seed,
-        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-        governor=governor,
-        **options,
-    )
-
-
-def restore_stream(
-    payload: dict,
-    session: MatchSession,
-    max_embeddings: Any = KEEP,
-    time_limit: Any = KEEP,
-    governor: ResourceGovernor | None = None,
-    obs: Any = None,
-    checkpoint_path: str | os.PathLike | None = None,
-) -> EmbeddingStream:
-    """Rebuild a live :class:`EmbeddingStream` from a checkpoint document.
-
-    ``session`` is the :class:`repro.engine.session.MatchSession` holding
-    the (unchanged) store; the physical plan is recompiled through it —
-    planning is deterministic against an identical store, which the
-    compatibility guard enforces first. ``max_embeddings``/``time_limit``
-    default to the checkpoint's own limits (pass an override — including
-    ``None`` for unlimited — to change them; a fresh ``time_limit`` budget
-    restarts from resume time). ``checkpoint_path`` re-arms
-    auto-checkpointing on the resumed stream.
-    """
-    validate_checkpoint(payload)
-    check_store_compatibility(payload, session.store)
-    progress = payload["progress"]
-    degradation = list(progress.get("degradation") or [])
-    pattern, variant, planner, physical, options = _restore_query(
-        payload, session, degradation, max_embeddings, time_limit,
-        governor, obs,
-    )
-    sink = None
-    if checkpoint_path is not None:
-        sink = CheckpointSink(
-            checkpoint_path, session.store, pattern, variant, planner
-        )
-    state = SearchState.from_payload(payload["state"])
-    stream = EmbeddingStream(
-        physical,
-        options,
-        state=state,
-        emitted=int(progress["emitted"]),
-        checkpoint_sink=sink,
-    )
-    counters = progress.get("counters") or {}
-    runtime = stream.runtime
-    for key in RUNTIME_STAT_KEYS:
-        if key in counters:
-            setattr(runtime, key, int(counters[key]))
-    for key in CANDIDATE_STAT_KEYS:
-        if key in counters:
-            setattr(runtime.computer.stats, key, int(counters[key]))
-    # The governor reads the ladder position off this list, so the
-    # resumed run climbs on from the checkpoint's last rung.
-    runtime.degradation = degradation
-    return stream
-
-
-def load_checkpoint_dir(directory: str | os.PathLike) -> list[dict]:
-    """Load every shard checkpoint in a pool checkpoint directory.
-
-    Returns the validated documents in sorted-filename order and enforces
-    that all shards describe the *same* query against the *same* store
-    (pattern digest, store version/digest, and query section must agree) —
-    a directory of unrelated checkpoints is refused rather than summed
-    into a nonsense count.
-    """
-    try:
-        names = sorted(
-            name
-            for name in os.listdir(directory)
-            if name.endswith(".json")
-            and not name.startswith(QUARANTINE_PREFIX)
-        )
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint directory {directory}: {exc}"
-        ) from exc
-    if not names:
-        raise CheckpointError(
-            f"checkpoint directory {directory} contains no *.json shards"
-        )
-    payloads = [
-        load_checkpoint(os.path.join(directory, name)) for name in names
-    ]
-    _check_same_query(names, payloads, "pool checkpoint")
-    return payloads
-
-
-def _check_same_query(
-    names: list[str], payloads: list[dict], what: str
-) -> None:
-    """Refuse a directory whose documents describe different queries or
-    stores — summing unrelated checkpoints yields a nonsense count."""
-    first = payloads[0]
-    for name, payload in zip(names[1:], payloads[1:]):
-        mismatched = next(
-            (
-                section
-                for section, a, b in (
-                    (
-                        "pattern",
-                        first["pattern"]["digest"],
-                        payload["pattern"]["digest"],
-                    ),
-                    ("store", first["store"], payload["store"]),
-                    ("query", first["query"], payload["query"]),
-                )
-                if a != b
-            ),
-            None,
-        )
-        if mismatched is not None:
-            raise CheckpointError(
-                f"shard {name} does not belong to this {what}"
-                f" ({mismatched} section differs from {names[0]})"
-            )
-
-
-def load_quarantine_dir(
-    directory: str | os.PathLike,
-) -> list[tuple[str, dict]]:
-    """Load every ``quarantine-NNNN.json`` residue document in a pool
-    checkpoint directory.
-
-    Returns ``(path, payload)`` pairs in sorted-filename order — the
-    paths let ``csce retry-quarantined`` delete each residue file once
-    its replay has been folded in. Each document is a standard version-1
-    checkpoint (validated like any shard, same-query enforcement
-    included) with an extra ``quarantine`` metadata block
-    (``{"unit", "attempts", "error"}``). Raises
-    :class:`~repro.errors.CheckpointError` when the directory holds no
-    quarantine residue.
-    """
-    try:
-        names = sorted(
-            name
-            for name in os.listdir(directory)
-            if name.startswith(QUARANTINE_PREFIX) and name.endswith(".json")
-        )
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint directory {directory}: {exc}"
-        ) from exc
-    if not names:
-        raise CheckpointError(
-            f"checkpoint directory {directory} contains no"
-            f" {QUARANTINE_PREFIX}*.json residue — nothing to retry"
-        )
-    paths = [os.path.join(directory, name) for name in names]
-    payloads = [load_checkpoint(path) for path in paths]
-    _check_same_query(names, payloads, "quarantine set")
-    return list(zip(paths, payloads))
-
-
 class PoolCheckpointDir:
     """Checkpoint writer for a partially-completed worker pool.
 
     One standard version-1 checkpoint document per *unfinished* work
     unit, written as ``shard-NNNN.json`` into ``directory`` — each shard
     is a complete, standalone-resumable checkpoint (``csce match
-    --resume`` on a single shard file works), and
-    :func:`load_checkpoint_dir` + ``CSCE.resume_pool`` re-enqueue all of
-    them. The pool's *completed* progress (merged emitted count and
-    counters) rides on shard 0 only; the other shards carry zero
-    progress, so summing ``progress.emitted`` across shards never double
-    counts.
+    --resume`` on a single shard file works), and ``CSCE.resume_pool``
+    re-enqueues all of them. The pool's *completed* progress (merged
+    emitted count and counters) rides on shard 0 only; the other shards
+    carry zero progress, so summing ``progress.emitted`` across shards
+    never double counts.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        store: CCSRStore,
-        pattern: Graph,
-        variant: Variant | str,
-        planner: str,
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike, store: CCSRStore) -> None:
         self.directory = str(directory)
         self.store = store
-        self.pattern = pattern
-        self.variant = variant
-        self.planner = planner
         self.written: list[str] = []
 
     def write(
         self,
+        physical: PhysicalPlan,
         options: MatchOptions,
         units: list[dict],
         emitted: int,
@@ -623,34 +561,39 @@ class PoolCheckpointDir:
         stop_reason: str | None,
         degradation: list[str],
     ) -> list[str]:
-        """Write one shard checkpoint per unit state payload; returns the
-        written paths. ``emitted``/``counters`` are the pool's *confirmed*
-        completed totals (attached to shard 0)."""
+        """Write one shard checkpoint per unit state payload and delete
+        the shards of an earlier stop this write did not replace (a
+        resume would count them again); returns the written paths.
+        ``emitted``/``counters`` are the pool's *confirmed* completed
+        totals (attached to shard 0)."""
         os.makedirs(self.directory, exist_ok=True)
-        base = base_sections(
-            self.store, self.pattern, self.variant, self.planner, options
-        )
         self.written = []
-        for i, state_payload in enumerate(units):
+        for i, state in enumerate(units):
             path = os.path.join(self.directory, f"shard-{i:04d}.json")
-            payload = {
-                **base,
-                "progress": {
-                    "emitted": emitted if i == 0 else 0,
-                    "stop_reason": stop_reason,
-                    "degradation": list(degradation) if i == 0 else [],
-                    "counters": dict(counters) if i == 0 else {},
-                },
-                "state": state_payload,
+            progress = {
+                "emitted": emitted if i == 0 else 0,
+                "stop_reason": stop_reason,
+                "degradation": list(degradation) if i == 0 else [],
+                "counters": dict(counters) if i == 0 else {},
             }
-            _write_json_atomic(path, payload)
+            _write_json_atomic(
+                path,
+                checkpoint_payload(
+                    physical, self.store, options, progress, state
+                ),
+            )
             self.written.append(path)
+        for name in os.listdir(self.directory):
+            path = os.path.join(self.directory, name)
+            if _SHARD_NAME.fullmatch(name) and path not in self.written:
+                os.unlink(path)
         return self.written
 
     def write_quarantine(
         self,
+        physical: PhysicalPlan,
         options: MatchOptions,
-        state_payload: dict,
+        state: dict,
         unit: int,
         attempts: int,
         error: str | None,
@@ -668,17 +611,16 @@ class PoolCheckpointDir:
         path = os.path.join(
             self.directory, f"{QUARANTINE_PREFIX}{unit:04d}.json"
         )
+        progress = {
+            "emitted": 0,
+            "stop_reason": STOP_QUARANTINED,
+            "degradation": [],
+            "counters": {},
+        }
         payload = {
-            **base_sections(
-                self.store, self.pattern, self.variant, self.planner, options
+            **checkpoint_payload(
+                physical, self.store, options, progress, dict(state)
             ),
-            "progress": {
-                "emitted": 0,
-                "stop_reason": STOP_QUARANTINED,
-                "degradation": [],
-                "counters": {},
-            },
-            "state": dict(state_payload),
             "quarantine": {
                 "unit": int(unit),
                 "attempts": int(attempts),

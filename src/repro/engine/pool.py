@@ -657,7 +657,8 @@ class _PoolDriver:
         path = None
         if self.checkpoint is not None:
             path = self.checkpoint.write_quarantine(
-                self.options, unit["payload"], uid, unit["attempts"], err
+                self.physical, self.options, unit["payload"], uid,
+                unit["attempts"], err,
             )
         if self.obs.enabled:
             self.obs.counters.inc("pool.quarantined_units")
@@ -1210,21 +1211,22 @@ def _maybe_checkpoint(
     checkpoint: "PoolCheckpointDir | None",
     merged_stop: str | None,
 ) -> None:
+    # A stop with no unfinished unit still writes (an empty set): the
+    # shards of an earlier stop are counted now and must not be resumed.
     if merged_stop is not None and checkpoint is not None:
-        unfinished = driver.unfinished_payloads()
-        if unfinished:
-            written = checkpoint.write(
-                options,
-                unfinished,
-                driver.confirmed,
-                driver.merged_stats(),
-                merged_stop,
-                list(driver.worker_ladder()),
-            )
-            driver.recorder.record(
-                "checkpoint", path=checkpoint.directory,
-                emitted=driver.confirmed, shards=len(written),
-            )
+        written = checkpoint.write(
+            driver.physical,
+            options,
+            driver.unfinished_payloads(),
+            driver.confirmed,
+            driver.merged_stats(),
+            merged_stop,
+            list(driver.worker_ladder()),
+        )
+        driver.recorder.record(
+            "checkpoint", path=checkpoint.directory,
+            emitted=driver.confirmed, shards=len(written),
+        )
 
 
 def _execute_inline(
@@ -1286,82 +1288,4 @@ def _execute_inline(
         _shard_table(prior_emitted, prior_counters or {}, {"w0": agg}),
         stop,
         time.perf_counter() - started,
-    )
-
-
-def resume_parallel(
-    payloads: list[dict],
-    session,
-    workers: int,
-    max_embeddings=...,
-    time_limit=...,
-    governor=None,
-    obs=None,
-    checkpoint_dir: str | os.PathLike | None = None,
-    on_event: Callable[[str, tuple], None] | None = None,
-    stall_timeout: float | None = None,
-    max_respawns: int | None = None,
-    max_unit_attempts: int = 3,
-) -> MatchResult:
-    """Resume a partially-completed pool from its shard checkpoints.
-
-    ``payloads`` is what :func:`~repro.engine.checkpoint.load_checkpoint_dir`
-    returned: every shard's compatibility guards are enforced against
-    ``session``'s store, unfinished unit states are re-enqueued, and the
-    confirmed progress (shard 0 carries the merged emitted count and
-    counters) is folded into the final exact total. ``max_embeddings`` /
-    ``time_limit`` default to the checkpoint's recorded limits (pass an
-    override — including ``None`` for unlimited — to change them);
-    ``checkpoint_dir`` re-arms pool checkpointing for another suspend.
-    """
-    from repro.engine.checkpoint import (
-        KEEP,
-        PoolCheckpointDir,
-        _restore_query,
-        check_store_compatibility,
-        validate_checkpoint,
-    )
-
-    if not payloads:
-        raise PoolError("resume_parallel needs at least one shard payload")
-    if max_embeddings is ...:
-        max_embeddings = KEEP
-    if time_limit is ...:
-        time_limit = KEEP
-    for payload in payloads:
-        validate_checkpoint(payload)
-        check_store_compatibility(payload, session.store)
-    prior_emitted = sum(
-        int(p["progress"].get("emitted", 0)) for p in payloads
-    )
-    prior_counters = merge_counters(
-        *(p["progress"].get("counters") or {} for p in payloads)
-    )
-    degradation: list[str] = max(
-        (list(p["progress"].get("degradation") or []) for p in payloads),
-        key=len,
-        default=[],
-    )
-    pattern, variant, planner, physical, options = _restore_query(
-        payloads[0], session, degradation, max_embeddings, time_limit,
-        governor, obs,
-        count_only=True,
-        workers=workers,
-        stall_timeout=stall_timeout,
-        max_respawns=max_respawns,
-        max_unit_attempts=max_unit_attempts,
-    )
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = PoolCheckpointDir(
-            checkpoint_dir, session.store, pattern, variant, planner
-        )
-    return execute_parallel(
-        physical,
-        options,
-        initial_units=[dict(p["state"]) for p in payloads],
-        prior_emitted=prior_emitted,
-        prior_counters=prior_counters,
-        checkpoint=checkpoint,
-        on_event=on_event,
     )

@@ -272,7 +272,8 @@ def validate_run_report(report: dict) -> None:
 
 def robustness_problems(report: dict) -> list[str]:
     """Validate the robustness fields of a run-report (stop reason,
-    degradation ladder, checkpoint block); returns the problem list.
+    plan variant, degradation ladder, checkpoint block); returns the
+    problem list.
 
     Separate from :func:`validate_run_report` because old reports predate
     these fields: a missing field is fine (legacy report), but a present
@@ -296,6 +297,14 @@ def robustness_problems(report: dict) -> list[str]:
                     f"{flag} is {report[flag]!r} but stop_reason is"
                     f" {stop!r} ({flag} must be stop_reason == {reason!r})"
                 )
+    plan = report.get("plan")
+    if isinstance(plan, dict) and "variant" in plan and "variant" in report:
+        if plan["variant"] != report["variant"]:
+            problems.append(
+                f"plan.variant {plan['variant']!r} differs from variant"
+                f" {report['variant']!r} (the plan summary describes"
+                " another query)"
+            )
     if "degradation" in report:
         ladder = report["degradation"]
         if not isinstance(ladder, list):

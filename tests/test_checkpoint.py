@@ -248,9 +248,6 @@ class TestDocumentValidation:
         path = tmp_path / "ck.json"
         stream = engine.match_iter(square(), max_embeddings=1)
         drain(stream)
-        write_checkpoint(
-            path, stream, engine.store, square(), stream.result().variant,
-            "csce",
-        )
+        write_checkpoint(path, stream, engine.store)
         assert path.exists()
         assert list(tmp_path.glob("*.tmp")) == []

@@ -191,6 +191,39 @@ class TestRobustnessFlags:
         assert code == 0
         assert "stopped" not in out
 
+    def test_resume_keeps_the_checkpointed_query(self, tmp_path, capsys):
+        # The query comes from the checkpoint, not from the flags: a
+        # homomorphic stream checkpoint resumes to the homomorphic total
+        # on the stream and on the pool alike.
+        import json
+        import shutil
+
+        data = self._graph_file(tmp_path)
+        common = ["match", "--data", data, "--json"]
+        assert main([*common, "--pattern-size", "4", "--variant",
+                     "homomorphic"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        ck = tmp_path / "ck.json"
+        assert main([*common, "--pattern-size", "4", "--variant",
+                     "homomorphic", "--limit", "3",
+                     "--checkpoint", str(ck)]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 3
+        pool_ck = tmp_path / "pool-ck.json"
+        shutil.copy(ck, pool_ck)
+        assert main([*common, "--resume", str(ck)]) == 0
+        streamed = json.loads(capsys.readouterr().out)
+        report = tmp_path / "report.json"
+        assert main([*common, "--resume", str(pool_ck), "--workers", "2",
+                     "--report", str(report)]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        for resumed in (streamed, pooled):
+            assert resumed["variant"] == full["variant"] == "homomorphic"
+            assert resumed["count"] == full["count"]
+            assert resumed["stop_reason"] is None
+        assert json.loads(report.read_text())["plan"]["variant"] == (
+            "homomorphic"
+        )
+
     def test_resume_refuses_mutated_data(self, tmp_path, capsys):
         from conftest import make_random_graph
 

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core import CSCE
 from repro.engine import (
     CancelToken,
+    CheckpointSink,
     ResourceGovernor,
     load_checkpoint,
 )
@@ -96,10 +97,8 @@ class LiveRun:
             self.obs,
             governor=self.governor,
             worker="test-worker",
-            checkpoint_factory=lambda path: __import__(
-                "repro.engine.checkpoint", fromlist=["CheckpointSink"]
-            ).CheckpointSink(
-                path, self.engine.store, square(), "edge_induced", "csce"
+            checkpoint_factory=lambda path: CheckpointSink(
+                path, self.engine.store
             ),
             default_checkpoint_path=str(tmp_path / "default-ck.json"),
         ).attach()
@@ -699,6 +698,57 @@ class TestCli:
         assert rc["code"] == 0
         doc = json.loads(report.read_text())
         assert doc["stop_reason"] == "cancelled"
+        capsys.readouterr()
+
+    def test_resumed_stream_checkpoint_now_keeps_variant(
+        self, tmp_path, capsys
+    ):
+        """checkpoint-now on a resumed stream stamps the checkpoint's own
+        query (homomorphic here), not the --variant flag's default."""
+        from repro.cli import main
+
+        dip = ["--dataset", "dip", "--scale", "0.1"]
+        ck = tmp_path / "ck.json"
+        assert main([
+            "match", *dip, "--pattern-size", "8", "--pattern-style",
+            "dense", "--variant", "homomorphic", "--limit", "1000",
+            "--checkpoint", str(ck),
+        ]) == 0
+        sock = tmp_path / "resume.sock"
+        rc = {}
+
+        def run_resume():
+            # ~5.6e7 embeddings remain: the resumed stream cannot end on
+            # its own before cancel lands.
+            rc["code"] = main([
+                "match", *dip, "--resume", str(ck), "--time-limit", "300",
+                "--inspect", str(sock),
+            ])
+
+        thread = threading.Thread(target=run_resume, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 60
+        status = None
+        while time.monotonic() < deadline:
+            try:
+                status = inspect_call(str(sock), "status")
+                if status["emitted"] > 1000:
+                    break
+            except InspectorError:
+                pass
+            time.sleep(0.1)
+        assert status is not None and status["state"] == "running"
+        snapshot = tmp_path / "snapshot.json"
+        assert main([
+            "inspect", str(sock), "checkpoint-now", "--path", str(snapshot),
+        ]) == 0
+        assert main(["inspect", str(sock), "cancel"]) == 0
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "resumed match did not stop"
+        assert rc["code"] == 0
+        doc = load_checkpoint(snapshot)
+        assert doc["query"]["variant"] == "homomorphic"
+        assert doc["pattern"] == load_checkpoint(ck)["pattern"]
         capsys.readouterr()
 
     def test_inspect_client_error_paths(self, tmp_path, capsys):

@@ -405,6 +405,22 @@ class TestRunReport:
         legacy = {k: v for k, v in stale.items() if k != "stop_reason"}
         assert robustness_problems(legacy) == []
 
+    def test_robustness_problems_cross_checks_plan_variant(self):
+        from repro.obs import robustness_problems
+
+        report = self._report(trace=False)
+        assert report["plan"]["variant"] == report["variant"]
+        assert robustness_problems(report) == []
+        # A resumed homomorphic run whose plan summary was built for the
+        # default variant (the shape older resumes wrote).
+        mixed = {
+            **report,
+            "variant": "homomorphic",
+            "plan": {**report["plan"], "variant": "edge_induced"},
+        }
+        problems = robustness_problems(mixed)
+        assert len(problems) == 1 and "plan.variant" in problems[0]
+
     def test_format_run_report_shows_robustness(self):
         report = {
             **self._report(trace=False),

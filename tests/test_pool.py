@@ -17,12 +17,7 @@ import signal
 import pytest
 
 from repro.core.csce import CSCE
-from repro.engine.checkpoint import (
-    CheckpointSink,
-    load_checkpoint,
-    load_checkpoint_dir,
-    worker_scoped_path,
-)
+from repro.engine.checkpoint import load_checkpoint, load_checkpoint_set
 from repro.engine.executor import Runtime, SearchState, count_capped, specialize
 from repro.engine.governor import Budget, CancelToken, ResourceGovernor
 from repro.engine.pool import (
@@ -384,18 +379,6 @@ class TestChaos:
 # Checkpoint sharding and pool resume
 # ---------------------------------------------------------------------------
 class TestPoolCheckpoints:
-    def test_worker_scoped_path(self):
-        assert worker_scoped_path("cp.json", 3).endswith("cp-w3.json")
-        assert worker_scoped_path("cp.json", "aux").endswith("cp-aux.json")
-        assert worker_scoped_path("cp", 0).endswith("cp-w0.json")
-
-    def test_sink_scopes_filename_per_worker(self, engine, tmp_path):
-        pattern = CATALOG["triangle"]()
-        base = tmp_path / "cp.json"
-        sink = CheckpointSink(base, engine.store, pattern,
-                              "edge_induced", "csce", worker=2)
-        assert str(sink.path).endswith("cp-w2.json")
-
     def test_checkpoint_resume_round_trip(self, engine, tmp_path):
         pattern = CATALOG["square"]()
         seq = engine.match(pattern, "homomorphic", count_only=True)
@@ -412,9 +395,55 @@ class TestPoolCheckpoints:
                                      max_embeddings=None)
         assert resumed.count == seq.count
 
+    def test_resume_pool_accepts_a_stream_checkpoint(self, engine, tmp_path):
+        # A suspended stream's checkpoint is a set of one document; the
+        # pool resumes it like a shard directory.
+        pattern = CATALOG["square"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True)
+        path = tmp_path / "stream.json"
+        stream = engine.match_iter(
+            pattern, "homomorphic", max_embeddings=max(1, seq.count // 3),
+            checkpoint_path=path,
+        )
+        for _ in stream:
+            pass
+        assert stream.stop_reason == "embedding_limit"
+        resumed = engine.resume_pool(str(path), workers=2,
+                                     max_embeddings=None)
+        assert resumed.stop_reason is None
+        assert resumed.variant.value == "homomorphic"
+        assert resumed.count == seq.count
+
+    def test_rearmed_checkpoint_drops_stale_shards(self, engine, tmp_path):
+        # Cycle 1 stops early with many unfinished units; cycle 2 resumes
+        # and re-arms the same directory, stopping with fewer. The shards
+        # cycle 2 did not rewrite are already counted, so they must go.
+        pattern = CATALOG["square"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True)
+        cp_dir = tmp_path / "shards"
+        engine.match(
+            pattern, "homomorphic", count_only=True, workers=2,
+            max_embeddings=1, pool_checkpoint_dir=str(cp_dir),
+        )
+        first = sorted(cp_dir.glob("shard-*.json"))
+        (cp_dir / "notes.txt").write_text("kept\n")
+        (cp_dir / "quarantine-0099.json").write_text(first[0].read_text())
+        second = engine.resume_pool(
+            str(cp_dir), workers=2, max_embeddings=seq.count // 2,
+            checkpoint_dir=str(cp_dir),
+        )
+        assert second.stop_reason == "embedding_limit"
+        shards = sorted(cp_dir.glob("shard-*.json"))
+        assert 0 < len(shards) < len(first)
+        assert (cp_dir / "notes.txt").exists()
+        assert (cp_dir / "quarantine-0099.json").exists()
+        final = engine.resume_pool(str(cp_dir), workers=2,
+                                   max_embeddings=None)
+        assert final.count == seq.count
+
     def test_load_checkpoint_dir_rejects_empty(self, tmp_path):
         with pytest.raises(CheckpointError):
-            load_checkpoint_dir(tmp_path)
+            load_checkpoint_set(tmp_path)
 
     def test_load_checkpoint_dir_rejects_mixed_queries(
         self, engine, tmp_path
@@ -431,8 +460,8 @@ class TestPoolCheckpoints:
         doc = json.loads(shard.read_text())
         doc["query"]["variant"] = "edge_induced"
         shard.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError):
-            load_checkpoint_dir(cp_dir)
+        with pytest.raises(CheckpointError, match="query section differs"):
+            engine.resume_pool(str(cp_dir), workers=2)
 
     def test_shard_checkpoints_are_standard_documents(
         self, engine, tmp_path

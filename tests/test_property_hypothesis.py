@@ -201,8 +201,9 @@ class TestMatchingProperties:
     def test_every_count_path_agrees(self, gp, variant, restricted, data):
         """One input through every count path: the routed count, the
         forced factorized counter, the frame machine's count mode with no
-        cap and with a drawn cap, and a stream drain. Count mode and the
-        drain must also leave the same counters and frame stack."""
+        cap and with a drawn cap, a stream drain, and a capped stream's
+        checkpoint resumed to the end. Count mode and the drain must also
+        leave the same counters and frame stack."""
         g, p = gp
         engine = CSCE(g)
         restrictions = ((0, 1),) if restricted else ()
@@ -259,6 +260,21 @@ class TestMatchingProperties:
             capped = run(cap, emit=False)
             assert capped[0] == cap
             assert capped == run(cap, emit=True)
+            # Resume leg: the capped stream's checkpoint resumes to the total.
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "ck.json")
+                first = engine.match_iter(
+                    p, variant, max_embeddings=cap,
+                    restrictions=restrictions or None, checkpoint_path=path,
+                )
+                drained = sum(1 for _ in first)
+                assert drained == cap
+                if first.stop_reason is None:  # the cap was the last one
+                    assert cap == total
+                else:
+                    resumed = engine.resume(path, max_embeddings=None)
+                    rest = sum(1 for _ in resumed)
+                    assert drained + rest == resumed.count == total
 
     @given(graph_and_pattern())
     @_SETTINGS

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.csce import CSCE
 from repro.engine import STOP_QUARANTINED, STOP_REASONS
-from repro.engine.checkpoint import load_quarantine_dir
+from repro.engine.checkpoint import load_checkpoint_set
 from repro.engine.governor import RetryPolicy
 from repro.errors import CheckpointError, ClusterReadError
 from repro.graph.patterns import CATALOG
@@ -268,9 +268,9 @@ class TestQuarantine:
         assert obs.counters.snapshot()["pool.quarantined_units"] == 1
         names = [e["name"] for e in obs.recorder.as_dict()["events"]]
         assert names.count("quarantine") == 1
-        residue = load_quarantine_dir(cp_dir)
+        residue = load_checkpoint_set(cp_dir, quarantine=True)
         assert len(residue) == 1
-        path, payload = residue[0]
+        ((path, payload),) = residue.items()
         assert os.path.basename(path) == "quarantine-0001.json"
         block = payload["quarantine"]
         assert block["unit"] == 1 and block["attempts"] == 2
