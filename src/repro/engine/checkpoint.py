@@ -14,7 +14,7 @@ Checkpoint document (``format`` = ``"repro-checkpoint"``, ``version`` 1)::
       "pattern":  {"text": ..., "digest": ...},       # the query pattern
       "store":    {"version": ..., "digest": ...},    # guard, see below
       "query":    {"variant", "planner", "restrictions", "seed", "use_sce"},
-      "limits":   {"max_embeddings", "time_limit"},
+      "limits":   {"max_embeddings", "time_limit"},   # the run's RunLimits
       "progress": {"emitted", "stop_reason", "degradation", "counters"},
       "state":    <SearchState payload>
     }
@@ -64,7 +64,7 @@ from repro.obs.merge import merge_counters
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.ccsr.store import CCSRStore
     from repro.core.variants import Variant
-    from repro.engine.governor import ResourceGovernor
+    from repro.engine.governor import ResourceGovernor, RunLimits
     from repro.engine.physical import PhysicalPlan
     from repro.engine.session import MatchSession
     from repro.graph.model import Graph
@@ -155,14 +155,16 @@ def checkpoint_payload(
     physical: PhysicalPlan,
     store: CCSRStore,
     options: MatchOptions,
+    limits: RunLimits,
     progress: dict,
     state: dict,
 ) -> dict:
     """One checkpoint document: a work unit's ``state`` payload and the
     ``progress`` it carries, stamped with the query identity (pattern,
-    variant, planner) of the compiled plan it ran and the run's
-    ``options``. Every writer — stream, pool shard, quarantine residue —
-    builds its document here."""
+    variant, planner) of the compiled plan it ran, the run's ``options``
+    and the ``limits`` it enforced (its cap and relative time limit, so a
+    resume keeps them). Every writer — stream, pool shard, quarantine
+    residue — builds its document here."""
     from repro.graph.io import format_graph_text, parse_graph_text
 
     plan = physical.logical
@@ -193,8 +195,8 @@ def checkpoint_payload(
             "use_sce": options.use_sce,
         },
         "limits": {
-            "max_embeddings": options.max_embeddings,
-            "time_limit": options.time_limit,
+            "max_embeddings": limits.cap,
+            "time_limit": limits.time_limit,
         },
         "progress": progress,
         "state": state,
@@ -233,6 +235,7 @@ def write_checkpoint(
         stream.physical,
         store,
         stream.options,
+        runtime.limits,
         {
             "emitted": runtime.emitted,
             "stop_reason": runtime.stop_reason,
@@ -555,6 +558,7 @@ class PoolCheckpointDir:
         self,
         physical: PhysicalPlan,
         options: MatchOptions,
+        limits: RunLimits,
         units: list[dict],
         emitted: int,
         counters: dict,
@@ -579,7 +583,7 @@ class PoolCheckpointDir:
             _write_json_atomic(
                 path,
                 checkpoint_payload(
-                    physical, self.store, options, progress, state
+                    physical, self.store, options, limits, progress, state
                 ),
             )
             self.written.append(path)
@@ -593,6 +597,7 @@ class PoolCheckpointDir:
         self,
         physical: PhysicalPlan,
         options: MatchOptions,
+        limits: RunLimits,
         state: dict,
         unit: int,
         attempts: int,
@@ -619,7 +624,7 @@ class PoolCheckpointDir:
         }
         payload = {
             **checkpoint_payload(
-                physical, self.store, options, progress, dict(state)
+                physical, self.store, options, limits, progress, dict(state)
             ),
             "quarantine": {
                 "unit": int(unit),

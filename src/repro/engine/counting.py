@@ -33,6 +33,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.engine.executor import Runtime, leaf_count
+from repro.engine.governor import RunLimits
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import MatchOptions
 from repro.obs import search_state_fraction
@@ -98,13 +99,18 @@ class FactorizedCounter:
     come from the plan's :class:`~repro.engine.physical.RegionTable`.
     """
 
-    def __init__(self, physical: PhysicalPlan, options: MatchOptions) -> None:
+    def __init__(
+        self,
+        physical: PhysicalPlan,
+        options: MatchOptions,
+        limits: RunLimits | None = None,
+    ) -> None:
         plan = physical.logical
         self.physical = physical
         self.plan = plan
         self.use_sce = options.use_sce
         self.regions = physical.regions
-        self.runtime = Runtime(physical, options)
+        self.runtime = Runtime(physical, options, limits)
         self.ops = physical.ops
         self.injective = plan.variant.injective
         self.assignment = [-1] * plan.num_vertices
@@ -275,7 +281,11 @@ class FactorizedCounter:
         )
 
 
-def count_physical(physical: PhysicalPlan, options: MatchOptions) -> Runtime:
+def count_physical(
+    physical: PhysicalPlan,
+    options: MatchOptions,
+    limits: RunLimits | None = None,
+) -> Runtime:
     """Count embeddings of a compiled plan; returns the finished
     :class:`~repro.engine.executor.Runtime`, whose ``emitted`` is the count.
 
@@ -291,6 +301,6 @@ def count_physical(physical: PhysicalPlan, options: MatchOptions) -> Runtime:
     the partial top-level count (cooperative, no exception) and
     ``stop_reason`` names the cause.
     """
-    counter = FactorizedCounter(physical, options)
+    counter = FactorizedCounter(physical, options, limits)
     counter.count()
     return counter.runtime

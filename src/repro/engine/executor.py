@@ -39,13 +39,12 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.engine.candidates import CandidateComputer
-from repro.engine.governor import run_limits
+from repro.engine.governor import RunLimits, run_limits
 from repro.engine.physical import PhysicalPlan, compile_plan
 from repro.engine.results import (
     MatchOptions,
     MatchResult,
     STOP_EMBEDDING_LIMIT,
-    STOP_TIME_LIMIT,
     StopFlags,
 )
 from repro.obs import (
@@ -203,11 +202,14 @@ class Runtime:
     Shared by stream mode, count mode and the factorized counter
     (:class:`~repro.engine.counting.FactorizedCounter`), so all three
     report identical :data:`~repro.obs.catalog.STAT_KEYS` semantics and
-    stop, tick and report through one implementation. When
-    a :class:`~repro.engine.governor.ResourceGovernor` is attached, its
-    budget folds into the deadline/cap (tightest wins) and its
-    memory/cancellation checks run at tick boundaries; ``degradation``
-    records the ladder's progress.
+    stop, tick and report through one implementation. Its limits are one
+    :class:`~repro.engine.governor.RunLimits` record: resolved from the
+    options (:func:`~repro.engine.governor.run_limits`) unless the caller
+    passes the record or, for a pool unit, its share. The runtime keeps
+    that record; an attached
+    :class:`~repro.engine.governor.ResourceGovernor` checks it, narrowed
+    by the governor's tightenings, plus memory and cancellation, at tick
+    boundaries; ``degradation`` records the ladder's progress.
     """
 
     __slots__ = (
@@ -224,18 +226,22 @@ class Runtime:
         "group_memo_hits",
         "stop_reason",
         "degradation",
-        "max_embeddings",
         "progress",
         "search_state",
         "probe",
-        "_deadline",
+        "_limits",
         "_heartbeat",
         "_recorder",
         "_ticking",
         "_interval",
     )
 
-    def __init__(self, physical: PhysicalPlan, options: MatchOptions) -> None:
+    def __init__(
+        self,
+        physical: PhysicalPlan,
+        options: MatchOptions,
+        limits: RunLimits | None = None,
+    ) -> None:
         self.options = options
         obs = options.obs or NULL_OBS
         profiler = getattr(obs, "profile", None)
@@ -261,7 +267,9 @@ class Runtime:
         self.degradation: list[str] = []
         gov = options.governor
         self.governor = gov
-        self._deadline, self.max_embeddings = run_limits(options)
+        self._limits = run_limits(options) if limits is None else limits
+        if gov is not None:
+            gov.bind(self._limits)
         self._heartbeat = obs.heartbeat
         self._recorder = getattr(obs, "recorder", NULL_RECORDER)
         # Progress estimation exists exactly when an observation is
@@ -283,7 +291,7 @@ class Runtime:
         # injector, live heartbeat, recorder, or progress estimator, tick
         # never computes the modulo.
         self._ticking = (
-            self._deadline is not None
+            self._limits.deadline is not None
             or self._heartbeat.enabled
             or gov is not None
             or self._recorder.enabled
@@ -291,14 +299,28 @@ class Runtime:
             or self._interval == 1
         )
 
-    def preflight(self) -> bool:
-        """Governance check before the first frame step, so a token that
-        was tripped before (or between) runs stops even searches too small
-        to reach a tick boundary. False means: do not start."""
+    @property
+    def limits(self) -> RunLimits:
+        """The run's live limits: the record it was built with, narrowed
+        by the governor's tightenings when governed
+        (:meth:`~repro.engine.governor.ResourceGovernor.enforced`)."""
         gov = self.governor
-        if gov is None:
-            return True
-        reason = gov.check(self.emitted, self.degradation, self.computer)
+        return self._limits if gov is None else gov.enforced(self._limits)
+
+    def _limit_reason(self) -> str | None:
+        gov = self.governor
+        if gov is not None:
+            return gov.check(
+                self._limits, self.emitted, self.degradation, self.computer
+            )
+        return self._limits.reached(self.emitted)
+
+    def preflight(self) -> bool:
+        """The limit check before the first frame step, so a tripped
+        token, a passed deadline, or a cap that a restored count already
+        meets stops even a search too small to reach a tick boundary.
+        False means: do not start."""
+        reason = self._limit_reason()
         if reason is not None:
             self.stop(reason)
             return False
@@ -320,7 +342,7 @@ class Runtime:
 
     def tick(self, depth: int = 0, phase: str = "enumerate") -> bool:
         """Account one search-tree node; False once a limit fired (the
-        deadline passed, the governor's budget breached and the ladder
+        deadline passed, a tightened cap was met, the memory ladder
         bottomed out, or the cancel token tripped), after :meth:`stop`."""
         self.nodes += 1
         if self._ticking and self.nodes % self._interval == 0:
@@ -353,17 +375,9 @@ class Runtime:
                     "tick", nodes=self.nodes, emitted=self.emitted,
                     depth=depth, phase=phase,
                 )
-            gov = self.governor
-            if gov is not None:
-                reason = gov.check(self.emitted, self.degradation, self.computer)
-                if reason is not None:
-                    self.stop(reason, depth)
-                    return False
-            if (
-                self._deadline is not None
-                and time.perf_counter() > self._deadline
-            ):
-                self.stop(STOP_TIME_LIMIT, depth)
+            reason = self._limit_reason()
+            if reason is not None:
+                self.stop(reason, depth)
                 return False
         return True
 
@@ -449,7 +463,7 @@ def _search(
     # Hot path: everything the loop touches is bound to locals.
     raw = runtime.computer.raw
     injective = physical.injective
-    max_embeddings = runtime.max_embeddings
+    max_embeddings = runtime.limits.cap
     profile = runtime.profile
     assignment = state.assignment
     used = state.used
@@ -769,20 +783,20 @@ def execute_physical(
         )
 
     gov = options.governor
+    limits = run_limits(options)
     # Exact SCE-factorized counting only applies to uncapped, unrestricted,
-    # unseeded counting; a max_embeddings cap needs enumeration semantics
-    # (results are counted one by one up to the cap, the 1e5-cap convention
-    # of existing works), and restrictions/seeds couple independent regions.
-    # A governed embedding cap disqualifies it the same way an option cap
-    # does. A plan that never splits gains nothing from it.
+    # unseeded counting; an embedding cap (from the options or the
+    # governor's budget) needs enumeration semantics (results are counted
+    # one by one up to the cap, the 1e5-cap convention of existing works),
+    # and restrictions/seeds couple independent regions. A plan that never
+    # splits gains nothing from it.
     try:
         if (
             options.count_only
             and options.use_sce
             and not physical.restrictions
             and not physical.has_pins
-            and options.max_embeddings is None
-            and (gov is None or gov.budget.max_embeddings is None)
+            and limits.cap is None
             and physical.regions.factorizes
         ):
             from repro.engine import counting
@@ -790,10 +804,10 @@ def execute_physical(
             with obs.tracer.span(
                 "execute", mode="count", variant=plan.variant.value
             ) as span:
-                runtime = counting.count_physical(physical, options)
+                runtime = counting.count_physical(physical, options, limits)
                 span.set("count", runtime.emitted)
         else:
-            runtime = Runtime(physical, options)
+            runtime = Runtime(physical, options, limits)
             with obs.tracer.span(
                 "execute", mode="enumerate", variant=plan.variant.value
             ) as span:

@@ -4,12 +4,17 @@ CSCE targets large patterns whose searches can run for minutes and whose
 SCE memo tables grow with the number of distinct ``(op, prior-assignment)``
 keys — exactly the regime where a production engine must survive deadlines,
 memory pressure, and operator interrupts instead of dying with a stack
-trace. This module provides the three pieces:
+trace. This module provides the pieces:
 
 * :class:`Budget` — a unified, immutable resource budget: wall-clock
   deadline, embedding cap, and a **memory ceiling** (MiB) sampled
   cooperatively at frame-step boundaries via :mod:`tracemalloc` (the same
   machinery :class:`repro.obs.profile.Profiler` uses).
+* :class:`RunLimits` — the limits one run enforces, resolved once by
+  :func:`run_limits` from the run's options and the governor's budget
+  (the tighter limit wins). The runtime, the pool (each of whose work
+  units runs under a share of it), the checkpoint writer and the live
+  inspector all read this one record.
 * :class:`CancelToken` — a thread-safe cooperative cancellation flag. The
   CLI trips it from a SIGINT handler; injected faults trip it from the
   chaos suite. The engine polls it at tick boundaries and stops with a
@@ -41,7 +46,7 @@ import random
 import threading
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.engine.results import (
     STOP_CANCELLED,
@@ -71,10 +76,10 @@ class Budget:
 
     ``time_limit`` and ``max_embeddings`` mirror the same-named
     :class:`~repro.engine.results.MatchOptions` fields; when both a budget
-    and an option specify a limit, the tighter one wins.
-    ``memory_limit_mb`` is new: a ceiling on Python-heap usage (MiB, as
-    reported by :func:`tracemalloc.get_traced_memory`) checked
-    cooperatively at frame-step boundaries.
+    and an option specify a limit, the tighter one wins (see
+    :func:`run_limits`). ``memory_limit_mb`` is a ceiling on Python-heap
+    usage (MiB, as reported by :func:`tracemalloc.get_traced_memory`)
+    checked cooperatively at frame-step boundaries.
     """
 
     time_limit: float | None = None
@@ -90,20 +95,130 @@ class Budget:
         )
 
 
+@dataclass(frozen=True)
+class RunLimits:
+    """The limits one run enforces, resolved once by :func:`run_limits`.
+
+    ``deadline`` is an absolute :func:`time.perf_counter` value (valid
+    across ``fork``: CLOCK_MONOTONIC is system-wide), ``cap`` the
+    embedding cap, ``memory_mb`` the heap ceiling in MiB, and
+    ``time_limit`` the relative limit the deadline was set from — what a
+    checkpoint stores, so a resume budgets it afresh. ``None`` is
+    unlimited. Frozen: a narrower limit is a new record (:meth:`within`).
+    """
+
+    deadline: float | None = None
+    cap: int | None = None
+    memory_mb: float | None = None
+    time_limit: float | None = None
+
+    def reached(self, emitted: int) -> str | None:
+        """The stop reason once the deadline has passed or ``emitted``
+        meets the cap, else ``None``."""
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            return STOP_TIME_LIMIT
+        if self.cap is not None and emitted >= self.cap:
+            return STOP_EMBEDDING_LIMIT
+        return None
+
+    @staticmethod
+    def from_now(
+        time_limit: float | None, cap: int | None, memory_mb: float | None
+    ) -> "RunLimits":
+        """The record of relative limits, the deadline counted from now."""
+        start = time.perf_counter()
+        deadline = None if time_limit is None else start + time_limit
+        return RunLimits(deadline, cap, memory_mb, time_limit)
+
+    def within(self, other: "RunLimits") -> "RunLimits":
+        """This record narrowed by ``other``: each limit the tighter of
+        the two, the relative ``time_limit`` following the deadline."""
+        if other is NO_LIMITS:
+            return self
+        deadline, relative = self.deadline, self.time_limit
+        if other.deadline is not None and (
+            deadline is None or other.deadline < deadline
+        ):
+            deadline, relative = other.deadline, other.time_limit
+        return RunLimits(
+            deadline,
+            _tighter(self.cap, other.cap),
+            _tighter(self.memory_mb, other.memory_mb),
+            relative,
+        )
+
+    def share(self, cap: int | None, parts: int) -> "RunLimits":
+        """A work unit's share of this record: the same deadline, the
+        ``cap`` slice reserved for it, and one of ``parts`` equal parts
+        of the memory ceiling."""
+        return replace(
+            self,
+            cap=cap,
+            memory_mb=None if self.memory_mb is None else self.memory_mb / parts,
+        )
+
+    def as_dict(self) -> dict:
+        """The limits under the inspector's ``budget`` keys."""
+        return {
+            "time_limit": self.time_limit,
+            "max_embeddings": self.cap,
+            "memory_limit_mb": self.memory_mb,
+        }
+
+
+#: The unlimited record: what a governor has tightened before any
+#: :meth:`~ResourceGovernor.tighten` call.
+NO_LIMITS = RunLimits()
+
+
+def run_limits(options: MatchOptions) -> RunLimits:
+    """Resolve a run's limits once, at its start: the option limits,
+    tightened by the attached governor's budget (the tighter one wins),
+    the deadline counted from now, then narrowed by the governor's
+    tightenings so far. Every consumer of a run's limits reads the record
+    this returns, or a share of it."""
+    gov = options.governor
+    if gov is None:
+        return _resolve(Budget(), options.time_limit, options.max_embeddings)
+    return gov.enforced(
+        _resolve(gov.budget, options.time_limit, options.max_embeddings)
+    )
+
+
+def _resolve(
+    budget: Budget, time_limit: float | None = None, cap: int | None = None
+) -> RunLimits:
+    return RunLimits.from_now(
+        _tighter(time_limit, budget.time_limit),
+        _tighter(cap, budget.max_embeddings),
+        budget.memory_limit_mb,
+    )
+
+
+def _tighter(a: _Limit | None, b: _Limit | None) -> _Limit | None:
+    """The smaller of two optional limits (``None`` is unlimited)."""
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
+
+
 class CancelToken:
-    """A thread-safe cooperative cancellation flag.
+    """A thread-safe cooperative cancellation flag over an event.
 
     Trip it from a signal handler, another thread, or an injected fault;
     the engine polls :attr:`cancelled` at tick boundaries and stops with
-    ``stop_reason="cancelled"``. Reusable: :meth:`clear` re-arms it, so a
-    long-lived :class:`~repro.core.continuous.ContinuousMatcher` can absorb
-    a cancellation on one delta and keep serving the next.
+    ``stop_reason="cancelled"``. The event is a :class:`threading.Event`
+    unless one is given: the pool passes a ``multiprocessing`` event, so
+    every worker process observes the parent's trip. Reusable:
+    :meth:`clear` re-arms it, so a long-lived
+    :class:`~repro.core.continuous.ContinuousMatcher` can absorb a
+    cancellation on one delta and keep serving the next.
     """
 
     __slots__ = ("_event", "reason")
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
+    def __init__(self, event: Any = None) -> None:
+        self._event = threading.Event() if event is None else event
         self.reason: str | None = None
 
     def trip(self, reason: str = "cancelled") -> None:
@@ -126,18 +241,20 @@ class CancelToken:
 
 
 class ResourceGovernor:
-    """Enforces a :class:`Budget` + :class:`CancelToken` over one or more
-    runs, applying the graceful-degradation ladder on memory breaches.
+    """Enforces each run's :class:`RunLimits` + a shared
+    :class:`CancelToken` over one or more runs, applying the
+    graceful-degradation ladder on memory breaches.
 
-    The governor is attached via ``MatchOptions(governor=...)`` and polled
-    by the engine's tick machinery through :meth:`check`, which takes the
-    run's emitted count, its ladder list and its candidate computer: the
-    executor's :class:`~repro.engine.executor.Runtime` (every sequential
-    run — streaming, capped and factorized counting) passes its own, the
-    pool's parent drive loop passes ``computer=None`` (the memos live in
-    the workers). It owns tracemalloc the same way
-    :class:`repro.obs.profile.Profiler` does: starts tracing only when a
-    memory budget exists and tracing is off, and stops it only if it
+    Attached via ``MatchOptions(governor=...)``, its :class:`Budget` is an
+    input of :func:`run_limits`. Each run keeps its own record and
+    enforces it narrowed by every :meth:`tighten` so far
+    (:meth:`enforced`), so runs sharing a governor never read each other's
+    limits, and a tightening holds for the live run and every later one.
+    The engine's tick machinery polls :meth:`check` with the run's record,
+    count, ladder list and candidate computer (``None`` from the pool's
+    parent: the memos live in the workers). It owns tracemalloc the same
+    way :class:`repro.obs.profile.Profiler` does: starts tracing only when
+    a memory ceiling exists and tracing is off, and stops it only if it
     started it.
     """
 
@@ -151,18 +268,35 @@ class ResourceGovernor:
         self.cancel = cancel or CancelToken()
         self.obs = obs
         self._owns_tracing = False
-        # Live-tightening state (see tighten()): the time/embedding
-        # dimensions of the *initial* budget are folded into the runtime
-        # at construction, so mid-run changes need governor-level
-        # overrides that check() enforces itself.
-        self._tighten_lock = threading.Lock()
-        self._deadline_override: float | None = None
-        self._cap_override: int | None = None
+        # tighten() runs on inspector socket threads while the executor
+        # thread polls check().
+        self._lock = threading.Lock()
+        #: Every tightening, min-merged (an absolute deadline).
+        self._tightened = NO_LIMITS
+        #: The record the latest run bound (the budget's own before one).
+        self._bound = _resolve(self.budget)
+
+    def enforced(self, limits: RunLimits) -> RunLimits:
+        """A run's own record narrowed by every tightening."""
+        return limits.within(self._tightened)
+
+    @property
+    def limits(self) -> RunLimits:
+        """The latest bound run's record, enforced: what the inspector's
+        ``status`` and ``budget`` replies report."""
+        return self.enforced(self._bound)
+
+    def bind(self, limits: RunLimits) -> None:
+        """At a run's start: make ``limits`` what :attr:`limits` reports,
+        and start memory tracing if it has a ceiling."""
+        with self._lock:
+            self._bound = limits
+        self.ensure_tracing()
 
     # -- tracemalloc ownership ----------------------------------------
     def ensure_tracing(self) -> None:
-        """Start tracemalloc if a memory budget requires sampling."""
-        if self.budget.memory_limit_mb is None:
+        """Start tracemalloc if a memory ceiling requires sampling."""
+        if self.limits.memory_mb is None:
             return
         if not tracemalloc.is_tracing():
             tracemalloc.start()
@@ -181,46 +315,22 @@ class ResourceGovernor:
         max_embeddings: int | None = None,
         memory_limit_mb: float | None = None,
     ) -> Budget:
-        """Tighten the budget mid-run; returns the new effective budget.
+        """Tighten the live run and every later run under this governor;
+        returns the live run's limits as a :class:`Budget`.
 
-        Caps can only shrink (min-merge with the existing budget — a
-        governor cannot *grant* resources a run was started without).
-        ``time_limit`` counts from *now*: it becomes an absolute deadline
-        checked at the next tick, alongside the runtime's original one.
-        Thread-safe: called from inspector socket threads while the
-        executor thread polls :meth:`check`.
+        Limits can only shrink (a governor cannot *grant* resources a run
+        was started without): tightenings are min-merged, and each run
+        enforces them from its next :meth:`check`. ``time_limit`` counts
+        from *now*. The budget, an input of each run, is unchanged.
         """
-        with self._tighten_lock:
-            old = self.budget
-            if time_limit is not None:
-                deadline = time.perf_counter() + time_limit
-                if (
-                    self._deadline_override is None
-                    or deadline < self._deadline_override
-                ):
-                    self._deadline_override = deadline
-            if max_embeddings is not None:
-                if (
-                    self._cap_override is None
-                    or max_embeddings < self._cap_override
-                ):
-                    self._cap_override = max_embeddings
-
-            def _min(a, b):
-                if a is None:
-                    return b
-                if b is None:
-                    return a
-                return min(a, b)
-
-            self.budget = Budget(
-                time_limit=_min(old.time_limit, time_limit),
-                max_embeddings=_min(old.max_embeddings, max_embeddings),
-                memory_limit_mb=_min(old.memory_limit_mb, memory_limit_mb),
+        with self._lock:
+            self._tightened = self._tightened.within(
+                RunLimits.from_now(time_limit, max_embeddings, memory_limit_mb)
             )
         # A newly-imposed memory ceiling needs sampling to be live.
         self.ensure_tracing()
-        return self.budget
+        limits = self.limits
+        return Budget(limits.time_limit, limits.cap, limits.memory_mb)
 
     # -- sampling ------------------------------------------------------
     def memory_mb(self) -> float:
@@ -239,42 +349,31 @@ class ResourceGovernor:
     # -- the cooperative check ----------------------------------------
     def check(
         self,
+        limits: RunLimits,
         emitted: int,
         degradation: list[str],
         computer: CandidateComputer | None,
     ) -> str | None:
         """One governance step; returns a stop reason or ``None``.
 
-        ``emitted`` is the run's embedding count; a memory breach appends
-        to ``degradation``, the ladder list, whose events also give the
+        Checks the cancel token, then the deadline and cap of ``limits``
+        (the caller's own record, :meth:`enforced` here) against
+        ``emitted``, then its memory ceiling. A memory breach appends to
+        ``degradation``, the ladder list, whose events also give the
         ladder position (``evict_memo`` → 1, ``disable_memo`` → 2), so a
         resumed run climbs on from its checkpoint. The rungs act on
-        ``computer``; with ``None`` nothing is evicted, so the first
-        breach climbs straight to ``disable_memo`` and the next suspends.
-        Called from ``tick()`` at the same cadence as the deadline check,
-        so its cost is amortized over
+        ``computer``; with ``None`` nothing is evicted, so the first breach
+        climbs straight to ``disable_memo`` and the next suspends. Called
+        from ``tick()``, so its cost is amortized over
         :data:`~repro.engine.executor._TIME_CHECK_INTERVAL` frame steps.
-
-        The time/embedding dimensions of the budget are *not* checked here
-        — they are folded into the runtime's own deadline/cap at
-        construction (min of option and budget), keeping the hot path
-        identical to the ungoverned engine.
         """
         if self.cancel.cancelled:
             return STOP_CANCELLED
-        # Mid-run tightenings (see tighten()): the runtime's own
-        # deadline/cap were frozen at construction, so post-hoc limits
-        # are enforced here instead.
-        deadline = self._deadline_override
-        if deadline is not None and time.perf_counter() >= deadline:
-            return STOP_TIME_LIMIT
-        cap = self._cap_override
-        if cap is not None and emitted >= cap:
-            return STOP_EMBEDDING_LIMIT
-        limit = self.budget.memory_limit_mb
-        if limit is None:
-            return None
-        if self.memory_mb() <= limit:
+        limits = self.enforced(limits)
+        reason = limits.reached(emitted)
+        if reason is not None or limits.memory_mb is None:
+            return reason
+        if self.memory_mb() <= limits.memory_mb:
             return None
         # Memory breach: climb the degradation ladder one rung per breach.
         stage = ladder_stage(degradation)
@@ -325,27 +424,6 @@ class ResourceGovernor:
         )
 
 
-def run_limits(options: MatchOptions) -> tuple[float | None, int | None]:
-    """The ``(deadline, cap)`` a run enforces: the option limits,
-    tightened by the attached governor's budget (the tighter one wins).
-    The deadline is an absolute :func:`time.perf_counter` value. Starts a
-    governed run's memory tracing too, since every caller begins its run
-    right after."""
-    time_limit, cap = options.time_limit, options.max_embeddings
-    gov = options.governor
-    if gov is not None:
-        gov.ensure_tracing()
-        time_limit = _tighter(time_limit, gov.budget.time_limit)
-        cap = _tighter(cap, gov.budget.max_embeddings)
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
-    return deadline, cap
-
-
-def _tighter(a: _Limit | None, b: _Limit | None) -> _Limit | None:
-    """The smaller of two optional limits (``None`` is unlimited)."""
-    return min((x for x in (a, b) if x is not None), default=None)
-
-
 class RetryPolicy:
     """Bounded exponential backoff for absorbing transient faults.
 
@@ -359,7 +437,7 @@ class RetryPolicy:
 
     Clock discipline: only :func:`time.perf_counter` is read, and a policy
     constructed with an absolute ``deadline`` (a ``perf_counter`` value,
-    e.g. the deadline :func:`run_limits` returns) never sleeps past
+    e.g. a :class:`RunLimits` deadline) never sleeps past
     it — when the remaining budget cannot cover the next backoff, the
     original exception is re-raised immediately instead of burning the
     run's deadline on sleeps.

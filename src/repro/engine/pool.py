@@ -30,16 +30,23 @@ responsibility, so the parent always holds a consistent prefix:
   a residual payload when the unit stopped early. A unit whose ``done``
   was lost is simply re-run in full — nothing of it was merged.
 
-Budgets derive from the parent's: the deadline is shipped as an absolute
-``time.perf_counter`` value (valid across ``fork`` — CLOCK_MONOTONIC is
-system-wide), the memory ceiling is divided evenly, and each dispatch
-caps the unit at the pool cap minus the confirmed total. Every worker
-runs its own :class:`~repro.engine.governor.ResourceGovernor` wired to a
-shared cancel event, so a parent-initiated stop (SIGINT, inspector
-``cancel``, budget breach) drains the pool cooperatively, each worker
-returning a resumable residual. The merged ``stop_reason`` is
-deterministic: the parent's initiating reason wins; worker ``cancelled``
-echoes of that initiation stay per-shard only.
+One budget: the parent resolves the run's
+:class:`~repro.engine.governor.RunLimits` once and enforces it narrowed
+by its governor's tightenings (the inspector's ``budget`` command). Every
+unit runs under a share of it (:meth:`RunLimits.share`): the absolute
+deadline (valid across ``fork`` — CLOCK_MONOTONIC is system-wide), a
+slice of the remaining cap reserved for it, and its part of the memory
+ceiling. Dispatch keeps the confirmed
+count plus the in-flight reservations within the cap, so a capped count
+never exceeds it; a unit that spends its slice goes back on the queue
+with its residual payload, and the pool stops with ``embedding_limit``
+only when the confirmed count meets the cap. Every unit is governed by
+the pool's shared :class:`~repro.engine.governor.CancelToken` (over a
+``multiprocessing`` event) and continues the pool's degradation ladder,
+so a parent-initiated stop (SIGINT, inspector ``cancel``, a limit)
+drains the pool cooperatively, each worker returning a resumable
+residual. The merged ``stop_reason`` is the parent's initiating reason;
+worker ``cancelled`` echoes of it stay per-shard only.
 
 Observability: worker heartbeats feed the parent's progress/ETA; the
 parent's heartbeat builds one :class:`~repro.obs.progress.RunSnapshot`
@@ -87,14 +94,16 @@ from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.executor import Runtime, SearchState, count_capped
-from repro.engine.governor import Budget, ResourceGovernor, run_limits
+from repro.engine.governor import (
+    CancelToken,
+    ResourceGovernor,
+    RunLimits,
+    run_limits,
+)
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import (
-    STOP_CANCELLED,
     STOP_EMBEDDING_LIMIT,
-    STOP_MEMORY_LIMIT,
     STOP_QUARANTINED,
-    STOP_TIME_LIMIT,
     MatchOptions,
     MatchResult,
 )
@@ -153,17 +162,6 @@ _DRAIN_GRACE = 10.0
 #: replacements before giving up (a crash loop, not transient deaths).
 _RESPAWN_FACTOR = 3
 
-#: Merged-stop severity, least to most severe. When no parent-initiated
-#: reason exists, the most severe worker-reported reason wins — a
-#: deterministic function of the *set* of reasons, not their arrival order.
-_STOP_SEVERITY = (
-    STOP_EMBEDDING_LIMIT,
-    STOP_TIME_LIMIT,
-    STOP_MEMORY_LIMIT,
-    STOP_CANCELLED,
-)
-
-
 def _silent(line: str) -> None:
     """No-op heartbeat sink: worker heartbeats exist for their listeners
     (beat messages + steal checks), not for log lines."""
@@ -174,43 +172,60 @@ def _stats_delta(now: dict, banked: dict) -> dict:
     return {key: value - banked.get(key, 0) for key, value in now.items()}
 
 
-class _SharedCancelToken:
-    """Duck-types :class:`~repro.engine.governor.CancelToken` over a
-    ``multiprocessing.Event`` so per-worker governors observe the parent's
-    pool-wide cancellation."""
-
-    __slots__ = ("_event", "reason")
-
-    def __init__(self, event) -> None:
-        self._event = event
-        self.reason: str | None = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def trip(self, reason: str | None = None) -> None:
-        self.reason = reason
-        self._event.set()
+# ----------------------------------------------------------------------
+# The unit runner
+# ----------------------------------------------------------------------
+def _run_unit(
+    physical: PhysicalPlan,
+    options: MatchOptions,
+    state: SearchState | None,
+    limits: RunLimits,
+    cancel: CancelToken,
+    ladder: list[str],
+    obs,
+) -> Runtime:
+    """Run one work unit's frame stack under its share ``limits`` of the
+    run's record, governed by the parent's ``cancel`` token and
+    continuing the memory ladder from ``ladder``; returns the finished
+    runtime, whose ``emitted`` counts this unit only. Forked workers and
+    the in-process path run every unit here."""
+    runtime = Runtime(
+        physical,
+        MatchOptions(
+            count_only=True,
+            use_sce=options.use_sce,
+            restrictions=options.restrictions,
+            seed=options.seed,
+            memo_limit=options.memo_limit,
+            obs=obs,
+            governor=ResourceGovernor(cancel=cancel, obs=obs),
+        ),
+        limits,
+    )
+    runtime.degradation = list(ladder)
+    try:
+        count_capped(physical, runtime, state)
+    finally:
+        runtime.release()
+    return runtime
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _run_unit(
+def _worker_unit(
     worker_id: str,
     physical: PhysicalPlan,
-    parent_options: MatchOptions,
+    options: MatchOptions,
     unit_id: int,
     payload: dict,
-    cap: int | None,
+    limits: RunLimits,
+    ladder: list[str],
     results,
-    cancel_event,
+    cancel: CancelToken,
     need_work,
-    deadline: float | None,
-    memory_limit_mb: float | None,
 ) -> None:
-    """Execute one work unit inside a worker process and report the
+    """Execute one dispatched unit inside a worker process and report the
     delta-banked outcome (see the module docstring's protocol)."""
     # Fired before any runtime state exists, so a unit-targeted poison
     # action surfaces as a clean "failed" message even for units shorter
@@ -219,28 +234,6 @@ def _run_unit(
     state = SearchState.from_payload(payload)
     heartbeat = Heartbeat(interval=_WORKER_HEARTBEAT, emit=_silent)
     obs = Observation(trace=False, record=False, heartbeat=heartbeat)
-    remaining = None
-    if deadline is not None:
-        remaining = max(0.001, deadline - time.perf_counter())
-    governor = ResourceGovernor(
-        Budget(
-            time_limit=remaining,
-            max_embeddings=cap,
-            memory_limit_mb=memory_limit_mb,
-        ),
-        cancel=_SharedCancelToken(cancel_event),
-        obs=obs,
-    )
-    options = MatchOptions(
-        count_only=True,
-        use_sce=parent_options.use_sce,
-        restrictions=parent_options.restrictions,
-        seed=parent_options.seed,
-        memo_limit=parent_options.memo_limit,
-        obs=obs,
-        governor=governor,
-    )
-    runtime = Runtime(physical, options)
     banked = {"emitted": 0, "stats": {}}
     op_vertices = tuple(op.u for op in physical.ops)
     injective = physical.injective
@@ -284,10 +277,7 @@ def _run_unit(
 
     heartbeat.add_listener(on_beat)
     started = time.perf_counter()
-    try:
-        count_capped(physical, runtime, state)
-    finally:
-        runtime.release()
+    runtime = _run_unit(physical, options, state, limits, cancel, ladder, obs)
     final = runtime.stats()
     residual = state.to_payload() if runtime.stop_reason is not None else None
     snapshot = WorkerSnapshot(
@@ -314,10 +304,8 @@ def _worker_main(
     parent_options: MatchOptions,
     tasks,
     results,
-    cancel_event,
+    cancel: CancelToken,
     need_work,
-    deadline: float | None,
-    memory_limit_mb: float | None,
 ) -> None:
     """Worker process entry point: loop over the private task queue until
     the sentinel (or pool-wide cancellation while idle)."""
@@ -330,26 +318,25 @@ def _worker_main(
         try:
             item = tasks.get(timeout=0.2)
         except queue_mod.Empty:
-            if cancel_event.is_set():
+            if cancel.cancelled:
                 break
             continue
         if item is None:
             break
-        unit_id, payload, cap = item
+        unit_id, payload, limits, ladder = item
         results.send(("started", worker_id, unit_id))
         try:
-            _run_unit(
+            _worker_unit(
                 worker_id,
                 physical,
                 parent_options,
                 unit_id,
                 payload,
-                cap,
+                limits,
+                ladder,
                 results,
-                cancel_event,
+                cancel,
                 need_work,
-                deadline,
-                memory_limit_mb,
             )
         except Exception as exc:
             # A unit-level error (e.g. an injected ClusterReadError) is
@@ -385,13 +372,10 @@ class _PoolDriver:
         self.on_event = on_event
         self.prior_emitted = prior_emitted
         self.prior_counters = dict(prior_counters or {})
-        gov = options.governor
-        self.governor = gov
-        self.deadline, self.cap = run_limits(options)
-        mem = gov.budget.memory_limit_mb if gov is not None else None
-        self.worker_memory_mb = (
-            mem / options.workers if mem is not None else None
-        )
+        #: An ungoverned run gets a private governor.
+        self.governor = options.governor or ResourceGovernor()
+        #: The run's own limits record (see :attr:`limits`).
+        self._limits = run_limits(options)
         #: The parent's own memory-ladder events (the governor appends).
         self.gov_degradation: list[str] = []
         # Unit table: id -> {payload, attempts, status, worker}. Status
@@ -417,11 +401,11 @@ class _PoolDriver:
         self.stall_timeout = options.stall_timeout
         self.stall_kills = 0
         self.quarantined: list[int] = []
-        self.cancel_event = ctx.Event()
+        #: The pool-wide cancel token every unit carries.
+        self.cancel = CancelToken(ctx.Event())
         self.need_work = ctx.Event()
         self.confirmed = prior_emitted
         self.initiated: str | None = None
-        self.worker_stops: set[str] = set()
         self.sentinels_sent = False
         self.stop_started: float | None = None
         self.estimator: ProgressEstimator | None = (
@@ -460,10 +444,8 @@ class _PoolDriver:
                 self.options,
                 tasks,
                 writer,
-                self.cancel_event,
+                self.cancel,
                 self.need_work,
-                self.deadline,
-                self.worker_memory_mb,
             ),
             daemon=True,
         )
@@ -478,6 +460,8 @@ class _PoolDriver:
             "state": "idle",
             "unit": None,
             "pid": proc.pid,
+            # Cap reserved for the worker's unit and not yet banked.
+            "reserved": 0,
             "live_nodes": 0,
             "live_emitted": 0,
             "beats": 0,
@@ -505,7 +489,7 @@ class _PoolDriver:
         if self.initiated is not None:
             return
         self.initiated = reason
-        self.cancel_event.set()
+        self.cancel.trip(reason)
         self.stop_started = time.perf_counter()
         self.recorder.record("stop", reason=reason,
                              nodes=self._total_nodes(),
@@ -564,9 +548,11 @@ class _PoolDriver:
                 unit["payload"] = kept
             worker = self.workers.get(wid)
             if worker is not None and worker["unit"] == uid:
-                # Banked live progress restarts from the new bank point.
+                # Banked live progress restarts from the new bank point,
+                # and the banked count leaves the unit's reservation.
                 worker["live_nodes"] = 0
                 worker["live_emitted"] = 0
+                worker["reserved"] = max(0, worker["reserved"] - int(d_emitted))
             new_uid = self._add_unit(donated)
             self.recorder.record("steal", victim=wid, unit=uid,
                                  new_unit=new_uid)
@@ -586,18 +572,22 @@ class _PoolDriver:
                 return
             if stop_reason is None:
                 unit["status"] = "done"
+            elif stop_reason == STOP_EMBEDDING_LIMIT and not self._stopping():
+                # The unit spent its reserved share of the cap: its
+                # residual goes back on the queue. The pool stops only
+                # when the confirmed count meets the cap.
+                unit["status"] = "pending"
+                unit["worker"] = None
+                unit["payload"] = residual
+                self.pending.appendleft(uid)
             else:
                 unit["status"] = "stopped"
                 if residual is not None:
                     unit["payload"] = residual
                 agg["stop_reasons"].append(stop_reason)
-                if self.initiated is None:
-                    # A worker-side budget stop is pool-fatal: first
-                    # fatal wins. Cancelled echoes of our own initiation
-                    # never reach this branch (initiated is set first).
-                    self._initiate(stop_reason)
-                else:
-                    self.worker_stops.add(stop_reason)
+                # Any other worker-side stop is pool-fatal; the first one
+                # wins (a no-op for echoes of our own initiation).
+                self._initiate(stop_reason)
             self.recorder.record("unit", id=uid, worker=wid, event="done",
                                  stop=stop_reason)
         elif kind == "failed":
@@ -616,6 +606,7 @@ class _PoolDriver:
         if worker is None:
             return
         worker["unit"] = None
+        worker["reserved"] = 0
         worker["live_nodes"] = 0
         worker["live_emitted"] = 0
         worker["fraction"] = 0.0
@@ -657,8 +648,8 @@ class _PoolDriver:
         path = None
         if self.checkpoint is not None:
             path = self.checkpoint.write_quarantine(
-                self.physical, self.options, unit["payload"], uid,
-                unit["attempts"], err,
+                self.physical, self.options, self.limits,
+                unit["payload"], uid, unit["attempts"], err,
             )
         if self.obs.enabled:
             self.obs.counters.inc("pool.quarantined_units")
@@ -768,23 +759,50 @@ class _PoolDriver:
     def _stopping(self) -> bool:
         return self.initiated is not None
 
+    @property
+    def limits(self) -> RunLimits:
+        """The run's live limits: its own record narrowed by the
+        governor's tightenings."""
+        return self.governor.enforced(self._limits)
+
+    def _reserved(self) -> int:
+        return sum(
+            w["reserved"] for w in self.workers.values()
+            if w["state"] == "busy"
+        )
+
     def _dispatch(self) -> None:
+        """Hand pending units to idle workers, each under its share of the
+        live limits. Under a cap, each unit reserves an even part of the
+        free cap (cap − confirmed − the in-flight reservations) over the
+        idle workers, so confirmed plus reservations never exceeds the
+        cap and no unit's reservation starves the other workers."""
         if self._stopping():
             return
-        for wid in self.worker_order:
+        limits = self.limits
+        idle = [
+            wid for wid in self.worker_order
+            if self.workers[wid]["state"] == "idle"
+        ]
+        for i, wid in enumerate(idle):
             if not self.pending:
                 break
+            share = None
+            if limits.cap is not None:
+                free = limits.cap - self.confirmed - self._reserved()
+                if free <= 0:
+                    break
+                share = -(-free // (len(idle) - i))
             worker = self.workers[wid]
-            if worker["state"] != "idle":
-                continue
             uid = self.pending.popleft()
             unit = self.units[uid]
-            cap = (
-                None
-                if self.cap is None
-                else max(1, self.cap - self.confirmed)
-            )
-            worker["queue"].put((uid, unit["payload"], cap))
+            worker["queue"].put((
+                uid,
+                unit["payload"],
+                limits.share(share, self.options.workers),
+                self.worker_ladder(),
+            ))
+            worker["reserved"] = share or 0
             unit["status"] = "queued"
             unit["worker"] = wid
             worker["state"] = "busy"
@@ -804,24 +822,16 @@ class _PoolDriver:
 
     # -- budgets / observability --------------------------------------
     def _check_budgets(self) -> None:
+        """Check the live limits against the live count: the cancel
+        token, the deadline, the cap, and the memory ladder (with no
+        computer: the memos it acts on live in the workers)."""
         if self._stopping():
             return
-        if self.governor is not None:
-            # No computer: the memos the ladder acts on live in the workers.
-            reason = self.governor.check(
-                self._live_emitted(), self.gov_degradation, None
-            )
-            if reason is not None:
-                self._initiate(reason)
-                return
-        if (
-            self.deadline is not None
-            and time.perf_counter() > self.deadline
-        ):
-            self._initiate(STOP_TIME_LIMIT)
-            return
-        if self.cap is not None and self._live_emitted() >= self.cap:
-            self._initiate(STOP_EMBEDDING_LIMIT)
+        reason = self.governor.check(
+            self._limits, self._live_emitted(), self.gov_degradation, None
+        )
+        if reason is not None:
+            self._initiate(reason)
 
     def _observe(self) -> None:
         if self.estimator is not None:
@@ -953,6 +963,7 @@ class _PoolDriver:
         merged stop reason and the execution wall time; the caller
         (:func:`execute_parallel`) packages the result."""
         started = time.perf_counter()
+        self.governor.bind(self._limits)
         for _ in range(self.options.workers):
             self._spawn_worker()
         try:
@@ -1008,21 +1019,12 @@ class _PoolDriver:
                 if worker["results"] is not None:
                     worker["results"].close()
                     worker["results"] = None
-            if self.governor is not None:
-                self.governor.release()
+            self.governor.release()
         # Live readers (the inspector) keep the final per-worker rows and
         # health, which no due heartbeat may have caught.
         if self.obs.heartbeat.enabled:
             self.obs.heartbeat.publish(self.snapshot())
-        merged_stop = self._merged_stop()
-        return merged_stop, time.perf_counter() - started
-
-    def _merged_stop(self) -> str | None:
-        if self.initiated is not None:
-            return self.initiated
-        if not self.worker_stops:
-            return None
-        return max(self.worker_stops, key=_STOP_SEVERITY.index)
+        return self.initiated, time.perf_counter() - started
 
     def unfinished_payloads(self) -> list[dict]:
         """State payloads of every unit that has not run to completion —
@@ -1217,6 +1219,7 @@ def _maybe_checkpoint(
         written = checkpoint.write(
             driver.physical,
             options,
+            driver.limits,
             driver.unfinished_payloads(),
             driver.confirmed,
             driver.merged_stats(),
@@ -1236,52 +1239,45 @@ def _execute_inline(
     prior_emitted: int = 0,
     prior_counters: dict | None = None,
 ) -> MatchResult:
-    """Single-process fallback (no ``fork`` start method, or a zero-op
-    plan): run the same work units sequentially in this process and
-    package them as a one-worker pool result. Exactness is trivial —
-    it is the sequential machine over an exact partition."""
+    """The pool in one process (no ``fork`` start method, a zero-op plan,
+    or quarantine replay): the same work units through the same unit
+    runner, one at a time, packaged as a one-worker pool result. With one
+    unit in flight, each unit's share is the whole remaining cap."""
     started = time.perf_counter()
-    deadline, cap = run_limits(options)
+    governor = options.governor or ResourceGovernor()
+    own = run_limits(options)
+    governor.bind(own)
     agg = _new_agg()
     stop: str | None = None
     try:
         for payload in [None] if units is None else units:
-            remaining_time = (
-                max(0.001, deadline - time.perf_counter())
-                if deadline is not None
-                else None
-            )
-            unit_options = MatchOptions(
-                count_only=True,
-                max_embeddings=(
-                    None
-                    if cap is None
-                    else max(1, cap - prior_emitted - agg["emitted"])
-                ),
-                time_limit=remaining_time,
-                use_sce=options.use_sce,
-                restrictions=options.restrictions,
-                seed=options.seed,
-                memo_limit=options.memo_limit,
-                obs=options.obs,
-            )
-            runtime = Runtime(physical, unit_options)
-            state = (
-                SearchState.from_payload(payload)
-                if payload is not None
-                else None
+            limits = governor.enforced(own)
+            share = limits.share(
+                None
+                if limits.cap is None
+                else limits.cap - prior_emitted - agg["emitted"],
+                1,
             )
             unit_started = time.perf_counter()
-            agg["emitted"] += count_capped(physical, runtime, state)
+            runtime = _run_unit(
+                physical,
+                options,
+                None if payload is None else SearchState.from_payload(payload),
+                share,
+                governor.cancel,
+                agg["degradation"],
+                options.obs,
+            )
+            agg["emitted"] += runtime.emitted
             agg["execute_seconds"] += time.perf_counter() - unit_started
             agg["stats"] = merge_counters(agg["stats"], runtime.stats())
+            agg["degradation"] = runtime.degradation
             stop = runtime.stop_reason
             if stop is not None:
                 agg["stop_reasons"].append(stop)
                 break
     finally:
-        if options.governor is not None:
-            options.governor.release()
+        governor.release()
     return _package_result(
         physical,
         options,

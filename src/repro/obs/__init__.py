@@ -57,9 +57,7 @@ from repro.obs.logconfig import JsonFormatter, configure_logging, resolve_level
 from repro.obs.merge import (
     SpanContext,
     WorkerSnapshot,
-    WorkUnit,
     merge_counters,
-    merge_worker_snapshots,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -247,9 +245,7 @@ __all__ = [
     "write_perfetto",
     "SpanContext",
     "WorkerSnapshot",
-    "WorkUnit",
     "merge_counters",
-    "merge_worker_snapshots",
     "Profiler",
     "NullProfiler",
     "NULL_PROFILE",

@@ -18,13 +18,15 @@ Three pieces:
   dump, hot clusters) under a lock. Socket threads only ever read the
   latest published sample — they never touch the mutating frame stack —
   so attaching N clients costs the hot loop nothing beyond the tick.
-  Mutating commands are **cooperative**: no
-  thread kills, ever. ``cancel`` trips the
-  :class:`~repro.engine.governor.CancelToken` the executor already polls;
-  ``budget`` calls :meth:`~repro.engine.governor.ResourceGovernor.tighten`
-  (checked at the next tick); ``checkpoint-now`` enqueues a request that
-  the *executor thread* services at its next tick — the only point where
-  the frame stack is consistent — through the ordinary
+  Mutating commands are **cooperative**: no thread kills, ever.
+  ``cancel`` trips the :class:`~repro.engine.governor.CancelToken` the
+  executor already polls; ``budget`` calls
+  :meth:`~repro.engine.governor.ResourceGovernor.tighten` (checked at the
+  next tick), and ``status``/``budget`` report
+  :attr:`~repro.engine.governor.ResourceGovernor.limits`, the limits the
+  run actually enforces; ``checkpoint-now`` enqueues a request that the
+  *executor thread* services at its next tick — the only point where the
+  frame stack is consistent — through the ordinary
   :class:`~repro.engine.checkpoint.CheckpointSink` path.
 * :class:`InspectorServer` — a daemon accept-thread serving the
   newline-delimited-JSON protocol of :mod:`repro.obs.wire` on a
@@ -232,12 +234,9 @@ class MatchInspector:
         }
         governor = self.governor
         if governor is not None:
-            budget = governor.budget
-            status["budget"] = {
-                "time_limit": budget.time_limit,
-                "max_embeddings": budget.max_embeddings,
-                "memory_limit_mb": budget.memory_limit_mb,
-            }
+            # The limits the run enforces: its record narrowed by the
+            # governor's tightenings.
+            status["budget"] = governor.limits.as_dict()
         if self.last_checkpoint is not None:
             status["checkpoint"] = dict(self.last_checkpoint)
         if snapshot.workers is not None:
@@ -407,13 +406,8 @@ class MatchInspector:
                 "budget needs at least one of time_limit=,"
                 " max_embeddings=, memory_limit_mb="
             )
-        budget = governor.tighten(**tightened)
-        return {
-            "tightened": tightened,
-            "time_limit": budget.time_limit,
-            "max_embeddings": budget.max_embeddings,
-            "memory_limit_mb": budget.memory_limit_mb,
-        }
+        governor.tighten(**tightened)
+        return {"tightened": tightened, **governor.limits.as_dict()}
 
     def _cmd_cancel(self, args: dict) -> dict:
         governor = self.governor

@@ -1,9 +1,4 @@
-"""Merge-ready multi-worker observability.
-
-The ROADMAP's next tier distributes enumeration over workers as portable
-frame-stack work units (the checkpoint payload already makes a suspended
-search serializable); this module defines the observability contract that
-fan-out plugs into, before any process pool exists:
+"""Multi-worker observability plumbing for the process pool.
 
 * :func:`merge_counters` — the **exact, associative, commutative** merge
   of counter snapshots. Counters are plain integer (occasionally float)
@@ -13,25 +8,23 @@ fan-out plugs into, before any process pool exists:
   ``tests/test_property_hypothesis.py``).
 * :class:`WorkerSnapshot` — a worker-tagged, JSON-portable bundle of one
   worker's counter registry and unified stats, with an optional
-  :class:`SpanContext` linking its spans to the coordinator's trace.
+  :class:`SpanContext` linking its spans to the coordinator's trace. A
+  pool worker ships one per finished unit; the live inspector serves one
+  as its ``stats`` reply (the ``worker-snapshot`` wire manifest).
 * :class:`SpanContext` — serializable trace/parent-span identity. A
-  coordinator mints one root context, derives a child per work unit
-  (:meth:`SpanContext.child`), and ships it inside the unit; the worker's
-  spans then carry ``trace_id``/``parent_id`` attributes that stitch the
-  distributed trace back together.
-* :class:`WorkUnit` — a portable unit of work: an opaque frame-stack
-  payload (e.g. :meth:`repro.engine.executor.SearchState.to_payload`)
-  plus the worker tag and span context, round-trippable through JSON.
+  coordinator mints one root context and derives a child per work unit
+  (:meth:`SpanContext.child`); spans stamped with it carry
+  ``trace_id``/``parent_id`` attributes that stitch a distributed trace
+  back together.
 
-Everything here is pure data plumbing — no engine imports — so the future
-``--workers N`` front-end and the bench harness can both use it.
+Everything here is pure data plumbing — no engine imports.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 def _new_id(nbytes: int = 8) -> str:
@@ -113,31 +106,11 @@ class WorkerSnapshot:
     stats: dict = field(default_factory=dict)
     context: SpanContext | None = None
     workers: tuple[str, ...] = ()
-    """Contributing worker tags; ``(worker,)`` for a leaf snapshot, the
-    union for a merged one."""
+    """Contributing worker tags (``(worker,)`` unless given)."""
 
     def __post_init__(self) -> None:
         if not self.workers:
             self.workers = (self.worker,)
-
-    @classmethod
-    def capture(
-        cls,
-        worker: str,
-        obs: Any = None,
-        result: Any = None,
-        context: SpanContext | None = None,
-    ) -> "WorkerSnapshot":
-        """Snapshot a finished run: the observation's counter registry
-        plus the result's unified stats."""
-        counters: dict = {}
-        if obs is not None:
-            registry = getattr(obs, "counters", None)
-            if registry is not None and registry.enabled:
-                counters = dict(registry.snapshot())
-        stats = dict(result.stats) if result is not None else {}
-        return cls(worker=worker, counters=counters, stats=stats,
-                   context=context)
 
     def to_dict(self) -> dict:
         payload: dict = {
@@ -159,48 +132,4 @@ class WorkerSnapshot:
             stats=dict(payload.get("stats", {})),
             context=SpanContext.from_dict(context) if context else None,
             workers=tuple(payload.get("workers", ())),
-        )
-
-
-def merge_worker_snapshots(
-    snapshots: Iterable[WorkerSnapshot], worker: str = "merged"
-) -> WorkerSnapshot:
-    """Fold worker snapshots into one (exact counter/stat sums)."""
-    snapshots = list(snapshots)
-    merged = WorkerSnapshot(
-        worker=worker,
-        counters=merge_counters(*(s.counters for s in snapshots)),
-        stats=merge_counters(*(s.stats for s in snapshots)),
-        workers=tuple(tag for s in snapshots for tag in s.workers),
-    )
-    return merged
-
-
-@dataclass
-class WorkUnit:
-    """A portable unit of search work: frame-stack payload + identity.
-
-    ``payload`` is opaque JSON data — typically a
-    ``SearchState.to_payload()`` snapshot or a checkpoint section — so
-    this module stays engine-agnostic. ``context`` ties the worker's
-    spans back to the coordinator's trace.
-    """
-
-    worker: str
-    payload: dict
-    context: SpanContext
-
-    def to_payload(self) -> dict:
-        return {
-            "worker": self.worker,
-            "payload": dict(self.payload),
-            "context": self.context.to_dict(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "WorkUnit":
-        return cls(
-            worker=str(payload["worker"]),
-            payload=dict(payload["payload"]),
-            context=SpanContext.from_dict(payload["context"]),
         )

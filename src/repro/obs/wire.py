@@ -19,13 +19,11 @@ reprolint pass gates every command-name literal in the codebase against
 it, so a typo'd command fails lint instead of failing at attach time.
 
 The ``stats`` / ``counters`` commands carry a
-:class:`~repro.obs.merge.WorkerSnapshot` — the merge-ready payload PR 6
-introduced — wrapped by :func:`encode_snapshot` / :func:`decode_snapshot`
-with its own format/version stamp. The encoding is **lossless** (a
-Hypothesis property pins ``decode(encode(s)) == s``), so a coordinator
-can aggregate N live worker sockets with
-:func:`~repro.obs.merge.merge_counters` /
-:func:`~repro.obs.merge.merge_worker_snapshots` unchanged.
+:class:`~repro.obs.merge.WorkerSnapshot`, wrapped by
+:func:`encode_snapshot` / :func:`decode_snapshot` with its own
+format/version stamp. The encoding is **lossless** (a Hypothesis property
+pins ``decode(encode(s)) == s``), so a coordinator can aggregate N live
+worker sockets with :func:`~repro.obs.merge.merge_counters` unchanged.
 
 Pure data plumbing: no sockets, no threads, no engine imports — the
 transport lives in :mod:`repro.obs.inspect`.

@@ -71,6 +71,40 @@ class TestRoundTrip:
         keys = {tuple(sorted(e.items())) for e in first + rest}
         assert len(keys) == full
 
+    def test_resume_at_the_cap_yields_nothing_more(self, graph, tmp_path):
+        # The checkpoint keeps the cap the stream stopped at, so a resume
+        # with its limits stops before the first step: the count stays at
+        # the cap instead of overshooting it by one.
+        engine = CSCE(graph)
+        full = engine.match(square(), "edge_induced").count
+        assert full > 4
+        cap = full // 2
+        path = tmp_path / "ck.json"
+        drain(engine.match_iter(square(), max_embeddings=cap,
+                                checkpoint_path=path))
+        rest, resumed = drain(engine.resume(path))
+        assert rest == []
+        assert resumed.count == cap
+        assert resumed.stop_reason == STOP_EMBEDDING_LIMIT
+
+    def test_governed_cap_is_written_to_the_checkpoint(self, graph, tmp_path):
+        # The checkpoint stores the limits the run enforced — here a cap
+        # from the governor's budget — so a resume stays capped.
+        engine = CSCE(graph)
+        full = engine.match(square(), "edge_induced").count
+        assert full > 4
+        cap = full // 2
+        path = tmp_path / "ck.json"
+        governor = ResourceGovernor(Budget(max_embeddings=cap))
+        drain(engine.match_iter(square(), governor=governor,
+                                checkpoint_path=path))
+        assert load_checkpoint(path)["limits"] == {
+            "max_embeddings": cap, "time_limit": None,
+        }
+        rest, resumed = drain(engine.resume(path))
+        assert rest == []
+        assert resumed.count == cap
+
     def test_repeated_suspend_resume_cycles(self, graph, tmp_path):
         engine = CSCE(graph)
         p = square()

@@ -32,6 +32,7 @@ from repro.engine.executor import specialize
 from repro.engine.results import STOP_EMBEDDING_LIMIT
 from repro.errors import PlanError
 from repro.graph import Graph
+from repro.testing import FaultInjector, slowdown
 
 from conftest import brute_count, make_random_graph
 
@@ -201,35 +202,37 @@ class TestIterativeExecutor:
         assert head + tail == brute_count(random_graph, p, "edge_induced")
 
     @pytest.mark.parametrize("path", ["factorized", "capped", "stream"])
-    def test_tick_stop_computes_nothing_more(self, monkeypatch, path):
+    def test_tick_stop_computes_nothing_more(self, path):
         # A tick that stops the run must end it before that node's
-        # candidate set is computed, on every execution path.
-        monkeypatch.setattr("repro.engine.executor._TIME_CHECK_INTERVAL", 4)
+        # candidate set is computed, on every execution path. The deadline
+        # passes inside the first tick (the injected slowdown), after the
+        # preflight check.
         n = 16
         clique = CSCE(
             Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         )
         p = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        options = {"use_sce": False, "time_limit": 1e-9}
-        if path == "stream":
-            with clique.match_iter(p, "edge_induced", **options) as s:
-                list(s)
-            result = s.result()
-            stop_reason, stats = result.stop_reason, result.stats
-        elif path == "factorized":
-            # Forced: a path never splits on an unlabeled clique, so a
-            # routed count would run on the frame machine.
-            physical = clique.session.compile(p, "edge_induced").physical
-            runtime = count_physical(
-                physical, MatchOptions(count_only=True, **options)
-            )
-            stop_reason, stats = runtime.stop_reason, runtime.stats()
-        else:
-            result = clique.match(
-                p, "edge_induced", count_only=True, max_embeddings=10**12,
-                **options,
-            )
-            stop_reason, stats = result.stop_reason, result.stats
+        options = {"use_sce": False, "time_limit": 0.05}
+        with FaultInjector().on("engine.tick", slowdown(0.1), times=1):
+            if path == "stream":
+                with clique.match_iter(p, "edge_induced", **options) as s:
+                    list(s)
+                result = s.result()
+                stop_reason, stats = result.stop_reason, result.stats
+            elif path == "factorized":
+                # Forced: a path never splits on an unlabeled clique, so a
+                # routed count would run on the frame machine.
+                physical = clique.session.compile(p, "edge_induced").physical
+                runtime = count_physical(
+                    physical, MatchOptions(count_only=True, **options)
+                )
+                stop_reason, stats = runtime.stop_reason, runtime.stats()
+            else:
+                result = clique.match(
+                    p, "edge_induced", count_only=True, max_embeddings=10**12,
+                    **options,
+                )
+                stop_reason, stats = result.stop_reason, result.stats
         assert stop_reason == "time_limit"
         assert stats["computed"] == stats["nodes"] - 1
 

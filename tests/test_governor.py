@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from repro.core import CSCE
+from repro.core.continuous import ContinuousMatcher
 from repro.engine import (
     STOP_CANCELLED,
     STOP_EMBEDDING_LIMIT,
@@ -16,11 +17,13 @@ from repro.engine import (
     CancelToken,
     MatchOptions,
     ResourceGovernor,
+    load_checkpoint,
 )
 from repro.engine.governor import (
     DEGRADE_DISABLE,
     DEGRADE_EVICT,
     DEGRADE_SUSPEND,
+    RunLimits,
     run_limits,
 )
 from repro.errors import (
@@ -59,20 +62,21 @@ class TestBudget:
 
     def test_effective_deadline_takes_tighter_limit(self):
         gov = ResourceGovernor(budget=Budget(time_limit=100.0))
-        deadline, _ = run_limits(MatchOptions(governor=gov))
-        assert deadline is not None
+        limits = run_limits(MatchOptions(governor=gov))
+        assert limits.deadline is not None and limits.time_limit == 100.0
         # The per-run option is tighter than the budget here.
         import time
 
-        tight, _ = run_limits(MatchOptions(time_limit=0.001, governor=gov))
-        assert tight - time.perf_counter() < 1.0
-        assert run_limits(MatchOptions()) == (None, None)
+        tight = run_limits(MatchOptions(time_limit=0.001, governor=gov))
+        assert tight.deadline - time.perf_counter() < 1.0
+        assert tight.time_limit == 0.001
+        assert run_limits(MatchOptions()) == RunLimits()
 
     def test_effective_cap_takes_min(self):
         gov = ResourceGovernor(budget=Budget(max_embeddings=10))
-        assert run_limits(MatchOptions(governor=gov))[1] == 10
-        assert run_limits(MatchOptions(max_embeddings=3, governor=gov))[1] == 3
-        assert run_limits(MatchOptions(governor=ResourceGovernor()))[1] is None
+        assert run_limits(MatchOptions(governor=gov)).cap == 10
+        assert run_limits(MatchOptions(max_embeddings=3, governor=gov)).cap == 3
+        assert run_limits(MatchOptions(governor=ResourceGovernor())).cap is None
 
 
 class TestGovernedRuns:
@@ -126,6 +130,68 @@ class TestGovernedRuns:
         reran = engine.match(p, governor=gov)
         assert reran.stop_reason is None
         assert reran.count == engine.match(p).count
+
+
+class TestSharedGovernor:
+    """A governor serves many runs: each enforces its own record, and a
+    tightening narrows the live run and every later one."""
+
+    def test_interleaved_streams_keep_their_own_limits(self, engine, tmp_path):
+        p = square()
+        full = engine.match(p, "edge_induced").count
+        assert full > 3
+        gov = ResourceGovernor()
+        path = tmp_path / "capped.ck.json"
+        capped = engine.match_iter(
+            p, max_embeddings=3, governor=gov, checkpoint_path=path
+        )
+        timed = engine.match_iter(p, time_limit=1e-9, governor=gov)
+        uncapped = engine.match_iter(p, governor=gov)
+        next(capped)
+        # The other streams start (and resolve their limits) in between.
+        assert list(timed) == []
+        assert timed.stop_reason == STOP_TIME_LIMIT
+        assert len(list(uncapped)) == full and uncapped.stop_reason is None
+        assert 1 + len(list(capped)) == 3
+        assert capped.stop_reason == STOP_EMBEDDING_LIMIT
+        # The capped stream's checkpoint stores its own limits.
+        assert load_checkpoint(path)["limits"] == {
+            "max_embeddings": 3, "time_limit": None,
+        }
+
+    def test_tightening_before_a_run_caps_it(self, engine):
+        gov = ResourceGovernor()
+        gov.tighten(max_embeddings=5)
+        result = engine.match(square(), "edge_induced", governor=gov)
+        assert result.count == 5
+        assert result.stop_reason == STOP_EMBEDDING_LIMIT
+        # Counting mode (the factorized-count eligibility test) too.
+        counted = engine.match(
+            square(), "homomorphic", count_only=True, governor=gov
+        )
+        assert counted.count == 5
+        assert counted.stop_reason == STOP_EMBEDDING_LIMIT
+
+    def test_tightening_holds_across_continuous_deltas(self):
+        graph = make_random_graph(30, 85, num_labels=1, seed=7)
+        engine = CSCE(graph)
+        gov = ResourceGovernor()
+        matcher = ContinuousMatcher(
+            engine, Graph.from_edges(3, [(0, 1), (1, 2)]), governor=gov
+        )
+        free = [
+            (a, b)
+            for a in range(graph.num_vertices)
+            for b in range(a + 1, graph.num_vertices)
+            if not graph.has_edge(a, b)
+        ]
+        gov.tighten(max_embeddings=1)
+        # Every delta of a path on a uniform-label graph has more than
+        # one embedding, so each insert stops at the tightened cap.
+        for a, b in free[:2]:
+            with pytest.raises(EmbeddingLimitExceeded):
+                matcher.insert(a, b)
+        assert matcher.total == engine.count(matcher.pattern, matcher.variant)
 
 
 class TestDegradationLadder:
@@ -280,5 +346,5 @@ class TestLadderStage:
             "governor.memory", memory_spike(10_000.0), times=1
         )
         with injector:
-            gov.check(0, degradation, _EvictableMemo())
+            gov.check(gov.limits, 0, degradation, _EvictableMemo())
         assert degradation[climbed] == DEGRADATION_LADDER[stage]

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import CSCE
 from repro.engine import (
+    Budget,
     CancelToken,
     CheckpointSink,
     ResourceGovernor,
@@ -314,6 +315,29 @@ class TestLiveInspection:
         with pytest.raises(InspectorError, match="number"):
             inspect_call(live.server.endpoint, "budget",
                          {"max_embeddings": "soon"})
+
+    def test_status_reports_the_limits_the_run_enforces(self, graph):
+        # The budget sets only a memory ceiling; the options set the time
+        # limit and the cap. status and budget report the resolved record.
+        engine = CSCE(graph)
+        obs = Observation(heartbeat_interval=0.0)
+        governor = ResourceGovernor(budget=Budget(memory_limit_mb=1e5), obs=obs)
+        stream = engine.match_iter(
+            square(), obs=obs, governor=governor,
+            time_limit=300.0, max_embeddings=10**9,
+        )
+        inspector = MatchInspector(stream, obs, governor=governor).attach()
+        try:
+            assert inspector.handle("status")["budget"] == {
+                "time_limit": 300.0,
+                "max_embeddings": 10**9,
+                "memory_limit_mb": 1e5,
+            }
+            reply = inspector.handle("budget", {"max_embeddings": 5})
+            assert reply["max_embeddings"] == 5
+            assert reply["time_limit"] == 300.0
+        finally:
+            stream.close()
 
     def test_concurrent_clients_while_streaming(self, graph, tmp_path):
         run = LiveRun(graph, tmp_path)

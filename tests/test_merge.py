@@ -1,5 +1,5 @@
 """Merge-ready multi-worker observability: exact counter merges, worker
-snapshots, portable work units, and shard run-report aggregation.
+snapshots, span contexts, and shard run-report aggregation.
 
 The acceptance bar: sharding a run over K workers (one seeded run per
 root candidate) and merging the K observability snapshots reproduces the
@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.core.csce import CSCE
-from repro.engine.executor import SearchState, execute_physical
+from repro.engine.executor import execute_physical
 from repro.engine.pool import _execute_inline, _new_agg, _package_result
 from repro.engine.results import MatchOptions
 from repro.graph.patterns import CATALOG
@@ -19,11 +19,9 @@ from repro.obs import (
     SpanContext,
     Tracer,
     WorkerSnapshot,
-    WorkUnit,
     build_run_report,
     format_run_report,
     merge_counters,
-    merge_worker_snapshots,
     robustness_problems,
     validate_run_report,
 )
@@ -43,7 +41,8 @@ def engine(graph):
 
 def shard_by_root(engine, pattern, variant="edge_induced"):
     """Split a run into one seeded shard per root-candidate data vertex —
-    the multi-worker sharding model (each worker gets a pinned root)."""
+    the multi-worker sharding model (each worker gets a pinned root) —
+    and snapshot each shard's counters and stats."""
     plan = engine.build_plan(pattern, variant)
     root = plan.order[0]
     shards = []
@@ -52,7 +51,12 @@ def shard_by_root(engine, pattern, variant="edge_induced"):
         result = engine.match(
             pattern, variant, count_only=False, seed={root: v}, obs=obs
         )
-        shards.append((f"worker-{v}", obs, result))
+        snapshot = WorkerSnapshot(
+            worker=f"worker-{v}",
+            counters=dict(obs.counters.snapshot()),
+            stats=dict(result.stats),
+        )
+        shards.append((snapshot, result))
     return shards
 
 
@@ -85,7 +89,7 @@ class TestMergeCounters:
 
 
 # ---------------------------------------------------------------------------
-# SpanContext / WorkUnit
+# SpanContext
 # ---------------------------------------------------------------------------
 class TestSpanContext:
     def test_child_links_to_parent(self):
@@ -107,21 +111,6 @@ class TestSpanContext:
             ctx.annotate(span)
         assert span.attrs["trace_id"] == ctx.trace_id
         assert span.attrs["parent_id"] == ctx.parent_id
-
-
-class TestWorkUnit:
-    def test_roundtrips_frame_stack_payload(self):
-        root = SpanContext.new_root()
-        state = SearchState.fresh(3)
-        state.assignment[0] = 7
-        unit = WorkUnit(
-            worker="w0", payload=state.to_payload(), context=root.child()
-        )
-        wire = json.loads(json.dumps(unit.to_payload()))
-        restored = WorkUnit.from_payload(wire)
-        assert restored.worker == "w0"
-        assert restored.context.trace_id == root.trace_id
-        assert SearchState.from_payload(restored.payload).assignment[0] == 7
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +135,31 @@ class TestWorkerSnapshots:
         self, engine, name
     ):
         pattern = CATALOG[name]()
-        full_obs = Observation(trace=False)
-        full = engine.match(
-            pattern, "edge_induced", count_only=False, obs=full_obs
-        )
+        full = engine.match(pattern, "edge_induced", count_only=False)
         shards = shard_by_root(engine, pattern)
-        assert full.count == sum(r.count for _, _, r in shards)
-        merged = merge_worker_snapshots(
-            WorkerSnapshot.capture(tag, obs=obs, result=result)
-            for tag, obs, result in shards
-        )
-        assert len(merged.workers) == len(shards)
-        # Stats are exact sums over shards (integer addition).
+        assert full.count == sum(r.count for _, r in shards)
+        # Each snapshot survives the wire, and the merged stats are exact
+        # sums over the shards (integer addition).
+        snaps = [
+            WorkerSnapshot.from_dict(json.loads(json.dumps(s.to_dict())))
+            for s, _ in shards
+        ]
+        merged = merge_counters(*(s.stats for s in snaps))
         for key in ("nodes", "backtracks"):
-            assert merged.stats[key] == sum(
-                r.stats[key] for _, _, r in shards
-            )
+            assert merged[key] == sum(r.stats[key] for _, r in shards)
 
     def test_merge_order_and_grouping_do_not_matter(self, engine):
         pattern = CATALOG["triangle"]()
-        shards = shard_by_root(engine, pattern)
-        snaps = [
-            WorkerSnapshot.capture(tag, obs=obs, result=result)
-            for tag, obs, result in shards
-        ]
-        flat = merge_worker_snapshots(snaps)
-        reversed_ = merge_worker_snapshots(list(reversed(snaps)))
-        grouped = merge_worker_snapshots([
-            merge_worker_snapshots(snaps[: len(snaps) // 2], worker="left"),
-            merge_worker_snapshots(snaps[len(snaps) // 2:], worker="right"),
-        ])
-        assert flat.counters == reversed_.counters == grouped.counters
-        assert flat.stats == reversed_.stats == grouped.stats
+        snaps = [s for s, _ in shard_by_root(engine, pattern)]
+        half = len(snaps) // 2
+        for field in ("counters", "stats"):
+            parts = [getattr(s, field) for s in snaps]
+            flat = merge_counters(*parts)
+            reversed_ = merge_counters(*reversed(parts))
+            grouped = merge_counters(
+                merge_counters(*parts[:half]), merge_counters(*parts[half:])
+            )
+            assert flat == reversed_ == grouped
 
 
 # ---------------------------------------------------------------------------

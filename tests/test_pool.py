@@ -20,11 +20,7 @@ from repro.core.csce import CSCE
 from repro.engine.checkpoint import load_checkpoint, load_checkpoint_set
 from repro.engine.executor import Runtime, SearchState, count_capped, specialize
 from repro.engine.governor import Budget, CancelToken, ResourceGovernor
-from repro.engine.pool import (
-    _STOP_SEVERITY,
-    _execute_inline,
-    execute_parallel,
-)
+from repro.engine.pool import _execute_inline, execute_parallel
 from repro.engine.results import MatchOptions
 from repro.engine.workunit import (
     make_root_units,
@@ -366,13 +362,110 @@ class TestChaos:
         assert counters["governor_memo_disabled"] == 1
         assert counters["governor_suspensions"] == 1
 
-    def test_stop_severity_order_is_stable(self):
-        # The severity ladder is the documented merge tie-break; keep it
-        # a module-level immutable in the fork entrypoint.
-        assert _STOP_SEVERITY == (
-            "embedding_limit", "time_limit", "memory_limit", "cancelled",
+
+# ---------------------------------------------------------------------------
+# One budget: a capped pool count is min(cap, exact)
+# ---------------------------------------------------------------------------
+class TestCappedPool:
+    """Each dispatched unit reserves its share of the cap, so the pool
+    never counts past it, whatever the timing: with several units in
+    flight, under stealing, and when a worker dies mid-unit."""
+
+    def test_count_is_min_of_cap_and_total(self, engine):
+        pattern = CATALOG["path4"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True).count
+        for cap in (1, 7, seq // 3, seq // 3, seq + 5):
+            par = engine.match(pattern, "homomorphic", count_only=True,
+                               workers=2, max_embeddings=cap)
+            assert par.count == min(cap, seq), cap
+            assert sum(par.shards["counts"]) == par.count
+            if cap < seq:
+                assert par.stop_reason == "embedding_limit"
+
+    def test_exact_under_forced_stealing(self, engine):
+        pattern = CATALOG["path4"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True).count
+        cap = seq // 2
+        physical, opts = compiled(engine, pattern, "homomorphic",
+                                  max_embeddings=cap)
+        opts.workers = 4
+        events = []
+        # Slow ticks outlast the worker heartbeat, so the one root unit is
+        # split while it runs and the donated halves run under new shares.
+        with faults.FaultInjector().on("engine.tick", faults.slowdown(5e-5)):
+            result = execute_parallel(
+                physical, opts,
+                initial_units=make_root_units(physical, 1),
+                on_event=lambda kind, msg: events.append(kind),
+            )
+        assert "split" in events
+        assert result.count == cap
+        assert result.stop_reason == "embedding_limit"
+
+    def test_exact_under_worker_sigkill(self, engine):
+        pattern = CATALOG["path4"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True).count
+        cap = seq // 2
+
+        def kill_w1(rule, site, ctx):
+            if os.environ.get("REPRO_WORKER") == "w1":
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        injector = faults.FaultInjector(seed=1)
+        injector.on("engine.tick", kill_w1, after=100, times=1)
+        physical, opts = compiled(engine, pattern, "homomorphic",
+                                  max_embeddings=cap)
+        opts.workers = 2
+        with injector.install():
+            result = execute_parallel(physical, opts)
+        assert "w2" in result.shards["workers"]  # w1's replacement
+        assert result.count == cap
+        assert result.stop_reason == "embedding_limit"
+
+    def test_capped_checkpoint_resumes_to_the_exact_total(
+        self, engine, tmp_path
+    ):
+        pattern = CATALOG["path4"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True).count
+        cap = seq // 3
+        cp_dir = tmp_path / "shards"
+        partial = engine.match(pattern, "homomorphic", count_only=True,
+                               workers=2, max_embeddings=cap,
+                               pool_checkpoint_dir=str(cp_dir))
+        assert partial.count == cap
+        # The shards keep the cap: resuming with their limits stops at once.
+        again = engine.resume_pool(str(cp_dir), workers=2)
+        assert again.count == cap
+        assert again.stop_reason == "embedding_limit"
+        resumed = engine.resume_pool(str(cp_dir), workers=2,
+                                     max_embeddings=None)
+        assert resumed.count == seq
+        assert resumed.stop_reason is None
+
+    def test_tightening_before_the_pool_starts_caps_it(self, engine):
+        # A `budget` command that lands before the pool's drive loop (the
+        # inspector serves from before the workers spawn) still caps it.
+        pattern = CATALOG["path4"]()
+        seq = engine.match(pattern, "homomorphic", count_only=True).count
+        gov = ResourceGovernor()
+        gov.tighten(max_embeddings=seq // 4)
+        par = engine.match(pattern, "homomorphic", count_only=True,
+                           workers=2, governor=gov)
+        assert par.count == seq // 4
+        assert par.stop_reason == "embedding_limit"
+
+    def test_inline_replay_runs_under_the_governor(self, engine):
+        # The in-process path runs each unit under the caller's governor:
+        # a tripped token stops it before any work.
+        physical, opts = compiled(engine, CATALOG["path4"](), "homomorphic")
+        token = CancelToken()
+        token.trip("test")
+        opts.governor = ResourceGovernor(cancel=token)
+        result = _execute_inline(
+            physical, opts, make_root_units(physical, 4)
         )
-        assert isinstance(_STOP_SEVERITY, tuple)
+        assert result.stop_reason == "cancelled"
+        assert result.count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -197,13 +197,15 @@ class TestMatchingProperties:
         st.booleans(),
         st.data(),
     )
-    @_SETTINGS
+    @settings(_SETTINGS, derandomize=True)
     def test_every_count_path_agrees(self, gp, variant, restricted, data):
         """One input through every count path: the routed count, the
         forced factorized counter, the frame machine's count mode with no
-        cap and with a drawn cap, a stream drain, and a capped stream's
-        checkpoint resumed to the end. Count mode and the drain must also
-        leave the same counters and frame stack."""
+        cap and with a drawn cap, a stream drain, a capped stream's
+        checkpoint resumed to the end, and a two-worker pool with and
+        without the drawn cap. Count mode and the drain must also leave
+        the same counters and frame stack. Derandomized, so the pool leg
+        runs the same few examples on every run."""
         g, p = gp
         engine = CSCE(g)
         restrictions = ((0, 1),) if restricted else ()
@@ -237,6 +239,11 @@ class TestMatchingProperties:
             p, variant, count_only=True, restrictions=restrictions or None
         )
         assert routed.count == total
+        pooled = engine.match(
+            p, variant, count_only=True, restrictions=restrictions or None,
+            workers=2,
+        )
+        assert pooled.count == total
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "store.npz")
             save_store(engine.session.store, path)
@@ -260,6 +267,12 @@ class TestMatchingProperties:
             capped = run(cap, emit=False)
             assert capped[0] == cap
             assert capped == run(cap, emit=True)
+            capped_pool = engine.match(
+                p, variant, count_only=True,
+                restrictions=restrictions or None, workers=2,
+                max_embeddings=cap,
+            )
+            assert capped_pool.count == min(cap, total)
             # Resume leg: the capped stream's checkpoint resumes to the total.
             with tempfile.TemporaryDirectory() as tmp:
                 path = os.path.join(tmp, "ck.json")

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.csce import CSCE
 from repro.engine import STOP_QUARANTINED, STOP_REASONS
 from repro.engine.checkpoint import load_checkpoint_set
-from repro.engine.governor import RetryPolicy
+from repro.engine.governor import CancelToken, ResourceGovernor, RetryPolicy
 from repro.errors import CheckpointError, ClusterReadError
 from repro.graph.patterns import CATALOG
 from repro.obs import Observation, build_run_report, validate_run_report
@@ -306,6 +306,21 @@ class TestQuarantine:
         result, cp_dir = self.quarantined_run(engine, tmp_path)
         replay = engine.retry_quarantined(str(cp_dir), keep_files=True)
         assert result.count + replay.count == reference
+        assert list(cp_dir.glob("quarantine-*.json"))
+
+    def test_retry_quarantined_runs_under_the_governor(
+        self, engine, tmp_path
+    ):
+        # The replay carries the caller's cancel token into every unit: a
+        # tripped token stops it before any work and keeps the residue.
+        _, cp_dir = self.quarantined_run(engine, tmp_path)
+        token = CancelToken()
+        token.trip("test")
+        replay = engine.retry_quarantined(
+            str(cp_dir), governor=ResourceGovernor(cancel=token)
+        )
+        assert replay.stop_reason == "cancelled"
+        assert replay.count == 0
         assert list(cp_dir.glob("quarantine-*.json"))
 
     def test_retry_quarantined_rejects_empty_dir(self, engine, tmp_path):
