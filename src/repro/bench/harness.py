@@ -125,7 +125,6 @@ def run_task(
     track_memory: bool = False,
     collect_reports: bool = False,
     trace: bool = False,
-    observed: bool = False,
     workers: int = 1,
 ) -> ExperimentRecord:
     """Run one engine on one pattern, recording the paper's metrics.
@@ -139,13 +138,10 @@ def run_task(
     roughly 2x slowdown, so it is off by default. ``collect_reports``
     attaches a full run-report to the record (with span trees when
     ``trace`` is also set); reports ride in ``record.report``, so
-    ``record.row()`` stays flat. ``observed`` attaches a minimal
-    :class:`~repro.obs.Observation` (no spans, no profiling — counters +
-    the always-on flight recorder + progress estimation), which is how
-    the perf-smoke gate measures the always-on observability overhead.
-    ``workers > 1`` runs CSCE tasks on the multi-process pool
-    (:mod:`repro.engine.pool`) in count mode; baselines (and enumeration
-    tasks) silently stay single-process and record ``workers=1``.
+    ``record.row()`` stays flat. ``workers > 1`` runs CSCE tasks on the
+    multi-process pool (:mod:`repro.engine.pool`) in count mode;
+    baselines (and enumeration tasks) silently stay single-process and
+    record ``workers=1``.
     """
     pool_workers = (
         workers if workers > 1 and count_only and isinstance(engine, CSCE)
@@ -163,7 +159,7 @@ def run_task(
     obs = (
         Observation(trace=trace, profile=track_memory)
         if (collect_reports or track_memory)
-        else Observation(trace=False) if observed else None
+        else None
     )
     start = time.perf_counter()
     try:
@@ -228,7 +224,6 @@ def sweep(
     collect_reports: bool = False,
     trace: bool = False,
     track_memory: bool = False,
-    observed: bool = False,
     workers: int = 1,
 ) -> list[ExperimentRecord]:
     """Run every engine on every pattern; one record per (engine, pattern).
@@ -236,9 +231,7 @@ def sweep(
     Engines are constructed once per sweep (their build/index time is part
     of the offline stage, exactly as the paper treats CCSR construction).
     ``collect_reports`` / ``trace`` attach run-reports to each record
-    (see :func:`run_task`); :func:`save_reports` streams them to JSONL;
-    ``observed`` runs every task with the minimal always-on instruments
-    (flight recorder + progress) to measure their overhead.
+    (see :func:`run_task`); :func:`save_reports` streams them to JSONL.
     """
     records: list[ExperimentRecord] = []
     for name in engine_names:
@@ -260,7 +253,6 @@ def sweep(
                     collect_reports=collect_reports,
                     trace=trace,
                     track_memory=track_memory,
-                    observed=observed,
                     workers=workers,
                 )
             )

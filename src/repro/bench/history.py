@@ -1,71 +1,20 @@
-"""Bench history: persist harness sweeps and gate regressions.
+"""Machine calibration for benchmark records.
 
-Every harness sweep can be folded into a ``BENCH_<figure>.json`` document
-(schema ``repro-bench-history`` v1): one entry per configuration
-(engine, dataset, variant, pattern size, pattern name), averaged over the
-sweep's repeats, stamped with the machine it ran on and a **calibration
-constant** — the wall-clock of a fixed CPU-bound loop measured on that
-machine. Comparisons normalize every timing by its document's calibration
-(``total_seconds / calibration_seconds``), so a baseline recorded on a
-fast laptop gates a slow CI runner without false alarms.
-
-:func:`compare_histories` computes per-config deltas and classifies each:
-
-``ok`` / ``improved`` / ``regression``
-    comparable timings; regression when the normalized ratio exceeds the
-    threshold *and* the baseline is above the noise floor;
-``incomparable``
-    either side timed out, was unsupported, or found a different number of
-    embeddings (the paper's convention: a timeout records the time limit,
-    which is a *censored* measurement — comparing it as a timing would
-    call a faster machine's successful run a regression);
-``new`` / ``missing``
-    the configuration exists on only one side.
-
-``repro bench compare --baseline`` renders the table and exits nonzero on
-any regression — the CI perf-smoke gate.
+``perfbench/run.py`` stamps :func:`calibrate` into every run record's
+environment, so two records can be read against their machines' speeds.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
-
-from repro.errors import FormatError
-
-BENCH_FORMAT = "repro-bench-history"
-BENCH_VERSION = 1
-
-#: Default regression threshold: normalized current/baseline time ratio.
-DEFAULT_THRESHOLD = 1.5
-#: Baseline timings below this floor (seconds) are noise, never regressions.
-#: The scaled-down smoke configs run in ~1 ms, so the floor sits below that;
-#: raise it per-comparison (``--min-seconds``) for flaky environments.
-DEFAULT_MIN_SECONDS = 0.0005
-
-#: Required top-level fields of a bench-history document.
-BENCH_SCHEMA: dict[str, type | tuple] = {
-    "format": str,
-    "version": int,
-    "figure": str,
-    "machine": dict,
-    "configs": list,
-}
-
-_CONFIG_NUMERIC = ("total_seconds", "execute_seconds", "embeddings", "n")
 
 
 def calibrate(loops: int = 200_000, repeats: int = 3) -> float:
-    """Time a fixed CPU-bound loop; the document's machine-speed constant.
+    """Time a fixed CPU-bound loop; the recording machine's speed constant.
 
-    The minimum over ``repeats`` runs suppresses scheduler noise. All
-    timing comparisons divide by this, so only the *ratio* between two
-    machines matters, not the loop's absolute cost.
+    The minimum over ``repeats`` runs suppresses scheduler noise. Only
+    the *ratio* between two machines' constants matters, not the loop's
+    absolute cost.
     """
     best = float("inf")
     for _ in range(repeats):
@@ -75,272 +24,3 @@ def calibrate(loops: int = 200_000, repeats: int = 3) -> float:
             acc += i * i
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def machine_fingerprint(calibration_seconds: float | None = None) -> dict:
-    """Identity + speed of the machine a history document was recorded on."""
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count() or 1,
-        "calibration_seconds": (
-            calibrate() if calibration_seconds is None else calibration_seconds
-        ),
-    }
-
-
-def config_key(record) -> str:
-    """Stable identity of one sweep configuration (an ExperimentRecord).
-
-    Parallel runs (``workers > 1``) get a ``|wN`` suffix so they never
-    compare against single-process baselines; ``workers == 1`` keeps the
-    historical key shape, so committed baselines stay comparable.
-    """
-    workers = getattr(record, "workers", 1)
-    suffix = f"|w{workers}" if workers != 1 else ""
-    return (
-        f"{record.engine}|{record.dataset}|{record.variant}"
-        f"|size={record.pattern_size}|{record.pattern_name or '-'}{suffix}"
-    )
-
-
-def build_history(
-    figure: str,
-    records: Sequence,
-    machine: dict | None = None,
-) -> dict:
-    """Fold harness :class:`ExperimentRecord` rows into a history document.
-
-    Records sharing a :func:`config_key` (repeat runs) are averaged; a
-    configuration counts as timed-out/unsupported when *any* repeat was —
-    censored measurements poison the mean, so the whole config is flagged
-    incomparable instead.
-    """
-    groups: dict[str, list] = {}
-    for record in records:
-        groups.setdefault(config_key(record), []).append(record)
-    configs = []
-    for key in sorted(groups):
-        members = groups[key]
-        first = members[0]
-        configs.append(
-            {
-                "key": key,
-                "engine": first.engine,
-                "dataset": first.dataset,
-                "variant": first.variant,
-                "pattern_size": first.pattern_size,
-                "pattern_name": first.pattern_name,
-                "workers": getattr(first, "workers", 1),
-                "n": len(members),
-                "embeddings": round(
-                    statistics.fmean(m.embeddings for m in members), 1
-                ),
-                "total_seconds": statistics.fmean(
-                    m.total_seconds for m in members
-                ),
-                "execute_seconds": statistics.fmean(
-                    m.execute_seconds for m in members
-                ),
-                "read_seconds": statistics.fmean(
-                    m.read_seconds for m in members
-                ),
-                "plan_seconds": statistics.fmean(
-                    m.plan_seconds for m in members
-                ),
-                "timed_out": any(m.timed_out for m in members),
-                "truncated": any(m.truncated for m in members),
-                "unsupported": any(m.unsupported for m in members),
-            }
-        )
-    return {
-        "format": BENCH_FORMAT,
-        "version": BENCH_VERSION,
-        "figure": figure,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "machine": machine if machine is not None else machine_fingerprint(),
-        "configs": configs,
-    }
-
-
-# ----------------------------------------------------------------------
-# Validation / IO (schema core shared with run-reports)
-# ----------------------------------------------------------------------
-def validate_bench_history(doc: dict) -> None:
-    """Raise :class:`FormatError` unless ``doc`` is a valid v1 history."""
-    from repro.obs.report import schema_problems
-
-    problems = schema_problems(doc, BENCH_SCHEMA, label="bench-history")
-    if not problems:
-        if doc["format"] != BENCH_FORMAT:
-            problems.append(f"format is {doc['format']!r}")
-        if doc["version"] != BENCH_VERSION:
-            problems.append(f"unsupported version {doc['version']!r}")
-        for i, config in enumerate(doc["configs"]):
-            if not isinstance(config, dict):
-                problems.append(f"configs[{i}] is not an object")
-                continue
-            if "key" not in config:
-                problems.append(f"configs[{i}] missing 'key'")
-            for name in _CONFIG_NUMERIC:
-                if not isinstance(config.get(name), (int, float)):
-                    problems.append(
-                        f"configs[{i}].{name} missing or non-numeric"
-                    )
-    if problems:
-        raise FormatError("invalid bench-history: " + "; ".join(problems))
-
-
-def write_history(doc: dict, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, indent=2, default=str) + "\n")
-
-
-def load_history(path: str | os.PathLike) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    validate_bench_history(doc)
-    return doc
-
-
-# ----------------------------------------------------------------------
-# Comparison / regression gating
-# ----------------------------------------------------------------------
-@dataclass
-class ConfigDelta:
-    """One configuration's baseline-vs-current verdict."""
-
-    key: str
-    status: str  # ok | improved | regression | incomparable | new | missing
-    baseline_seconds: float | None = None
-    current_seconds: float | None = None
-    ratio: float | None = None  # normalized current / baseline
-    note: str = ""
-
-    def row(self) -> dict:
-        return {
-            "config": self.key,
-            "baseline_s": (
-                "-" if self.baseline_seconds is None
-                else f"{self.baseline_seconds:.4f}"
-            ),
-            "current_s": (
-                "-" if self.current_seconds is None
-                else f"{self.current_seconds:.4f}"
-            ),
-            "ratio": "-" if self.ratio is None else f"{self.ratio:.2f}x",
-            "status": self.status + (f" ({self.note})" if self.note else ""),
-        }
-
-
-@dataclass
-class BenchComparison:
-    """The full comparison: per-config deltas plus the gate verdict."""
-
-    threshold: float
-    deltas: list[ConfigDelta] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[ConfigDelta]:
-        return [d for d in self.deltas if d.status == "regression"]
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.regressions else 0
-
-    def summary(self) -> str:
-        counts: dict[str, int] = {}
-        for delta in self.deltas:
-            counts[delta.status] = counts.get(delta.status, 0) + 1
-        parts = [f"{n} {status}" for status, n in sorted(counts.items())]
-        verdict = (
-            f"FAIL: {len(self.regressions)} regression(s)"
-            f" above {self.threshold:g}x"
-            if self.regressions
-            else f"OK: no regression above {self.threshold:g}x"
-        )
-        return f"{verdict} — {', '.join(parts) if parts else 'no configs'}"
-
-
-def compare_histories(
-    baseline: dict,
-    current: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_seconds: float = DEFAULT_MIN_SECONDS,
-    metric: str = "total_seconds",
-) -> BenchComparison:
-    """Per-config deltas between two history documents (see module doc)."""
-    base_cal = float(baseline.get("machine", {}).get("calibration_seconds") or 1.0)
-    cur_cal = float(current.get("machine", {}).get("calibration_seconds") or 1.0)
-    base_configs = {c["key"]: c for c in baseline.get("configs", [])}
-    cur_configs = {c["key"]: c for c in current.get("configs", [])}
-
-    comparison = BenchComparison(threshold=threshold)
-    for key in sorted(set(base_configs) | set(cur_configs)):
-        base = base_configs.get(key)
-        cur = cur_configs.get(key)
-        if base is None:
-            comparison.deltas.append(
-                ConfigDelta(
-                    key,
-                    "new",
-                    current_seconds=cur.get(metric),
-                    note="no baseline entry",
-                )
-            )
-            continue
-        if cur is None:
-            comparison.deltas.append(
-                ConfigDelta(
-                    key,
-                    "missing",
-                    baseline_seconds=base.get(metric),
-                    note="config dropped from sweep",
-                )
-            )
-            continue
-        delta = ConfigDelta(
-            key,
-            "ok",
-            baseline_seconds=base.get(metric),
-            current_seconds=cur.get(metric),
-        )
-        incomparable = _incomparable_reason(base, cur)
-        if incomparable:
-            delta.status = "incomparable"
-            delta.note = incomparable
-            comparison.deltas.append(delta)
-            continue
-        base_norm = base[metric] / base_cal
-        cur_norm = cur[metric] / cur_cal
-        delta.ratio = cur_norm / base_norm if base_norm > 0 else None
-        if base[metric] < min_seconds:
-            delta.note = "below noise floor"
-        elif delta.ratio is not None and delta.ratio > threshold:
-            delta.status = "regression"
-        elif delta.ratio is not None and delta.ratio < 1.0 / threshold:
-            delta.status = "improved"
-        comparison.deltas.append(delta)
-    return comparison
-
-
-def _incomparable_reason(base: dict, cur: dict) -> str:
-    """Why two config entries cannot be compared as timings, if at all."""
-    if base.get("unsupported") or cur.get("unsupported"):
-        return "unsupported combination"
-    if base.get("timed_out") and cur.get("timed_out"):
-        return "both timed out (censored at the time limit)"
-    if base.get("timed_out"):
-        return "baseline timed out (censored)"
-    if cur.get("timed_out"):
-        return "current timed out (censored)"
-    if (
-        not base.get("truncated")
-        and not cur.get("truncated")
-        and base.get("embeddings") != cur.get("embeddings")
-    ):
-        return (
-            f"embedding counts differ"
-            f" ({base.get('embeddings')} vs {cur.get('embeddings')})"
-        )
-    return ""

@@ -9,8 +9,7 @@ Examples::
     csce report out.json                # pretty-print a saved run-report
     csce capabilities                   # Table III
     csce explain --dataset dip --pattern-size 6   # plan EXPLAIN
-    csce bench --dataset yeast --history BENCH_smoke.json
-    csce bench compare --baseline BENCH_smoke.json   # regression gate
+    csce bench --dataset yeast --sizes 6 8 --engines CSCE GuP
 """
 
 from __future__ import annotations
@@ -812,40 +811,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench.history import compare_histories, load_history
-
-    if not args.baseline:
-        print("error: bench compare requires --baseline PATH", file=sys.stderr)
-        return 2
-    current_path = args.current or args.baseline
-    try:
-        baseline = load_history(args.baseline)
-        current = load_history(current_path)
-    except (OSError, json.JSONDecodeError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_histories(
-        baseline,
-        current,
-        threshold=args.threshold,
-        min_seconds=args.min_seconds,
-    )
-    print_table(
-        [d.row() for d in comparison.deltas],
-        ["config", "baseline_s", "current_s", "ratio", "status"],
-        title=f"bench compare: {args.baseline} vs {current_path}",
-    )
-    print(comparison.summary())
-    return comparison.exit_code
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.harness import average_by, sweep
     from repro.graph.sampling import sample_pattern_suite
 
-    if args.action == "compare":
-        return _cmd_bench_compare(args)
     if not args.dataset:
         print("error: bench requires --dataset NAME", file=sys.stderr)
         return 2
@@ -870,7 +839,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         max_embeddings=args.limit,
         collect_reports=bool(args.report) or args.trace,
         trace=args.trace,
-        observed=args.obs,
         workers=max(1, args.workers),
     )
     if args.report:
@@ -879,13 +847,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         written = save_reports(records, args.report)
         print(f"run-reports : {written} written to {args.report}",
               file=sys.stderr)
-    if args.history:
-        from repro.bench.history import build_history, write_history
-
-        doc = build_history(args.figure, records)
-        write_history(doc, args.history)
-        print(f"bench-history: {len(doc['configs'])} config(s) written to"
-              f" {args.history}", file=sys.stderr)
     print_table(
         [r.row() for r in records],
         ["engine", "size", "embeddings", "total_s", "throughput", "status"],
@@ -907,8 +868,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.bench.history import BENCH_FORMAT, validate_bench_history
-
     try:
         reports = load_run_reports(args.path)
     except (OSError, json.JSONDecodeError) as exc:
@@ -918,51 +877,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: no run-reports in {args.path}", file=sys.stderr)
         return 2
     if args.validate:
-        # One validator per document family, sharing the schema core
-        # (repro.obs.report.schema_problems). Bench-history and robustness
-        # mismatches are configuration errors → exit 2; run-report schema
-        # mismatches → exit 1.
-        report_problems = 0
-        history_problems = 0
+        # Schema mismatches exit 1; robustness-field mismatches (checked
+        # only on a schema-valid report) are configuration errors, exit 2.
+        schema_count = 0
         robustness_count = 0
         for i, report in enumerate(reports):
-            is_history = (
-                isinstance(report, dict)
-                and report.get("format") == BENCH_FORMAT
-            )
             try:
-                if is_history:
-                    validate_bench_history(report)
-                else:
-                    validate_run_report(report)
+                validate_run_report(report)
             except FormatError as exc:
-                if is_history:
-                    history_problems += 1
-                else:
-                    report_problems += 1
+                schema_count += 1
                 print(f"document #{i}: {exc}", file=sys.stderr)
-            else:
-                if not is_history:
-                    bad = robustness_problems(report)
-                    if bad:
-                        robustness_count += 1
-                        for problem in bad:
-                            print(f"document #{i}: {problem}",
-                                  file=sys.stderr)
-        problems = report_problems + history_problems + robustness_count
+                continue
+            bad = robustness_problems(report)
+            if bad:
+                robustness_count += 1
+                for problem in bad:
+                    print(f"document #{i}: {problem}", file=sys.stderr)
+        problems = schema_count + robustness_count
         if problems:
             print(f"{problems}/{len(reports)} document(s) invalid",
                   file=sys.stderr)
-            return 2 if (history_problems or robustness_count) else 1
-        kinds = (
-            "bench-history document(s)"
-            if all(
-                isinstance(r, dict) and r.get("format") == BENCH_FORMAT
-                for r in reports
-            )
-            else "report(s)"
-        )
-        print(f"{len(reports)} {kinds} valid")
+            return 2 if robustness_count else 1
+        print(f"{len(reports)} report(s) valid")
         return 0
     for i, report in enumerate(reports):
         if i:
@@ -1251,11 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="sweep engines over sampled patterns and print a table"
     )
-    p_bench.add_argument(
-        "action", nargs="?", choices=("compare",), default=None,
-        help="'compare' checks a BENCH history against --baseline instead"
-        " of running a sweep",
-    )
     p_bench.add_argument("--dataset", choices=DATASET_NAMES, default=None)
     p_bench.add_argument("--scale", type=float, default=0.25)
     p_bench.add_argument("--sizes", type=int, nargs="+", default=[4, 8])
@@ -1275,32 +1206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--limit", type=int, default=20_000)
     p_bench.add_argument("--time-limit", type=float, default=2.0)
     p_bench.add_argument("--workers", type=int, metavar="N", default=1,
-                         help="worker processes per CSCE task (count mode;"
-                         " recorded in --history rows)")
+                         help="worker processes per CSCE task (count mode)")
     p_bench.add_argument("--trace", action="store_true",
                          help="collect span trees in the run-reports")
-    p_bench.add_argument("--obs", action="store_true",
-                         help="run every task with the minimal always-on"
-                         " instruments (flight recorder + progress) to"
-                         " measure their overhead")
     p_bench.add_argument("--report", metavar="PATH", default=None,
                          help="write run-reports (.jsonl streams one/line)")
-    p_bench.add_argument("--history", metavar="PATH", default=None,
-                         help="write a BENCH_<figure>.json history document"
-                         " for later 'bench compare' regression gating")
-    p_bench.add_argument("--figure", default="cli",
-                         help="figure/experiment name stamped into --history")
-    p_bench.add_argument("--baseline", metavar="PATH", default=None,
-                         help="[compare] baseline BENCH_*.json history")
-    p_bench.add_argument("--current", metavar="PATH", default=None,
-                         help="[compare] current history"
-                         " (defaults to --baseline: a self-comparison)")
-    p_bench.add_argument("--threshold", type=float, default=1.5,
-                         help="[compare] normalized slowdown ratio that"
-                         " counts as a regression (default 1.5)")
-    p_bench.add_argument("--min-seconds", type=float, default=0.0005,
-                         help="[compare] baseline noise floor; faster"
-                         " configs never flag regressions")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_report = sub.add_parser(

@@ -54,11 +54,7 @@ from repro.obs.inspect import (
     resolve_endpoint,
 )
 from repro.obs.logconfig import JsonFormatter, configure_logging, resolve_level
-from repro.obs.merge import (
-    SpanContext,
-    WorkerSnapshot,
-    merge_counters,
-)
+from repro.obs.merge import WorkerSnapshot, merge_counters
 from repro.obs.metrics import (
     NULL_METRICS,
     JsonlTimeSeriesExporter,
@@ -243,7 +239,6 @@ __all__ = [
     "RecordedEvent",
     "perfetto_trace",
     "write_perfetto",
-    "SpanContext",
     "WorkerSnapshot",
     "merge_counters",
     "Profiler",

@@ -105,8 +105,8 @@ WIRE_MANIFESTS: dict[str, dict] = {
 def schema_problems(
     doc: object, schema: dict[str, type | tuple], label: str = "document"
 ) -> list[str]:
-    """Field-presence/type check shared by run-report and bench-history
-    validation; returns the list of problems (empty when clean)."""
+    """Field-presence/type check of a document against ``schema``;
+    returns the list of problems (empty when clean)."""
     if not isinstance(doc, dict):
         return [f"{label} must be a JSON object"]
     problems: list[str] = []
@@ -278,7 +278,7 @@ def robustness_problems(report: dict) -> list[str]:
     Separate from :func:`validate_run_report` because old reports predate
     these fields: a missing field is fine (legacy report), but a present
     field with a nonsense value is not. ``repro report --validate`` exits 2
-    when this returns problems, mirroring the bench-history gate.
+    when this returns problems (1 for a schema problem).
     """
     if not isinstance(report, dict):
         return ["run-report must be a JSON object"]

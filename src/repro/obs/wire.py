@@ -42,7 +42,7 @@ WIRE_FORMAT = "repro-inspect"
 WIRE_VERSION = 1
 
 SNAPSHOT_FORMAT = "repro-worker-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Hard cap on one frame's encoded size. Generous (a recorder dump of a
 #: 256-event ring is a few hundred KiB at worst) but bounded, so a
@@ -72,7 +72,6 @@ WIRE_MANIFESTS: dict[str, dict] = {
             "workers",
             "counters",
             "stats",
-            "context",
         ),
         "encoders": ("encode_snapshot",),
         "decoders": ("decode_snapshot",),

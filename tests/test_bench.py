@@ -4,9 +4,12 @@ import pytest
 
 from repro.bench import ENGINES, ExperimentRecord, make_engine, run_task, sweep
 from repro.bench.harness import average_by
+from repro.bench.history import calibrate
 from repro.bench.tables import format_table, print_series, print_table
+from repro.cli import main
 from repro.errors import VariantError
 from repro.graph import Graph
+from repro.obs import validate_run_report
 
 from conftest import make_random_graph
 
@@ -87,6 +90,46 @@ class TestRunTask:
             )
 
 
+class TestHarnessTimeoutPath:
+    @pytest.fixture
+    def timed_out_record(self, monkeypatch):
+        # Check the deadline every 4 nodes (every execution path ticks on
+        # the one executor Runtime), then
+        # enumerate a workload far too large for a microsecond budget.
+        monkeypatch.setattr("repro.engine.executor._TIME_CHECK_INTERVAL", 4)
+        n = 12
+        clique = Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+        )
+        pattern = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        engine = make_engine("CSCE", clique)
+        return run_task(
+            "timeout",
+            "CSCE",
+            engine,
+            "clique",
+            pattern,
+            "edge_induced",
+            time_limit=1e-6,
+            count_only=False,
+            collect_reports=True,
+        )
+
+    def test_timeout_records_the_time_limit(self, timed_out_record):
+        record = timed_out_record
+        assert record.timed_out
+        # The existing-works convention: a timeout reports the limit, a
+        # censored measurement — not the wall clock it happened to burn.
+        assert record.total_seconds == 1e-6
+        assert record.row()["status"] == "timeout"
+
+    def test_timeout_still_yields_a_valid_run_report(self, timed_out_record):
+        report = timed_out_record.report
+        assert report is not None
+        validate_run_report(report)
+        assert report["timed_out"]
+
+
 class TestSweep:
     def test_sweep_covers_all_pairs(self, graph, pattern):
         records = sweep(
@@ -113,6 +156,17 @@ class TestSweep:
         summary = average_by(records, key=lambda r: (r.engine, r.pattern_size))
         assert ("CSCE", 3) in summary
         assert summary[("CSCE", 3)]["n"] == 2
+
+
+class TestMachine:
+    def test_calibrate_is_positive(self):
+        assert calibrate(loops=10_000, repeats=1) > 0
+
+
+class TestBenchCLI:
+    def test_bench_without_dataset_is_an_error(self, capsys):
+        assert main(["bench"]) == 2
+        assert "--dataset" in capsys.readouterr().err
 
 
 class TestTables:

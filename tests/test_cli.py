@@ -270,3 +270,25 @@ class TestRobustnessFlags:
         open(report_path, "w").write(json.dumps(doc))
         capsys.readouterr()
         assert main(["report", report_path, "--validate"]) == 1
+
+    def test_validate_rejects_a_bench_history_document(self, tmp_path, capsys):
+        # The retired bench-history format is not a run-report: it fails
+        # the schema check (exit 1) instead of passing a second validator.
+        import json
+
+        path = tmp_path / "BENCH_smoke.json"
+        path.write_text(json.dumps({
+            "format": "repro-bench-history",
+            "version": 1,
+            "figure": "smoke",
+            "machine": {"calibration_seconds": 0.011},
+            "configs": [{
+                "key": "CSCE|yeast|edge_induced|size=6|dense-6#0",
+                "n": 1,
+                "embeddings": 2.0,
+                "total_seconds": 0.0011,
+                "execute_seconds": 0.0003,
+            }],
+        }))
+        assert main(["report", str(path), "--validate"]) == 1
+        assert "invalid run-report" in capsys.readouterr().err

@@ -46,7 +46,7 @@ from repro.obs.inspect import (
     render_top,
     resolve_endpoint,
 )
-from repro.obs.merge import SpanContext, WorkerSnapshot, merge_counters
+from repro.obs.merge import WorkerSnapshot, merge_counters
 from repro.obs.progress import Heartbeat, RunSnapshot
 from repro.obs.wire import (
     MAX_FRAME_BYTES,
@@ -799,21 +799,11 @@ _numbers = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64),
 )
 _tables = st.dictionaries(_names, _numbers, max_size=8)
-_contexts = st.one_of(
-    st.none(),
-    st.builds(
-        SpanContext,
-        trace_id=_names,
-        span_id=_names,
-        parent_id=st.one_of(st.none(), _names),
-    ),
-)
 _snapshots = st.builds(
     WorkerSnapshot,
     worker=_names,
     counters=_tables,
     stats=_tables,
-    context=_contexts,
     workers=st.lists(_names, min_size=0, max_size=4).map(tuple),
 )
 

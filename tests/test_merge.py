@@ -1,5 +1,5 @@
 """Merge-ready multi-worker observability: exact counter merges, worker
-snapshots, span contexts, and shard run-report aggregation.
+snapshots, and shard run-report aggregation.
 
 The acceptance bar: sharding a run over K workers (one seeded run per
 root candidate) and merging the K observability snapshots reproduces the
@@ -16,8 +16,6 @@ from repro.engine.results import MatchOptions
 from repro.graph.patterns import CATALOG
 from repro.obs import (
     Observation,
-    SpanContext,
-    Tracer,
     WorkerSnapshot,
     build_run_report,
     format_run_report,
@@ -89,38 +87,12 @@ class TestMergeCounters:
 
 
 # ---------------------------------------------------------------------------
-# SpanContext
-# ---------------------------------------------------------------------------
-class TestSpanContext:
-    def test_child_links_to_parent(self):
-        root = SpanContext.new_root()
-        child = root.child()
-        assert child.trace_id == root.trace_id
-        assert child.parent_id == root.span_id
-        assert child.span_id != root.span_id
-
-    def test_roundtrip(self):
-        ctx = SpanContext.new_root().child()
-        assert SpanContext.from_dict(ctx.to_dict()) == ctx
-        json.dumps(ctx.to_dict())
-
-    def test_annotate_stamps_span(self):
-        tracer = Tracer()
-        ctx = SpanContext.new_root().child()
-        with tracer.span("execute") as span:
-            ctx.annotate(span)
-        assert span.attrs["trace_id"] == ctx.trace_id
-        assert span.attrs["parent_id"] == ctx.parent_id
-
-
-# ---------------------------------------------------------------------------
 # Worker snapshots: merged == single-process, exactly
 # ---------------------------------------------------------------------------
 class TestWorkerSnapshots:
     def test_snapshot_roundtrip(self):
         snap = WorkerSnapshot(
             worker="w1", counters={"nodes": 5}, stats={"nodes": 5},
-            context=SpanContext.new_root(),
         )
         restored = WorkerSnapshot.from_dict(
             json.loads(json.dumps(snap.to_dict()))
@@ -128,7 +100,6 @@ class TestWorkerSnapshots:
         assert restored.worker == "w1"
         assert restored.counters == {"nodes": 5}
         assert restored.workers == ("w1",)
-        assert restored.context == snap.context
 
     @pytest.mark.parametrize("name", ["triangle", "path4", "star4"])
     def test_sharded_run_reproduces_single_process_exactly(

@@ -214,7 +214,7 @@ class TestStallWatchdog:
         assert health["quarantined_units"] == 0
 
     def test_clean_run_triggers_zero_kills(self, engine, reference):
-        # The perf-smoke invariant: an armed watchdog over a healthy
+        # The parallel-smoke invariant: an armed watchdog over a healthy
         # heartbeating workload must never fire.
         obs = Observation(trace=True, heartbeat_interval=0.05)
         result = engine.match(
