@@ -6,7 +6,9 @@ queries (the Graphflow setting). This example exercises all three:
 
 1. build a store, persist it, reload it (pay clustering once);
 2. register a standing pattern query;
-3. stream edge insertions/removals and receive only the embedding deltas.
+3. stream edge insertions/removals and receive only the embedding deltas
+   (counted; the mappings an update creates or destroys are listed
+   through the seeded primitive, ``engine.match(pattern, seed=...)``).
 
 Run with:  python examples/continuous_queries.py
 """
@@ -49,6 +51,21 @@ print(f"standing query registered: {watcher.total} embeddings initially")
 # ---------------------------------------------------------------------------
 # 3. Stream updates; the matcher reports only what each edge changes.
 # ---------------------------------------------------------------------------
+def mappings_using(src, dst, label, directed):
+    """The embeddings that use one data edge: pin each pattern edge of the
+    same label and direction onto it (both orientations when undirected)
+    and enumerate the seeded completions. Edge-induced embeddings are
+    injective, so no embedding is found under two pins."""
+    for edge in coworkers.edges():
+        if edge.label != label or edge.directed != directed:
+            continue
+        pins = [(edge.src, edge.dst)]
+        if not directed:
+            pins.append((edge.dst, edge.src))
+        for u, v in pins:
+            yield from engine.match(coworkers, seed={u: src, v: dst}).embeddings
+
+
 updates = [
     ("insert", 2, 6, "works_on", True),   # person 2 joins project 0
     ("insert", 4, 6, "works_on", True),   # person 4 joins project 0
@@ -59,12 +76,16 @@ for action, src, dst, label, directed in updates:
     if action == "insert":
         delta = watcher.insert(src, dst, label, directed)
         verb = "created"
+        mappings = list(mappings_using(src, dst, label, directed))
     else:
+        # List what the edge supports while it is still there.
+        mappings = list(mappings_using(src, dst, label, directed))
         delta = watcher.remove(src, dst, label, directed)
         verb = "destroyed"
+    assert len(mappings) == delta.count
     print(f"{action} ({src}, {dst}, {label}): {verb} {delta.count}"
           f" embeddings (total now {watcher.total})")
-    for mapping in delta.embeddings:
+    for mapping in mappings:
         print(f"    {mapping}")
 
 # The incremental total always agrees with a from-scratch recount.

@@ -142,6 +142,49 @@ class CompressedCSR:
             return _EMPTY
         return self.cols[self._offsets[idx] : self._offsets[idx + 1]]
 
+    def insert(self, src: int, dst: int) -> bool:
+        """Patch the absent entry ``src -> dst`` in, keeping every run
+        sorted; True when ``src`` is a new row (the row set changed)."""
+        i = int(np.searchsorted(self.rows, src))
+        start = int(self._offsets[i])
+        new_row = i == self.rows.shape[0] or self.rows[i] != src
+        if new_row:
+            at = start
+            self.rows = np.insert(self.rows, i, src)
+            self.row_counts = np.insert(self.row_counts, i, 1)
+            # The new row's end offset; the shift below makes it start + 1.
+            self._offsets = np.insert(self._offsets, i + 1, start)
+            self._rows_view = None
+        else:
+            stop = int(self._offsets[i + 1])
+            at = start + int(np.searchsorted(self.cols[start:stop], dst))
+            self.row_counts[i] += 1
+        self.cols = np.insert(self.cols, at, dst)
+        self._offsets[i + 1 :] += 1
+        if self.full_offsets is not None:
+            self.full_offsets[src + 1 :] += 1
+        return new_row
+
+    def remove(self, src: int, dst: int) -> bool:
+        """Patch the present entry ``src -> dst`` out; True when its row
+        empties and is dropped (the row set changed)."""
+        i = int(np.searchsorted(self.rows, src))
+        start, stop = int(self._offsets[i]), int(self._offsets[i + 1])
+        at = start + int(np.searchsorted(self.cols[start:stop], dst))
+        self.cols = np.delete(self.cols, at)
+        self._offsets[i + 1 :] -= 1
+        if self.full_offsets is not None:
+            self.full_offsets[src + 1 :] -= 1
+        emptied = stop - start == 1
+        if emptied:
+            self.rows = np.delete(self.rows, i)
+            self.row_counts = np.delete(self.row_counts, i)
+            self._offsets = np.delete(self._offsets, i + 1)
+            self._rows_view = None
+        else:
+            self.row_counts[i] -= 1
+        return emptied
+
     def rows_view(self) -> tuple[frozenset[int], tuple[int, ...]]:
         """``rows`` as a ``(frozenset, sorted tuple)`` pair, built on first
         use and cached with the CSR: the matcher's static candidate pool
@@ -185,7 +228,9 @@ class Cluster:
     The matcher reads rows as ``frozenset`` views (:meth:`successor_set`,
     :meth:`predecessor_set`), built on a row's first read and cached here,
     so they are dropped with the cluster. The numpy arrays stay the
-    storage: :meth:`nbytes` counts only them.
+    storage: :meth:`nbytes` counts only them. An update patches the
+    cluster in place (:meth:`insert`, :meth:`remove`), so the object, and
+    every row view the update does not touch, outlives it.
     """
 
     __slots__ = ("key", "out_csr", "in_csr", "_out_rows", "_in_rows", "__weakref__")
@@ -296,6 +341,26 @@ class Cluster:
             csr = self.out_csr if self.in_csr is None else self.in_csr
             row = self._in_rows[v] = frozenset(csr.neighbors(v).tolist())
         return row
+
+    def insert(self, src: int, dst: int) -> bool:
+        """Patch one absent edge in place: both CSR entries, and the cached
+        row views of the two rows it touches are dropped. True when a CSR's
+        row set changed (a static candidate pool drawn from it is stale)."""
+        changed = self.out_csr.insert(src, dst)
+        reverse = self.out_csr if self.in_csr is None else self.in_csr
+        changed = reverse.insert(dst, src) or changed
+        self._out_rows.pop(src, None)
+        self._in_rows.pop(dst, None)
+        return changed
+
+    def remove(self, src: int, dst: int) -> bool:
+        """Patch one present edge out; the mirror of :meth:`insert`."""
+        changed = self.out_csr.remove(src, dst)
+        reverse = self.out_csr if self.in_csr is None else self.in_csr
+        changed = reverse.remove(dst, src) or changed
+        self._out_rows.pop(src, None)
+        self._in_rows.pop(dst, None)
+        return changed
 
     def contains_edge(self, src: int, dst: int) -> bool:
         """True if the cluster stores an edge allowing ``src -> dst``."""

@@ -164,18 +164,8 @@ def _load_store(path: str | os.PathLike) -> CCSRStore:
                 f"{path}: unsupported store format version"
                 f" {header.get('format_version')!r}"
             )
-        store = CCSRStore.__new__(CCSRStore)
-        store.name = header["name"]
-        store.num_vertices = int(header["num_vertices"])
-        store.num_edges = int(header["num_edges"])
-        store.vertex_labels = [
-            _decode_label(tagged) for tagged in header["vertex_labels"]
-        ]
-        from collections import Counter
-
-        store.label_frequency = Counter(store.vertex_labels)
-        store.clusters = {}
-        store._pair_index = {}
+        num_vertices = len(header["vertex_labels"])
+        clusters: dict[ClusterKey, Cluster] = {}
         for meta in header["clusters"]:
             key = ClusterKey(
                 _decode_label(meta["src_label"]),
@@ -184,17 +174,19 @@ def _load_store(path: str | os.PathLike) -> CCSRStore:
                 bool(meta["directed"]),
             )
             prefix = meta["prefix"]
-            store.clusters[key] = Cluster.from_csrs(
+            clusters[key] = Cluster.from_csrs(
                 key,
-                _csr_from_arrays(archive, f"{prefix}_out", store.num_vertices),
-                _csr_from_arrays(archive, f"{prefix}_in", store.num_vertices)
+                _csr_from_arrays(archive, f"{prefix}_out", num_vertices),
+                _csr_from_arrays(archive, f"{prefix}_in", num_vertices)
                 if key.directed
                 else None,
             )
-            pair = frozenset((key.src_label, key.dst_label))
-            store._pair_index.setdefault(pair, []).append(key)
-        store.build_seconds = 0.0
-        store.version = 0
+        store = CCSRStore.from_clusters(
+            header["name"],
+            [_decode_label(tagged) for tagged in header["vertex_labels"]],
+            int(header["num_edges"]),
+            clusters,
+        )
     return store
 
 

@@ -130,33 +130,65 @@ class CCSRStore:
 
     def __init__(self, graph: Graph) -> None:
         start = time.perf_counter()
-        self.num_vertices = graph.num_vertices
-        self.num_edges = graph.num_edges
-        self.vertex_labels: list[Hashable] = list(graph.vertex_labels)
-        self.label_frequency: Counter = Counter(self.vertex_labels)
-        self.name = graph.name
-
+        labels: list[Hashable] = list(graph.vertex_labels)
         buckets: dict[ClusterKey, list[tuple[int, int]]] = {}
-        labels = self.vertex_labels
         for edge in graph.edges():
             key = cluster_key_for_edge(labels, edge)
             buckets.setdefault(key, []).append((edge.src, edge.dst))
-        self.clusters: dict[ClusterKey, Cluster] = {
-            key: Cluster(key, pairs, self.num_vertices)
+        clusters = {
+            key: Cluster(key, pairs, len(labels))
             for key, pairs in buckets.items()
         }
+        self._adopt(
+            graph.name, labels, graph.num_edges, clusters,
+            build_seconds=time.perf_counter() - start,
+        )
+
+    @classmethod
+    def from_clusters(
+        cls,
+        name: str,
+        vertex_labels: list[Hashable],
+        num_edges: int,
+        clusters: dict[ClusterKey, Cluster],
+    ) -> CCSRStore:
+        """A store over prebuilt clusters (the store loader's path)."""
+        store = cls.__new__(cls)
+        store._adopt(name, vertex_labels, num_edges, clusters, build_seconds=0.0)
+        return store
+
+    def _adopt(
+        self,
+        name: str,
+        vertex_labels: list[Hashable],
+        num_edges: int,
+        clusters: dict[ClusterKey, Cluster],
+        build_seconds: float,
+    ) -> None:
+        """Set every attribute; the one assignment path of both constructors."""
+        self.name = name
+        self.num_vertices = len(vertex_labels)
+        self.num_edges = num_edges
+        self.vertex_labels = vertex_labels
+        self.label_frequency: Counter = Counter(vertex_labels)
+        self.clusters = clusters
         # Unordered label pair -> cluster keys connecting that pair, for
         # negation lookups and Algorithm 2 line 8.
         self._pair_index: dict[frozenset, list[ClusterKey]] = {}
-        for key in self.clusters:
+        for key in clusters:
             pair = frozenset((key.src_label, key.dst_label))
             self._pair_index.setdefault(pair, []).append(key)
-        self.build_seconds = time.perf_counter() - start
-        #: Bumped by every incremental update. Updates rebuild cluster
-        #: objects, so anything holding references resolved against the old
-        #: clusters — compiled plans in a :class:`repro.engine.MatchSession`
-        #: cache above all — keys on this counter to avoid stale reuse.
+        self.build_seconds = build_seconds
+        #: Bumped by every incremental update: a checkpoint records it and
+        #: refuses to resume over a store that changed since.
         self.version = 0
+        #: Bumped only by the updates that can stale a compiled plan: a
+        #: cluster created or dropped, a vertex added, or a patch that
+        #: changes a CSR's row set (a static candidate pool drawn from it).
+        #: Any other update patches its cluster's arrays and row views in
+        #: place, which a plan reads through the same cluster object, so
+        #: the session's plan cache keys on this counter.
+        self.layout_version = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -223,8 +255,10 @@ class CCSRStore:
     #
     # The paper positions CCSR against graph-database storage (Kùzu),
     # where updates are table stakes. An update touches exactly one
-    # cluster — the heterogeneity index localizes the work — and rebuilds
-    # that cluster's CSR arrays, leaving every other cluster untouched.
+    # cluster — the heterogeneity index localizes the work — and patches
+    # that cluster's CSR arrays in place, leaving every other cluster
+    # untouched. A cluster is built only when its key first appears and
+    # dropped only when it empties.
     # ------------------------------------------------------------------
     def insert_vertex(self, label: Hashable = 0) -> int:
         """Append a vertex; returns its id. Invalidates decompressed row
@@ -239,18 +273,8 @@ class CCSRStore:
                 cluster.in_csr.num_vertices = self.num_vertices
                 cluster.in_csr.full_offsets = None
         self.version += 1
+        self.layout_version += 1
         return self.num_vertices - 1
-
-    def _cluster_edges(self, cluster: Cluster) -> list[tuple[int, int]]:
-        """The cluster's edges, one entry per edge (canonical orientation
-        for undirected clusters)."""
-        if cluster.key.directed:
-            return list(cluster.iter_directed_entries())
-        return [
-            (src, dst)
-            for src, dst in cluster.iter_directed_entries()
-            if src < dst
-        ]
 
     def insert_edge(
         self,
@@ -259,7 +283,7 @@ class CCSRStore:
         edge_label: Hashable = None,
         directed: bool = False,
     ) -> None:
-        """Add one edge, rebuilding only its cluster."""
+        """Add one edge, patching only its cluster."""
         from repro.errors import GraphError
 
         n = self.num_vertices
@@ -271,14 +295,15 @@ class CCSRStore:
             self.vertex_labels[src], self.vertex_labels[dst], edge_label, directed
         )
         cluster = self.clusters.get(key)
-        if cluster is not None and cluster.contains_edge(src, dst):
-            raise GraphError(f"duplicate edge ({src}, {dst}, {edge_label!r})")
-        edges = [] if cluster is None else self._cluster_edges(cluster)
-        edges.append((src, dst))
-        self.clusters[key] = Cluster(key, edges, self.num_vertices)
         if cluster is None:
+            self.clusters[key] = Cluster(key, [(src, dst)], n)
             pair = frozenset((key.src_label, key.dst_label))
             self._pair_index.setdefault(pair, []).append(key)
+            self.layout_version += 1
+        elif cluster.contains_edge(src, dst):
+            raise GraphError(f"duplicate edge ({src}, {dst}, {edge_label!r})")
+        elif cluster.insert(src, dst):
+            self.layout_version += 1
         self.num_edges += 1
         self.version += 1
 
@@ -289,7 +314,7 @@ class CCSRStore:
         edge_label: Hashable = None,
         directed: bool = False,
     ) -> None:
-        """Remove one edge, rebuilding only its cluster (dropping the
+        """Remove one edge, patching only its cluster (dropping the
         cluster entirely when it empties)."""
         from repro.errors import GraphError
 
@@ -305,16 +330,15 @@ class CCSRStore:
                 f"edge ({src}, {dst}, {edge_label!r}, directed={directed})"
                 " does not exist"
             )
-        canonical = (src, dst) if directed else (min(src, dst), max(src, dst))
-        edges = [e for e in self._cluster_edges(cluster) if e != canonical]
-        if edges:
-            self.clusters[key] = Cluster(key, edges, self.num_vertices)
-        else:
+        if cluster.num_edges == 1:
             del self.clusters[key]
             pair = frozenset((key.src_label, key.dst_label))
             self._pair_index[pair].remove(key)
             if not self._pair_index[pair]:
                 del self._pair_index[pair]
+            self.layout_version += 1
+        elif cluster.remove(src, dst):
+            self.layout_version += 1
         self.num_edges -= 1
         self.version += 1
 

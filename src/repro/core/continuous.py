@@ -2,23 +2,32 @@
 
 Graphflow — one of the paper's baselines — answers *continuous* subgraph
 queries: when an edge arrives, report the embeddings it creates. With
-incremental CCSR updates (:meth:`~repro.ccsr.store.CCSRStore.insert_edge`)
-and seeded execution (:class:`~repro.engine.results.MatchOptions` ``seed``),
-CSCE supports the same workload:
+incremental CCSR updates (:meth:`~repro.ccsr.store.CCSRStore.insert_edge`
+patches one cluster in place) and seeded execution
+(:class:`~repro.engine.results.MatchOptions` ``seed``), CSCE supports the
+same workload:
 
     every embedding created by a new edge must *use* that edge, so it
     suffices to pin each label-compatible pattern edge onto the new data
-    edge and enumerate the completions.
+    edge and count the completions.
 
-Pinning both endpoints of one pattern edge per run enumerates each new
-embedding exactly once per pattern edge that maps onto the new data edge;
-results across pins are deduplicated on the full mapping because distinct
-pins can yield the same embedding when the pattern has automorphisms moving
-one pinned edge onto another.
+The pins run in pattern-edge order, and pin *i* keeps only embeddings
+that map no earlier pattern edge onto the data edge (Graphflow's
+delta-query order), so each delta embedding is counted exactly once,
+under the first pin that claims it. Under injectivity the rule never
+fires: the data edge's two endpoints have at most two preimages, joined
+by at most one pattern edge of the data edge's label and direction, so
+the pins partition the delta and each runs the frame machine's count
+mode (bulk-counting its last position). Only a homomorphism can map two
+pattern edges onto one data edge; such pins stream embedding tuples
+through the rule. Nothing is materialized or deduplicated; callers that
+want the mappings run the seeded primitive itself
+(``CSCE.match(pattern, variant, seed=...)``).
 
 Each delta compiles the pattern **once** through the engine's
-:class:`~repro.engine.MatchSession` (a cache hit when the store version is
-unchanged), then rebinds the compiled plan's pins per seed with
+:class:`~repro.engine.MatchSession` (a cache hit unless the update changed
+the store's layout, see :attr:`~repro.ccsr.store.CCSRStore.layout_version`),
+then rebinds the compiled plan's pins per seed with
 :meth:`~repro.engine.PhysicalPlan.with_seed` — no replanning per pin.
 """
 
@@ -28,7 +37,8 @@ from dataclasses import dataclass, field
 
 from repro.core.csce import CSCE
 from repro.core.variants import Variant
-from repro.engine.executor import execute_physical
+from repro.engine.executor import Runtime, execute_physical, stream
+from repro.engine.physical import PhysicalPlan
 from repro.engine.results import MatchOptions, raise_stop
 from repro.graph.model import Edge, Graph
 from repro.obs import STAT_KEYS
@@ -36,10 +46,10 @@ from repro.obs import STAT_KEYS
 
 @dataclass
 class DeltaResult:
-    """Embeddings created (or destroyed) by one edge update."""
+    """How many embeddings one edge update created (or destroyed)."""
 
     edge: Edge
-    embeddings: list[dict[int, int]]
+    count: int
     pins_tried: int
     stats: dict = field(default_factory=dict)
     """Unified search counters summed over every pinned run (the same key
@@ -48,23 +58,22 @@ class DeltaResult:
     stop_reason: str | None = None
     """Why the delta stopped early (a pinned run hit a governor limit or
     the cancel token tripped), or ``None`` for a complete delta. A partial
-    delta's ``embeddings`` undercount the true delta — callers must not
-    fold them into standing totals (see :class:`ContinuousMatcher`)."""
-
-    @property
-    def count(self) -> int:
-        return len(self.embeddings)
+    delta's ``count`` undercounts the true delta — callers must not fold
+    it into standing totals (see :class:`ContinuousMatcher`)."""
 
 
 def _compatible_pins(
     pattern: Graph,
     data_labels,
     edge: Edge,
-) -> list[dict[int, int]]:
-    """Seeds pinning a pattern edge onto the data edge, label-checked."""
+) -> list[tuple[dict[int, int], tuple[tuple[int, int], ...]]]:
+    """Seeds pinning a pattern edge onto the data edge, label-checked, in
+    pattern-edge order. Each seed comes with the earlier pattern edges
+    that could also map onto the data edge, as ``(src, dst)`` pairs."""
     src_label = data_labels[edge.src]
     dst_label = data_labels[edge.dst]
-    pins: list[dict[int, int]] = []
+    pins: list[tuple[dict[int, int], tuple[tuple[int, int], ...]]] = []
+    earlier: list[tuple[int, int]] = []
     for pattern_edge in pattern.edges():
         if pattern_edge.label != edge.label:
             continue
@@ -73,13 +82,46 @@ def _compatible_pins(
         orientations = [(pattern_edge.src, pattern_edge.dst)]
         if not edge.directed:
             orientations.append((pattern_edge.dst, pattern_edge.src))
-        for u_src, u_dst in orientations:
-            if (
-                pattern.vertex_label(u_src) == src_label
-                and pattern.vertex_label(u_dst) == dst_label
-            ):
-                pins.append({u_src: edge.src, u_dst: edge.dst})
+        seeds = [
+            {u_src: edge.src, u_dst: edge.dst}
+            for u_src, u_dst in orientations
+            if pattern.vertex_label(u_src) == src_label
+            and pattern.vertex_label(u_dst) == dst_label
+        ]
+        if seeds:
+            before = tuple(earlier)
+            pins.extend((seed, before) for seed in seeds)
+            earlier.append((pattern_edge.src, pattern_edge.dst))
     return pins
+
+
+def _count_first_claims(
+    physical: PhysicalPlan,
+    options: MatchOptions,
+    edge: Edge,
+    earlier: tuple[tuple[int, int], ...],
+) -> tuple[int, dict, str | None]:
+    """Stream a pinned homomorphic run and count the embeddings that map
+    none of the ``earlier`` pattern edges onto ``edge``; returns the
+    count, the run's stats and its stop reason."""
+    a, b = edge.src, edge.dst
+    undirected = not edge.directed
+    runtime = Runtime(physical, options)
+    kept = 0
+    try:
+        for image in stream(physical, runtime):
+            for x, y in earlier:
+                fx, fy = image[x], image[y]
+                if (fx == a and fy == b) or (undirected and fx == b and fy == a):
+                    break
+            else:
+                kept += 1
+    finally:
+        runtime.release()
+    stats = runtime.stats()
+    if options.obs is not None:
+        options.obs.counters.merge(stats)
+    return kept, stats, runtime.stop_reason
 
 
 def embeddings_containing_edge(
@@ -91,7 +133,7 @@ def embeddings_containing_edge(
     obs=None,
     governor=None,
 ) -> DeltaResult:
-    """All embeddings of ``pattern`` that map some pattern edge onto
+    """Count the embeddings of ``pattern`` that map some pattern edge onto
     ``edge`` (which must already be present in the engine's store).
 
     ``obs`` instruments every pinned run; the returned ``stats`` sums the
@@ -103,46 +145,47 @@ def embeddings_containing_edge(
     variant = Variant.parse(variant)
     obs = obs or getattr(engine, "obs", None)
     pins = _compatible_pins(pattern, engine.store.vertex_labels, edge)
-    seen: set[tuple] = set()
-    embeddings: list[dict[int, int]] = []
+    count = 0
     stats: dict[str, int] = dict.fromkeys(STAT_KEYS, 0)
     stop_reason: str | None = None
     compiled = (
         engine.session.compile(pattern, variant, obs=obs) if pins else None
     )
-    for seed in pins:
+    options = MatchOptions(
+        time_limit=time_limit,
+        obs=obs if obs is not None and obs.enabled else None,
+        governor=governor,
+        count_only=True,
+    )
+    for seed, earlier in pins:
         # One compile per delta; each pin is a cheap rebind of the ops.
-        result = execute_physical(
-            compiled.physical.with_seed(seed),
-            MatchOptions(
-                time_limit=time_limit,
-                obs=obs if obs is not None and obs.enabled else None,
-                governor=governor,
-            ),
-        )
-        for key, value in result.stats.items():
+        physical = compiled.physical.with_seed(seed)
+        if variant.injective or not earlier:
+            result = execute_physical(physical, options)
+            kept, run_stats, stop = result.count, result.stats, result.stop_reason
+        else:
+            kept, run_stats, stop = _count_first_claims(
+                physical, options, edge, earlier
+            )
+        count += kept
+        for key, value in run_stats.items():
             stats[key] = stats.get(key, 0) + value
-        for mapping in result.embeddings:
-            key = tuple(sorted(mapping.items()))
-            if key not in seen:
-                seen.add(key)
-                embeddings.append(mapping)
-        if result.stop_reason is not None:
-            stop_reason = result.stop_reason
+        if stop is not None:
+            stop_reason = stop
             break
     if obs is not None:
         counters = getattr(obs, "counters", None)
         if counters is not None and counters.enabled:
             counters.inc("continuous.updates")
             counters.inc("continuous.pins", len(pins))
-            counters.inc("continuous.delta_embeddings", len(embeddings))
+            counters.inc("continuous.delta_embeddings", count)
         metrics = getattr(obs, "metrics", None)
         if metrics is not None and metrics.enabled:
             # One sample per edge update: the continuous workload streams
             # live metrics even when no heartbeat interval elapses.
             metrics.sample(obs)
     return DeltaResult(
-        edge=edge, embeddings=embeddings, pins_tried=len(pins),
+        edge=edge, count=count, pins_tried=len(pins),
         stats=stats, stop_reason=stop_reason,
     )
 
@@ -184,7 +227,7 @@ class ContinuousMatcher:
     def insert(
         self, src: int, dst: int, label=None, directed: bool = False
     ) -> DeltaResult:
-        """Insert an edge; returns the embeddings it created.
+        """Insert an edge; returns the count of embeddings it created.
 
         If the delta search stops early (governor limit or tripped cancel
         token), the insert is **rolled back** and the typed
@@ -208,7 +251,7 @@ class ContinuousMatcher:
     def remove(
         self, src: int, dst: int, label=None, directed: bool = False
     ) -> DeltaResult:
-        """Remove an edge; returns the embeddings it destroyed.
+        """Remove an edge; returns the count of embeddings it destroyed.
 
         As with :meth:`insert`, an early stop raises the typed limit error
         *before* the store is touched, so the matcher (store, total, and

@@ -14,7 +14,7 @@ Usage::
 Every query runs through the engine's :class:`repro.engine.MatchSession`:
 logical plans are compiled once into a
 :class:`~repro.engine.PhysicalPlan` and cached per (pattern, variant,
-planner, restrictions, store version), so repeated patterns skip the
+planner, restrictions, store layout version), so repeated patterns skip the
 read→optimize→compile pipeline.
 
 Planner configurations reproduce Fig. 13's ablation:

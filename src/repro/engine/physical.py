@@ -28,7 +28,9 @@ at compile time instead of per search-tree node:
 
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
-``(pattern fingerprint, variant, planner, restrictions, store version)``.
+``(pattern fingerprint, variant, planner, restrictions, store layout
+version)``: a store update that patches a cluster in place leaves the
+compiled ops valid, as they fetch rows through the patched cluster.
 """
 
 from __future__ import annotations

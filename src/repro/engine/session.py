@@ -7,10 +7,12 @@ symmetry-breaking baseline all execute the same cached
 :class:`~repro.engine.physical.PhysicalPlan` instead of replanning per call.
 
 Cache keys are ``(pattern fingerprint, variant, planner, restrictions,
-store version)``. The store version counter bumps on every incremental
-update (:meth:`~repro.ccsr.store.CCSRStore.insert_edge` and friends rebuild
-cluster objects, so compiled plans bound to the old clusters must not be
-reused); stale entries simply stop matching and age out of the LRU.
+store layout version)``. :attr:`~repro.ccsr.store.CCSRStore.layout_version`
+bumps only on the updates that can stale a compiled plan (a cluster
+created or dropped, a vertex added, a CSR row set changed); an update that
+only patches a cluster in place keeps every cached plan valid, because the
+plan reads the patched rows through the same cluster object. Entries of
+an older layout are purged on the next fresh compile.
 ``use_sce`` and seeds are deliberately *not* part of the key — memoization
 is runtime state, and seeds rebind via
 :meth:`~repro.engine.physical.PhysicalPlan.with_seed` without recompiling.
@@ -192,7 +194,7 @@ class MatchSession:
             variant.value,
             planner,
             tuple(restrictions) if restrictions else (),
-            self.store.version,
+            self.store.layout_version,
         )
 
     def compile(
@@ -235,10 +237,10 @@ class MatchSession:
 
             verify_physical(physical, self.store).raise_for_errors()
         entry = CompiledQuery(plan=plan, physical=physical, cached=False)
-        # Plans for an older store version can never hit again, and they
-        # pin the clusters (and row caches) that version replaced.
-        version = self.store.version
-        for stale in [k for k in self._cache if k[-1] != version]:
+        # Plans for an older store layout can never hit again, and they
+        # pin the clusters (and row caches) that layout dropped.
+        layout = self.store.layout_version
+        for stale in [k for k in self._cache if k[-1] != layout]:
             del self._cache[stale]
         self._cache[key] = entry
         while len(self._cache) > self.cache_size:

@@ -64,6 +64,39 @@ class TestRoundTrip:
         for variant in ("edge_induced", "vertex_induced", "homomorphic"):
             assert loaded.count(p, variant) == fresh.count(p, variant)
 
+    def test_loaded_store_has_the_built_attribute_set(self, tmp_path, fig1_store):
+        # Both constructors assign through one path, so a field added to
+        # the store cannot be missing from a loaded one.
+        path = tmp_path / "store.npz"
+        save_store(fig1_store, path)
+        loaded = load_store(path)
+        assert vars(loaded).keys() == vars(fig1_store).keys()
+        assert loaded.version == loaded.layout_version == 0
+
+    def test_update_stream_on_loaded_store_keeps_exact_totals(self, tmp_path):
+        import random
+
+        from repro.core import ContinuousMatcher
+        from repro.graph.patterns import path as path_pattern
+
+        g = make_random_graph(12, 20, seed=92)
+        archive = tmp_path / "store.npz"
+        save_store(CCSRStore(g), archive)
+        engine = CSCE(load_store(archive))
+        matcher = ContinuousMatcher(engine, path_pattern(3))
+        present = {(min(e.src, e.dst), max(e.src, e.dst)) for e in g.edges()}
+        rng = random.Random(93)
+        for _ in range(25):
+            a, b = sorted(rng.sample(range(12), 2))
+            if (a, b) in present:
+                matcher.remove(a, b)
+                present.discard((a, b))
+            else:
+                matcher.insert(a, b)
+                present.add((a, b))
+            recount = CSCE(Graph.from_edges(12, sorted(present)))
+            assert matcher.total == recount.count(path_pattern(3))
+
     def test_empty_graph(self, tmp_path):
         path = tmp_path / "store.npz"
         save_store(CCSRStore(Graph()), path)

@@ -394,25 +394,49 @@ class TestMatchSession:
         assert after.physical is not before.physical
 
     def test_store_updates_purge_stale_plans(self, random_graph):
+        """A patch keeps the cached plan, which still verifies and counts
+        the patched graph; dropping and re-creating the cluster the plan
+        reads purges the stale plan and frees the dropped cluster."""
         import gc
         import weakref
+
+        from repro.engine.verify import verify_physical
 
         session = MatchSession(random_graph)
         p = small_pattern()
         before = session.compile(p, Variant.EDGE_INDUCED)
         store = session.store
         key = before.plan.backward[1][0].cluster.key
-        cluster = weakref.ref(store.clusters[key])
-        src = store.vertex_labels.index(key.src_label)
-        del before
-        for _ in range(3):
-            # Each insert rebuilds the cluster the pattern reads.
-            v = store.insert_vertex(key.dst_label)
-            store.insert_edge(src, v, key.edge_label, key.directed)
-            session.compile(p, Variant.EDGE_INDUCED)
+        live = store.clusters[key]
+        cluster = weakref.ref(live)
+        # A new edge between two vertices that already have rows in the
+        # cluster patches it without changing any row set.
+        rows = live.source_vertices().tolist()
+        u, v = next(
+            (a, b) for a in rows for b in rows
+            if a != b and not live.contains_edge(a, b)
+        )
+        store.insert_edge(u, v, key.edge_label, key.directed)
+        patched = session.compile(p, Variant.EDGE_INDUCED)
+        assert patched.cached and patched.physical is before.physical
+        assert verify_physical(patched.physical, store).ok
+        assert execute_physical(
+            patched.physical, MatchOptions(count_only=True)
+        ).count == CSCE(store.to_graph()).count(p)
+        del before, patched
+        edges = [
+            (a, b) for a, b in live.iter_directed_entries()
+            if key.directed or a < b
+        ]
+        del live
+        for a, b in edges:
+            store.remove_edge(a, b, key.edge_label, key.directed)
+        assert key not in store.clusters
+        store.insert_edge(u, v, key.edge_label, key.directed)
+        assert not session.compile(p, Variant.EDGE_INDUCED).cached
         gc.collect()
-        # Only the current version's plan survives, and nothing holds the
-        # cluster the first insert replaced.
+        # Only the current layout's plan survives, and nothing holds the
+        # cluster that emptied.
         assert cluster() is None
         assert session.cache_info["size"] == 1
 

@@ -82,12 +82,9 @@ class TestDeltaResultShape:
         from repro.core import DeltaResult
         from repro.graph import Edge
 
-        delta = DeltaResult(
-            edge=Edge(0, 1, None, False),
-            embeddings=[{0: 1}, {0: 2}],
-            pins_tried=1,
-        )
+        delta = DeltaResult(edge=Edge(0, 1, None, False), count=2, pins_tried=1)
         assert delta.count == 2
+        assert delta.stop_reason is None
 
 
 class TestVariantIteration:

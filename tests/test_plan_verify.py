@@ -206,22 +206,27 @@ def test_swapped_direction_rejected_on_directed_clusters(seed):
 
 
 def test_stale_store_version_rejected(store):
-    """A plan compiled before an incremental update references rebuilt
-    clusters: the object-identity check rejects it."""
+    """A plan compiled before an in-place patch still verifies (it reads
+    the patched cluster object); once the cluster it reads is dropped and
+    re-created, the object-identity check rejects it."""
     local = CCSRStore(load_dataset("dip", scale=0.1))
     plan = plan_query(local, by_name("triangle"))
     physical = compile_plan(plan)
     assert verify_physical(physical, local).ok
-    from repro.errors import GraphError
-
-    for dst in range(1, local.num_vertices):
-        try:
-            local.insert_edge(0, dst, None)
-            break
-        except GraphError:  # that edge already exists; try the next
-            continue
-    else:
-        pytest.skip("vertex 0 is connected to every other vertex")
+    (key,) = {c.cluster.key for cs in plan.backward for c in cs}
+    cluster = local.clusters[key]
+    dst = next(
+        v for v in range(1, local.num_vertices)
+        if not cluster.contains_edge(0, v)
+    )
+    local.insert_edge(0, dst, key.edge_label, key.directed)
+    assert local.clusters[key] is cluster
+    assert verify_physical(physical, local).ok
+    edges = [(a, b) for a, b in cluster.iter_directed_entries() if a < b]
+    for a, b in edges:
+        local.remove_edge(a, b, key.edge_label, key.directed)
+    local.insert_edge(*edges[0], key.edge_label, key.directed)
+    assert local.clusters[key] is not cluster
     report = verify_physical(physical, local)
     assert CLUSTER_KEY_UNKNOWN in report.codes()
 

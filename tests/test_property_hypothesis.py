@@ -8,18 +8,28 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.ccsr import CCSRStore
 from repro.ccsr.io import load_store, save_store
-from repro.core import CSCE, Variant, build_dag, compute_descendant_sizes
+from repro.core import (
+    CSCE,
+    ContinuousMatcher,
+    Variant,
+    build_dag,
+    compute_descendant_sizes,
+)
 from repro.core.gcf import gcf_order
 from repro.core.ldsf import ldsf_order
 from repro.engine import (
     MatchOptions,
     Runtime,
     SearchState,
+    compile_plan,
     count_capped,
     count_physical,
+    execute_physical,
+    plan_query,
     stream,
 )
 from repro.engine.executor import specialize
+from repro.errors import GraphError
 from repro.graph import Graph
 from repro.graph.io import format_graph_text, parse_graph_text
 
@@ -67,6 +77,36 @@ def graph_and_pattern(draw):
     )
     p = g.induced_subgraph(vertices)
     return g, p
+
+
+@st.composite
+def continuous_streams(draw):
+    """A small labelled graph, a connected pattern over the same labels,
+    and an update stream over the graph's vertex pairs: ``(a, b,
+    directed)`` with ``a != b``, each an insert if that edge is absent at
+    that point and a remove otherwise."""
+    num_labels = draw(st.integers(min_value=1, max_value=2))
+    label = st.integers(min_value=0, max_value=num_labels - 1)
+    n = draw(st.integers(min_value=3, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    update = st.tuples(vertex, vertex, st.booleans()).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+    g = Graph()
+    g.add_vertices([draw(label) for _ in range(n)])
+    for a, b, directed in draw(st.lists(update, min_size=2, max_size=12)):
+        try:
+            g.add_edge(a, b, directed=directed)
+        except GraphError:
+            continue
+    k = draw(st.integers(min_value=2, max_value=4))
+    p = Graph()
+    p.add_vertices([draw(label) for _ in range(k)])
+    for v in range(1, k):  # a random tree: connected, k - 1 edges
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        p.add_edge(u, v, directed=draw(st.booleans()))
+    updates = draw(st.lists(update, min_size=1, max_size=10))
+    return g, p, updates
 
 
 _SETTINGS = settings(
@@ -288,6 +328,73 @@ class TestMatchingProperties:
                     resumed = engine.resume(path, max_embeddings=None)
                     rest = sum(1 for _ in resumed)
                     assert drained + rest == resumed.count == total
+
+    @given(continuous_streams())
+    @settings(_SETTINGS, derandomize=True)
+    def test_continuous_deltas_agree(self, stream_input):
+        """The continuous leg: a drawn insert/remove stream through a
+        standing query, edge-induced and homomorphic. The maintained
+        total equals brute force after every update. After the stream,
+        every cluster the updates patched in place equals its rebuild
+        from the graph, and the plan compiled at the last layout change
+        counts what a fresh plan counts."""
+        g, p, updates = stream_input
+        labels = list(g.vertex_labels)
+        start = {
+            (e.src, e.dst, True) if e.directed
+            else (min(e.src, e.dst), max(e.src, e.dst), False)
+            for e in g.edges()
+        }
+        for variant in ("edge_induced", "homomorphic"):
+            engine = CSCE(g)
+            store = engine.session.store
+            matcher = ContinuousMatcher(engine, p, variant)
+            edges = set(start)
+            layout = store.layout_version
+            standing = engine.session.compile(p, variant).physical
+            for a, b, directed in updates:
+                key = (a, b, True) if directed else (min(a, b), max(a, b), False)
+                if key in edges:
+                    matcher.remove(a, b, None, directed)
+                    edges.discard(key)
+                else:
+                    matcher.insert(a, b, None, directed)
+                    edges.add(key)
+                current = Graph()
+                current.add_vertices(labels)
+                for src, dst, is_directed in sorted(edges):
+                    current.add_edge(src, dst, directed=is_directed)
+                assert matcher.total == brute_count(current, p, variant)
+                if store.layout_version != layout:
+                    layout = store.layout_version
+                    standing = engine.session.compile(p, variant).physical
+            rebuilt = CCSRStore(store.to_graph())
+            assert rebuilt.clusters.keys() == store.clusters.keys()
+            for key, cluster in store.clusters.items():
+                fresh = rebuilt.clusters[key]
+                for csr, ref in (
+                    (cluster.out_csr, fresh.out_csr),
+                    (cluster.in_csr, fresh.in_csr),
+                ):
+                    if csr is None:
+                        assert ref is None
+                        continue
+                    for name in ("rows", "row_counts", "cols", "_offsets"):
+                        assert getattr(csr, name).tolist() == getattr(ref, name).tolist()
+                    if csr.full_offsets is not None:
+                        ref.decompress()
+                        assert csr.full_offsets.tolist() == ref.full_offsets.tolist()
+                for v in list(cluster._out_rows):
+                    assert cluster.successor_set(v) == fresh.successor_set(v)
+                for v in list(cluster._in_rows):
+                    assert cluster.predecessor_set(v) == fresh.predecessor_set(v)
+            fresh_plan = compile_plan(plan_query(store, p, variant))
+            counted = MatchOptions(count_only=True)
+            assert (
+                execute_physical(standing, counted).count
+                == execute_physical(fresh_plan, counted).count
+                == matcher.total
+            )
 
     @given(graph_and_pattern())
     @_SETTINGS
