@@ -10,7 +10,10 @@ per order position — the concrete cluster probes the executor runs:
   (vertex-induced only);
 * *first candidates*: the static candidate pool for positions with no
   backward edge (the order's first vertex, or the first vertex of a new
-  pattern component).
+  pattern component);
+* *row requirements* (injective variants only): the minimum CCSR row
+  length, per cluster and direction, that the vertex's pattern edges
+  (backward and forward) imply for any data vertex hosting it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.ccsr.store import CCSRStore, NegationCheck, TaskClusters
 from repro.core.dag import DependencyDAG
 from repro.core.variants import Variant
 from repro.errors import PlanError
-from repro.graph.model import Graph
+from repro.graph.model import Edge, Graph
 
 SUCCESSORS = "succ"
 PREDECESSORS = "pred"
@@ -63,6 +66,24 @@ class NegationConstraint:
     swap: bool
 
 
+@dataclass(frozen=True)
+class RowRequirement:
+    """A candidate of the vertex holds at least ``k`` entries in its
+    ``cluster`` row read in ``direction``.
+
+    The vertex has ``k`` pattern edges in that cluster and direction, and
+    an injective mapping sends their other endpoints to ``k`` distinct
+    data vertices, all in that row. A homomorphism may map two of them
+    to one vertex, so homomorphic plans carry none. An undirected cluster
+    stores one CSR that both endpoints read, always as
+    :data:`SUCCESSORS`.
+    """
+
+    cluster: Cluster
+    direction: str
+    k: int
+
+
 @dataclass
 class Plan:
     """A fully assembled matching plan (the paper's optimized ``Phi*``)."""
@@ -77,6 +98,7 @@ class Plan:
     first_candidates: list[np.ndarray | None]
     memo_priors: list[tuple[int, ...]]
     memo_specs: list[tuple]
+    requirements: list[tuple[RowRequirement, ...]]
     planner_name: str = "csce"
     plan_seconds: float = 0.0
     descendant_sizes: dict[int, int] = field(default_factory=dict)
@@ -138,6 +160,8 @@ class Plan:
                 pool = self.first_candidates[pos]
                 pool_size = 0 if pool is None else len(pool)
                 parts.append(f"static pool of {pool_size} candidates")
+            for r in self.requirements[pos]:
+                parts.append(f"rows >= {r.k} in {r.cluster.key} {r.direction}")
             descendant = self.descendant_sizes.get(u, 0)
             lines.append(
                 f"  step {pos}: u{u} (descendants={descendant}) <- "
@@ -152,24 +176,33 @@ class Plan:
         )
 
 
+def _direction_from(vertex: int, edge: Edge) -> str:
+    """Which row of its cluster ``edge`` occupies for ``vertex``: an
+    undirected cluster's one CSR reads as :data:`SUCCESSORS`."""
+    if edge.directed and edge.dst == vertex:
+        return PREDECESSORS
+    return SUCCESSORS
+
+
 def _first_candidate_pool(
     store: CCSRStore,
     task: TaskClusters,
     pattern: Graph,
     vertex: int,
-) -> np.ndarray:
-    """The smallest static candidate pool for an unconstrained position.
+) -> tuple[np.ndarray, tuple[Cluster, str] | None]:
+    """The smallest static candidate pool for an unconstrained position,
+    and the ``(cluster, direction)`` whose rows it is drawn from.
 
     Every incident pattern edge restricts ``vertex`` to one side of its
     cluster; the smallest such side wins. A vertex with no incident edges
     (disconnected pattern) falls back to all data vertices with its label.
     """
     label: Hashable = pattern.vertex_label(vertex)
-    pools: list[np.ndarray] = []
+    pools: list[tuple[np.ndarray, tuple[Cluster, str] | None]] = []
     for edge in pattern.incident_edges(vertex):
         cluster = task.edge_clusters.get(edge)
         if cluster is None:
-            return _EMPTY
+            return _EMPTY, None
         if edge.directed:
             pool = (
                 cluster.source_vertices()
@@ -186,10 +219,66 @@ def _first_candidate_pool(
                     [v for v in endpoints.tolist() if labels[v] == label],
                     dtype=np.int64,
                 )
-        pools.append(pool)
+        pools.append((pool, (cluster, _direction_from(vertex, edge))))
     if pools:
-        return min(pools, key=len)
-    return np.asarray(store.vertices_with_label(label), dtype=np.int64)
+        return min(pools, key=lambda entry: len(entry[0]))
+    return np.asarray(store.vertices_with_label(label), dtype=np.int64), None
+
+
+def pattern_row_lengths(
+    task: TaskClusters, pattern: Graph, vertex: int
+) -> dict[tuple[Cluster, str], int]:
+    """How many of ``vertex``'s pattern edges fall in each ``(cluster,
+    direction)`` row: under injectivity, the least row length a data
+    vertex hosting it needs there. Edges with no cluster are skipped (the
+    plan is impossible anyway)."""
+    lengths: dict[tuple[Cluster, str], int] = {}
+    for edge in pattern.incident_edges(vertex):
+        cluster = task.edge_clusters.get(edge)
+        if cluster is not None:
+            row = (cluster, _direction_from(vertex, edge))
+            lengths[row] = lengths.get(row, 0) + 1
+    return lengths
+
+
+def _shortest_row(store: CCSRStore, cluster: Cluster, direction: str) -> int:
+    """The shortest row any data vertex of the row's labels holds in one
+    direction of ``cluster`` now: 0 when some such vertex has no row."""
+    key = cluster.key
+    if not key.directed:
+        csr, labels = cluster.out_csr, {key.src_label, key.dst_label}
+    elif direction == SUCCESSORS:
+        csr, labels = cluster.out_csr, {key.src_label}
+    else:
+        csr, labels = cluster.in_csr, {key.dst_label}
+    eligible = sum(store.label_frequency[label] for label in labels)
+    if csr.rows.shape[0] < eligible:
+        return 0
+    return int(csr.row_counts.min())
+
+
+def _row_requirements(
+    store: CCSRStore,
+    task: TaskClusters,
+    pattern: Graph,
+    vertex: int,
+    sources: set[tuple[Cluster, str]],
+) -> tuple[RowRequirement, ...]:
+    """The requirements of :func:`pattern_row_lengths` that can prune.
+
+    Dropped (a skipped filter is always sound): ``k == 1`` in a row the
+    candidates are drawn from (``sources``: each backward constraint's
+    row, seen from ``vertex``, or the static pool's), and any ``k`` at or
+    below the shortest row of its cluster at plan time.
+    """
+    return tuple(
+        RowRequirement(cluster, direction, k)
+        for (cluster, direction), k in pattern_row_lengths(
+            task, pattern, vertex
+        ).items()
+        if not (k == 1 and (cluster, direction) in sources)
+        and k > _shortest_row(store, cluster, direction)
+    )
 
 
 def assemble_plan(
@@ -238,6 +327,9 @@ def _assemble(
     backward: list[list[EdgeConstraint]] = [[] for _ in range(n)]
     negations: list[list[NegationConstraint]] = [[] for _ in range(n)]
     first_candidates: list[np.ndarray | None] = [None] * n
+    # Per position, the rows its candidates are drawn from: each holds
+    # f(prior) in the late endpoint's row of a backward edge's cluster.
+    sources: list[set[tuple[Cluster, str]]] = [set() for _ in range(n)]
 
     for edge in pattern.edges():
         cluster = task.edge_clusters.get(edge)
@@ -251,13 +343,10 @@ def _assemble(
                 EdgeConstraint(early, _EMPTY_CLUSTER, SUCCESSORS)
             )
             continue
-        if not edge.directed:
-            direction = SUCCESSORS  # undirected CSR is symmetric
-        elif early == edge.src:
-            direction = SUCCESSORS
-        else:
-            direction = PREDECESSORS
-        backward[late_pos].append(EdgeConstraint(early, cluster, direction))
+        backward[late_pos].append(
+            EdgeConstraint(early, cluster, _direction_from(early, edge))
+        )
+        sources[late_pos].add((cluster, _direction_from(late, edge)))
 
     if variant.induced:
         for (u_a, u_b), checks in task.negation_checks.items():
@@ -272,14 +361,21 @@ def _assemble(
 
     memo_priors: list[tuple[int, ...]] = []
     memo_specs: list[tuple] = []
+    requirements: list[tuple[RowRequirement, ...]] = [()] * n
     for pos in range(n):
         priors = sorted(
             {c.prior for c in backward[pos]} | {c.prior for c in negations[pos]}
         )
         memo_priors.append(tuple(priors))
         if not backward[pos]:
-            first_candidates[pos] = _first_candidate_pool(
+            first_candidates[pos], source = _first_candidate_pool(
                 store, task, pattern, order[pos]
+            )
+            if source is not None:
+                sources[pos].add(source)
+        if variant.injective:
+            requirements[pos] = _row_requirements(
+                store, task, pattern, order[pos], sources[pos]
             )
         # The spec identifies *what* is computed, independent of the pattern
         # vertex id — NEC-equivalent vertices share specs and hence share
@@ -300,7 +396,12 @@ def _assemble(
         pool_id = (
             id(first_candidates[pos]) if first_candidates[pos] is not None else None
         )
-        memo_specs.append((label, edge_spec, neg_spec, pool_id))
+        # Row filters change what is computed, so they are part of the
+        # spec: NEC twins of different degree must not share entries.
+        row_spec = tuple(
+            sorted((id(r.cluster), r.direction, r.k) for r in requirements[pos])
+        )
+        memo_specs.append((label, edge_spec, neg_spec, pool_id, row_spec))
 
     plan = Plan(
         pattern=pattern,
@@ -313,6 +414,7 @@ def _assemble(
         first_candidates=first_candidates,
         memo_priors=memo_priors,
         memo_specs=memo_specs,
+        requirements=requirements,
         planner_name=planner_name,
         plan_seconds=time.perf_counter() - start,
         descendant_sizes=descendant_sizes or {},

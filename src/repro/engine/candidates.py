@@ -2,17 +2,23 @@
 
 ``C(u | Phi, f)`` — the candidates of a pattern vertex given a partial
 embedding — is computed by intersecting the cluster neighbor rows of the
-op's backward constraints, then subtracting vertex-induced negations. By
+op's backward constraints (or taking its static pool), then its admissible
+sets (under injectivity, the data vertices whose CCSR rows are long
+enough to host the vertex's pattern edges), then subtracting
+vertex-induced negations. By
 Definition 1 the raw set depends only on the mappings of the vertex's
 dependency priors, so it is memoized on exactly that key; injectivity
 filtering (the ``\\ {v_x}`` part) happens at use time and never enters the
 cache. NEC falls out for free: equivalent pattern vertices were compiled to
-the same ``spec_id`` and therefore share cached candidate sets.
+the same ``spec_id`` and therefore share cached candidate sets. The row
+filters are part of the spec, so twins of different degree do not.
 
 The computer consumes :class:`~repro.engine.physical.ExtendOp` operators —
 constraints and negations arrive as prebound ``(prior, fetch)`` pairs whose
 fetchers return cluster rows as cached ``frozenset``\\ s, so the hot loop is
-two function calls and one set ``&`` per constraint. The operands are
+two function calls and one set ``&`` per constraint, plus one ``&`` per
+admissible set (an op without row filters pays nothing for them; a
+static-pool op's filtered pool is memoized once per run). The operands are
 short (a handful to a few dozen vertices), where Python set algebra costs
 a fraction of a numpy call's fixed overhead.
 """
@@ -153,6 +159,9 @@ class CandidateComputer:
             pool = op.static_pool
             assert pool is not None  # compile_plan pools every such op
             result, ordered = pool
+        for admissible in op.admissible:
+            result = result & admissible
+            ordered = None
         for prior, fetch in op.negations:
             if not result:
                 break

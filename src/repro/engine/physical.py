@@ -15,6 +15,12 @@ at compile time instead of per search-tree node:
 * a static candidate pool becomes a ``(frozenset, sorted tuple)`` pair;
   a cluster's row-index pool is built once, cached on its CSR and shared
   by every plan that reads it;
+* row requirements (injective variants) become the CSRs' live admissible
+  sets (:meth:`~repro.ccsr.cluster.Cluster.rows_at_least`), shared by
+  every plan that asks for the same cluster, direction and length. They
+  are bound by reference, never copied: an in-place patch changes row
+  lengths without changing the layout version, so a cached plan must see
+  the sets the patch keeps live;
 * SCE memo specs are interned to small integer ``spec_id``\\ s — NEC-
   equivalent steps share an id and therefore share cached candidate sets;
 * symmetry restrictions are folded into per-step slots evaluated at the
@@ -59,7 +65,9 @@ class ExtendOp:
     to intersect (respectively to subtract); the set is cached on the
     cluster and shared, so it must never be mutated. ``static_pool``
     (unconstrained positions only) is the pool as a ``(frozenset, sorted
-    tuple)`` pair. ``restrictions`` holds
+    tuple)`` pair. ``admissible`` holds the live sets of the vertex's row
+    requirements, each intersected with the candidates after the edge
+    constraints (shared, never mutated here). ``restrictions`` holds
     ``(other_vertex, candidate_is_smaller)`` order checks anchored at this
     step. ``pin`` fixes the step to a single data vertex (seeded runs).
     """
@@ -71,6 +79,7 @@ class ExtendOp:
     constraints: tuple[tuple[int, Callable[[int], frozenset[int]]], ...]
     negations: tuple[tuple[int, Callable[[int], frozenset[int]]], ...]
     static_pool: tuple[frozenset[int], tuple[int, ...]] | None
+    admissible: tuple[set[int], ...] = ()
     restrictions: tuple[tuple[int, bool], ...] = ()
     pin: int | None = None
 
@@ -138,7 +147,8 @@ class PhysicalPlan:
         return replace(self, ops=ops)
 
     def step_table(self) -> list[dict[str, Any]]:
-        """Per-op summary rows for EXPLAIN output and the profiler."""
+        """Per-op summary rows for EXPLAIN output and the profiler. Each
+        row filter reports how many of its CSR's rows it admits now."""
         return [
             {
                 "position": op.pos,
@@ -149,6 +159,22 @@ class PhysicalPlan:
                 "static_pool": (
                     None if op.static_pool is None else len(op.static_pool[1])
                 ),
+                "filters": [
+                    {
+                        "cluster": str(r.cluster.key),
+                        "direction": r.direction,
+                        "k": r.k,
+                        "admitted": len(admitted),
+                        "rows": len(
+                            r.cluster.source_vertices()
+                            if r.direction == SUCCESSORS
+                            else r.cluster.destination_vertices()
+                        ),
+                    }
+                    for r, admitted in zip(
+                        self.logical.requirements[op.pos], op.admissible
+                    )
+                ],
                 "restrictions": len(op.restrictions),
                 "pinned": op.pin is not None,
             }
@@ -369,6 +395,10 @@ def compile_plan(
                 constraints=constraints,
                 negations=tuple(negations),
                 static_pool=_pool_view(plan, plan.first_candidates[pos]),
+                admissible=tuple(
+                    r.cluster.rows_at_least(r.direction == SUCCESSORS, r.k)
+                    for r in plan.requirements[pos]
+                ),
                 restrictions=tuple(restriction_at[pos]),
                 pin=pinned.get(u),
             )

@@ -10,6 +10,9 @@
 * the dependency DAG ``H`` (Algorithm 2) and its *equivalence pairs* —
   vertex pairs with no path in either direction, exactly the pairs
   Definition 1 declares sequentially candidate-equivalent;
+* each step's row filters (injective variants): the cluster, direction
+  and least row length a candidate needs, and how many of the CSR's rows
+  admit it now;
 * the exact-count strategy — factorized counter or frame machine — read
   off the compiled plan's region table, the one
   :func:`~repro.engine.executor.execute_physical` routes by, with the
@@ -276,6 +279,12 @@ def format_explain(info: dict) -> str:
                 )
                 + (f"  [{', '.join(flags)}]" if flags else "")
             )
+            for f in op["filters"]:
+                lines.append(
+                    f"        row filter: >= {f['k']} in {f['cluster']}"
+                    f" {f['direction']}, admits {f['admitted']} of"
+                    f" {f['rows']} rows"
+                )
         counting = physical.get("counting")
         if counting:
             lines.append(

@@ -126,6 +126,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "order (Phi*)" in out and "SCE" in out
 
+    def test_explain_shows_row_filters(self, tmp_path, capsys):
+        import json
+
+        # A 3-star's centre needs a row of 3 or more: only vertex 0 has one.
+        data = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        data_path, pattern_path = tmp_path / "d.graph", tmp_path / "p.graph"
+        save_graph(data, data_path)
+        save_graph(star, pattern_path)
+        args = ["explain", "--data", str(data_path), "--pattern", str(pattern_path)]
+        assert main(args) == 0
+        assert (
+            "row filter: >= 3 in (0--0, NULL) succ, admits 1 of 7 rows"
+            in capsys.readouterr().out
+        )
+        assert main([*args, "--json"]) == 0
+        ops = json.loads(capsys.readouterr().out)["physical"]["ops"]
+        assert [op["filters"] for op in ops] == [
+            [{"cluster": "(0--0, NULL)", "direction": "succ", "k": 3,
+              "admitted": 1, "rows": 7}],
+            [], [], [],
+        ]
+        # A homomorphism may map two leaves to one vertex: no filter.
+        assert main([*args, "--variant", "homomorphic", "--json"]) == 0
+        ops = json.loads(capsys.readouterr().out)["physical"]["ops"]
+        assert all(op["filters"] == [] for op in ops)
+
     def test_bench_command(self, capsys):
         code = main(
             [

@@ -1,15 +1,20 @@
 """Unit tests for plan assembly and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.ccsr import CCSRStore
 from repro.core import CSCE, Variant
-from repro.core.plan import PREDECESSORS, SUCCESSORS
+from repro.core.dag import build_dag
+from repro.core.plan import PREDECESSORS, SUCCESSORS, assemble_plan
+from repro.engine import MatchOptions, compile_plan, execute_physical
+from repro.engine.verify import verify_physical
 from repro.errors import PlanError
 from repro.graph import Graph
 
-from conftest import make_fig1_graph
+from conftest import brute_count, make_fig1_graph
 
 
 @pytest.fixture
@@ -155,3 +160,79 @@ class TestFirstCandidatePool:
         pos = plan.position[2]
         pool = plan.first_candidates[pos]
         assert set(pool.tolist()) == {0, 1}
+
+
+def _row_filter_case():
+    """A labelled graph and pattern for the row filters' direction
+    handling. Pattern vertex 0 (label A) has two out-edges and one
+    in-edge in the directed cluster (A, A, "e"), and one edge in the
+    undirected cluster (A, B, "f"). Data vertex 0 hosts it with exactly
+    one in-edge, so a filter reading the wrong direction undercounts;
+    data vertex 6 has two out-edges but no in-edge."""
+    g = Graph()
+    g.add_vertices(["A"] * 7 + ["B"] * 2)
+    for src, dst in [(0, 1), (0, 2), (2, 3), (4, 0), (4, 5), (5, 4),
+                     (6, 1), (6, 3)]:
+        g.add_edge(src, dst, "e", directed=True)
+    for a, b in [(0, 7), (4, 8), (5, 8), (6, 8)]:
+        g.add_edge(a, b, "f")
+    p = Graph()
+    p.add_vertices(["A", "A", "A", "A", "B"])
+    p.add_edge(0, 1, "e", directed=True)
+    p.add_edge(0, 2, "e", directed=True)
+    p.add_edge(3, 0, "e", directed=True)
+    p.add_edge(0, 4, "f")
+    return g, p
+
+
+class TestRowRequirements:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_directions_against_brute_force(self, variant):
+        """Order [1, 0, 2, 3, 4]: vertex 0's out-edge to 1 is backward,
+        its other out-edge, its in-edge from 3 and its undirected edge
+        are forward. Its filters then need two successors (more than the
+        backward edge implies), one predecessor (from the forward in-edge
+        alone) and one row in the undirected cluster. The count matches
+        brute force with and without the filters, and the filters prune."""
+        g, p = _row_filter_case()
+        store = CCSRStore(g)
+        task = store.read(p, variant)
+        order = [1, 0, 2, 3, 4]
+        dag = build_dag(p, order, variant, task)
+        plan = assemble_plan(store, task, p, order, dag, variant, "csce")
+        directed = store.cluster_for("A", "A", "e", True)
+        undirected = store.cluster_for("A", "B", "f", False)
+        got = {(r.cluster.key, r.direction, r.k) for r in plan.requirements[1]}
+        if variant.injective:
+            assert got == {
+                (directed.key, SUCCESSORS, 2),
+                (directed.key, PREDECESSORS, 1),
+                (undirected.key, SUCCESSORS, 1),
+            }
+        else:
+            assert not any(plan.requirements)
+        # Vertex 4's one edge is backward: its k = 1 is implied, dropped.
+        assert plan.requirements[4] == ()
+        # Both endpoints of an undirected edge read the one CSR.
+        assert undirected.rows_at_least(True, 1) is undirected.rows_at_least(
+            False, 1
+        )
+        assert undirected.rows_at_least(True, 1) == {0, 4, 5, 6, 7, 8}
+        physical = compile_plan(plan)
+        assert verify_physical(physical, store).ok
+        counted = MatchOptions(count_only=True)
+        filtered = execute_physical(physical, counted)
+        unfiltered = execute_physical(
+            dataclasses.replace(
+                physical,
+                ops=tuple(
+                    dataclasses.replace(op, admissible=()) for op in physical.ops
+                ),
+            ),
+            counted,
+        )
+        expected = brute_count(g, p, variant.value)
+        assert expected > 0
+        assert filtered.count == unfiltered.count == expected
+        if variant.injective:
+            assert filtered.stats["nodes"] < unfiltered.stats["nodes"]

@@ -34,10 +34,12 @@ PAIRS = 5
 #: ratio: a median slowdown beyond 1/bound fails. road-sparse-capped
 #: covers the frame machine's count mode, memo and negation probes;
 #: dip-continuous the writer path (in-place CCSR patches, cached plans,
-#: pinned delta counts).
+#: pinned delta counts); dip-dense-edge the uncapped exact counts of
+#: dense patterns (strategy routing, leaf counts, long intersections).
 BOUNDS = {
     "road-sparse-capped": 0.90,
     "dip-continuous": 0.90,
+    "dip-dense-edge": 0.88,
 }
 
 
