@@ -54,8 +54,13 @@ def gcf_order(
     task_clusters: TaskClusters | None = None,
     use_cluster_tiebreak: bool = True,
     rationale: list | None = None,
+    prefix: Sequence[int] = (),
 ) -> list[int]:
     """Compute a matching order with GCF.
+
+    ``prefix`` fixes the first positions of the order (a pinned run's
+    seed vertices, so that its search starts at the pin); GCF's rules
+    choose the remaining vertices as usual.
 
     With ``task_clusters`` and ``use_cluster_tiebreak``, ties on RI's rules
     are broken by the minimum relevant cluster size (Eq. 2); the final
@@ -70,6 +75,11 @@ def gcf_order(
     n = pattern.num_vertices
     if n == 0:
         raise PlanError("cannot order an empty pattern")
+    if len(set(prefix)) != len(prefix) or not all(0 <= v < n for v in prefix):
+        raise PlanError(
+            f"order prefix {list(prefix)} does not name distinct vertices"
+            f" of a {n}-vertex pattern"
+        )
     clusters = task_clusters if use_cluster_tiebreak else None
     neighbor_sets = [set(pattern.neighbors(v)) for v in range(n)]
 
@@ -81,20 +91,25 @@ def gcf_order(
             v,
         )
 
-    order = [min(range(n), key=first_key)]
+    if prefix:
+        order = list(prefix)
+        if rationale is not None:
+            rationale.extend({"vertex": v, "rule": "prefix"} for v in order)
+    else:
+        order = [min(range(n), key=first_key)]
+        if rationale is not None:
+            first = order[0]
+            rationale.append(
+                {
+                    "vertex": first,
+                    "rule": "first",
+                    "degree": pattern.degree(first),
+                    "min_incident_cluster": _finite(
+                        _min_incident_cluster_size(clusters, pattern, first)
+                    ),
+                }
+            )
     chosen = set(order)
-    if rationale is not None:
-        first = order[0]
-        rationale.append(
-            {
-                "vertex": first,
-                "rule": "first",
-                "degree": pattern.degree(first),
-                "min_incident_cluster": _finite(
-                    _min_incident_cluster_size(clusters, pattern, first)
-                ),
-            }
-        )
 
     while len(order) < n:
         best = None

@@ -116,6 +116,7 @@ class FactorizedCounter:
         self.assignment = [-1] * plan.num_vertices
         self.used: set[int] = set()
         self._group_memo: dict[tuple, int] = {}
+        self._memo_limit = options.memo_limit
 
     # ------------------------------------------------------------------
     def count(self) -> int:
@@ -238,7 +239,8 @@ class FactorizedCounter:
         self, frame: _Frame, stack: list[_Frame], retval: int | None
     ) -> int | None:
         if frame.awaiting:
-            self._group_memo[frame.pending_key] = retval
+            if len(self._group_memo) < self._memo_limit:
+                self._group_memo[frame.pending_key] = retval
             frame.acc *= retval
             frame.awaiting = False
             if frame.acc == 0:

@@ -26,16 +26,16 @@ at compile time instead of per search-tree node:
 * symmetry restrictions are folded into per-step slots evaluated at the
   position where their later endpoint is matched;
 * seed pins ride on the op (:meth:`PhysicalPlan.with_seed` rebinding is a
-  cheap dataclass replace, so continuous matching reuses one compiled plan
-  across every pin of a delta);
+  cheap dataclass replace, so continuous matching reuses one compiled
+  pin-first plan per pattern edge across every pin onto that edge);
 * the independent-region splits the factorized counter multiplies over
   (:class:`RegionTable`) are computed once per plan, lazily, on the first
   exact count that asks.
 
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
-``(pattern fingerprint, variant, planner, restrictions, store layout
-version)``: a store update that patches a cluster in place leaves the
+``(pattern fingerprint, variant, planner, restrictions, order prefix,
+store layout version)``: a store update that patches a cluster in place leaves the
 compiled ops valid, as they fetch rows through the patched cluster.
 """
 
@@ -133,9 +133,9 @@ class PhysicalPlan:
     def with_seed(self, seed: dict[int, int] | None) -> PhysicalPlan:
         """A copy whose pins are exactly ``seed`` (others cleared).
 
-        This is the continuous-matching fast path: one compiled plan is
-        rebound per pin instead of recompiled, so only the two pinned ops
-        are replaced.
+        This is the continuous-matching fast path: a pattern edge's
+        pin-first plan is rebound per pin instead of recompiled, so only
+        the two pinned ops (its first two) are replaced.
         """
         pinned = dict(seed) if seed else {}
         ops = tuple(

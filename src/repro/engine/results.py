@@ -96,8 +96,9 @@ class MatchOptions:
     count factorization."""
 
     memo_limit: int = 1_000_000
-    """Cap on cached SCE candidate sets; beyond it, computation continues
-    uncached (memory bound for adversarial patterns)."""
+    """Cap on cached SCE candidate sets, and separately on the factorized
+    counter's region counts; beyond it, computation continues uncached
+    (memory bound for adversarial patterns)."""
 
     obs: object | None = None
     """Optional :class:`repro.obs.Observation` carrying the run's tracer,

@@ -3,8 +3,8 @@
 ``repro explain`` renders, for one (pattern, variant, planner) task:
 
 * the chosen matching order ``Phi*`` with, per step, the GCF rule that
-  fired (``first`` / rule-set sizes ``|T1| |T2| |T3|``) and the cluster
-  tie-break values ``omega`` (Eq. 2) that won;
+  fired (``prefix`` / ``first`` / rule-set sizes ``|T1| |T2| |T3|``) and
+  the cluster tie-break values ``omega`` (Eq. 2) that won;
 * each step's backward constraints (which cluster neighbor lists the
   executor intersects) and cluster sizes;
 * the dependency DAG ``H`` (Algorithm 2) and its *equivalence pairs* —
@@ -175,6 +175,8 @@ def build_explain(
 def _format_rationale(rationale: dict | None) -> str:
     if not rationale:
         return "-"
+    if rationale.get("rule") == "prefix":
+        return "prefix (pinned by the run)"
     if rationale.get("rule") == "first":
         return (
             f"first (degree={rationale.get('degree')},"

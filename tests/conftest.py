@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
+from repro.engine.physical import PhysicalPlan
 from repro.graph.model import Graph
 
 
@@ -173,3 +176,27 @@ def networkx_counts(graph: Graph, pattern: Graph) -> tuple[int, int]:
     vertex_induced = sum(1 for _ in matcher.subgraph_isomorphisms_iter())
     edge_induced = sum(1 for _ in matcher.subgraph_monomorphisms_iter())
     return vertex_induced, edge_induced
+
+
+# ---------------------------------------------------------------------------
+# Pinned runs
+# ---------------------------------------------------------------------------
+@contextmanager
+def recording_pinned_plans():
+    """Collect every plan :meth:`PhysicalPlan.with_seed` returns while the
+    context is open: the pinned plans a continuous delta runs."""
+    plans: list[PhysicalPlan] = []
+    original = PhysicalPlan.with_seed
+
+    def with_seed(self, seed):
+        pinned = original(self, seed)
+        plans.append(pinned)
+        return pinned
+
+    with mock.patch.object(PhysicalPlan, "with_seed", with_seed):
+        yield plans
+
+
+def pinned_positions(physical: PhysicalPlan) -> list[int]:
+    """The order positions of a plan's pinned ops."""
+    return [op.pos for op in physical.ops if op.pin is not None]

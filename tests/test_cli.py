@@ -126,6 +126,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "order (Phi*)" in out and "SCE" in out
 
+    def test_plan_pattern_file(self, tmp_path, capsys):
+        data = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        pattern = Graph.from_edges(3, [(0, 1), (1, 2)])
+        data_path, pattern_path = tmp_path / "d.graph", tmp_path / "p.graph"
+        save_graph(data, data_path)
+        save_graph(pattern, pattern_path)
+        code = main(
+            ["plan", "--data", str(data_path), "--pattern", str(pattern_path)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "order (Phi*)" in out and "3 extend ops" in out
+
+    def test_plan_requires_source(self, capsys):
+        assert main(["plan"]) == 2
+        assert "provide --data FILE or --dataset NAME" in capsys.readouterr().err
+
     def test_explain_shows_row_filters(self, tmp_path, capsys):
         import json
 

@@ -89,6 +89,25 @@ class TestFactorizationCorrectness:
         assert result.count == CSCE(g).match(p, "edge_induced").count
 
 
+    @pytest.mark.parametrize("memo_limit", [0, 1])
+    def test_memo_limit_bounds_the_region_memo(self, memo_limit):
+        from repro.engine import MatchOptions
+        from repro.engine.counting import FactorizedCounter
+
+        g = make_random_graph(12, 30, seed=4)
+        p = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        physical = CSCE(g).session.compile(p, "homomorphic").physical
+        unbounded = FactorizedCounter(physical, MatchOptions(count_only=True))
+        assert unbounded.count() == brute_count(g, p, "homomorphic")
+        assert len(unbounded._group_memo) > 1
+        counter = FactorizedCounter(
+            physical, MatchOptions(count_only=True, memo_limit=memo_limit)
+        )
+        assert counter.count() == brute_count(g, p, "homomorphic")
+        assert counter.runtime.factorizations > 0
+        assert len(counter._group_memo) == memo_limit
+
+
 class TestDisconnectedPatterns:
     def test_disconnected_pattern_counts(self):
         g = Graph()

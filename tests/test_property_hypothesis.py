@@ -33,7 +33,7 @@ from repro.errors import GraphError
 from repro.graph import Graph
 from repro.graph.io import format_graph_text, parse_graph_text
 
-from conftest import brute_count
+from conftest import brute_count, pinned_positions, recording_pinned_plans
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,10 @@ class TestMatchingProperties:
         every cluster the updates patched in place equals its rebuild
         from the graph, row views and admissible sets included, and the
         plan compiled at the last layout change counts what a fresh plan
-        counts."""
+        counts. Every pin ran on a pin-first plan, its two pinned pattern
+        vertices at positions 0 and 1, and each pin-first plan compiled
+        at the last layout change counts, under every pin onto every
+        final data edge, what a freshly planned one counts."""
         g, p, updates = stream_input
         labels = list(g.vertex_labels)
         start = {
@@ -373,23 +376,36 @@ class TestMatchingProperties:
             matcher = ContinuousMatcher(engine, p, variant)
             edges = set(start)
             layout = store.layout_version
-            standing = engine.session.compile(p, variant).physical
-            for a, b, directed in updates:
-                key = (a, b, True) if directed else (min(a, b), max(a, b), False)
-                if key in edges:
-                    matcher.remove(a, b, None, directed)
-                    edges.discard(key)
-                else:
-                    matcher.insert(a, b, None, directed)
-                    edges.add(key)
-                current = Graph()
-                current.add_vertices(labels)
-                for src, dst, is_directed in sorted(edges):
-                    current.add_edge(src, dst, directed=is_directed)
-                assert matcher.total == brute_count(current, p, variant)
-                if store.layout_version != layout:
-                    layout = store.layout_version
-                    standing = engine.session.compile(p, variant).physical
+            prefixes = {(e.src, e.dst) for e in p.edges()}
+
+            def compile_all():
+                return engine.session.compile(p, variant).physical, {
+                    prefix: engine.session.compile(
+                        p, variant, prefix=prefix
+                    ).physical
+                    for prefix in prefixes
+                }
+
+            standing, pin_first = compile_all()
+            with recording_pinned_plans() as pinned_runs:
+                for a, b, directed in updates:
+                    key = (a, b, True) if directed else (min(a, b), max(a, b), False)
+                    if key in edges:
+                        matcher.remove(a, b, None, directed)
+                        edges.discard(key)
+                    else:
+                        matcher.insert(a, b, None, directed)
+                        edges.add(key)
+                    current = Graph()
+                    current.add_vertices(labels)
+                    for src, dst, is_directed in sorted(edges):
+                        current.add_edge(src, dst, directed=is_directed)
+                    assert matcher.total == brute_count(current, p, variant)
+                    if store.layout_version != layout:
+                        layout = store.layout_version
+                        standing, pin_first = compile_all()
+            for physical in pinned_runs:
+                assert pinned_positions(physical) == [0, 1]
             rebuilt = CCSRStore(store.to_graph())
             assert rebuilt.clusters.keys() == store.clusters.keys()
             for key, cluster in store.clusters.items():
@@ -419,6 +435,20 @@ class TestMatchingProperties:
                 == execute_physical(fresh_plan, counted).count
                 == matcher.total
             )
+            final = store.to_graph()
+            for prefix, cached in pin_first.items():
+                fresh_pinned = compile_plan(
+                    plan_query(store, p, variant, prefix=prefix)
+                )
+                for e in final.edges():
+                    for seed in (dict(zip(prefix, (e.src, e.dst))),
+                                 dict(zip(prefix, (e.dst, e.src)))):
+                        assert (
+                            execute_physical(cached.with_seed(seed), counted).count
+                            == execute_physical(
+                                fresh_pinned.with_seed(seed), counted
+                            ).count
+                        )
 
     @given(graph_and_pattern())
     @_SETTINGS

@@ -35,11 +35,13 @@ PAIRS = 5
 #: covers the frame machine's count mode, memo and negation probes;
 #: dip-continuous the writer path (in-place CCSR patches, cached plans,
 #: pinned delta counts); dip-dense-edge the uncapped exact counts of
-#: dense patterns (strategy routing, leaf counts, long intersections).
+#: dense patterns (strategy routing, leaf counts, long intersections);
+#: dip-dense-hom the factorized counter (region splits, region memo).
 BOUNDS = {
     "road-sparse-capped": 0.90,
     "dip-continuous": 0.90,
     "dip-dense-edge": 0.88,
+    "dip-dense-hom": 0.90,
 }
 
 
