@@ -129,7 +129,6 @@ class SymmetryBreakingMatcher(BaselineMatcher):
                 MatchOptions(
                     count_only=True,
                     time_limit=time_limit,
-                    restrictions=combined,
                     obs=obs if obs.enabled else None,
                 ),
             )

@@ -223,13 +223,15 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    variant, planner = args.variant, "csce"
+    variant, planner, restrictions = args.variant, "csce", None
     resume_doc = None
     if args.resume:
         # The query comes from the checkpoint, never from the flags.
         try:
             resume_doc = next(iter(load_checkpoint_set(args.resume).values()))
-            pattern, variant, planner, *_ = decode_query(resume_doc)
+            pattern, variant, planner, restrictions, _ = decode_query(
+                resume_doc
+            )
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -275,8 +277,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
     )
     plan = None
     if isinstance(engine, CSCE) and obs is not None:
-        # Build the plan explicitly so the run-report can summarize it.
-        plan = engine.build_plan(pattern, variant, planner=planner, obs=obs)
+        # The run-report summarizes the plan the run executes: the
+        # session's entry under the key the run (or a resume) compiles.
+        plan = engine.session.compile(
+            pattern, variant, planner=planner, restrictions=restrictions,
+            obs=obs,
+        ).plan
     governor = None
     previous_handler = None
     if isinstance(engine, CSCE):
@@ -330,9 +336,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     max_unit_attempts=args.max_unit_attempts,
                 )
             else:
-                # pool_checkpoint_dir forbids a caller-supplied plan
-                # (shard resume recompiles through the session), so only
-                # pass `plan` when not checkpointing.
                 result = engine.match(
                     pattern,
                     variant,
@@ -346,11 +349,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     stall_timeout=args.stall_timeout,
                     max_respawns=args.max_respawns,
                     max_unit_attempts=args.max_unit_attempts,
-                    **(
-                        {"plan": plan}
-                        if plan is not None and not args.checkpoint
-                        else {}
-                    ),
                 )
             if inspector is not None:
                 inspector.finish(result)
@@ -376,9 +374,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     checkpoint_path=args.checkpoint or args.resume,
                 )
             else:
-                # checkpoint_path forbids a caller-supplied plan (resume
-                # recompiles through the session), so only pass `plan`
-                # when not checkpointing.
                 stream = engine.match_iter(
                     pattern,
                     variant,
@@ -387,11 +382,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     obs=obs,
                     governor=governor,
                     checkpoint_path=args.checkpoint,
-                    **(
-                        {"plan": plan}
-                        if plan is not None and not args.checkpoint
-                        else {}
-                    ),
                 )
             if args.inspect is not None and obs is not None:
                 inspector = MatchInspector(
@@ -437,7 +427,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
                 max_embeddings=args.limit,
                 time_limit=args.time_limit,
                 obs=obs,
-                **({"plan": plan} if plan is not None else {}),
                 **({"governor": governor} if governor is not None else {}),
             )
     except CheckpointError as exc:  # restore refused the checkpoint set

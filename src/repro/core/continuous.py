@@ -4,7 +4,7 @@ Graphflow — one of the paper's baselines — answers *continuous* subgraph
 queries: when an edge arrives, report the embeddings it creates. With
 incremental CCSR updates (:meth:`~repro.ccsr.store.CCSRStore.insert_edge`
 patches one cluster in place) and seeded execution
-(:class:`~repro.engine.results.MatchOptions` ``seed``), CSCE supports the
+(:meth:`~repro.engine.physical.PhysicalPlan.with_seed`), CSCE supports the
 same workload:
 
     every embedding created by a new edge must *use* that edge, so it
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from repro.core.csce import CSCE
 from repro.core.variants import Variant
 from repro.engine.executor import Runtime, execute_physical, stream
+from repro.engine.governor import RunLimits, run_limits
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import MatchOptions, raise_stop
 from repro.graph.model import Edge, Graph
@@ -109,15 +110,16 @@ def _compatible_pins(pattern: Graph, data_labels, edge: Edge) -> list[Pin]:
 def _count_first_claims(
     physical: PhysicalPlan,
     options: MatchOptions,
+    limits: RunLimits,
     edge: Edge,
     earlier: tuple[tuple[int, int], ...],
 ) -> tuple[int, dict, str | None]:
-    """Stream a pinned homomorphic run and count the embeddings that map
-    none of the ``earlier`` pattern edges onto ``edge``; returns the
-    count, the run's stats and its stop reason."""
+    """Stream a pinned homomorphic run under ``limits`` and count the
+    embeddings that map none of the ``earlier`` pattern edges onto
+    ``edge``; returns the count, the run's stats and its stop reason."""
     a, b = edge.src, edge.dst
     undirected = not edge.directed
-    runtime = Runtime(physical, options)
+    runtime = Runtime(physical, options, limits)
     kept = 0
     try:
         for image in stream(physical, runtime):
@@ -148,13 +150,14 @@ def embeddings_containing_edge(
     ``edge`` (which must already be present in the engine's store).
 
     ``obs`` instruments every pinned run; the returned ``stats`` sums the
-    unified counters over all pins. A ``governor`` limit or tripped cancel
-    token ends the delta early: remaining pins are skipped and the result
-    carries the triggering ``stop_reason`` (partial, do not trust the
-    delta count).
+    unified counters over all pins. ``time_limit`` and the ``governor``
+    budget bound the whole delta: its limits resolve once and every pin
+    runs under them. A limit or tripped cancel token ends the delta early:
+    remaining pins are skipped and the result carries the triggering
+    ``stop_reason`` (partial, do not trust the delta count).
     """
     variant = Variant.parse(variant)
-    obs = obs or getattr(engine, "obs", None)
+    obs = obs or engine.obs
     pins = _compatible_pins(pattern, engine.store.vertex_labels, edge)
     count = 0
     stats: dict[str, int] = dict.fromkeys(STAT_KEYS, 0)
@@ -166,6 +169,7 @@ def embeddings_containing_edge(
         governor=governor,
         count_only=True,
     )
+    limits = run_limits(options)
     for prefix, seed, earlier in pins:
         # One compile (a cache hit) per pinned pattern edge; each pin is a
         # cheap rebind of that plan's first two ops.
@@ -176,11 +180,11 @@ def embeddings_containing_edge(
             ).physical
         physical = plan.with_seed(seed)
         if variant.injective or not earlier:
-            result = execute_physical(physical, options)
+            result = execute_physical(physical, options, limits=limits)
             kept, run_stats, stop = result.count, result.stats, result.stop_reason
         else:
             kept, run_stats, stop = _count_first_claims(
-                physical, options, edge, earlier
+                physical, options, limits, edge, earlier
             )
         count += kept
         for key, value in run_stats.items():
@@ -189,16 +193,14 @@ def embeddings_containing_edge(
             stop_reason = stop
             break
     if obs is not None:
-        counters = getattr(obs, "counters", None)
-        if counters is not None and counters.enabled:
-            counters.inc("continuous.updates")
-            counters.inc("continuous.pins", len(pins))
-            counters.inc("continuous.delta_embeddings", count)
-        metrics = getattr(obs, "metrics", None)
-        if metrics is not None and metrics.enabled:
+        if obs.counters.enabled:
+            obs.counters.inc("continuous.updates")
+            obs.counters.inc("continuous.pins", len(pins))
+            obs.counters.inc("continuous.delta_embeddings", count)
+        if obs.metrics.enabled:
             # One sample per edge update: the continuous workload streams
             # live metrics even when no heartbeat interval elapses.
-            metrics.sample(obs)
+            obs.metrics.sample(obs)
     return DeltaResult(
         edge=edge, count=count, pins_tried=len(pins),
         stats=stats, stop_reason=stop_reason,
@@ -214,9 +216,10 @@ class ContinuousMatcher:
 
     Registration plans the standing query plus one pin-first plan per
     pattern edge (``1 + |E|`` plans), and keeps them all in the session's
-    plan cache: it raises ``engine.session.cache_size`` to at least
-    ``|E| + 1``, so that a delta on an unchanged layout plans nothing even
-    for patterns of more edges than the default capacity.
+    plan cache: it adds ``|E| + 1`` to ``engine.session.cache_size``, so
+    that a delta on an unchanged layout plans nothing, even for patterns
+    of more edges than the default capacity and with several standing
+    queries sharing one engine.
 
     The vertex-induced variant is intentionally unsupported: there, an
     *arriving* edge can also destroy embeddings that do not use it (it may
@@ -244,7 +247,7 @@ class ContinuousMatcher:
         self.obs = obs
         self.governor = governor
         session = engine.session
-        session.cache_size = max(session.cache_size, pattern.num_edges + 1)
+        session.cache_size += pattern.num_edges + 1
         self.total = engine.count(pattern, variant, obs=obs)
         # Plan every pin-first plan now, so deltas start on cache hits.
         for pattern_edge in pattern.edges():

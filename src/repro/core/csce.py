@@ -44,16 +44,11 @@ from repro.engine.checkpoint import (
     restore,
     restore_stream,
 )
-from repro.engine.executor import (
-    EmbeddingStream,
-    execute_physical,
-    specialize,
-)
-from repro.engine.physical import PhysicalPlan, compile_plan
+from repro.engine.executor import EmbeddingStream, execute_physical
+from repro.engine.physical import PhysicalPlan
 from repro.engine.pool import _execute_inline, execute_parallel
 from repro.engine.results import MatchOptions, MatchResult
 from repro.engine.session import PLANNERS, MatchSession, plan_query
-from repro.errors import PlanError
 from repro.graph.model import Graph
 from repro.obs import NULL_OBS
 
@@ -118,22 +113,16 @@ class CSCE:
         pattern: Graph,
         variant: Variant,
         planner: str,
-        plan: Plan | None,
         restrictions: tuple[tuple[int, int], ...] | None,
+        seed: dict[int, int] | None,
         obs,
     ) -> PhysicalPlan:
-        """The physical plan for one call: session-cached, or compiled from
-        a caller-supplied logical plan."""
-        if plan is None:
-            return self.session.compile(
-                pattern, variant, planner=planner,
-                restrictions=restrictions, obs=obs,
-            ).physical
-        if plan.variant is not variant:
-            raise PlanError(
-                f"plan was built for {plan.variant}, not {variant}"
-            )
-        return compile_plan(plan, restrictions=restrictions)
+        """The session's compiled plan for one call, with ``seed`` bound."""
+        physical = self.session.compile(
+            pattern, variant, planner=planner,
+            restrictions=restrictions, obs=obs,
+        ).physical
+        return physical.with_seed(seed) if seed else physical
 
     def match(
         self,
@@ -144,7 +133,6 @@ class CSCE:
         time_limit: float | None = None,
         use_sce: bool = True,
         planner: str = "csce",
-        plan: Plan | None = None,
         restrictions: tuple[tuple[int, int], ...] | None = None,
         seed: dict[int, int] | None = None,
         obs=None,
@@ -170,12 +158,10 @@ class CSCE:
             (cooperative — the engine stops at the next checkpoint).
         use_sce:
             Ablation switch for candidate memoization + factorization.
-        plan:
-            A prebuilt logical plan to execute (skips planning and the
-            session cache); its variant must agree with ``variant``.
         restrictions:
             Symmetry restrictions ``(u, v)`` forcing ``f(u) < f(v)``; with a
             full restriction chain each automorphism orbit is found once.
+            They are compiled into the session-cached plan (and key it).
         seed:
             Pinned mappings ``{pattern vertex: data vertex}``; only
             embeddings extending the seed are produced (delta matching).
@@ -205,7 +191,7 @@ class CSCE:
             With ``workers > 1``: a directory that receives one shard
             checkpoint per unfinished work unit when the pool stops early;
             :meth:`resume_pool` continues from it with exact combined
-            counts. Requires a session-compiled plan (no ``plan=``).
+            counts.
         stall_timeout:
             With ``workers > 1``: seconds a busy worker may go silent
             before the stall watchdog SIGKILLs it and re-dispatches its
@@ -221,20 +207,17 @@ class CSCE:
         """
         variant = Variant.parse(variant)
         obs = obs or self.obs or NULL_OBS
-        restrictions = tuple(restrictions) if restrictions else None
         with obs.tracer.span(
             "match", engine="CSCE", variant=variant.value
         ) as span:
             physical = self._compiled(
-                pattern, variant, planner, plan, restrictions, obs
+                pattern, variant, planner, restrictions, seed, obs
             )
             options = MatchOptions(
                 count_only=count_only,
                 max_embeddings=max_embeddings,
                 time_limit=time_limit,
                 use_sce=use_sce,
-                restrictions=restrictions,
-                seed=dict(seed) if seed else None,
                 obs=obs if obs.enabled else None,
                 governor=governor,
                 workers=workers,
@@ -242,32 +225,17 @@ class CSCE:
                 max_respawns=max_respawns,
                 max_unit_attempts=max_unit_attempts,
             )
-            if workers > 1:
-                result = execute_parallel(
-                    specialize(physical, options),
-                    options,
-                    checkpoint=self._checkpoint_writer(
-                        PoolCheckpointDir, pool_checkpoint_dir, plan,
-                        "pool_checkpoint_dir",
-                    ),
-                )
-            else:
-                result = execute_physical(physical, options)
+            result = execute_physical(
+                physical,
+                options,
+                checkpoint=(
+                    None
+                    if pool_checkpoint_dir is None
+                    else PoolCheckpointDir(pool_checkpoint_dir, self.store)
+                ),
+            )
             span.set("count", result.count)
         return result
-
-    def _checkpoint_writer(self, writer, path, plan, name):
-        """``writer(path, store)``, or None without a ``path``. Resume
-        recompiles the query through the session, so a run on a
-        caller-supplied ``plan`` cannot be checkpointed."""
-        if path is None:
-            return None
-        if plan is not None:
-            raise PlanError(
-                f"{name} requires a session-compiled plan;"
-                " drop the plan= argument"
-            )
-        return writer(path, self.store)
 
     def match_iter(
         self,
@@ -277,7 +245,6 @@ class CSCE:
         time_limit: float | None = None,
         use_sce: bool = True,
         planner: str = "csce",
-        plan: Plan | None = None,
         restrictions: tuple[tuple[int, int], ...] | None = None,
         seed: dict[int, int] | None = None,
         obs=None,
@@ -299,31 +266,31 @@ class CSCE:
         ``stop_reason``) automatically writes a resumable checkpoint
         there; :meth:`resume` picks it up and continues mid-frame with
         exact combined counts (see :mod:`repro.engine.checkpoint`).
-        Requires a session-compiled plan (no caller-supplied ``plan``),
-        since resume recompiles through the session.
 
         The stream holds no tracer span open (its lifetime belongs to the
         consumer); heartbeats and profiling from ``obs`` stay live.
         """
         variant = Variant.parse(variant)
         obs = obs or self.obs or NULL_OBS
-        restrictions = tuple(restrictions) if restrictions else None
-        sink = self._checkpoint_writer(
-            CheckpointSink, checkpoint_path, plan, "checkpoint_path"
-        )
         physical = self._compiled(
-            pattern, variant, planner, plan, restrictions, obs
+            pattern, variant, planner, restrictions, seed, obs
         )
         options = MatchOptions(
             max_embeddings=max_embeddings,
             time_limit=time_limit,
             use_sce=use_sce,
-            restrictions=restrictions,
-            seed=dict(seed) if seed else None,
             obs=obs if obs.enabled else None,
             governor=governor,
         )
-        return EmbeddingStream(physical, options, checkpoint_sink=sink)
+        return EmbeddingStream(
+            physical,
+            options,
+            checkpoint_sink=(
+                None
+                if checkpoint_path is None
+                else CheckpointSink(checkpoint_path, self.store)
+            ),
+        )
 
     def resume(
         self,

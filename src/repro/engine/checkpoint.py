@@ -161,10 +161,10 @@ def checkpoint_payload(
 ) -> dict:
     """One checkpoint document: a work unit's ``state`` payload and the
     ``progress`` it carries, stamped with the query identity (pattern,
-    variant, planner) of the compiled plan it ran, the run's ``options``
-    and the ``limits`` it enforced (its cap and relative time limit, so a
-    resume keeps them). Every writer — stream, pool shard, quarantine
-    residue — builds its document here."""
+    variant, planner, restrictions, seed pins) of the compiled plan it
+    ran, the run's ``options`` and the ``limits`` it enforced (its cap and
+    relative time limit, so a resume keeps them). Every writer — stream,
+    pool shard, quarantine residue — builds its document here."""
     from repro.graph.io import format_graph_text, parse_graph_text
 
     plan = physical.logical
@@ -173,7 +173,7 @@ def checkpoint_payload(
     # everything else as str).
     text = format_graph_text(plan.pattern)
     digest = pattern_digest(parse_graph_text(text))
-    seed = options.seed
+    pins = sorted((op.u, op.pin) for op in physical.ops if op.pin is not None)
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -188,10 +188,8 @@ def checkpoint_payload(
         "query": {
             "variant": plan.variant.value,
             "planner": plan.planner_name,
-            "restrictions": [
-                list(pair) for pair in (options.restrictions or ())
-            ],
-            "seed": sorted(seed.items()) if seed else None,
+            "restrictions": [list(pair) for pair in physical.restrictions],
+            "seed": pins or None,
             "use_sce": options.use_sce,
         },
         "limits": {
@@ -410,7 +408,10 @@ def restore(
     ``max_embeddings``/``time_limit`` left at ``...`` keep the
     checkpoint's own limits (pass an override — including ``None`` for
     unlimited — to change them); extra keyword ``options`` go to
-    :class:`MatchOptions`.
+    :class:`MatchOptions`. The plan is compiled with the checkpoint's
+    restrictions and its seed rebound with
+    :meth:`~repro.engine.physical.PhysicalPlan.with_seed`, so the restored
+    run executes the plan the checkpointed one ran.
     """
     if not documents:
         raise CheckpointError("empty checkpoint set: nothing to restore")
@@ -435,9 +436,11 @@ def restore(
         max_embeddings = limits.get("max_embeddings")
     if time_limit is ...:
         time_limit = limits.get("time_limit")
-    compiled = session.compile(
+    physical = session.compile(
         pattern, variant, planner=planner, restrictions=restrictions, obs=obs
-    )
+    ).physical
+    if seed:
+        physical = physical.with_seed(seed)
     # A run that degraded past DEGRADE_DISABLE must not re-enable the memo
     # on resume — the memory pressure that forced it off is still the
     # operative assumption until the governor says otherwise.
@@ -445,14 +448,12 @@ def restore(
         DEGRADE_DISABLE not in degradation
     )
     return Restored(
-        physical=compiled.physical,
+        physical=physical,
         options=MatchOptions(
             max_embeddings=max_embeddings,
             time_limit=time_limit,
             use_sce=use_sce,
-            restrictions=restrictions,
-            seed=seed,
-            obs=obs if getattr(obs, "enabled", False) else None,
+            obs=obs if obs is not None and obs.enabled else None,
             governor=governor,
             **options,
         ),

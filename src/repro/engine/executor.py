@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.engine.candidates import CandidateComputer
 from repro.engine.governor import RunLimits, run_limits
-from repro.engine.physical import PhysicalPlan, compile_plan
+from repro.engine.physical import PhysicalPlan
 from repro.engine.results import (
     MatchOptions,
     MatchResult,
@@ -49,7 +49,6 @@ from repro.engine.results import (
 )
 from repro.obs import (
     NULL_OBS,
-    NULL_RECORDER,
     ProgressEstimator,
     RunSnapshot,
     search_state_fraction,
@@ -58,7 +57,7 @@ from repro.obs import (
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.engine.checkpoint import CheckpointSink
+    from repro.engine.checkpoint import CheckpointSink, PoolCheckpointDir
 
 logger = logging.getLogger(__name__)
 
@@ -112,22 +111,6 @@ def leaf_count(
         len(clash),
         len(values) - inside - (len(clash) - clash_inside),
     )
-
-
-def specialize(physical: PhysicalPlan, options: MatchOptions) -> PhysicalPlan:
-    """Bind per-run restrictions/seed into the physical plan when they
-    differ from what was compiled in.
-
-    Lets one cached plan serve runs with varying seeds (cheap pin rebind)
-    and keeps ``execute_physical(compile_plan(plan), options)`` faithful to
-    the options even when the caller compiled without them.
-    """
-    restrictions = tuple(options.restrictions) if options.restrictions else ()
-    if restrictions != physical.restrictions:
-        physical = compile_plan(physical.logical, restrictions=restrictions)
-    if options.seed:
-        physical = physical.with_seed(options.seed)
-    return physical
 
 
 class SearchState:
@@ -244,11 +227,8 @@ class Runtime:
     ) -> None:
         self.options = options
         obs = options.obs or NULL_OBS
-        profiler = getattr(obs, "profile", None)
         # None when profiling is off: the hot loops pay one is-None branch.
-        self.profile = (
-            profiler.search if profiler is not None and profiler.enabled else None
-        )
+        self.profile = obs.profile.search if obs.profile.enabled else None
         self.computer = CandidateComputer(
             physical,
             use_sce=options.use_sce,
@@ -271,7 +251,7 @@ class Runtime:
         if gov is not None:
             gov.bind(self._limits)
         self._heartbeat = obs.heartbeat
-        self._recorder = getattr(obs, "recorder", NULL_RECORDER)
+        self._recorder = obs.recorder
         # Progress estimation exists exactly when an observation is
         # attached; heartbeats and their listeners read it through
         # snapshot(), results and run-reports through progress_snapshot().
@@ -625,7 +605,6 @@ class EmbeddingStream(StopFlags):
         checkpoint_sink: CheckpointSink | None = None,
     ) -> None:
         options = options or MatchOptions()
-        physical = specialize(physical, options)
         self.physical = physical
         self.options = options
         self.runtime = Runtime(physical, options)
@@ -746,9 +725,21 @@ def _package_result(
 
 
 def execute_physical(
-    physical: PhysicalPlan, options: MatchOptions | None = None
+    physical: PhysicalPlan,
+    options: MatchOptions | None = None,
+    limits: RunLimits | None = None,
+    checkpoint: PoolCheckpointDir | None = None,
 ) -> MatchResult:
     """Run a compiled plan to completion and package the result.
+
+    The plan is the run's whole query: its restrictions and pins are
+    executed as compiled. With ``options.workers > 1`` the count runs on
+    the worker pool (:func:`~repro.engine.pool.execute_parallel`), which
+    writes unfinished units to ``checkpoint`` (a
+    :class:`~repro.engine.checkpoint.PoolCheckpointDir`) on an early stop
+    and resolves its own limits. Otherwise the run enforces ``limits``,
+    resolved from the options when not given (a caller running several
+    plans under one budget resolves it once and passes it to each).
 
     A count goes to the SCE-factorized counter when it is eligible
     (uncapped, unrestricted, unseeded, ``use_sce`` on) and the plan's
@@ -761,19 +752,15 @@ def execute_physical(
     """
     options = options or MatchOptions()
     if options.workers > 1:
-        # Parallel counting: shard the search into portable work units and
-        # merge the workers' exact counts. The pool re-enters this function
-        # per-unit with workers=1 inside each worker process.
         from repro.engine.pool import execute_parallel
 
-        return execute_parallel(specialize(physical, options), options)
+        return execute_parallel(physical, options, checkpoint=checkpoint)
     obs = options.obs or NULL_OBS
-    physical = specialize(physical, options)
     plan = physical.logical
     start = time.perf_counter()
     embeddings: list[dict[int, int]] | None = None
 
-    recorder = getattr(obs, "recorder", NULL_RECORDER)
+    recorder = obs.recorder
     if recorder.enabled:
         recorder.record(
             "run_start",
@@ -783,7 +770,8 @@ def execute_physical(
         )
 
     gov = options.governor
-    limits = run_limits(options)
+    if limits is None:
+        limits = run_limits(options)
     # Exact SCE-factorized counting only applies to uncapped, unrestricted,
     # unseeded counting; an embedding cap (from the options or the
     # governor's budget) needs enumeration semantics (results are counted

@@ -330,14 +330,12 @@ def _pool_view(
 def compile_plan(
     plan: Plan,
     restrictions: tuple[tuple[int, int], ...] | None = None,
-    seed: dict[int, int] | None = None,
 ) -> PhysicalPlan:
     """Lower a logical plan into its physical operators.
 
     ``restrictions`` are baked into per-step slots (each pair checked at
-    the position where its later endpoint is matched); ``seed`` pins ride
-    on the ops and can be rebound later with
-    :meth:`PhysicalPlan.with_seed`.
+    the position where its later endpoint is matched). The ops start
+    unpinned; :meth:`PhysicalPlan.with_seed` binds a seed.
     """
     start = time.perf_counter()
     n = plan.num_vertices
@@ -354,7 +352,6 @@ def compile_plan(
             restriction_at[position[u]].append((v, True))
         else:
             restriction_at[position[v]].append((u, False))
-    pinned = dict(seed) if seed else {}
 
     # Intern each distinct memo spec as a small int: NEC-equivalent
     # positions share the same id, and hashing an int beats re-hashing the
@@ -400,7 +397,6 @@ def compile_plan(
                     for r in plan.requirements[pos]
                 ),
                 restrictions=tuple(restriction_at[pos]),
-                pin=pinned.get(u),
             )
         )
     return PhysicalPlan(

@@ -112,7 +112,6 @@ from repro.errors import PoolError
 from repro.testing import faults
 from repro.obs import (
     NULL_OBS,
-    NULL_RECORDER,
     Heartbeat,
     Observation,
     ProgressEstimator,
@@ -194,8 +193,6 @@ def _run_unit(
         MatchOptions(
             count_only=True,
             use_sce=options.use_sce,
-            restrictions=options.restrictions,
-            seed=options.seed,
             memo_limit=options.memo_limit,
             obs=obs,
             governor=ResourceGovernor(cancel=cancel, obs=obs),
@@ -411,7 +408,7 @@ class _PoolDriver:
         self.estimator: ProgressEstimator | None = (
             ProgressEstimator() if self.obs.enabled else None
         )
-        self.recorder = getattr(self.obs, "recorder", NULL_RECORDER)
+        self.recorder = self.obs.recorder
 
     # -- unit/worker bookkeeping -------------------------------------
     def _add_unit(self, payload: dict) -> int:
@@ -1149,7 +1146,7 @@ def execute_parallel(
     if options.workers < 1:
         raise PoolError(f"workers must be positive: {options.workers}")
     obs = options.obs or NULL_OBS
-    getattr(obs, "recorder", NULL_RECORDER).record(
+    obs.recorder.record(
         "run_start",
         mode="pool",
         variant=physical.logical.variant.value,

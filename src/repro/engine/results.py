@@ -72,29 +72,16 @@ class MatchOptions:
     ablations; ``count_only`` skips materializing embeddings. Both limits
     are cooperative in the iterative engine: the run stops at the next
     check, sets ``stop_reason``, and returns the partial count — no
-    exceptions on the engine path.
+    exceptions on the engine path. Symmetry restrictions and seeds are
+    not options: they belong to the plan a run executes (compiled with
+    ``restrictions``, pinned with
+    :meth:`~repro.engine.physical.PhysicalPlan.with_seed`).
     """
 
     count_only: bool = False
     max_embeddings: int | None = None
     time_limit: float | None = None
     use_sce: bool = True
-    restrictions: tuple[tuple[int, int], ...] | None = None
-    """Optional symmetry restrictions: each ``(u, v)`` requires
-    ``f(u) < f(v)``. With the restrictions from
-    :func:`repro.baselines.symmetry.symmetry_restrictions`, every
-    automorphism orbit is enumerated exactly once — e.g. each k-clique once
-    instead of k! times. Restrictions disable count factorization (they
-    couple otherwise independent regions)."""
-
-    seed: dict[int, int] | None = None
-    """Optional pinned mappings ``{pattern vertex: data vertex}``. Pinned
-    vertices are still validated against their candidate sets (labels,
-    backward edges, negations, injectivity), so a seeded run enumerates
-    exactly the embeddings extending the seed — the building block of
-    continuous/delta matching (:mod:`repro.core.continuous`). Seeds disable
-    count factorization."""
-
     memo_limit: int = 1_000_000
     """Cap on cached SCE candidate sets, and separately on the factorized
     counter's region counts; beyond it, computation continues uncached

@@ -19,7 +19,7 @@ from repro.engine.checkpoint import (
     CHECKPOINT_VERSION,
     validate_checkpoint,
 )
-from repro.errors import CheckpointError, PlanError
+from repro.errors import CheckpointError
 from repro.graph import Graph
 from repro.obs import build_run_report, robustness_problems
 from repro.testing import FaultInjector, memory_spike
@@ -142,6 +142,43 @@ class TestRoundTrip:
         assert resumed.stats["nodes"] >= full_result.stats["nodes"]
         assert resumed.stats["nodes"] > interrupted.stats["nodes"]
 
+    def test_seeded_restricted_checkpoint_resumes_exactly(self, tmp_path):
+        # The checkpoint stamps the restrictions and seed of the plan the
+        # stream ran; a stream resume and a pool resume both rebind them
+        # and reach the uninterrupted seeded, restricted count.
+        engine = CSCE(make_random_graph(40, 160, num_labels=0, seed=5))
+        p, restrictions = square(), ((0, 2),)
+
+        def count(**query):
+            return engine.match(p, count_only=True, **query).count
+
+        per_vertex = {
+            v: count(restrictions=restrictions, seed={1: v}) for v in range(40)
+        }
+        v = max(per_vertex, key=per_vertex.get)
+        seed, full = {1: v}, per_vertex[v]
+        assert full >= 3
+        assert full < count(restrictions=restrictions)
+        assert full < count(seed=seed)
+        path = tmp_path / "ck.json"
+        first, interrupted = drain(
+            engine.match_iter(
+                p, max_embeddings=full // 2, restrictions=restrictions,
+                seed=seed, checkpoint_path=path,
+            )
+        )
+        assert interrupted.stop_reason == STOP_EMBEDDING_LIMIT
+        query = load_checkpoint(path)["query"]
+        assert query["restrictions"] == [[0, 2]]
+        assert query["seed"] == [[1, v]]
+        rest, resumed = drain(engine.resume(path, max_embeddings=None))
+        assert resumed.stop_reason is None
+        assert resumed.count == len(first) + len(rest) == full
+        assert all(e[1] == v and e[0] < e[2] for e in first + rest)
+        pooled = engine.resume_pool(path, workers=2, max_embeddings=None)
+        assert pooled.stop_reason is None
+        assert pooled.count == full
+
     def test_completed_stream_writes_no_checkpoint(self, graph, tmp_path):
         engine = CSCE(graph)
         path = tmp_path / "ck.json"
@@ -149,14 +186,6 @@ class TestRoundTrip:
         drain(stream)
         assert stream.checkpoint_sink.written is None
         assert not path.exists()
-
-    def test_checkpoint_path_rejects_caller_plan(self, graph, tmp_path):
-        engine = CSCE(graph)
-        plan = engine.build_plan(square(), "edge_induced")
-        with pytest.raises(PlanError, match="session-compiled"):
-            engine.match_iter(
-                square(), plan=plan, checkpoint_path=tmp_path / "ck.json"
-            )
 
 
 class TestLadderResume:

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from repro.core import CSCE, ContinuousMatcher, embeddings_containing_edge
-from repro.engine import compile_plan, plan_query
+from repro.engine import (
+    STOP_TIME_LIMIT,
+    Budget,
+    ResourceGovernor,
+    compile_plan,
+    plan_query,
+)
+from repro.errors import TimeLimitExceeded
 from repro.engine.verify import verify_physical
 from repro.graph import Edge, Graph
 from repro.graph.patterns import by_name, path
@@ -211,6 +218,20 @@ class TestPinFirstPlans:
         g.add_edge(10, 12)
         assert delta.count > 0 and matcher.total == CSCE(g).count(pattern)
 
+    def test_standing_queries_on_one_engine_keep_each_others_plans(self):
+        """A 40-edge and a 50-edge standing path on one engine need 41 +
+        51 plans: each matcher adds its own share to the capacity, so
+        alternating layout-neutral inserts through both plan nothing."""
+        g = Graph.from_edges(90, [(i, i + 1) for i in range(89)])
+        engine = CSCE(g)
+        short = ContinuousMatcher(engine, path(41))
+        long = ContinuousMatcher(engine, path(51))
+        layout, misses = engine.store.layout_version, engine.session.cache_misses
+        for i, matcher in enumerate([short, long, short, long]):
+            matcher.insert(10 * i, 10 * i + 2)
+        assert engine.store.layout_version == layout
+        assert engine.session.cache_misses == misses
+
     def test_prefix_off_the_pattern_edges_fails_verification(self):
         """The verifier's connectivity check covers prefixed orders: a
         prefix of two non-adjacent vertices is disconnected under GCF."""
@@ -220,3 +241,56 @@ class TestPinFirstPlans:
         assert plan.order[:2] == [0, 2]
         report = verify_physical(compile_plan(plan), engine.store)
         assert report.codes() == [ORDER_DISCONNECTED]
+
+
+class TestDeltaLimits:
+    """A delta's limits resolve once and bound all of its pins. A stub
+    clock advances 0.4 s per pin rebind (the search itself takes no
+    stub time), so a delta of six pins outlasts a 1 s limit at its third
+    pin, while each single pin stays far inside it."""
+
+    @pytest.fixture
+    def slow_pins(self, monkeypatch):
+        from types import SimpleNamespace
+
+        import repro.engine.governor as governor_module
+        from repro.engine.physical import PhysicalPlan
+
+        now = [0.0]
+        monkeypatch.setattr(
+            governor_module,
+            "time",
+            SimpleNamespace(perf_counter=lambda: now[0], sleep=lambda s: None),
+        )
+        rebind = PhysicalPlan.with_seed
+
+        def slow_rebind(physical, seed):
+            now[0] += 0.4
+            return rebind(physical, seed)
+
+        monkeypatch.setattr(PhysicalPlan, "with_seed", slow_rebind)
+
+    def _square(self):
+        # A 4-cycle: inserting its chord closes two triangles, and the
+        # triangle pattern pins each of its 3 edges in both orientations.
+        return CSCE(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+
+    def test_time_limit_bounds_the_whole_delta(self, slow_pins):
+        engine = self._square()
+        engine.store.insert_edge(0, 2)
+        delta = embeddings_containing_edge(
+            engine, by_name("triangle"), Edge(0, 2, None, False),
+            time_limit=1.0,
+        )
+        assert delta.pins_tried == 6
+        assert delta.stop_reason == STOP_TIME_LIMIT
+
+    def test_budget_time_stops_the_insert_and_rolls_it_back(self, slow_pins):
+        engine = self._square()
+        gov = ResourceGovernor(budget=Budget(time_limit=1.0))
+        matcher = ContinuousMatcher(engine, by_name("triangle"), governor=gov)
+        edges = engine.store.num_edges
+        with pytest.raises(TimeLimitExceeded):
+            matcher.insert(0, 2)
+        assert engine.store.num_edges == edges
+        assert matcher.total == 0

@@ -28,7 +28,6 @@ from repro.engine import (
     stream,
 )
 import repro.engine.executor as executor_module
-from repro.engine.executor import specialize
 from repro.engine.results import STOP_EMBEDDING_LIMIT
 from repro.errors import PlanError
 from repro.graph import Graph
@@ -162,17 +161,17 @@ class TestIterativeExecutor:
         # Count mode and stream mode are one frame machine: the same run
         # must end with the same count, stats, stop and frame stack.
         p = small_pattern()
-        physical = compile_plan(engine.build_plan(p, variant))
+        restrictions = ((0, 1),) if case == "restriction" else None
+        physical = engine.session.compile(
+            p, variant, restrictions=restrictions
+        ).physical
         options = MatchOptions(count_only=True)
-        if case == "restriction":
-            options = MatchOptions(count_only=True, restrictions=((0, 1),))
-        elif case == "seed":
+        if case == "seed":
             with EmbeddingStream(physical) as s:
                 first = next(s)
-            options = MatchOptions(count_only=True, seed={0: first[0]})
+            physical = physical.with_seed({0: first[0]})
         elif case == "cap":
             options = MatchOptions(count_only=True, max_embeddings=3)
-        physical = specialize(physical, options)
 
         def run(emit):
             runtime = Runtime(physical, options)
@@ -281,7 +280,7 @@ class TestBulkLeafCounting:
         physical = compile_plan(
             CSCE(data).build_plan(pattern, "edge_induced"), restrictions=restrictions
         )
-        options = MatchOptions(count_only=True, restrictions=restrictions)
+        options = MatchOptions(count_only=True)
         calls = []
         bulk = executor_module.leaf_count
         monkeypatch.setattr(

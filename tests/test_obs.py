@@ -298,8 +298,8 @@ class TestRunReport:
         obs = Observation(trace=trace)
         engine = CSCE(_triangle_fan(), obs=obs)
         pattern = _path_pattern(3)
-        plan = engine.build_plan(pattern)
-        result = engine.match(pattern, plan=plan)
+        plan = engine.session.compile(pattern).plan
+        result = engine.match(pattern)
         return build_run_report(
             result,
             engine="CSCE",

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.csce import CSCE
 from repro.engine.checkpoint import load_checkpoint, load_checkpoint_set
-from repro.engine.executor import Runtime, SearchState, count_capped, specialize
+from repro.engine.executor import Runtime, SearchState, count_capped
 from repro.engine.governor import Budget, CancelToken, ResourceGovernor
 from repro.engine.pool import _execute_inline, execute_parallel
 from repro.engine.results import MatchOptions
@@ -54,8 +54,7 @@ def engine(graph):
 
 def compiled(engine, pattern, variant, **options):
     opts = MatchOptions(count_only=True, **options)
-    physical = engine.session.compile(pattern, variant).physical
-    return specialize(physical, opts), opts
+    return engine.session.compile(pattern, variant).physical, opts
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +206,12 @@ class TestParity:
         par = engine.match(pattern, "edge_induced", count_only=True,
                            restrictions=restrictions, workers=2)
         assert par.count == seq.count
+        seed = {0: 0}
+        seq = engine.match(pattern, "edge_induced", count_only=True,
+                           restrictions=restrictions, seed=seed)
+        par = engine.match(pattern, "edge_induced", count_only=True,
+                           restrictions=restrictions, seed=seed, workers=2)
+        assert seq.count > 0 and par.count == seq.count
 
     def test_work_stealing_exact(self, engine):
         # A single oversized root unit forces the pool to rebalance by

@@ -28,7 +28,6 @@ from repro.engine import (
     plan_query,
     stream,
 )
-from repro.engine.executor import specialize
 from repro.errors import GraphError
 from repro.graph import Graph
 from repro.graph.io import format_graph_text, parse_graph_text
@@ -270,15 +269,13 @@ class TestMatchingProperties:
         g, p = gp
         engine = CSCE(g)
         restrictions = ((0, 1),) if restricted else ()
-        options = MatchOptions(count_only=True, restrictions=restrictions)
-        physical = specialize(
-            engine.session.compile(p, variant).physical, options
-        )
+        options = MatchOptions(count_only=True)
+        physical = engine.session.compile(
+            p, variant, restrictions=restrictions or None
+        ).physical
 
         def run(cap, emit):
-            opts = MatchOptions(
-                count_only=True, restrictions=restrictions, max_embeddings=cap
-            )
+            opts = MatchOptions(count_only=True, max_embeddings=cap)
             runtime = Runtime(physical, opts)
             state = SearchState.fresh(len(physical.ops))
             if emit:

@@ -63,9 +63,9 @@ class TestReadVariantBehavior:
     def test_plan_reuse_gives_fresh_results(self, square_with_diagonal):
         engine = CSCE(square_with_diagonal)
         p = Graph.from_edges(3, [(0, 1), (1, 2)])
-        plan = engine.build_plan(p, Variant.EDGE_INDUCED)
-        first = engine.match(p, Variant.EDGE_INDUCED, plan=plan)
-        second = engine.match(p, Variant.EDGE_INDUCED, plan=plan)
+        first = engine.match(p, Variant.EDGE_INDUCED)
+        second = engine.match(p, Variant.EDGE_INDUCED)  # a plan-cache hit
+        assert engine.session.cache_info["hits"] == 1
         assert first.count == second.count == 16
         assert first.embeddings == second.embeddings
 
