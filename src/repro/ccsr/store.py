@@ -383,7 +383,7 @@ class CCSRStore:
             retry = RetryPolicy(seed=0)
         tracer = obs.tracer
         counters = obs.counters
-        profile = getattr(obs, "profile", None)
+        profile = obs.profile
         variant_name = getattr(variant, "value", str(variant))
         with tracer.span("read", variant=variant_name) as read_span:
             start = time.perf_counter()
@@ -423,7 +423,7 @@ class CCSRStore:
                     decompressed.add(id(cluster))
                     bytes_read += nbytes
                     rows_read += rows
-                    if profile is not None and profile.enabled:
+                    if profile.enabled:
                         profile.record_cluster(str(cluster.key), rows, nbytes)
                 return cluster
 

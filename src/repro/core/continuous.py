@@ -219,7 +219,7 @@ class ContinuousMatcher:
     plan cache: it adds ``|E| + 1`` to ``engine.session.cache_size``, so
     that a delta on an unchanged layout plans nothing, even for patterns
     of more edges than the default capacity and with several standing
-    queries sharing one engine.
+    queries sharing one engine. :meth:`close` gives that share back.
 
     The vertex-induced variant is intentionally unsupported: there, an
     *arriving* edge can also destroy embeddings that do not use it (it may
@@ -247,13 +247,23 @@ class ContinuousMatcher:
         self.obs = obs
         self.governor = governor
         session = engine.session
-        session.cache_size += pattern.num_edges + 1
+        self._cache_share = pattern.num_edges + 1
+        session.cache_size += self._cache_share
         self.total = engine.count(pattern, variant, obs=obs)
         # Plan every pin-first plan now, so deltas start on cache hits.
         for pattern_edge in pattern.edges():
             session.compile(
                 pattern, variant, obs=obs, prefix=_pin_prefix(pattern_edge)
             )
+
+    def close(self) -> None:
+        """Give this matcher's ``|E| + 1`` plan-cache share back to the
+        session (idempotent). The cache drops its least recently used
+        plans down to the lowered capacity on its next miss. The matcher
+        stays usable, but its deltas no longer have room reserved for
+        their plans."""
+        self.engine.session.cache_size -= self._cache_share
+        self._cache_share = 0
 
     def insert(
         self, src: int, dst: int, label=None, directed: bool = False

@@ -191,7 +191,9 @@ class CSCE:
             With ``workers > 1``: a directory that receives one shard
             checkpoint per unfinished work unit when the pool stops early;
             :meth:`resume_pool` continues from it with exact combined
-            counts.
+            counts. A one-worker run raises ``ValueError`` (it writes no
+            shards; :meth:`match_iter` with ``checkpoint_path`` checkpoints
+            it).
         stall_timeout:
             With ``workers > 1``: seconds a busy worker may go silent
             before the stall watchdog SIGKILLs it and re-dispatches its

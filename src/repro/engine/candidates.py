@@ -7,7 +7,9 @@ sets (under injectivity, the data vertices whose CCSR rows are long
 enough to host the vertex's pattern edges), then subtracting
 vertex-induced negations. By
 Definition 1 the raw set depends only on the mappings of the vertex's
-dependency priors, so it is memoized on exactly that key; injectivity
+dependency priors, so it is memoized on exactly that key — ``(spec_id,
+op.memo_key(assignment))``, the priors' images read by one compiled
+getter; injectivity
 filtering (the ``\\ {v_x}`` part) happens at use time and never enters the
 cache. NEC falls out for free: equivalent pattern vertices were compiled to
 the same ``spec_id`` and therefore share cached candidate sets. The row
@@ -64,8 +66,8 @@ class CandidateComputer:
 
     A candidate list is a sorted ``tuple`` of data vertices. Memo entries
     are shared by every caller that hits them, which is why they are
-    immutable: a search frame that scans or truncates a list takes its
-    own ``list`` copy.
+    immutable: search frames scan them as they are, and a steal rebinds
+    a frame to new lists instead of truncating it.
     """
 
     def __init__(
@@ -122,7 +124,7 @@ class CandidateComputer:
         """The sorted raw candidate tuple of ``op.u`` under the current
         partial embedding (before injectivity filtering)."""
         if self.use_sce:
-            key = (op.spec_id, *[assignment[p] for p in op.priors])
+            key = (op.spec_id, op.memo_key(assignment))
             cached = self._memo.get(key)
             if cached is not None:
                 self.stats.memo_hits += 1

@@ -40,6 +40,9 @@ from repro.obs import search_state_fraction
 
 _SEQ = 0
 _PROD = 1
+#: The used-vertex part of every region-memo key under a non-injective
+#: variant, where sibling regions never compete for data vertices.
+_NO_USED: frozenset[int] = frozenset()
 
 
 class _Frame:
@@ -169,7 +172,12 @@ class FactorizedCounter:
         # Sequential step: scan the first position's candidates.
         pos = positions[0]
         runtime = self.runtime
-        if not runtime.tick(pos, "count"):
+        runtime.nodes += 1
+        if (
+            runtime.ticking
+            and runtime.nodes % runtime.tick_interval == 0
+            and not runtime.tick(pos, "count")
+        ):
             return None
         op = self.ops[pos]
         candidates = runtime.computer.raw(op, self.assignment)
@@ -189,8 +197,6 @@ class FactorizedCounter:
         frame.pos = pos
         frame.u = op.u
         frame.rest = positions[1:]
-        # Unlike the frame machine's lists, these are never truncated or
-        # shipped, so a frame may scan the (possibly memoized) tuple as is.
         frame.values = candidates
         frame.index = 0
         stack.append(frame)
@@ -268,19 +274,15 @@ class FactorizedCounter:
     def _group_key(self, positions: tuple[int, ...]) -> tuple:
         """Memo key of one independent region: its dependency-frontier
         images plus the used data vertices that could collide with it."""
-        frontier, group_labels = self.regions.frontier(positions)
+        frontier_images, group_labels = self.regions.frontier(positions)
         if self.injective:
             data_labels = self.plan.task_clusters.data_vertex_labels
             relevant_used = frozenset(
                 v for v in self.used if data_labels[v] in group_labels
             )
         else:
-            relevant_used = frozenset()
-        return (
-            positions,
-            tuple(self.assignment[prior] for prior in frontier),
-            relevant_used,
-        )
+            relevant_used = _NO_USED
+        return (positions, frontier_images(self.assignment), relevant_used)
 
 
 def count_physical(

@@ -120,7 +120,10 @@ class SearchState:
     partial ``assignment`` (pattern vertex → data vertex, ``-1`` unbound),
     the injectivity ``used`` set, the per-depth candidate lists ``values``
     (``None`` = depth not yet entered), scan cursors ``index``, backtrack
-    watermarks ``emitted_at``, and the current depth ``pos``. The generator
+    watermarks ``emitted_at``, and the current depth ``pos``. A depth's
+    candidate sequence is never mutated: the search scans the tuple
+    :class:`~repro.engine.candidates.CandidateComputer` returned (possibly
+    a shared memo entry), and a steal rebinds the slot. The generator
     keeps ``state.pos`` current at every suspension point (yield, stop,
     close), so a snapshot taken between ``next()`` calls is always
     resumable.
@@ -132,7 +135,7 @@ class SearchState:
         self,
         assignment: list[int],
         used: set[int],
-        values: list[list | None],
+        values: list[Sequence[int] | None],
         index: list[int],
         emitted_at: list[int],
         pos: int,
@@ -215,8 +218,8 @@ class Runtime:
         "_limits",
         "_heartbeat",
         "_recorder",
-        "_ticking",
-        "_interval",
+        "ticking",
+        "tick_interval",
     )
 
     def __init__(
@@ -264,19 +267,21 @@ class Runtime:
         #: Explored-fraction probe over the live frames, published by
         #: whichever frame machine runs on this runtime.
         self.probe: Callable[[], float] | None = None
-        # Under fault injection every tick must reach the fault site, so
-        # the periodic work runs densely; in production it is amortized.
-        self._interval = 1 if faults.active() else _TIME_CHECK_INTERVAL
-        # One flag guards the periodic work: without a deadline, governor,
-        # injector, live heartbeat, recorder, or progress estimator, tick
-        # never computes the modulo.
-        self._ticking = (
+        # The hot loops count each search node into ``nodes`` and run
+        # :meth:`tick` when ``ticking`` holds and ``nodes`` is a multiple of
+        # ``tick_interval``. Under fault injection every node must reach
+        # the fault site, so the interval is 1; in production the periodic
+        # work is amortized. Without a deadline, governor, injector, live
+        # heartbeat, recorder, or progress estimator, ``ticking`` is false
+        # and the loops never compute the modulo.
+        self.tick_interval = 1 if faults.active() else _TIME_CHECK_INTERVAL
+        self.ticking = (
             self._limits.deadline is not None
             or self._heartbeat.enabled
             or gov is not None
             or self._recorder.enabled
             or self.progress is not None
-            or self._interval == 1
+            or self.tick_interval == 1
         )
 
     @property
@@ -320,45 +325,42 @@ class Runtime:
                 depth=depth,
             )
 
-    def tick(self, depth: int = 0, phase: str = "enumerate") -> bool:
-        """Account one search-tree node; False once a limit fired (the
-        deadline passed, a tightened cap was met, the memory ladder
+    def tick(self, depth: int, phase: str) -> bool:
+        """The periodic work at a tick boundary: the node just counted
+        into ``nodes`` is a multiple of ``tick_interval`` and ``ticking``
+        holds (the hot loops test both inline). False once a limit fired
+        (the deadline passed, a tightened cap was met, the memory ladder
         bottomed out, or the cancel token tripped), after :meth:`stop`."""
-        self.nodes += 1
-        if self._ticking and self.nodes % self._interval == 0:
-            if self.search_state is not None:
-                # The frame machine keeps `pos` in a local for speed and
-                # only syncs it at suspension points; sync it here too so
-                # anything sampled at a tick (the progress probe, an
-                # on-demand checkpoint from the inspector) sees a
-                # consistent state.
-                self.search_state.pos = depth
-            recorder = self._recorder
-            if faults.ACTIVE is not None:
-                # Record before firing so an action that raises still
-                # leaves its mark in the ring buffer.
-                if recorder.enabled:
-                    recorder.record(
-                        "fault", site="engine.tick", depth=depth,
-                        phase=phase, nodes=self.nodes,
-                    )
-                faults.fire(
-                    "engine.tick", depth=depth, phase=phase, nodes=self.nodes
-                )
-            progress = self.progress
-            if progress is not None and self.probe is not None:
-                progress.update(self.probe())
-            if self._heartbeat.enabled:
-                self._heartbeat.beat(self.snapshot, depth, phase=phase)
+        if self.search_state is not None:
+            # The frame machine keeps `pos` in a local for speed and only
+            # syncs it at suspension points; sync it here too so anything
+            # sampled at a tick (the progress probe, an on-demand
+            # checkpoint from the inspector) sees a consistent state.
+            self.search_state.pos = depth
+        recorder = self._recorder
+        if faults.ACTIVE is not None:
+            # Record before firing so an action that raises still leaves
+            # its mark in the ring buffer.
             if recorder.enabled:
                 recorder.record(
-                    "tick", nodes=self.nodes, emitted=self.emitted,
-                    depth=depth, phase=phase,
+                    "fault", site="engine.tick", depth=depth,
+                    phase=phase, nodes=self.nodes,
                 )
-            reason = self._limit_reason()
-            if reason is not None:
-                self.stop(reason, depth)
-                return False
+            faults.fire("engine.tick", depth=depth, phase=phase, nodes=self.nodes)
+        progress = self.progress
+        if progress is not None and self.probe is not None:
+            progress.update(self.probe())
+        if self._heartbeat.enabled:
+            self._heartbeat.beat(self.snapshot, depth, phase=phase)
+        if recorder.enabled:
+            recorder.record(
+                "tick", nodes=self.nodes, emitted=self.emitted,
+                depth=depth, phase=phase,
+            )
+        reason = self._limit_reason()
+        if reason is not None:
+            self.stop(reason, depth)
+            return False
         return True
 
     def release(self) -> None:
@@ -442,6 +444,8 @@ def _search(
     leaf = -1 if emit else n - 1
     # Hot path: everything the loop touches is bound to locals.
     raw = runtime.computer.raw
+    ticking = runtime.ticking
+    tick_interval = runtime.tick_interval
     injective = physical.injective
     max_embeddings = runtime.limits.cap
     profile = runtime.profile
@@ -459,9 +463,14 @@ def _search(
             op = ops[pos]
             vals = values[pos]
             if vals is None:
-                # Entering this depth fresh: one tick per expansion, exactly
+                # Entering this depth fresh: one node per expansion, exactly
                 # like one recursive extend() call.
-                if not runtime.tick(pos, phase):
+                runtime.nodes += 1
+                if (
+                    ticking
+                    and runtime.nodes % tick_interval == 0
+                    and not runtime.tick(pos, phase)
+                ):
                     return
                 candidates = raw(op, assignment)
                 if profile is not None:
@@ -487,9 +496,10 @@ def _search(
                                 profile.backtrack(pos)
                         pos -= 1
                         continue
-                # The frame owns its list: the tuple may be a memo entry,
-                # and a steal truncates the frame's list in place.
-                values[pos] = vals = list(candidates)
+                # The frame scans the (possibly memoized) tuple as is: a
+                # steal rebinds values[pos] to new lists and never mutates
+                # it, and the loop re-reads values[pos] every iteration.
+                values[pos] = vals = candidates
                 index[pos] = 0
                 emitted_at[pos] = runtime.emitted
             u = op.u
@@ -737,9 +747,11 @@ def execute_physical(
     the worker pool (:func:`~repro.engine.pool.execute_parallel`), which
     writes unfinished units to ``checkpoint`` (a
     :class:`~repro.engine.checkpoint.PoolCheckpointDir`) on an early stop
-    and resolves its own limits. Otherwise the run enforces ``limits``,
-    resolved from the options when not given (a caller running several
-    plans under one budget resolves it once and passes it to each).
+    and resolves its own limits; a ``checkpoint`` without the pool is a
+    ``ValueError``, since nothing would ever write it. Otherwise the run
+    enforces ``limits``, resolved from the options when not given (a
+    caller running several plans under one budget resolves it once and
+    passes it to each).
 
     A count goes to the SCE-factorized counter when it is eligible
     (uncapped, unrestricted, unseeded, ``use_sce`` on) and the plan's
@@ -751,6 +763,11 @@ def execute_physical(
     ``stop_reason`` with the partial count, never as exceptions.
     """
     options = options or MatchOptions()
+    if checkpoint is not None and options.workers <= 1:
+        raise ValueError(
+            "a pool checkpoint directory needs workers > 1; checkpoint a"
+            " one-worker run with match_iter(checkpoint_path=...)"
+        )
     if options.workers > 1:
         from repro.engine.pool import execute_parallel
 

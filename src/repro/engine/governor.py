@@ -404,18 +404,15 @@ class ResourceGovernor:
 
     def _count(self, name: str) -> None:
         obs = self.obs
-        if obs is not None and getattr(obs, "enabled", False):
+        if obs is not None and obs.enabled:
             obs.counters.inc(name)
 
     def _record_degrade(self, rung: str, stage: int) -> None:
         """Leave the ladder climb in the flight recorder, so a post-mortem
         dump shows *which* rungs fired before a memory-limit stop."""
         obs = self.obs
-        if obs is None:
-            return
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None and recorder.enabled:
-            recorder.record("degrade", rung=rung, stage=stage)
+        if obs is not None and obs.recorder.enabled:
+            obs.recorder.record("degrade", rung=rung, stage=stage)
 
     def __repr__(self) -> str:
         return (

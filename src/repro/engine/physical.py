@@ -22,11 +22,13 @@ at compile time instead of per search-tree node:
   lengths without changing the layout version, so a cached plan must see
   the sets the patch keeps live;
 * SCE memo specs are interned to small integer ``spec_id``\\ s — NEC-
-  equivalent steps share an id and therefore share cached candidate sets;
+  equivalent steps share an id and therefore share cached candidate sets —
+  and each op's memo key over its priors is compiled to one C-level
+  ``operator.itemgetter`` call;
 * symmetry restrictions are folded into per-step slots evaluated at the
   position where their later endpoint is matched;
-* seed pins ride on the op (:meth:`PhysicalPlan.with_seed` rebinding is a
-  cheap dataclass replace, so continuous matching reuses one compiled
+* seed pins ride on the op (:meth:`PhysicalPlan.with_seed` rebinding
+  copies only the pinned ops, so continuous matching reuses one compiled
   pin-first plan per pattern edge across every pin onto that edge);
 * the independent-region splits the factorized counter multiplies over
   (:class:`RegionTable`) are computed once per plan, lazily, on the first
@@ -42,8 +44,9 @@ compiled ops valid, as they fetch rows through the patched cluster.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable
 
 import numpy as np
@@ -70,6 +73,8 @@ class ExtendOp:
     constraints (shared, never mutated here). ``restrictions`` holds
     ``(other_vertex, candidate_is_smaller)`` order checks anchored at this
     step. ``pin`` fixes the step to a single data vertex (seeded runs).
+    ``memo_key(assignment)`` is the images of ``priors`` — the SCE memo
+    key's variable half (:func:`prior_getter`).
     """
 
     pos: int
@@ -82,6 +87,37 @@ class ExtendOp:
     admissible: tuple[set[int], ...] = ()
     restrictions: tuple[tuple[int, bool], ...] = ()
     pin: int | None = None
+    memo_key: Callable[[list[int]], Any] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "memo_key", prior_getter(self.priors))
+
+
+def _no_priors(assignment: list[int]) -> tuple[()]:
+    return ()
+
+
+def prior_getter(indices: tuple[int, ...]) -> Callable[[list[int]], Any]:
+    """A compiled reader of ``assignment[i] for i in indices``.
+
+    Two or more indices give ``operator.itemgetter``'s tuple of images, one
+    gives that image bare, and none the constant ``()``: an injective
+    encoding of the images for a fixed ``indices``, which is all a memo
+    key needs, at the cost of one C call instead of a Python loop.
+    """
+    return itemgetter(*indices) if indices else _no_priors
+
+
+def _repinned(op: ExtendOp, pin: int | None) -> ExtendOp:
+    """A copy of ``op`` with ``pin`` rebound, made without re-running
+    the dataclass machinery (its fields are already resolved)."""
+    copy = object.__new__(ExtendOp)
+    fields = copy.__dict__
+    fields.update(op.__dict__)
+    fields["pin"] = pin
+    return copy
 
 
 @dataclass(frozen=True)
@@ -135,16 +171,22 @@ class PhysicalPlan:
 
         This is the continuous-matching fast path: a pattern edge's
         pin-first plan is rebound per pin instead of recompiled, so only
-        the two pinned ops (its first two) are replaced.
+        the two pinned ops (its first two) are copied. The copy shares
+        everything else with this plan except the cached :attr:`regions`.
         """
-        pinned = dict(seed) if seed else {}
+        pinned = seed or {}
         ops = tuple(
-            replace(op, pin=pinned.get(op.u))
+            _repinned(op, pinned.get(op.u))
             if op.u in pinned or op.pin is not None
             else op
             for op in self.ops
         )
-        return replace(self, ops=ops)
+        copy = object.__new__(PhysicalPlan)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields.pop("regions", None)
+        fields["ops"] = ops
+        return copy
 
     def step_table(self) -> list[dict[str, Any]]:
         """Per-op summary rows for EXPLAIN output and the profiler. Each
@@ -207,7 +249,9 @@ class RegionTable:
     def __init__(self, plan: Plan) -> None:
         self._plan = plan
         self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._frontiers: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset]] = {}
+        self._frontiers: dict[
+            tuple[int, ...], tuple[Callable[[list[int]], Any], frozenset]
+        ] = {}
 
     def groups(self, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         split = self._splits.get(positions)
@@ -232,10 +276,11 @@ class RegionTable:
 
     def frontier(
         self, positions: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], frozenset]:
+    ) -> tuple[Callable[[list[int]], Any], frozenset]:
         """A region's dependency frontier (the outside vertices its memo
-        priors name, sorted) and its vertex labels: the static half of the
-        factorized counter's region-memo key."""
+        priors name, sorted), compiled to a getter of their images
+        (:func:`prior_getter`), and its vertex labels: what the factorized
+        counter's region-memo key reads besides the used vertices."""
         entry = self._frontiers.get(positions)
         if entry is None:
             plan = self._plan
@@ -249,7 +294,10 @@ class RegionTable:
                 }
             )
             labels = frozenset(plan.pattern.vertex_label(v) for v in members)
-            entry = self._frontiers[positions] = (tuple(frontier), labels)
+            entry = self._frontiers[positions] = (
+                prior_getter(tuple(frontier)),
+                labels,
+            )
         return entry
 
     @property

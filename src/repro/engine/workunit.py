@@ -18,14 +18,17 @@ Two shard shapes are produced here:
   computation naturally).
 * **split shards** (:func:`split_search_state`): work stealing — a live,
   oversized unit donates the untouched back half of the shallowest
-  still-open candidate list. The kept state is truncated in place; the
-  donated payload carries the assignment prefix above the split depth.
+  still-open candidate list. The kept state's slot at that depth is
+  rebound to a new list of the front half (the old sequence may be a
+  shared memo entry, so it is never mutated); the donated payload carries
+  the back half and the assignment prefix above the split depth.
 
 Splitting is only sound at a *tick boundary*: there ``values[pos]`` is
 ``None`` (the current depth's list is not yet built), the current depth's
 assignment slot has been cleared, and ``state.pos`` is synced — so every
-depth the split loop can reach holds a quiescent cursor and in-place
-truncation cannot race the executor. The pool's worker-side heartbeat
+depth the split loop can reach holds a quiescent cursor, and the executor,
+which re-reads ``values[d]`` whenever it returns to depth ``d``, scans
+the rebound list from the same cursor. The pool's worker-side heartbeat
 listener runs exactly there.
 """
 
@@ -108,12 +111,13 @@ def split_search_state(
     frame stack, or return ``None`` when nothing is worth donating.
 
     Must be called at a tick boundary (see the module docstring). The
-    kept ``state`` is truncated **in place** — its candidate list at the
-    split depth loses the donated suffix, nothing else changes — and the
-    returned payload is a fresh frame stack that re-enters the search at
-    the split depth with the same assignment prefix. ``op_vertices`` maps
-    each depth to its pattern vertex (``physical.ops[d].u``), needed to
-    reconstruct the donated prefix assignment and injectivity set.
+    kept ``state``'s candidate slot at the split depth is rebound to a new
+    list without the donated suffix — nothing else changes, and the old
+    sequence is left whole — and the returned payload is a fresh frame
+    stack that re-enters the search at the split depth with the same
+    assignment prefix. ``op_vertices`` maps each depth to its pattern
+    vertex (``physical.ops[d].u``), needed to reconstruct the donated
+    prefix assignment and injectivity set.
     """
     if min_remaining < 2:
         raise ValueError(f"min_remaining must be >= 2: {min_remaining}")
@@ -127,11 +131,11 @@ def split_search_state(
         if remaining < min_remaining:
             continue
         cut = index[depth] + (remaining + 1) // 2
-        donated_vals = vals[cut:]
-        del vals[cut:]
+        donated_vals = list(vals[cut:])
+        values[depth] = list(vals[:cut])
         n = len(values)
         assignment = [-1] * n
-        donated_values: list[list | None] = [None] * n
+        donated_values: list[list[int] | None] = [None] * n
         donated_index = [0] * n
         prefix: list[int] = []
         for d in range(depth):

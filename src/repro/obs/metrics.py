@@ -306,14 +306,12 @@ class MetricsPump:
         (its heartbeat snapshot's, or its result's) in, and push to every
         exporter."""
         if obs is not None:
-            counters = getattr(obs, "counters", None)
-            if counters is not None and counters.enabled:
-                self.registry.sample_counters(counters.snapshot())
-            heartbeat = getattr(obs, "heartbeat", None)
-            if heartbeat is not None and heartbeat.enabled:
+            if obs.counters.enabled:
+                self.registry.sample_counters(obs.counters.snapshot())
+            if obs.heartbeat.enabled:
                 self.registry.gauge(
                     "heartbeat_beats", "heartbeat lines emitted"
-                ).set(heartbeat.beats)
+                ).set(obs.heartbeat.beats)
         if progress is not None:
             self.registry.gauge(
                 "progress_percent",
@@ -325,12 +323,10 @@ class MetricsPump:
                     "eta_seconds",
                     "smoothed estimated seconds to completion",
                 ).set(eta)
-        if obs is not None:
-            recorder = getattr(obs, "recorder", None)
-            if recorder is not None and recorder.enabled:
-                self.registry.gauge(
-                    "recorder_events", "flight-recorder events recorded"
-                ).set(recorder.recorded)
+        if obs is not None and obs.recorder.enabled:
+            self.registry.gauge(
+                "recorder_events", "flight-recorder events recorded"
+            ).set(obs.recorder.recorded)
         self.samples += 1
         for exporter in self.exporters:
             exporter.export(self.registry, ts=ts)

@@ -146,22 +146,18 @@ def build_run_report(
     ``degradation`` are always present (``None`` / empty for complete
     ungoverned runs).
     """
+    from repro.obs import NULL_OBS
+
+    obs = obs or NULL_OBS
     counters = dict(result.stats)
     spans: list[dict] = []
-    if obs is not None:
-        registry = getattr(obs, "counters", None)
-        if registry is not None and registry.enabled:
-            merged = registry.snapshot()
-            # Registry totals win where present; stats fills the gaps.
-            counters = {**counters, **merged}
-        tracer = getattr(obs, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            spans = tracer.to_list()
-        heartbeat = getattr(obs, "heartbeat", None)
-        if heartbeat is not None and heartbeat.enabled:
-            counters["heartbeats"] = heartbeat.beats
-    profiler = getattr(obs, "profile", None) if obs is not None else None
-    recorder = getattr(obs, "recorder", None) if obs is not None else None
+    if obs.counters.enabled:
+        # Registry totals win where present; stats fills the gaps.
+        counters = {**counters, **obs.counters.snapshot()}
+    if obs.tracer.enabled:
+        spans = obs.tracer.to_list()
+    if obs.heartbeat.enabled:
+        counters["heartbeats"] = obs.heartbeat.beats
 
     report: dict[str, Any] = {
         "format": RUN_REPORT_FORMAT,
@@ -192,13 +188,13 @@ def build_run_report(
         # counts must sum exactly to `count`
         # (validate_run_report checks this).
         report["shards"] = dict(shards)
-    if recorder is not None and recorder.enabled and recorder.recorded:
+    if obs.recorder.enabled and obs.recorder.recorded:
         # The flight-recorder tail rides in every instrumented report, so
         # a stopped/faulted run's post-mortem is one document.
-        report["recorder"] = recorder.as_dict()
-    if profiler is not None and profiler.enabled:
+        report["recorder"] = obs.recorder.as_dict()
+    if obs.profile.enabled:
         order = list(plan.order) if plan is not None else None
-        report["profile"] = profiler.as_dict(order)
+        report["profile"] = obs.profile.as_dict(order)
     if plan is not None:
         report["plan"] = plan_summary(plan)
     if pattern is not None:

@@ -232,6 +232,17 @@ class TestPinFirstPlans:
         assert engine.store.layout_version == layout
         assert engine.session.cache_misses == misses
 
+    def test_closed_matchers_give_their_cache_share_back(self):
+        """Registering and closing a 3-edge standing path 100 times leaves
+        the capacity where it started; a second close is a no-op."""
+        engine = CSCE(make_random_graph(30, 60, seed=5))
+        for _ in range(100):
+            matcher = ContinuousMatcher(engine, path(4))
+            assert engine.session.cache_size == 64 + 4
+            matcher.close()
+        matcher.close()
+        assert engine.session.cache_size == 64
+
     def test_prefix_off_the_pattern_edges_fails_verification(self):
         """The verifier's connectivity check covers prefixed orders: a
         prefix of two non-adjacent vertices is disconnected under GCF."""

@@ -158,3 +158,42 @@ class TestVertexInducedCounting:
             engine.match(tri, "edge_induced", count_only=True).count
             == engine.match(tri, "vertex_induced", count_only=True).count
         )
+
+
+class TestRegionFrontier:
+    def test_frontier_getter_reads_the_frontier_images(self):
+        # The compiled getter of every region the counter can key must
+        # read exactly the images of the region's sorted dependency
+        # frontier (the outside priors its ops name).
+        import random
+
+        from repro.graph.patterns import CATALOG
+
+        engine = CSCE(make_random_graph(40, 120, num_labels=2, seed=8))
+        rng = random.Random(2)
+        sizes = set()
+        for name in sorted(CATALOG):
+            for variant in ("homomorphic", "edge_induced"):
+                physical = engine.session.compile(CATALOG[name](), variant).physical
+                plan, table = physical.logical, physical.regions
+                n = len(physical.ops)
+                assignment = rng.sample(range(1000), n)
+                for k in range(n):
+                    for group in table.groups(tuple(range(k, n))):
+                        members = {plan.order[p] for p in group}
+                        frontier = sorted(
+                            {
+                                prior
+                                for p in group
+                                for prior in plan.memo_priors[p]
+                                if prior not in members
+                            }
+                        )
+                        images = tuple(assignment[v] for v in frontier)
+                        getter, _ = table.frontier(group)
+                        key = getter(assignment)
+                        if len(frontier) == 1:
+                            key = (key,)
+                        assert key == images, (name, variant, group)
+                        sizes.add(min(len(frontier), 2))
+        assert sizes == {0, 1, 2}

@@ -6,6 +6,8 @@ satellite fixes riding on the engine PR (throughput epsilon, plan-time
 clamp, seed+restriction interaction).
 """
 
+import dataclasses
+import random
 import sys
 import time
 
@@ -31,6 +33,7 @@ import repro.engine.executor as executor_module
 from repro.engine.results import STOP_EMBEDDING_LIMIT
 from repro.errors import PlanError
 from repro.graph import Graph
+from repro.graph.patterns import CATALOG
 from repro.testing import FaultInjector, slowdown
 
 from conftest import brute_count, make_random_graph
@@ -102,6 +105,46 @@ class TestCompiler:
         assert pinned.ops[position[0]].pin == 3
         # Rebinding back to no-seed state reuses the same compiled ops.
         assert pinned.logical is physical.logical
+
+    def test_with_seed_copies_only_pinned_ops(self, engine):
+        plan = engine.build_plan(small_pattern(), "edge_induced")
+        physical = compile_plan(plan)
+        assert physical.regions is not None  # cached on the original
+        pinned = physical.with_seed({0: 3})
+        assert "regions" not in pinned.__dict__
+        for op, copy in zip(physical.ops, pinned.ops):
+            if op.u == 0:
+                assert copy is not op and copy.pin == 3
+                assert copy.memo_key is op.memo_key
+                assert copy == dataclasses.replace(op, pin=3)
+            else:
+                assert copy is op
+        unpinned = pinned.with_seed(None)
+        assert not unpinned.has_pins
+        assert unpinned.ops == physical.ops
+        assert physical.ops[0].pin is None  # the original is untouched
+
+    def test_memo_key_reads_the_prior_images(self, engine):
+        # The compiled key is itemgetter's reading of the priors: the
+        # images tuple for two or more, the bare image for one, () for
+        # none. Every catalog plan's ops must agree with the tuple.
+        rng = random.Random(4)
+        seen = set()
+        for name in sorted(CATALOG):
+            pattern = CATALOG[name]()
+            for variant in ("edge_induced", "homomorphic"):
+                physical = compile_plan(engine.build_plan(pattern, variant))
+                n = len(physical.ops)
+                for _ in range(3):
+                    assignment = rng.sample(range(1000), n)
+                    for op in physical.ops:
+                        images = tuple(assignment[p] for p in op.priors)
+                        key = op.memo_key(assignment)
+                        if len(op.priors) == 1:
+                            key = (key,)
+                        assert key == images, (name, variant, op.pos)
+                        seen.add(min(len(op.priors), 2))
+        assert seen == {0, 1, 2}
 
     def test_static_pool_view_shared_across_plans(self):
         # Unlabeled: every root pool is the one cluster's row index, so

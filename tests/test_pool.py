@@ -132,9 +132,9 @@ class TestWorkUnits:
         assert total == seq.count
 
     def test_split_after_memo_hit_keeps_memo_whole(self, engine):
-        # The depth-0 frame is filled from a memo hit; stealing its back
-        # half truncates the frame's list in place, which must not reach
-        # the memoized candidate list the next hit returns.
+        # The depth-0 frame is the memoized tuple itself; stealing its
+        # back half rebinds the frame, which must leave the memoized
+        # candidate list the next hit returns whole.
         physical, opts = compiled(
             engine, CATALOG["path4"](), "homomorphic", max_embeddings=5
         )
@@ -148,7 +148,7 @@ class TestWorkUnits:
             state = SearchState.fresh(n)
             count_capped(physical, runtime, state)
             assert computer.stats.memo_hits >= 1
-            assert state.values[0] == whole
+            assert list(state.values[0]) == whole
             donated = split_search_state(
                 state, False, tuple(op.u for op in physical.ops)
             )
@@ -477,6 +477,19 @@ class TestCappedPool:
 # Checkpoint sharding and pool resume
 # ---------------------------------------------------------------------------
 class TestPoolCheckpoints:
+    def test_pool_checkpoint_dir_needs_workers(self, tmp_path):
+        # One worker never runs the pool, so nothing would ever be
+        # written to the directory: refuse it instead of returning a
+        # stopped run with no checkpoint.
+        engine = CSCE(make_random_graph(60, 300, seed=3))
+        cp_dir = tmp_path / "shards"
+        with pytest.raises(ValueError, match="workers > 1"):
+            engine.match(
+                CATALOG["path4"](), count_only=True, max_embeddings=10,
+                pool_checkpoint_dir=str(cp_dir),
+            )
+        assert not cp_dir.exists() or not any(cp_dir.iterdir())
+
     def test_checkpoint_resume_round_trip(self, engine, tmp_path):
         pattern = CATALOG["square"]()
         seq = engine.match(pattern, "homomorphic", count_only=True)
