@@ -85,9 +85,15 @@ class CandidateComputer:
         #: per-depth memo hit/miss events; ``None`` keeps the hot path free.
         self._profile = profile
         self._memo: dict[tuple, tuple[int, ...]] = {}
+        #: The factorized counter's region counts, keyed on (region node,
+        #: frontier images, colliding used vertices): kept here, beside
+        #: the candidate memo, so the memory ladder reaches both. The
+        #: counter stores into it only below ``memo_limit``.
+        self.region_memo: dict[tuple, int] = {}
 
     def clear(self) -> None:
         self._memo.clear()
+        self.region_memo.clear()
 
     @property
     def memo_size(self) -> int:
@@ -95,30 +101,34 @@ class CandidateComputer:
         return len(self._memo)
 
     def evict(self, fraction: float = 0.5) -> int:
-        """Drop the oldest ``fraction`` of memo entries; returns how many.
+        """Drop the oldest ``fraction`` of each memo's entries; returns how
+        many in all.
 
-        The memo is an insertion-ordered dict, so dropping the front is an
+        The memos are insertion-ordered dicts, so dropping the front is an
         LRU approximation (old entries were keyed by prior assignments the
         search has likely backtracked past). Like CEMR's redundant
         extensions, every memo entry is a pure cache — dropping any subset
         only costs recomputation, never correctness — which is what makes
         degrade-under-pressure safe.
         """
-        n = int(len(self._memo) * fraction)
-        if n <= 0:
-            return 0
-        for key in list(self._memo.keys())[:n]:
-            del self._memo[key]
-        return n
+        evicted = 0
+        for memo in (self._memo, self.region_memo):
+            n = max(0, int(len(memo) * fraction))
+            for key in list(memo)[:n]:
+                del memo[key]
+            evicted += n
+        return evicted
 
     def disable_memo(self) -> None:
-        """Turn memoization off for the rest of the run and free the cache
-        (the degradation ladder's second rung). Candidate computation
-        continues uncached; ``memo_misses`` stops advancing so the stats
-        still distinguish degraded runs from ``use_sce=False`` runs only
-        by their nonzero history."""
+        """Turn memoization off for the rest of the run and free both
+        caches (the degradation ladder's second rung). Candidate
+        computation continues uncached and the counter stores no region
+        count (``memo_limit`` drops to 0); ``memo_misses`` stops advancing
+        so the stats still distinguish degraded runs from ``use_sce=False``
+        runs only by their nonzero history."""
         self.use_sce = False
-        self._memo.clear()
+        self.memo_limit = 0
+        self.clear()
 
     def raw(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
         """The sorted raw candidate tuple of ``op.u`` under the current

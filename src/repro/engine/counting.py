@@ -10,81 +10,52 @@ Under the injective variants the product is only sound when sibling regions
 cannot compete for the same data vertices. Candidates always carry their
 pattern vertex's label, so regions with disjoint label sets are safe —
 exactly Definition 1's observation that ``C \\ {v_x} = C`` when labels
-differ. Regions sharing labels are merged and enumerated jointly. The
-splits depend only on the plan and come from its
-:class:`~repro.engine.physical.RegionTable`, computed once per plan.
+differ. Regions sharing labels are merged and enumerated jointly.
 
-Region counts are memoized on (region, images of its dependency frontier,
-the used data vertices that could collide with it), so identical subproblems
-across sibling mappings are solved once — SCE's "all succeed or fail the
-same way" reuse.
+Everything that depends only on the plan is resolved once, into the plan's
+:class:`~repro.engine.physical.RegionProgram` (built by its
+:class:`~repro.engine.physical.RegionTable` on the first count and kept
+with the plan in the session cache): one node per positions tuple the
+count can reach, each a sequential step (scan one op's candidates, count
+the rest under each), a bulk leaf (one position: its survivor count), or a
+product of independent regions with their compiled frontier getters and
+label sets.
 
-Like the enumeration executor, the counter is **iterative**: each
-``count(positions)`` activation of the old recursion is an explicit frame —
-a *sequential* frame scanning one op's candidates, or a *product* frame
-multiplying independent group counts — on a heap-allocated stack (a
-single-position region returns its survivor count without a frame), and time
-limits are cooperative (the partial top-level count is returned with a
-``stop_reason``, never an exception).
+Region counts are memoized on (region node, images of its dependency
+frontier, the used data vertices that could collide with it; the last part
+only under the injective variants), so identical subproblems across sibling
+mappings are solved once — SCE's "all succeed or fail the same way" reuse.
+The memo lives on the run's candidate computer, beside the candidate memo,
+so the memory ladder evicts and disables both.
+
+Like the enumeration executor, the counter is **iterative**: one ``while``
+loop walks the program with its per-run state in node-indexed arrays (a
+node is never active twice at once, as every node's positions strictly
+contain those of the nodes below it), and time limits are cooperative (the
+partial top-level count is returned with a ``stop_reason``, never an
+exception).
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from repro.engine.executor import Runtime, leaf_count
+from repro.engine.executor import Runtime
 from repro.engine.governor import RunLimits
-from repro.engine.physical import PhysicalPlan
+from repro.engine.physical import PROD, SEQ, PhysicalPlan
 from repro.engine.results import MatchOptions
 from repro.obs import search_state_fraction
 
-_SEQ = 0
-_PROD = 1
-#: The used-vertex part of every region-memo key under a non-injective
-#: variant, where sibling regions never compete for data vertices.
-_NO_USED: frozenset[int] = frozenset()
 
-
-class _Frame:
-    """One suspended ``count(positions)`` activation."""
-
-    __slots__ = (
-        "kind",
-        "acc",
-        "awaiting",
-        "top_level",
-        # sequential frames: scan one op's candidate list
-        "pos",
-        "u",
-        "rest",
-        "values",
-        "index",
-        # product frames: multiply independent group counts
-        "groups",
-        "group_index",
-        "pending_key",
-    )
-
-    def __init__(self, kind: int, top_level: bool = False) -> None:
-        self.kind = kind
-        self.acc = 0 if kind == _SEQ else 1
-        self.awaiting = False
-        self.top_level = top_level
-        self.pending_key = None
-
-
-def _stack_fraction(stack: list[_Frame]) -> float:
-    """Explored fraction read off the counter's frame stack. Only the
-    top-level chain of sequential frames contributes (a product frame ends
-    the chain: its groups have no defined scan order), which still yields
-    a monotone, conservative estimate."""
-    chain: list[_Frame] = []
-    for frame in stack:
-        if frame.kind != _SEQ:
-            break
-        chain.append(frame)
+def _chain_fraction(
+    chain: tuple[int, ...], values: list, index: list[int]
+) -> float:
+    """Explored fraction read off the counter's node arrays. Only the
+    top-level sequential chain contributes (a product ends it: its regions
+    have no defined scan order), which still yields a monotone,
+    conservative estimate; an inactive node's ``values`` is ``None``."""
     return search_state_fraction(
-        [frame.values for frame in chain], [frame.index for frame in chain]
+        [values[node] for node in chain], [index[node] for node in chain]
     )
 
 
@@ -94,12 +65,15 @@ class FactorizedCounter:
     Runs on the executor's :class:`~repro.engine.executor.Runtime`: ticks,
     limits, governance, heartbeats, the flight recorder and every stats
     counter are the runtime's, and the top-level count so far is its
-    ``emitted``. The counter adds the region split, the product frames
-    and the group memo.
+    ``emitted``. The region memo is the runtime's candidate computer's
+    (:attr:`~repro.engine.candidates.CandidateComputer.region_memo`), so
+    the memory ladder evicts and disables it with the candidate memo. The
+    counter adds the loop over the plan's
+    :class:`~repro.engine.physical.RegionProgram`.
 
     Only sound for unseeded, unrestricted counting — the eligibility gate
-    lives in :func:`repro.engine.executor.execute_physical`. Region splits
-    come from the plan's :class:`~repro.engine.physical.RegionTable`.
+    lives in :func:`repro.engine.executor.execute_physical`. The program
+    comes from the plan's :class:`~repro.engine.physical.RegionTable`.
     """
 
     def __init__(
@@ -118,171 +92,191 @@ class FactorizedCounter:
         self.injective = plan.variant.injective
         self.assignment = [-1] * plan.num_vertices
         self.used: set[int] = set()
-        self._group_memo: dict[tuple, int] = {}
-        self._memo_limit = options.memo_limit
 
     # ------------------------------------------------------------------
     def count(self) -> int:
         """Total embedding count (partial top-level count on a stop), also
         left in ``runtime.emitted``.
 
+        One loop over the region program. ``node`` is the node to enter
+        next, or ``-1`` to hand ``retval`` back to the active node on top
+        of ``stack``. A ``SEQ`` node keeps its candidate list, scan cursor
+        and running sum in ``values``/``index``/``acc``; a ``PROD`` node
+        keeps its next region in ``index``, its running product in ``acc``
+        and the memo key of the region it awaits in ``pending``.
+
         On an early stop (deadline, memory suspension, cancellation) the
-        partial count is the last *committed* top-level sequential
-        accumulation — it never overcounts, but if the top-level frame is
-        a product (``_PROD``) the in-flight product is discarded, so the
-        partial count can lag the work done. The same value flows into the
-        exception, the :class:`~repro.engine.results.MatchResult`, and the
-        run-report (the ``partial_count`` consistency contract)."""
+        partial count is the last *committed* top-level accumulation —
+        it never overcounts, but if the root is a product the in-flight
+        product is discarded, so the partial count can lag the work done.
+        The same value flows into the exception, the
+        :class:`~repro.engine.results.MatchResult`, and the run-report (the
+        ``partial_count`` consistency contract)."""
         runtime = self.runtime
         if self.physical.impossible() or not runtime.preflight():
             return 0
-        stack: list[_Frame] = []
-        # The probe holds the stack, not the counter, so the runtime never
-        # points back at the counter (and its memo) after the count.
-        runtime.probe = partial(_stack_fraction, stack)
-        retval = self._enter(tuple(range(len(self.ops))), stack, top_level=True)
-        while stack and runtime.stop_reason is None:
-            frame = stack[-1]
-            if frame.kind == _SEQ:
-                retval = self._step_seq(frame, stack, retval)
+        program = self.regions.program(self.use_sce)
+        root = program.root
+        if root < 0:
+            runtime.emitted = 1
+            return 1
+        kind, pos_of, child, parts = (
+            program.kind, program.pos, program.child, program.parts
+        )
+        acc = [0] * program.size
+        values: list = [None] * program.size
+        index = [0] * program.size
+        pending: list = [None] * program.size
+        # The probe holds the arrays, not the counter, so the runtime never
+        # points back at the counter after the count.
+        runtime.probe = partial(_chain_fraction, program.chain, values, index)
+        # Hot path: everything the loop touches is bound to locals.
+        ops = self.ops
+        order = self.plan.order
+        computer = runtime.computer
+        raw = computer.raw
+        memo = computer.region_memo
+        profile = runtime.profile
+        ticking = runtime.ticking
+        tick_interval = runtime.tick_interval
+        injective = self.injective
+        data_labels = self.plan.task_clusters.data_vertex_labels
+        assignment = self.assignment
+        used = self.used
+        stack: list[int] = []
+        node = root
+        retval = 0
+        while True:
+            if node >= 0:
+                # Enter a node.
+                node_kind = kind[node]
+                if node_kind == PROD:
+                    runtime.factorizations += 1
+                    acc[node] = 1
+                    index[node] = 0
+                    stack.append(node)
+                    top = node
+                    returning = False
+                else:
+                    pos = pos_of[node]
+                    runtime.nodes += 1
+                    if (
+                        ticking
+                        and runtime.nodes % tick_interval == 0
+                        and not runtime.tick(pos, "count")
+                    ):
+                        break
+                    candidates = raw(ops[pos], assignment)
+                    if profile is not None:
+                        profile.visit(pos, len(candidates))
+                    if node_kind == SEQ:
+                        values[node] = candidates
+                        index[node] = 0
+                        acc[node] = 0
+                        stack.append(node)
+                        top = node
+                        returning = False
+                    else:
+                        # Bulk leaf: the region's count is its survivor
+                        # count, with the prunes and backtrack a
+                        # per-candidate scan would record (what
+                        # executor.leaf_count gives without restrictions).
+                        retval = len(candidates)
+                        if used:
+                            pruned = len(used.intersection(candidates))
+                            runtime.prunes_injective += pruned
+                            retval -= pruned
+                        if not retval:
+                            runtime.backtracks += 1
+                            if profile is not None:
+                                profile.backtrack(pos)
+                        if not stack:
+                            break
+                        top = stack[-1]
+                        returning = True
             else:
-                retval = self._step_prod(frame, stack, retval)
+                if not stack:
+                    break
+                top = stack[-1]
+                returning = True
+            if kind[top] == SEQ:
+                u = order[pos_of[top]]
+                total = acc[top]
+                if returning:
+                    # A child finished counting the rest under the current
+                    # value.
+                    total += retval
+                    acc[top] = total
+                    if injective:
+                        used.discard(assignment[u])
+                    assignment[u] = -1
+                    if top == root:
+                        runtime.emitted = total
+                vals = values[top]
+                i = index[top]
+                chosen = -1
+                while i < len(vals):
+                    v = vals[i]
+                    i += 1
+                    if injective and v in used:
+                        runtime.prunes_injective += 1
+                        continue
+                    chosen = v
+                    break
+                index[top] = i
+                if chosen < 0:
+                    if total == 0:
+                        runtime.backtracks += 1
+                        if profile is not None:
+                            profile.backtrack(pos_of[top])
+                    values[top] = None
+                    stack.pop()
+                    retval = total
+                    node = -1
+                    continue
+                assignment[u] = chosen
+                if injective:
+                    used.add(chosen)
+                node = child[top]
+                continue
+            # A product node: multiply its regions' counts, from the memo
+            # where a region was counted under the same frontier images
+            # (and, when injective, the same colliding used vertices).
+            product = acc[top]
+            if returning:
+                if len(memo) < computer.memo_limit:
+                    memo[pending[top]] = retval
+                product *= retval
+            regions = parts[top]
+            i = index[top]
+            node = -1
+            while product and i < len(regions):
+                region, frontier, labels = regions[i]
+                i += 1
+                if injective:
+                    key = (
+                        region,
+                        frontier(assignment),
+                        frozenset(v for v in used if data_labels[v] in labels),
+                    )
+                else:
+                    key = (region, frontier(assignment))
+                cached = memo.get(key)
+                if cached is None:
+                    pending[top] = key
+                    node = region
+                    break
+                runtime.group_memo_hits += 1
+                product *= cached
+            if node >= 0:
+                index[top] = i
+                acc[top] = product
+                continue
+            stack.pop()
+            retval = product
         if runtime.stop_reason is None:
             runtime.emitted = retval
         return runtime.emitted
-
-    # ------------------------------------------------------------------
-    def _enter(
-        self, positions: tuple[int, ...], stack: list[_Frame], top_level: bool = False
-    ) -> int | None:
-        """Start counting ``positions``: resolve trivially (returning the
-        value) or push the appropriate frame (returning ``None``, also
-        when the tick stopped the run)."""
-        if not positions:
-            return 1
-        if self.use_sce and len(positions) > 1:
-            groups = self.regions.groups(positions)
-            if len(groups) > 1:
-                self.runtime.factorizations += 1
-                frame = _Frame(_PROD)
-                frame.groups = groups
-                frame.group_index = 0
-                stack.append(frame)
-                return None
-        # Sequential step: scan the first position's candidates.
-        pos = positions[0]
-        runtime = self.runtime
-        runtime.nodes += 1
-        if (
-            runtime.ticking
-            and runtime.nodes % runtime.tick_interval == 0
-            and not runtime.tick(pos, "count")
-        ):
-            return None
-        op = self.ops[pos]
-        candidates = runtime.computer.raw(op, self.assignment)
-        if runtime.profile is not None:
-            runtime.profile.visit(pos, len(candidates))
-        if len(positions) == 1:
-            # Bulk leaf: the region's count is its survivor count, with
-            # the prunes and backtrack a per-candidate scan would record.
-            kept, pruned, _ = leaf_count(candidates, self.used, (), self.assignment)
-            runtime.prunes_injective += pruned
-            if not kept:
-                runtime.backtracks += 1
-                if runtime.profile is not None:
-                    runtime.profile.backtrack(pos)
-            return kept
-        frame = _Frame(_SEQ, top_level=top_level)
-        frame.pos = pos
-        frame.u = op.u
-        frame.rest = positions[1:]
-        frame.values = candidates
-        frame.index = 0
-        stack.append(frame)
-        return None
-
-    def _step_seq(
-        self, frame: _Frame, stack: list[_Frame], retval: int | None
-    ) -> int | None:
-        if frame.awaiting:
-            # A child finished counting the rest under the current value.
-            frame.acc += retval
-            v = self.assignment[frame.u]
-            if self.injective:
-                self.used.discard(v)
-            self.assignment[frame.u] = -1
-            frame.awaiting = False
-            if frame.top_level:
-                self.runtime.emitted = frame.acc
-        vals = frame.values
-        i = frame.index
-        chosen = -1
-        while i < len(vals):
-            v = vals[i]
-            i += 1
-            if self.injective and v in self.used:
-                self.runtime.prunes_injective += 1
-                continue
-            chosen = v
-            break
-        frame.index = i
-        if chosen < 0:
-            if frame.acc == 0:
-                runtime = self.runtime
-                runtime.backtracks += 1
-                if runtime.profile is not None:
-                    runtime.profile.backtrack(frame.pos)
-            stack.pop()
-            return frame.acc
-        self.assignment[frame.u] = chosen
-        if self.injective:
-            self.used.add(chosen)
-        frame.awaiting = True
-        return self._enter(frame.rest, stack)
-
-    def _step_prod(
-        self, frame: _Frame, stack: list[_Frame], retval: int | None
-    ) -> int | None:
-        if frame.awaiting:
-            if len(self._group_memo) < self._memo_limit:
-                self._group_memo[frame.pending_key] = retval
-            frame.acc *= retval
-            frame.awaiting = False
-            if frame.acc == 0:
-                stack.pop()
-                return 0
-        if frame.group_index >= len(frame.groups):
-            stack.pop()
-            return frame.acc
-        group = frame.groups[frame.group_index]
-        frame.group_index += 1
-        key = self._group_key(group)
-        cached = self._group_memo.get(key)
-        if cached is not None:
-            self.runtime.group_memo_hits += 1
-            frame.acc *= cached
-            if frame.acc == 0:
-                stack.pop()
-                return 0
-            return retval
-        frame.pending_key = key
-        frame.awaiting = True
-        return self._enter(group, stack)
-
-    # ------------------------------------------------------------------
-    def _group_key(self, positions: tuple[int, ...]) -> tuple:
-        """Memo key of one independent region: its dependency-frontier
-        images plus the used data vertices that could collide with it."""
-        frontier_images, group_labels = self.regions.frontier(positions)
-        if self.injective:
-            data_labels = self.plan.task_clusters.data_vertex_labels
-            relevant_used = frozenset(
-                v for v in self.used if data_labels[v] in group_labels
-            )
-        else:
-            relevant_used = _NO_USED
-        return (positions, frontier_images(self.assignment), relevant_used)
 
 
 def count_physical(

@@ -32,7 +32,8 @@ at compile time instead of per search-tree node:
   pin-first plan per pattern edge across every pin onto that edge);
 * the independent-region splits the factorized counter multiplies over
   (:class:`RegionTable`) are computed once per plan, lazily, on the first
-  exact count that asks.
+  exact count that asks, and compiled into the counter's region tree
+  (:class:`RegionProgram`) on the first count that runs it.
 
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
@@ -230,6 +231,51 @@ class PhysicalPlan:
         )
 
 
+#: Region-program node kinds (:class:`RegionProgram`).
+SEQ = 0
+LEAF = 1
+PROD = 2
+
+
+@dataclass(frozen=True)
+class RegionProgram:
+    """The factorized counter's region tree, compiled once per plan.
+
+    One node per positions tuple the counter can reach from the whole
+    order, numbered from ``root`` (node 0; ``-1`` for an empty pattern),
+    in node-indexed tuples:
+
+    * ``kind`` — :data:`SEQ` scans the candidates of ``pos`` and counts
+      ``child`` (the remaining positions) under each; :data:`LEAF` is one
+      position, counted in bulk; :data:`PROD` multiplies independent
+      regions;
+    * ``pos`` — the op position a ``SEQ``/``LEAF`` node extends (-1 for a
+      product);
+    * ``child`` — a ``SEQ`` node's child node (-1 otherwise);
+    * ``parts`` — a ``PROD`` node's regions as ``(node, frontier, labels)``
+      triples: the region's node, a compiled getter of its dependency
+      frontier's images (:func:`prior_getter`) and its vertex labels, what
+      the region-memo key reads besides the used vertices.
+
+    A node's positions strictly contain those of every node below it, so
+    no node is ever active twice at once and per-run state can live in
+    node-indexed arrays. ``chain`` is the top-level sequential chain: the
+    root and its ``SEQ`` descendants through ``child`` up to the first
+    product or leaf, the nodes the progress probe reads.
+    """
+
+    root: int
+    kind: tuple[int, ...]
+    pos: tuple[int, ...]
+    child: tuple[int, ...]
+    parts: tuple[tuple[tuple[int, Callable[[list[int]], Any], frozenset], ...], ...]
+    chain: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.kind)
+
+
 class RegionTable:
     """Independent-region splits of a plan's position sets (paper §V).
 
@@ -243,15 +289,14 @@ class RegionTable:
     The same table decides the counting strategy: the factorized counter
     only ever splits a suffix of the order or a region split off one, so a
     plan none of whose suffixes split (:attr:`factorizes` false) counts
-    exactly like the frame machine and is routed there.
+    exactly like the frame machine and is routed there. It also compiles
+    the counter's :class:`RegionProgram`, once per ``use_sce`` setting.
     """
 
     def __init__(self, plan: Plan) -> None:
         self._plan = plan
         self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._frontiers: dict[
-            tuple[int, ...], tuple[Callable[[list[int]], Any], frozenset]
-        ] = {}
+        self._programs: dict[bool, RegionProgram] = {}
 
     def groups(self, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         split = self._splits.get(positions)
@@ -274,31 +319,85 @@ class RegionTable:
             for component in components
         )
 
+    def program(self, use_sce: bool) -> RegionProgram:
+        """The counter's region tree; without ``use_sce`` nothing splits
+        and the program is one sequential chain ending in a leaf."""
+        program = self._programs.get(use_sce)
+        if program is None:
+            program = self._programs[use_sce] = self._compile(use_sce)
+        return program
+
+    def _compile(self, use_sce: bool) -> RegionProgram:
+        """Number the reachable positions tuples breadth-first from the
+        whole order and resolve each one's node (iteratively: a
+        2000-vertex chain is 2000 nodes, not 2000 stack frames)."""
+        plan = self._plan
+        n = plan.num_vertices
+        if n == 0:
+            return RegionProgram(-1, (), (), (), (), ())
+        nodes: list[tuple[int, ...]] = [tuple(range(n))]
+        ids = {nodes[0]: 0}
+
+        def node_of(positions: tuple[int, ...]) -> int:
+            node = ids.get(positions)
+            if node is None:
+                node = ids[positions] = len(nodes)
+                nodes.append(positions)
+            return node
+
+        kind: list[int] = []
+        pos: list[int] = []
+        child: list[int] = []
+        parts: list[tuple] = []
+        # nodes grows while it is scanned: each tuple is resolved once.
+        for positions in nodes:
+            groups = (
+                self.groups(positions)
+                if use_sce and len(positions) > 1
+                else (positions,)
+            )
+            if len(groups) > 1:
+                kind.append(PROD)
+                pos.append(-1)
+                child.append(-1)
+                parts.append(
+                    tuple(
+                        (node_of(group), *self.frontier(group))
+                        for group in groups
+                    )
+                )
+                continue
+            kind.append(SEQ if len(positions) > 1 else LEAF)
+            pos.append(positions[0])
+            child.append(node_of(positions[1:]) if len(positions) > 1 else -1)
+            parts.append(())
+        chain = []
+        node = 0
+        while kind[node] == SEQ:
+            chain.append(node)
+            node = child[node]
+        return RegionProgram(
+            0, tuple(kind), tuple(pos), tuple(child), tuple(parts), tuple(chain)
+        )
+
     def frontier(
         self, positions: tuple[int, ...]
     ) -> tuple[Callable[[list[int]], Any], frozenset]:
         """A region's dependency frontier (the outside vertices its memo
         priors name, sorted), compiled to a getter of their images
-        (:func:`prior_getter`), and its vertex labels: what the factorized
-        counter's region-memo key reads besides the used vertices."""
-        entry = self._frontiers.get(positions)
-        if entry is None:
-            plan = self._plan
-            members = {plan.order[p] for p in positions}
-            frontier = sorted(
-                {
-                    prior
-                    for p in positions
-                    for prior in plan.memo_priors[p]
-                    if prior not in members
-                }
-            )
-            labels = frozenset(plan.pattern.vertex_label(v) for v in members)
-            entry = self._frontiers[positions] = (
-                prior_getter(tuple(frontier)),
-                labels,
-            )
-        return entry
+        (:func:`prior_getter`), and its vertex labels."""
+        plan = self._plan
+        members = {plan.order[p] for p in positions}
+        frontier = sorted(
+            {
+                prior
+                for p in positions
+                for prior in plan.memo_priors[p]
+                if prior not in members
+            }
+        )
+        labels = frozenset(plan.pattern.vertex_label(v) for v in members)
+        return prior_getter(tuple(frontier)), labels
 
     @property
     def suffixes(self) -> int:

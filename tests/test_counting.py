@@ -99,13 +99,13 @@ class TestFactorizationCorrectness:
         physical = CSCE(g).session.compile(p, "homomorphic").physical
         unbounded = FactorizedCounter(physical, MatchOptions(count_only=True))
         assert unbounded.count() == brute_count(g, p, "homomorphic")
-        assert len(unbounded._group_memo) > 1
+        assert len(unbounded.runtime.computer.region_memo) > 1
         counter = FactorizedCounter(
             physical, MatchOptions(count_only=True, memo_limit=memo_limit)
         )
         assert counter.count() == brute_count(g, p, "homomorphic")
         assert counter.runtime.factorizations > 0
-        assert len(counter._group_memo) == memo_limit
+        assert len(counter.runtime.computer.region_memo) == memo_limit
 
 
 class TestDisconnectedPatterns:
@@ -197,3 +197,45 @@ class TestRegionFrontier:
                         assert key == images, (name, variant, group)
                         sizes.add(min(len(frontier), 2))
         assert sizes == {0, 1, 2}
+
+
+class TestRegionProgram:
+    def _spy(self, monkeypatch):
+        from repro.engine.physical import RegionTable
+
+        built = []
+        compile_program = RegionTable._compile
+
+        def spy(table, use_sce):
+            built.append(compile_program(table, use_sce))
+            return built[-1]
+
+        monkeypatch.setattr(RegionTable, "_compile", spy)
+        return built
+
+    def test_program_is_built_once_per_plan(self, monkeypatch):
+        # The region program is compiled on the first exact count and
+        # kept with the session's plan: the second count reuses it.
+        built = self._spy(monkeypatch)
+        engine = CSCE(make_random_graph(30, 80, num_labels=1, seed=5))
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        first = engine.match(star, "homomorphic", count_only=True)
+        second = engine.match(star, "homomorphic", count_only=True)
+        assert first.count == second.count
+        assert first.stats["factorizations"] > 0
+        assert len(built) == 1
+        physical = engine.session.compile(star, "homomorphic").physical
+        assert physical.regions.program(True) is built[0]
+
+    def test_frame_machine_plan_builds_no_program(self, monkeypatch):
+        # An unlabeled injective plan never splits, so its count runs on
+        # the frame machine and no program is compiled.
+        built = self._spy(monkeypatch)
+        engine = CSCE(make_random_graph(30, 80, num_labels=1, seed=5))
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        result = engine.match(star, "edge_induced", count_only=True)
+        assert result.count == engine.match(star, "edge_induced").count > 0
+        assert result.stats["factorizations"] == 0
+        physical = engine.session.compile(star, "edge_induced").physical
+        assert not physical.regions.factorizes
+        assert built == []

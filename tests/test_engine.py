@@ -196,6 +196,26 @@ class TestIterativeExecutor:
         # Contiguous segments of the long path, in either direction.
         assert result.count == 2 * (n - depth + 1)
 
+    def test_deep_factorized_count_no_recursion_limit(self):
+        # A 300-vertex caterpillar (a 150-vertex spine, one leaf per spine
+        # vertex) counted homomorphically into one edge: the factorized
+        # counter's region program and its loop both run with more
+        # positions than the recursion limit. A connected bipartite
+        # pattern has exactly two homomorphisms into an edge.
+        spine = 150
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        edges += [(i, spine + i) for i in range(spine)]
+        p = Graph.from_edges(2 * spine, edges)
+        engine = CSCE(Graph.from_edges(2, [(0, 1)]))
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(250)
+            result = engine.match(p, "homomorphic", count_only=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.count == 2
+        assert result.stats["factorizations"] > 0
+
     @pytest.mark.parametrize("case", ["plain", "restriction", "seed", "cap"])
     @pytest.mark.parametrize(
         "variant", ["edge_induced", "vertex_induced", "homomorphic"]

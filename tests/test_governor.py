@@ -19,6 +19,7 @@ from repro.engine import (
     ResourceGovernor,
     load_checkpoint,
 )
+from repro.engine.candidates import CandidateComputer
 from repro.engine.governor import (
     DEGRADE_DISABLE,
     DEGRADE_EVICT,
@@ -263,11 +264,11 @@ class TestDegradationLadder:
 class TestFactorizedStopConsistency:
     """Satellite: LimitExceeded.partial_count must agree with the result
     count on the factorized (count-only) path, including a time-limit trip
-    inside the ``_PROD`` stack machine."""
+    inside a product node of the counter's region program."""
 
     def _factorizing_task(self):
         # A star pattern over a random graph factorizes into independent
-        # leaf regions (the _PROD frames of the counter).
+        # leaf regions (a PROD node of the counter's region program).
         graph = make_random_graph(40, 120, num_labels=1, seed=11)
         star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         return CSCE(graph), star
@@ -281,8 +282,8 @@ class TestFactorizedStopConsistency:
     def test_time_limit_inside_prod_reports_consistent_partial(self):
         engine, star = self._factorizing_task()
         # Dense ticking (injector installed) + a slowdown on every tick
-        # guarantees the deadline trips mid-count, inside _SEQ/_PROD
-        # frames rather than before the first one.
+        # guarantees the deadline trips mid-count, inside SEQ/PROD
+        # nodes rather than before the first one.
         with FaultInjector(seed=2).on("engine.tick", slowdown(0.002), after=3):
             result = engine.match(
                 star, "homomorphic", count_only=True, time_limit=0.004,
@@ -317,6 +318,45 @@ class TestFactorizedStopConsistency:
         with pytest.raises(EmbeddingLimitExceeded) as exc:
             result.check()
         assert exc.value.partial_count == result.count
+
+
+class TestLadderReachesRegionMemo:
+    """The factorized counter's region memo lives on the candidate
+    computer, so both memory-ladder rungs act on it too."""
+
+    def test_disable_memo_clears_and_stops_the_region_memo(self):
+        from repro.engine.counting import FactorizedCounter
+
+        graph = make_random_graph(60, 400, num_labels=1, seed=3)
+        pattern = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5)])
+        physical = CSCE(graph).session.compile(pattern, "homomorphic").physical
+        full = FactorizedCounter(physical, MatchOptions(count_only=True))
+        expected = full.count()
+        assert full.runtime.computer.region_memo
+        governor = ResourceGovernor(budget=Budget(memory_limit_mb=500.0))
+        injector = FaultInjector().on(
+            "governor.memory", memory_spike(10_000.0), after=5, times=2
+        )
+        with injector:
+            counter = FactorizedCounter(
+                physical, MatchOptions(count_only=True, governor=governor)
+            )
+            count = counter.count()
+        runtime = counter.runtime
+        assert runtime.degradation == [DEGRADE_EVICT, DEGRADE_DISABLE]
+        assert runtime.stop_reason is None
+        assert count == expected
+        assert runtime.factorizations > 0
+        # Both memos are empty and stayed empty for the rest of the run.
+        assert runtime.computer.memo_size == 0
+        assert runtime.computer.region_memo == {}
+
+    def test_evict_halves_the_region_memo(self, engine):
+        physical = engine.session.compile(square(), "homomorphic").physical
+        computer = CandidateComputer(physical)
+        computer.region_memo.update({(node,): node for node in range(10)})
+        assert computer.evict(0.5) == 5
+        assert list(computer.region_memo) == [(node,) for node in range(5, 10)]
 
 
 class _EvictableMemo:

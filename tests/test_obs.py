@@ -278,6 +278,28 @@ class TestHeartbeat:
         assert obs.heartbeat.beats > 0
         assert "count" in lines[0]
 
+    def test_sce_counter_progress_climbs_to_complete(self, monkeypatch):
+        # The counter's progress probe reads the top-level sequential
+        # chain off its node arrays: every tick sees a percent no lower
+        # than the last, some tick sees the run part-way, and the result
+        # of the exhausted count says 100%.
+        monkeypatch.setattr("repro.engine.executor._TIME_CHECK_INTERVAL", 4)
+        percents = []
+        heartbeat = Heartbeat(interval=0.0, emit=lambda line: None)
+        heartbeat.add_listener(
+            lambda snapshot: percents.append(snapshot.progress["percent"])
+        )
+        obs = Observation(trace=False, heartbeat=heartbeat)
+        engine = CSCE(_triangle_fan(20))
+        result = engine.match(
+            _path_pattern(5), "homomorphic", count_only=True, obs=obs
+        )
+        assert result.stats["factorizations"] > 0
+        assert len(percents) > 2
+        assert percents == sorted(percents)
+        assert any(0.0 < p < 100.0 for p in percents)
+        assert result.progress["percent"] == 100.0
+
     def test_baseline_ticks_heartbeat(self, monkeypatch):
         from repro.baselines import BacktrackingMatcher
 

@@ -1,18 +1,19 @@
 """No-recursion pass: the engine's hot paths must stay iterative.
 
 PR 3 deleted the recursive interpreter on purpose: the streaming executor
-and the factorized counter run on explicit frame stacks, so deep patterns
-never hit Python's recursion limit and suspend/resume can serialize the
-whole search state. A recursive helper sneaking back into
-``repro.engine.executor`` or ``repro.engine.counting`` would silently
-reintroduce both failure modes.
+and the factorized counter run on explicit frame stacks and node arrays,
+so deep patterns never hit Python's recursion limit and suspend/resume can
+serialize the whole search state. A recursive helper sneaking back into
+the engine modules in :data:`SCOPES` (the executor, the counter, the
+physical-plan compiler that builds its region program, the pool and its
+work units) would silently reintroduce both failure modes.
 
 The check builds a name-based intra-module call graph — module-level
 functions called by bare name, methods called through ``self.`` within
 their class — and flags every function on a call-graph cycle (including
 direct self-calls). Name-based resolution is deliberately conservative:
 it cannot see dynamic dispatch, but the hot paths are plain functions and
-the false-positive risk within two files is negligible.
+the false-positive risk within these files is negligible.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from tools.reprolint import LintContext, LintPass, Violation, register
 SCOPES = (
     "src/repro/engine/executor.py",
     "src/repro/engine/counting.py",
+    "src/repro/engine/physical.py",
     "src/repro/engine/pool.py",
     "src/repro/engine/workunit.py",
 )
@@ -144,7 +146,8 @@ def _cycle_members(graph: dict[FuncKey, tuple[int, set[FuncKey]]]) -> set[FuncKe
 class NoRecursionPass(LintPass):
     name = "no_recursion"
     description = (
-        "engine hot paths (executor, counting) must stay recursion-free:"
+        "engine hot paths (executor, counting, physical, pool, workunit)"
+        " must stay recursion-free:"
         " no function may sit on an intra-module call-graph cycle"
     )
 
