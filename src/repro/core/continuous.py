@@ -24,6 +24,14 @@ through the rule. Nothing is materialized or deduplicated; callers that
 want the mappings run the seeded primitive itself
 (``CSCE.match(pattern, variant, seed=...)``).
 
+A delta is **one run**: all of its pins search on one
+:class:`~repro.engine.executor.Runtime`, so the delta resolves its limits
+once, an embedding cap or deadline bounds the delta as a whole, and its
+stats, trace span and flight-recorder events are those of one run. The
+candidate kernel resolves each pinned position by membership
+(:class:`~repro.engine.candidates.CandidateComputer`), so a pin costs no
+memo probe, intersection or sort.
+
 Each pin runs a **pin-first plan**: one plan per pinned pattern edge,
 whose order starts with that edge's two endpoints (Graphflow compiles one
 delta plan per pattern edge the same way). Reusing the standing query's
@@ -34,7 +42,9 @@ prefix (:class:`ContinuousMatcher` compiles them at registration, so a
 delta hits the cache unless the update changed the store's layout, see
 :attr:`~repro.ccsr.store.CCSRStore.layout_version`). Each pin rebinds its
 edge's plan with :meth:`~repro.engine.PhysicalPlan.with_seed`; both
-orientations of an undirected data edge share it — no replanning per pin.
+orientations of an undirected data edge share it — no replanning per pin
+— and share its candidate memo, which the delta clears when it moves on
+to the next pattern edge's plan (memo keys hold per-plan spec ids).
 """
 
 from __future__ import annotations
@@ -43,12 +53,12 @@ from dataclasses import dataclass, field
 
 from repro.core.csce import CSCE
 from repro.core.variants import Variant
-from repro.engine.executor import Runtime, execute_physical, stream
-from repro.engine.governor import RunLimits, run_limits
+from repro.engine.executor import Runtime, count_capped, stream
+from repro.engine.governor import run_limits
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import MatchOptions, raise_stop
 from repro.graph.model import Edge, Graph
-from repro.obs import STAT_KEYS
+from repro.obs import NULL_OBS
 
 
 @dataclass
@@ -59,12 +69,12 @@ class DeltaResult:
     count: int
     pins_tried: int
     stats: dict = field(default_factory=dict)
-    """Unified search counters summed over every pinned run (the same key
-    set as :attr:`repro.engine.results.MatchResult.stats`)."""
+    """Unified search counters of the delta's one run over all its pins
+    (the same key set as :attr:`repro.engine.results.MatchResult.stats`)."""
 
     stop_reason: str | None = None
-    """Why the delta stopped early (a pinned run hit a governor limit or
-    the cancel token tripped), or ``None`` for a complete delta. A partial
+    """Why the delta stopped early (it hit a governor limit or the cancel
+    token tripped), or ``None`` for a complete delta. A partial
     delta's ``count`` undercounts the true delta — callers must not fold
     it into standing totals (see :class:`ContinuousMatcher`)."""
 
@@ -109,32 +119,24 @@ def _compatible_pins(pattern: Graph, data_labels, edge: Edge) -> list[Pin]:
 
 def _count_first_claims(
     physical: PhysicalPlan,
-    options: MatchOptions,
-    limits: RunLimits,
+    runtime: Runtime,
     edge: Edge,
     earlier: tuple[tuple[int, int], ...],
-) -> tuple[int, dict, str | None]:
-    """Stream a pinned homomorphic run under ``limits`` and count the
-    embeddings that map none of the ``earlier`` pattern edges onto
-    ``edge``; returns the count, the run's stats and its stop reason."""
+) -> int:
+    """Stream a pinned homomorphic search on the delta's ``runtime`` and
+    count the embeddings that map none of the ``earlier`` pattern edges
+    onto ``edge``."""
     a, b = edge.src, edge.dst
     undirected = not edge.directed
-    runtime = Runtime(physical, options, limits)
     kept = 0
-    try:
-        for image in stream(physical, runtime):
-            for x, y in earlier:
-                fx, fy = image[x], image[y]
-                if (fx == a and fy == b) or (undirected and fx == b and fy == a):
-                    break
-            else:
-                kept += 1
-    finally:
-        runtime.release()
-    stats = runtime.stats()
-    if options.obs is not None:
-        options.obs.counters.merge(stats)
-    return kept, stats, runtime.stop_reason
+    for image in stream(physical, runtime):
+        for x, y in earlier:
+            fx, fy = image[x], image[y]
+            if (fx == a and fy == b) or (undirected and fx == b and fy == a):
+                break
+        else:
+            kept += 1
+    return kept
 
 
 def embeddings_containing_edge(
@@ -149,50 +151,78 @@ def embeddings_containing_edge(
     """Count the embeddings of ``pattern`` that map some pattern edge onto
     ``edge`` (which must already be present in the engine's store).
 
-    ``obs`` instruments every pinned run; the returned ``stats`` sums the
-    unified counters over all pins. ``time_limit`` and the ``governor``
-    budget bound the whole delta: its limits resolve once and every pin
-    runs under them. A limit or tripped cancel token ends the delta early:
-    remaining pins are skipped and the result carries the triggering
-    ``stop_reason`` (partial, do not trust the delta count).
+    The delta is one run: every pin searches on one
+    :class:`~repro.engine.executor.Runtime`, so ``time_limit`` and the
+    ``governor`` budget resolve once and bound the whole delta, and an
+    embedding cap counts the embeddings of all its pins together (under
+    the first-claim rule, every embedding a pin's search reaches, also
+    those it leaves to an earlier pin). A limit or tripped cancel token
+    ends the delta early: remaining pins are skipped and the result
+    carries the triggering ``stop_reason`` (partial, do not trust the
+    delta count). ``obs`` instruments the run: one ``execute`` span, one
+    ``run_start``/``run_end`` recorder pair, and the returned ``stats``
+    (the unified counters of the whole delta) merged into its counters
+    once.
     """
     variant = Variant.parse(variant)
-    obs = obs or engine.obs
+    obs = obs or engine.obs or NULL_OBS
     pins = _compatible_pins(pattern, engine.store.vertex_labels, edge)
-    count = 0
-    stats: dict[str, int] = dict.fromkeys(STAT_KEYS, 0)
-    stop_reason: str | None = None
-    plans: dict[tuple[int, int], PhysicalPlan] = {}
     options = MatchOptions(
         time_limit=time_limit,
-        obs=obs if obs is not None and obs.enabled else None,
+        obs=obs if obs.enabled else None,
         governor=governor,
         count_only=True,
     )
-    limits = run_limits(options)
-    for prefix, seed, earlier in pins:
-        # One compile (a cache hit) per pinned pattern edge; each pin is a
-        # cheap rebind of that plan's first two ops.
-        plan = plans.get(prefix)
-        if plan is None:
-            plan = plans[prefix] = engine.session.compile(
-                pattern, variant, obs=obs, prefix=prefix
-            ).physical
-        physical = plan.with_seed(seed)
-        if variant.injective or not earlier:
-            result = execute_physical(physical, options, limits=limits)
-            kept, run_stats, stop = result.count, result.stats, result.stop_reason
-        else:
-            kept, run_stats, stop = _count_first_claims(
-                physical, options, limits, edge, earlier
-            )
-        count += kept
-        for key, value in run_stats.items():
-            stats[key] = stats.get(key, 0) + value
-        if stop is not None:
-            stop_reason = stop
-            break
-    if obs is not None:
+    # One compile (a cache hit) per pinned pattern edge; each pin is a
+    # cheap rebind of that plan's first two ops.
+    plans = {
+        prefix: engine.session.compile(
+            pattern, variant, obs=obs, prefix=prefix
+        ).physical
+        for prefix in dict.fromkeys(prefix for prefix, _, _ in pins)
+    }
+    runtime = Runtime(options, run_limits(options))
+    recorder = obs.recorder
+    if recorder.enabled:
+        recorder.record(
+            "run_start", mode="delta", variant=variant.value, pins=len(pins)
+        )
+    count = 0
+    current: tuple[int, int] | None = None
+    try:
+        with obs.tracer.span(
+            "execute", mode="delta", variant=variant.value
+        ) as span:
+            for prefix, seed, earlier in pins:
+                if prefix != current:
+                    # Memo keys hold per-plan spec ids, so the next
+                    # pattern edge's plan starts a fresh memo. Pins come
+                    # grouped by pattern edge: both orientations of an
+                    # undirected data edge share one plan and its memo.
+                    current = prefix
+                    runtime.computer.clear()
+                physical = plans[prefix].with_seed(seed)
+                if variant.injective or not earlier:
+                    before = runtime.emitted
+                    count += count_capped(physical, runtime) - before
+                else:
+                    count += _count_first_claims(physical, runtime, edge, earlier)
+                if runtime.stop_reason is not None:
+                    break
+            span.set("count", count)
+            span.set("nodes", runtime.nodes)
+    finally:
+        runtime.release()
+    stats = runtime.stats()
+    if recorder.enabled:
+        recorder.record(
+            "run_end",
+            count=count,
+            nodes=stats["nodes"],
+            stop_reason=runtime.stop_reason,
+        )
+    if obs.enabled:
+        obs.counters.merge(stats)
         if obs.counters.enabled:
             obs.counters.inc("continuous.updates")
             obs.counters.inc("continuous.pins", len(pins))
@@ -203,7 +233,7 @@ def embeddings_containing_edge(
             obs.metrics.sample(obs)
     return DeltaResult(
         edge=edge, count=count, pins_tried=len(pins),
-        stats=stats, stop_reason=stop_reason,
+        stats=stats, stop_reason=runtime.stop_reason,
     )
 
 

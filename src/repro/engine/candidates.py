@@ -23,13 +23,18 @@ admissible set (an op without row filters pays nothing for them; a
 static-pool op's filtered pool is memoized once per run). The operands are
 short (a handful to a few dozen vertices), where Python set algebra costs
 a fraction of a numpy call's fixed overhead.
+
+A pinned op (a seeded run, a continuous delta's pin) skips all of that:
+its candidates are its pin if the pin passes every row, pool, admissible
+set and negation by membership, else none, and never enter the memo.
+This kernel is the one place pins are applied.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.engine.physical import ExtendOp, PhysicalPlan
+from repro.engine.physical import ExtendOp
 from repro.obs.catalog import CANDIDATE_STAT_KEYS
 
 
@@ -72,12 +77,10 @@ class CandidateComputer:
 
     def __init__(
         self,
-        physical: PhysicalPlan,
         use_sce: bool = True,
         memo_limit: int = 1_000_000,
         profile: Any = None,
     ) -> None:
-        self.physical = physical
         self.use_sce = use_sce
         self.memo_limit = memo_limit
         self.stats = CandidateStats()
@@ -132,7 +135,11 @@ class CandidateComputer:
 
     def raw(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
         """The sorted raw candidate tuple of ``op.u`` under the current
-        partial embedding (before injectivity filtering)."""
+        partial embedding (before injectivity filtering). A pinned op's
+        tuple is its pin or nothing (:meth:`_pinned`)."""
+        pin = op.pin
+        if pin is not None:
+            return self._pinned(op, pin, assignment)
         if self.use_sce:
             key = (op.spec_id, op.memo_key(assignment))
             cached = self._memo.get(key)
@@ -148,6 +155,32 @@ class CandidateComputer:
         if self.use_sce and len(self._memo) < self.memo_limit:
             self._memo[key] = result
         return result
+
+    def _pinned(
+        self, op: ExtendOp, pin: int, assignment: list[int]
+    ) -> tuple[int, ...]:
+        """``(pin,)`` when the pin survives every filter :meth:`_compute`
+        applies, else ``()``: the pin-filtered raw tuple, decided by set
+        membership alone — no memo probe, intersection or sort. Seeded
+        runs, continuous deltas and the pool's root range all resolve
+        their pins here, and only here."""
+        self.stats.computed += 1
+        if not op.constraints:
+            pool = op.static_pool
+            assert pool is not None  # compile_plan pools every such op
+            if pin not in pool[0]:
+                return ()
+        for prior, fetch in op.constraints:
+            if pin not in fetch(assignment[prior]):
+                return ()
+        for admissible in op.admissible:
+            if pin not in admissible:
+                return ()
+        for prior, fetch in op.negations:
+            self.stats.negation_checks += 1
+            if pin in fetch(assignment[prior]):
+                return ()
+        return (pin,)
 
     def _compute(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
         stats = self.stats

@@ -87,7 +87,7 @@ class FactorizedCounter:
         self.plan = plan
         self.use_sce = options.use_sce
         self.regions = physical.regions
-        self.runtime = Runtime(physical, options, limits)
+        self.runtime = Runtime(options, limits)
         self.ops = physical.ops
         self.injective = plan.variant.injective
         self.assignment = [-1] * plan.num_vertices

@@ -224,7 +224,6 @@ class Runtime:
 
     def __init__(
         self,
-        physical: PhysicalPlan,
         options: MatchOptions,
         limits: RunLimits | None = None,
     ) -> None:
@@ -233,7 +232,6 @@ class Runtime:
         # None when profiling is off: the hot loops pay one is-None branch.
         self.profile = obs.profile.search if obs.profile.enabled else None
         self.computer = CandidateComputer(
-            physical,
             use_sce=options.use_sce,
             memo_limit=options.memo_limit,
             profile=self.profile,
@@ -475,9 +473,6 @@ def _search(
                 candidates = raw(op, assignment)
                 if profile is not None:
                     profile.visit(pos, len(candidates))
-                pin = op.pin
-                if pin is not None:
-                    candidates = (pin,) if pin in candidates else ()
                 if pos == leaf:
                     emitted = runtime.emitted
                     kept, pruned_inj, pruned_res = leaf_count(
@@ -617,7 +612,7 @@ class EmbeddingStream(StopFlags):
         options = options or MatchOptions()
         self.physical = physical
         self.options = options
-        self.runtime = Runtime(physical, options)
+        self.runtime = Runtime(options)
         self.runtime.emitted = emitted
         self.state = state or SearchState.fresh(len(physical.ops))
         self.checkpoint_sink = checkpoint_sink
@@ -737,7 +732,6 @@ def _package_result(
 def execute_physical(
     physical: PhysicalPlan,
     options: MatchOptions | None = None,
-    limits: RunLimits | None = None,
     checkpoint: PoolCheckpointDir | None = None,
 ) -> MatchResult:
     """Run a compiled plan to completion and package the result.
@@ -749,9 +743,8 @@ def execute_physical(
     :class:`~repro.engine.checkpoint.PoolCheckpointDir`) on an early stop
     and resolves its own limits; a ``checkpoint`` without the pool is a
     ``ValueError``, since nothing would ever write it. Otherwise the run
-    enforces ``limits``, resolved from the options when not given (a
-    caller running several plans under one budget resolves it once and
-    passes it to each).
+    enforces the limits the options resolve to
+    (:func:`~repro.engine.governor.run_limits`).
 
     A count goes to the SCE-factorized counter when it is eligible
     (uncapped, unrestricted, unseeded, ``use_sce`` on) and the plan's
@@ -787,8 +780,7 @@ def execute_physical(
         )
 
     gov = options.governor
-    if limits is None:
-        limits = run_limits(options)
+    limits = run_limits(options)
     # Exact SCE-factorized counting only applies to uncapped, unrestricted,
     # unseeded counting; an embedding cap (from the options or the
     # governor's budget) needs enumeration semantics (results are counted
@@ -812,7 +804,7 @@ def execute_physical(
                 runtime = counting.count_physical(physical, options, limits)
                 span.set("count", runtime.emitted)
         else:
-            runtime = Runtime(physical, options, limits)
+            runtime = Runtime(options, limits)
             with obs.tracer.span(
                 "execute", mode="enumerate", variant=plan.variant.value
             ) as span:

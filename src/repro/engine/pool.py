@@ -189,7 +189,6 @@ def _run_unit(
     runtime, whose ``emitted`` counts this unit only. Forked workers and
     the in-process path run every unit here."""
     runtime = Runtime(
-        physical,
         MatchOptions(
             count_only=True,
             use_sce=options.use_sce,

@@ -44,7 +44,8 @@ MIN_SPLIT_REMAINING = 2
 
 
 def root_candidates(physical: PhysicalPlan) -> list[int]:
-    """The depth-0 candidate list of a compiled plan, pin-filtered.
+    """The depth-0 candidate list of a compiled plan, pin-filtered (the
+    candidate kernel resolves a pinned root).
 
     Computed with memoization off — this runs once in the pool parent, on
     an empty assignment, so there is nothing to memoize. Returns ``[]``
@@ -52,13 +53,8 @@ def root_candidates(physical: PhysicalPlan) -> list[int]:
     """
     if physical.impossible() or not physical.ops:
         return []
-    op = physical.ops[0]
-    computer = CandidateComputer(physical, use_sce=False)
-    candidates = computer.raw(op, [-1] * len(physical.ops))
-    pin = op.pin
-    if pin is not None:
-        return [pin] if pin in candidates else []
-    return list(candidates)
+    computer = CandidateComputer(use_sce=False)
+    return list(computer.raw(physical.ops[0], [-1] * len(physical.ops)))
 
 
 def make_root_units(physical: PhysicalPlan, shards: int) -> list[dict]:

@@ -8,11 +8,13 @@ from repro.core import CSCE, ContinuousMatcher, embeddings_containing_edge
 from repro.engine import (
     STOP_TIME_LIMIT,
     Budget,
+    MatchOptions,
     ResourceGovernor,
     compile_plan,
+    execute_physical,
     plan_query,
 )
-from repro.errors import TimeLimitExceeded
+from repro.errors import EmbeddingLimitExceeded, TimeLimitExceeded
 from repro.engine.verify import verify_physical
 from repro.graph import Edge, Graph
 from repro.graph.patterns import by_name, path
@@ -305,3 +307,89 @@ class TestDeltaLimits:
             matcher.insert(0, 2)
         assert engine.store.num_edges == edges
         assert matcher.total == 0
+
+    def test_embedding_cap_bounds_the_whole_delta(self):
+        """Inserting the chord creates 12 embeddings over 6 pins of 2
+        each: a cap of 3 stops the delta, not each pin, so the insert
+        raises and is rolled back."""
+        engine = self._square()
+        gov = ResourceGovernor()
+        matcher = ContinuousMatcher(engine, by_name("triangle"), governor=gov)
+        gov.tighten(max_embeddings=3)
+        edges = engine.store.num_edges
+        with pytest.raises(EmbeddingLimitExceeded):
+            matcher.insert(0, 2)
+        assert engine.store.num_edges == edges
+        assert matcher.total == 0
+
+
+class TestOneRunPerDelta:
+    def test_a_delta_is_one_run(self, monkeypatch):
+        """A 6-pin triangle delta builds one runtime, merges its stats
+        into the counters once, and leaves one ``execute`` span and one
+        ``run_start``/``run_end`` pair; its search counters are the sums
+        of separate runs of the same pinned copies."""
+        from repro.core import continuous
+        from repro.obs import Observation
+        from repro.obs.counters import CounterRegistry
+
+        engine = CSCE(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        obs = Observation()
+        matcher = ContinuousMatcher(engine, by_name("triangle"), obs=obs)
+        obs.tracer.clear()
+        obs.recorder.clear()
+        runtimes = []
+        merges = []
+
+        class CountedRuntime(continuous.Runtime):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runtimes.append(self)
+
+        merge = CounterRegistry.merge
+
+        def counted_merge(registry, stats):
+            merges.append(dict(stats))
+            merge(registry, stats)
+
+        monkeypatch.setattr(continuous, "Runtime", CountedRuntime)
+        monkeypatch.setattr(CounterRegistry, "merge", counted_merge)
+        with recording_pinned_plans() as pinned:
+            delta = matcher.insert(0, 2)
+        assert delta.pins_tried == len(pinned) == 6
+        assert len(runtimes) == 1
+        assert merges == [delta.stats]
+        spans = [root["name"] for root in obs.tracer.to_list()]
+        assert spans == ["execute"]
+        runs = [
+            event.name for event in obs.recorder.events()
+            if event.name in ("run_start", "run_end")
+        ]
+        assert runs == ["run_start", "run_end"]
+        separate = [
+            execute_physical(physical, MatchOptions(count_only=True))
+            for physical in pinned
+        ]
+        assert delta.count == sum(result.count for result in separate) == 12
+        for key in ("nodes", "backtracks", "prunes_injective"):
+            assert delta.stats[key] == sum(
+                result.stats[key] for result in separate
+            )
+
+    def test_pattern_edges_do_not_share_memo_entries(self):
+        """One delta runs a pin-first plan per pattern edge, and memo
+        keys hold per-plan spec ids. On a directed 4-path, ops of two
+        such plans share a spec id and prior image but read different
+        rows, so a memo kept across the switch miscounts: every delta
+        must still equal the recount."""
+        g = Graph.from_edges(4, [(0, 3), (3, 2), (1, 3), (2, 0)], directed=True)
+        pattern = Graph.from_edges(4, [(1, 0), (2, 1), (3, 2)], directed=True)
+        engine = CSCE(g)
+        matcher = ContinuousMatcher(engine, pattern)
+        for e in list(g.edges()):
+            matcher.remove(e.src, e.dst, e.label, e.directed)
+            assert matcher.total == engine.count(pattern)
+            matcher.insert(e.src, e.dst, e.label, e.directed)
+            assert matcher.total == engine.count(pattern)

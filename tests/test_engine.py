@@ -237,7 +237,7 @@ class TestIterativeExecutor:
             options = MatchOptions(count_only=True, max_embeddings=3)
 
         def run(emit):
-            runtime = Runtime(physical, options)
+            runtime = Runtime(options)
             state = SearchState.fresh(len(physical.ops))
             if emit:
                 count = sum(1 for _ in stream(physical, runtime, state))
@@ -256,11 +256,11 @@ class TestIterativeExecutor:
     def test_capped_count_resumes_as_stream(self, random_graph, engine):
         p = small_pattern()
         physical = compile_plan(engine.build_plan(p, "edge_induced"))
-        runtime = Runtime(physical, MatchOptions(count_only=True, max_embeddings=3))
+        runtime = Runtime(MatchOptions(count_only=True, max_embeddings=3))
         state = SearchState.fresh(len(physical.ops))
         head = count_capped(physical, runtime, state)
         assert head == 3 and runtime.stop_reason == "embedding_limit"
-        tail = sum(1 for _ in stream(physical, Runtime(physical, MatchOptions()), state))
+        tail = sum(1 for _ in stream(physical, Runtime(MatchOptions()), state))
         assert head + tail == brute_count(random_graph, p, "edge_induced")
 
     @pytest.mark.parametrize("path", ["factorized", "capped", "stream"])
@@ -306,7 +306,7 @@ class TestBulkLeafCounting:
 
     @staticmethod
     def _run(physical, options, emit, state=None):
-        runtime = Runtime(physical, options)
+        runtime = Runtime(options)
         state = state or SearchState.fresh(len(physical.ops))
         if emit:
             count = sum(1 for _ in stream(physical, runtime, state))
@@ -330,7 +330,7 @@ class TestBulkLeafCounting:
             assert state.to_payload() == drained[3].to_payload()
             resumed = SearchState.from_payload(state.to_payload())
             tail = count_capped(
-                physical, Runtime(physical, MatchOptions(count_only=True)), resumed
+                physical, Runtime(MatchOptions(count_only=True)), resumed
             )
             assert head + tail == total
 
@@ -640,7 +640,7 @@ class TestCandidateComputerMemo:
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         plan = engine.build_plan(star, "homomorphic")
         physical = compile_plan(plan)
-        computer = CandidateComputer(physical)
+        computer = CandidateComputer()
         op = physical.ops[1]
         assignment = [None] * physical.num_vertices
         for prior in op.priors:
@@ -648,6 +648,48 @@ class TestCandidateComputerMemo:
         computer.raw(op, assignment)
         computer.raw(op, assignment)
         assert computer.stats.memo_hits >= 1
+
+
+class TestPinnedCandidates:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_kernel_pins_equal_filter_after_raw(self, variant):
+        """For every catalog plan and every op, a pinned op's candidates
+        are its pin filtered against the unpinned raw tuple, for pins
+        drawn inside and outside that tuple, under assignments taken from
+        embeddings and drawn at random; at position 0 the pool's root
+        range agrees. Pinned results never enter the memo."""
+        from itertools import islice
+
+        from repro.engine.workunit import root_candidates
+
+        graph = make_random_graph(18, 60, seed=31)
+        engine = CSCE(graph)
+        rng = random.Random(7)
+        vertices = range(graph.num_vertices)
+        for build in CATALOG.values():
+            physical = engine.session.compile(build(), variant).physical
+            found = stream(physical, Runtime(MatchOptions()))
+            assignments = [list(image) for image in islice(found, 3)]
+            assignments += [
+                [rng.choice(vertices) for _ in range(physical.num_vertices)]
+                for _ in range(3)
+            ]
+            for assignment in assignments:
+                for op in physical.ops:
+                    raw = CandidateComputer(use_sce=False).raw(op, assignment)
+                    outside = [v for v in vertices if v not in raw]
+                    pins = rng.sample(raw, min(2, len(raw)))
+                    pins += rng.sample(outside, min(2, len(outside)))
+                    for pin in pins:
+                        pinned = physical.with_seed({op.u: pin})
+                        expected = (pin,) if pin in raw else ()
+                        kernel = CandidateComputer()
+                        got = kernel.raw(pinned.ops[op.pos], assignment)
+                        assert got == expected
+                        assert kernel.memo_size == 0
+                        if op.pos == 0:
+                            roots = [] if physical.impossible() else list(expected)
+                            assert root_candidates(pinned) == roots
 
 
 class TestLayering:

@@ -351,9 +351,8 @@ class TestLadderReachesRegionMemo:
         assert runtime.computer.memo_size == 0
         assert runtime.computer.region_memo == {}
 
-    def test_evict_halves_the_region_memo(self, engine):
-        physical = engine.session.compile(square(), "homomorphic").physical
-        computer = CandidateComputer(physical)
+    def test_evict_halves_the_region_memo(self):
+        computer = CandidateComputer()
         computer.region_memo.update({(node,): node for node in range(10)})
         assert computer.evict(0.5) == 5
         assert list(computer.region_memo) == [(node,) for node in range(5, 10)]

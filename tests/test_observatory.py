@@ -324,6 +324,23 @@ class TestProfiledRun:
         assert profiled.count == plain.count
         assert profiled.stats == plain.stats
 
+    def test_pinned_position_profiles_its_one_candidate(self):
+        """A seeded run scans at most its pin at the pinned position, and
+        the depth profile records that one candidate, not the pool the
+        position would draw from unpinned."""
+        graph = _triangle_fan()
+        pattern = _path_pattern(3)
+        engine = CSCE(graph)
+        root = engine.session.compile(pattern, "edge_induced").physical.ops[0].u
+        obs = Observation(profile=True)
+        result = engine.match(
+            pattern, "edge_induced", count_only=True, seed={root: 0}, obs=obs
+        )
+        obs.finish(result)
+        search = obs.profile.search
+        assert result.count > 0
+        assert search.visits[0] == search.candidates[0] == 1
+
     def test_counting_path_records_memoization(self):
         # A star whose leaves carry distinct labels factorizes (the wide
         # star of test_large_patterns): the SCE counting path must feed

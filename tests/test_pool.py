@@ -89,7 +89,7 @@ class TestWorkUnits:
         physical, opts = compiled(engine, pattern, "edge_induced")
         total = 0
         for payload in make_root_units(physical, 5):
-            runtime = Runtime(physical, opts)
+            runtime = Runtime(opts)
             try:
                 total += count_capped(
                     physical, runtime, SearchState.from_payload(payload)
@@ -108,7 +108,7 @@ class TestWorkUnits:
             max_embeddings=seq.count // 3,
         )
         state = SearchState.fresh(len(physical.ops))
-        runtime = Runtime(physical, opts)
+        runtime = Runtime(opts)
         try:
             partial = count_capped(physical, runtime, state)
         finally:
@@ -122,7 +122,7 @@ class TestWorkUnits:
         )
         total = partial
         for payload in (state.to_payload(), donated):
-            rt = Runtime(finish_physical, finish_opts)
+            rt = Runtime(finish_opts)
             try:
                 total += count_capped(
                     finish_physical, rt, SearchState.from_payload(payload)
@@ -140,7 +140,7 @@ class TestWorkUnits:
         )
         n = len(physical.ops)
         root = physical.ops[0]
-        runtime = Runtime(physical, opts)
+        runtime = Runtime(opts)
         try:
             computer = runtime.computer
             whole = list(computer.raw(root, [-1] * n))
@@ -634,7 +634,7 @@ class TestPoolObservability:
             physical, MatchOptions(count_only=True), None,
             prior_emitted=5, prior_counters={"nodes": 7},
         )
-        fresh = Runtime(physical, MatchOptions(count_only=True))
+        fresh = Runtime(MatchOptions(count_only=True))
         count_capped(physical, fresh)
         block = result.shards
         assert block["workers"] == ["checkpoint", "w0"]

@@ -276,7 +276,7 @@ class TestMatchingProperties:
 
         def run(cap, emit):
             opts = MatchOptions(count_only=True, max_embeddings=cap)
-            runtime = Runtime(physical, opts)
+            runtime = Runtime(opts)
             state = SearchState.fresh(len(physical.ops))
             if emit:
                 count = sum(1 for _ in stream(physical, runtime, state))

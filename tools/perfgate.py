@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/perfgate.py PARENT_DIR CHANGE_DIR
+    python tools/perfgate.py PARENT_DIR CHANGE_DIR [--record PATH]
 
 Each argument is a checkout of the repository. For each workload in
 :data:`BOUNDS` the gate runs ``perfbench/run.py`` in each checkout,
@@ -17,10 +17,17 @@ the median over pairs of the change/parent ``ops_per_s`` ratio is below
 that workload's bound. The workloads, run length, pair count and bounds
 are constants; EXPERIMENTS.md ("Perf gate") records the noise floors
 they rest on.
+
+``--record PATH`` appends one record of the gate run to the JSON list in
+``PATH`` (created if missing): both checkouts' commits, each pair's
+end-to-end metrics per side, each workload's median ratio and verdict
+(:func:`gate_record`). ``BENCH_perf.json`` at the repository root holds
+the records behind the performance claims in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import statistics
 import subprocess
@@ -87,9 +94,83 @@ def verdict(
     return ratio, problems
 
 
-def gate(parent: Path, change: Path, workload: str) -> list[str]:
+#: The version of :func:`gate_record`'s layout.
+RECORD_SCHEMA = "repro-perfgate-record/1"
+#: The end-to-end metrics a record keeps per run, besides ``failed``.
+RECORD_METRICS = ("ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
+
+
+def run_summary(run: dict) -> dict:
+    """The recorded part of one run: :data:`RECORD_METRICS` and
+    ``failed``."""
+    summary = {name: run["metrics"][name]["value"] for name in RECORD_METRICS}
+    summary["failed"] = run["failed"]
+    return summary
+
+
+def commit_of(checkout: Path) -> dict:
+    """The checkout's ``HEAD`` commit and whether its tree differs from
+    it (``None`` for both outside a git work tree)."""
+
+    def git(*args: str) -> str | None:
+        proc = subprocess.run(
+            ["git", *args], cwd=checkout, capture_output=True, text=True,
+            check=False,
+        )
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "commit": commit,
+        "dirty": None if commit is None or status is None else bool(status),
+    }
+
+
+def gate_record(
+    parent: Path,
+    change: Path,
+    results: dict[str, tuple[list[tuple[dict, dict]], float, list[str]]],
+) -> dict:
+    """One JSON-ready record of a gate run from each workload's
+    ``(pairs, median ratio, problems)``."""
+    workloads = {
+        workload: {
+            "bound": BOUNDS[workload],
+            "pairs": [
+                {"parent": run_summary(before), "change": run_summary(after)}
+                for before, after in pairs
+            ],
+            "median_ratio": ratio,
+            "passed": not problems,
+        }
+        for workload, (pairs, ratio, problems) in results.items()
+    }
+    return {
+        "schema": RECORD_SCHEMA,
+        "parent": commit_of(parent),
+        "change": commit_of(change),
+        "seed": SEED,
+        "seconds": SECONDS,
+        "workloads": workloads,
+        "verdict": "pass" if all(w["passed"] for w in workloads.values())
+        else "fail",
+    }
+
+
+def append_record(path: Path, record: dict) -> None:
+    """Append ``record`` to the JSON list in ``path``."""
+    records = json.loads(path.read_text()) if path.exists() else []
+    records.append(record)
+    path.write_text(json.dumps(records, indent=1) + "\n")
+
+
+def gate(
+    parent: Path, change: Path, workload: str
+) -> tuple[list[tuple[dict, dict]], float, list[str]]:
     """:data:`PAIRS` alternating pairs on one workload; prints each pair
-    and the verdict, and returns the workload's problems."""
+    and the verdict, and returns the pairs, their median ratio and the
+    workload's problems."""
     pairs = []
     for i in range(1, PAIRS + 1):
         # Alternate which side runs first, so drift over the job does
@@ -111,20 +192,27 @@ def gate(parent: Path, change: Path, workload: str) -> list[str]:
     ratio, problems = verdict(pairs, bound)
     print(f"{workload}: median change/parent ops/s {ratio:.3f}"
           f" (passes at >= {bound})", flush=True)
-    return [f"{workload}: {problem}" for problem in problems]
+    return pairs, ratio, [f"{workload}: {problem}" for problem in problems]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print("usage: perfgate.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
-        return 2
-    parent, change = (Path(arg).resolve() for arg in args)
+    parser = argparse.ArgumentParser(prog="perfgate.py")
+    parser.add_argument("parent", type=Path, help="the parent's checkout")
+    parser.add_argument("change", type=Path, help="the change's checkout")
+    parser.add_argument(
+        "--record", type=Path, metavar="PATH",
+        help="append this gate run's record to the JSON list in PATH",
+    )
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    results = {
+        workload: gate(parent, change, workload) for workload in BOUNDS
+    }
     problems = [
-        problem
-        for workload in BOUNDS
-        for problem in gate(parent, change, workload)
+        problem for _, _, found in results.values() for problem in found
     ]
+    if args.record is not None:
+        append_record(args.record, gate_record(parent, change, results))
     for problem in problems:
         print(f"FAIL: {problem}")
     if not problems:
