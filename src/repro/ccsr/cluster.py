@@ -47,7 +47,6 @@ class CompressedCSR:
         "_offsets",
         "full_offsets",
         "num_vertices",
-        "_rows_view",
         "_at_least",
     )
 
@@ -95,7 +94,6 @@ class CompressedCSR:
             np.int64
         )
         self.full_offsets: np.ndarray | None = None
-        self._rows_view: tuple[frozenset[int], tuple[int, ...]] | None = None
         self._at_least: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
@@ -149,19 +147,17 @@ class CompressedCSR:
             return _EMPTY
         return self.cols[self._offsets[idx] : self._offsets[idx + 1]]
 
-    def insert(self, src: int, dst: int) -> bool:
+    def insert(self, src: int, dst: int) -> None:
         """Patch the absent entry ``src -> dst`` in, keeping every run
-        sorted; True when ``src`` is a new row (the row set changed)."""
+        sorted (a new row joins ``rows_at_least(1)``)."""
         i = int(np.searchsorted(self.rows, src))
         start = int(self._offsets[i])
-        new_row = i == self.rows.shape[0] or self.rows[i] != src
-        if new_row:
+        if i == self.rows.shape[0] or self.rows[i] != src:
             at = start
             self.rows = np.insert(self.rows, i, src)
             self.row_counts = np.insert(self.row_counts, i, 1)
             # The new row's end offset; the shift below makes it start + 1.
             self._offsets = np.insert(self._offsets, i + 1, start)
-            self._rows_view = None
             length = 1
         else:
             stop = int(self._offsets[i + 1])
@@ -175,11 +171,10 @@ class CompressedCSR:
         self._offsets[i + 1 :] += 1
         if self.full_offsets is not None:
             self.full_offsets[src + 1 :] += 1
-        return new_row
 
-    def remove(self, src: int, dst: int) -> bool:
-        """Patch the present entry ``src -> dst`` out; True when its row
-        empties and is dropped (the row set changed)."""
+    def remove(self, src: int, dst: int) -> None:
+        """Patch the present entry ``src -> dst`` out; a row it empties is
+        dropped (and leaves ``rows_at_least(1)``)."""
         i = int(np.searchsorted(self.rows, src))
         start, stop = int(self._offsets[i]), int(self._offsets[i + 1])
         at = start + int(np.searchsorted(self.cols[start:stop], dst))
@@ -190,30 +185,19 @@ class CompressedCSR:
         self._offsets[i + 1 :] -= 1
         if self.full_offsets is not None:
             self.full_offsets[src + 1 :] -= 1
-        emptied = stop - start == 1
-        if emptied:
+        if stop - start == 1:
             self.rows = np.delete(self.rows, i)
             self.row_counts = np.delete(self.row_counts, i)
             self._offsets = np.delete(self._offsets, i + 1)
-            self._rows_view = None
         else:
             self.row_counts[i] -= 1
-        return emptied
-
-    def rows_view(self) -> tuple[frozenset[int], tuple[int, ...]]:
-        """``rows`` as a ``(frozenset, sorted tuple)`` pair, built on first
-        use and cached with the CSR: the matcher's static candidate pool
-        for a position whose vertex has no earlier neighbour."""
-        if self._rows_view is None:
-            values = tuple(self.rows.tolist())
-            self._rows_view = (frozenset(values), values)
-        return self._rows_view
 
     def rows_at_least(self, k: int) -> set[int]:
         """The rows holding at least ``k`` entries, built on first use and
         kept live by :meth:`insert` and :meth:`remove`: the matcher's
-        admissible set for a pattern vertex with ``k`` edges in this CSR.
-        The set is shared; callers must not mutate it."""
+        admissible set for a pattern vertex with ``k`` edges in this CSR,
+        and for ``k == 1`` its static candidate pool (every row). The set
+        is shared; callers must not mutate it."""
         admitted = self._at_least.get(k)
         if admitted is None:
             admitted = self._at_least[k] = set(
@@ -243,9 +227,6 @@ class CompressedCSR:
 
     def source_vertices(self) -> np.ndarray:
         """Sorted distinct vertices with at least one outgoing entry."""
-        return self.rows
-
-    def min_source_degree_vertexes(self) -> np.ndarray:
         return self.rows
 
 
@@ -389,26 +370,21 @@ class Cluster:
     def _csr(self, successors: bool) -> CompressedCSR:
         return self.out_csr if successors or self.in_csr is None else self.in_csr
 
-    def insert(self, src: int, dst: int) -> bool:
+    def insert(self, src: int, dst: int) -> None:
         """Patch one absent edge in place: both CSR entries (each keeping
-        its admissible sets live), and the cached row views of the two
-        rows it touches are dropped. True when a CSR's row set changed
-        (a static candidate pool drawn from it is stale)."""
-        changed = self.out_csr.insert(src, dst)
-        reverse = self.out_csr if self.in_csr is None else self.in_csr
-        changed = reverse.insert(dst, src) or changed
+        its admissible sets, static pools included, live), and the cached
+        row views of the two rows it touches are dropped."""
+        self.out_csr.insert(src, dst)
+        (self.out_csr if self.in_csr is None else self.in_csr).insert(dst, src)
         self._out_rows.pop(src, None)
         self._in_rows.pop(dst, None)
-        return changed
 
-    def remove(self, src: int, dst: int) -> bool:
+    def remove(self, src: int, dst: int) -> None:
         """Patch one present edge out; the mirror of :meth:`insert`."""
-        changed = self.out_csr.remove(src, dst)
-        reverse = self.out_csr if self.in_csr is None else self.in_csr
-        changed = reverse.remove(dst, src) or changed
+        self.out_csr.remove(src, dst)
+        (self.out_csr if self.in_csr is None else self.in_csr).remove(dst, src)
         self._out_rows.pop(src, None)
         self._in_rows.pop(dst, None)
-        return changed
 
     def contains_edge(self, src: int, dst: int) -> bool:
         """True if the cluster stores an edge allowing ``src -> dst``."""

@@ -183,11 +183,11 @@ class CCSRStore:
         #: refuses to resume over a store that changed since.
         self.version = 0
         #: Bumped only by the updates that can stale a compiled plan: a
-        #: cluster created or dropped, a vertex added, or a patch that
-        #: changes a CSR's row set (a static candidate pool drawn from it).
-        #: Any other update patches its cluster's arrays and row views in
-        #: place, which a plan reads through the same cluster object, so
-        #: the session's plan cache keys on this counter.
+        #: cluster created or dropped, or a vertex added (a static pool's
+        #: label set). An edge update within a cluster patches its arrays,
+        #: row views and live row sets in place, which a plan reads
+        #: through the same cluster object, so the session's plan cache
+        #: keys on this counter.
         self.layout_version = 0
 
     # ------------------------------------------------------------------
@@ -302,8 +302,8 @@ class CCSRStore:
             self.layout_version += 1
         elif cluster.contains_edge(src, dst):
             raise GraphError(f"duplicate edge ({src}, {dst}, {edge_label!r})")
-        elif cluster.insert(src, dst):
-            self.layout_version += 1
+        else:
+            cluster.insert(src, dst)
         self.num_edges += 1
         self.version += 1
 
@@ -337,8 +337,8 @@ class CCSRStore:
             if not self._pair_index[pair]:
                 del self._pair_index[pair]
             self.layout_version += 1
-        elif cluster.remove(src, dst):
-            self.layout_version += 1
+        else:
+            cluster.remove(src, dst)
         self.num_edges -= 1
         self.version += 1
 

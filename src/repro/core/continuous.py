@@ -39,7 +39,7 @@ order instead would make a pin that lands late in it scan the unpinned
 prefix first and only then filter to the pin. The plans come from the
 engine's :class:`~repro.engine.MatchSession` with the edge as the order
 prefix (:class:`ContinuousMatcher` compiles them at registration, so a
-delta hits the cache unless the update changed the store's layout, see
+delta hits the cache unless its update created or dropped a cluster, see
 :attr:`~repro.ccsr.store.CCSRStore.layout_version`). Each pin rebinds its
 edge's plan with :meth:`~repro.engine.PhysicalPlan.with_seed`; both
 orientations of an undirected data edge share it — no replanning per pin

@@ -10,7 +10,8 @@ per order position — the concrete cluster probes the executor runs:
   (vertex-induced only);
 * *first candidates*: the static candidate pool for positions with no
   backward edge (the order's first vertex, or the first vertex of a new
-  pattern component);
+  pattern component), as the sets whose intersection it is: a cluster
+  side's live row set, and a label set where the side mixes labels;
 * *row requirements* (injective variants only): the minimum CCSR row
   length, per cluster and direction, that the vertex's pattern edges
   (backward and forward) imply for any data vertex hosting it.
@@ -22,8 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-import numpy as np
-
 from repro.ccsr.cluster import Cluster
 from repro.ccsr.store import CCSRStore, NegationCheck, TaskClusters
 from repro.core.dag import DependencyDAG
@@ -34,7 +33,15 @@ from repro.graph.model import Edge, Graph
 SUCCESSORS = "succ"
 PREDECESSORS = "pred"
 
-_EMPTY = np.empty(0, dtype=np.int64)
+#: A static candidate pool, the intersection of its sets: live row sets
+#: (:meth:`~repro.ccsr.cluster.Cluster.rows_at_least`) are never mutated.
+Pool = tuple[set[int] | frozenset[int], ...]
+
+
+def pool_size(pool: Pool) -> int:
+    """How many candidates ``pool`` holds now."""
+    first, *rest = pool
+    return len(first.intersection(*rest)) if rest else len(first)
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ class Plan:
     task_clusters: TaskClusters
     backward: list[list[EdgeConstraint]]
     negations: list[list[NegationConstraint]]
-    first_candidates: list[np.ndarray | None]
+    first_candidates: list[Pool | None]
     memo_priors: list[tuple[int, ...]]
     memo_specs: list[tuple]
     requirements: list[tuple[RowRequirement, ...]]
@@ -158,8 +165,8 @@ class Plan:
                 parts.append(f"{len(self.negations[pos])} negation probes")
             if not parts:
                 pool = self.first_candidates[pos]
-                pool_size = 0 if pool is None else len(pool)
-                parts.append(f"static pool of {pool_size} candidates")
+                size = 0 if pool is None else pool_size(pool)
+                parts.append(f"static pool of {size} candidates")
             for r in self.requirements[pos]:
                 parts.append(f"rows >= {r.k} in {r.cluster.key} {r.direction}")
             descendant = self.descendant_sizes.get(u, 0)
@@ -189,40 +196,32 @@ def _first_candidate_pool(
     task: TaskClusters,
     pattern: Graph,
     vertex: int,
-) -> tuple[np.ndarray, tuple[Cluster, str] | None]:
+) -> tuple[Pool, tuple[Cluster, str] | None]:
     """The smallest static candidate pool for an unconstrained position,
     and the ``(cluster, direction)`` whose rows it is drawn from.
 
     Every incident pattern edge restricts ``vertex`` to one side of its
-    cluster; the smallest such side wins. A vertex with no incident edges
-    (disconnected pattern) falls back to all data vertices with its label.
+    cluster, whose live row set ``rows_at_least(1)`` the pool binds; an
+    undirected cluster between two labels keeps both in one row set, so
+    its pool also holds the vertex's label set. The side with the fewest
+    candidates now wins. A vertex with no incident edges (disconnected
+    pattern) falls back to its label set alone. The label set changes
+    only when a vertex is added, which changes the store's layout.
     """
     label: Hashable = pattern.vertex_label(vertex)
-    pools: list[tuple[np.ndarray, tuple[Cluster, str] | None]] = []
+    pools: list[tuple[Pool, tuple[Cluster, str]]] = []
     for edge in pattern.incident_edges(vertex):
         cluster = task.edge_clusters.get(edge)
         if cluster is None:
-            return _EMPTY, None
-        if edge.directed:
-            pool = (
-                cluster.source_vertices()
-                if edge.src == vertex
-                else cluster.destination_vertices()
-            )
-        else:
-            endpoints = cluster.source_vertices()
-            if cluster.key.src_label == cluster.key.dst_label:
-                pool = endpoints
-            else:
-                labels = store.vertex_labels
-                pool = np.asarray(
-                    [v for v in endpoints.tolist() if labels[v] == label],
-                    dtype=np.int64,
-                )
-        pools.append((pool, (cluster, _direction_from(vertex, edge))))
+            return (frozenset(),), None
+        direction = _direction_from(vertex, edge)
+        pool: Pool = (cluster.rows_at_least(direction == SUCCESSORS, 1),)
+        if not edge.directed and cluster.key.src_label != cluster.key.dst_label:
+            pool += (frozenset(store.vertices_with_label(label)),)
+        pools.append((pool, (cluster, direction)))
     if pools:
-        return min(pools, key=lambda entry: len(entry[0]))
-    return np.asarray(store.vertices_with_label(label), dtype=np.int64), None
+        return min(pools, key=lambda entry: pool_size(entry[0]))
+    return (frozenset(store.vertices_with_label(label)),), None
 
 
 def pattern_row_lengths(
@@ -326,7 +325,7 @@ def _assemble(
     position = {v: i for i, v in enumerate(order)}
     backward: list[list[EdgeConstraint]] = [[] for _ in range(n)]
     negations: list[list[NegationConstraint]] = [[] for _ in range(n)]
-    first_candidates: list[np.ndarray | None] = [None] * n
+    first_candidates: list[Pool | None] = [None] * n
     # Per position, the rows its candidates are drawn from: each holds
     # f(prior) in the late endpoint's row of a backward edge's cluster.
     sources: list[set[tuple[Cluster, str]]] = [set() for _ in range(n)]
@@ -390,12 +389,11 @@ def _assemble(
             )
         )
         label = pattern.vertex_label(order[pos])
-        # Unconstrained positions read from a static pool; the pool's
-        # identity must be part of the spec, or two same-label pattern
+        # Unconstrained positions read from a static pool; its sets'
+        # identities must be part of the spec, or two same-label pattern
         # vertices with *different* pools would wrongly share cache entries.
-        pool_id = (
-            id(first_candidates[pos]) if first_candidates[pos] is not None else None
-        )
+        pool = first_candidates[pos]
+        pool_id = None if pool is None else tuple(map(id, pool))
         # Row filters change what is computed, so they are part of the
         # spec: NEC twins of different degree must not share entries.
         row_spec = tuple(

@@ -19,14 +19,17 @@ The computer consumes :class:`~repro.engine.physical.ExtendOp` operators —
 constraints and negations arrive as prebound ``(prior, fetch)`` pairs whose
 fetchers return cluster rows as cached ``frozenset``\\ s, so the hot loop is
 two function calls and one set ``&`` per constraint, plus one ``&`` per
-admissible set (an op without row filters pays nothing for them; a
-static-pool op's filtered pool is memoized once per run). The operands are
-short (a handful to a few dozen vertices), where Python set algebra costs
-a fraction of a numpy call's fixed overhead.
+admissible set (an op without row filters pays nothing for them). The
+operands are short (a handful to a few dozen vertices), where Python set
+algebra costs a fraction of a numpy call's fixed overhead. A static-pool
+op intersects its pool's sets and sorts the result, once per run under
+the memo, so it sees the rows an update added or emptied without a
+recompile.
 
 A pinned op (a seeded run, a continuous delta's pin) skips all of that:
-its candidates are its pin if the pin passes every row, pool, admissible
-set and negation by membership, else none, and never enter the memo.
+its candidates are its pin if the pin passes every row, pool set,
+admissible set and negation by membership, else none, and never enter the
+memo.
 This kernel is the one place pins are applied.
 """
 
@@ -166,10 +169,10 @@ class CandidateComputer:
         their pins here, and only here."""
         self.stats.computed += 1
         if not op.constraints:
-            pool = op.static_pool
-            assert pool is not None  # compile_plan pools every such op
-            if pin not in pool[0]:
-                return ()
+            assert op.static_pool is not None  # compile_plan pools every such op
+            for members in op.static_pool:
+                if pin not in members:
+                    return ()
         for prior, fetch in op.constraints:
             if pin not in fetch(assignment[prior]):
                 return ()
@@ -185,7 +188,6 @@ class CandidateComputer:
     def _compute(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
         stats = self.stats
         stats.computed += 1
-        ordered: tuple[int, ...] | None = None
         if op.constraints:
             rows = []
             for prior, fetch in op.constraints:
@@ -203,10 +205,11 @@ class CandidateComputer:
         else:
             pool = op.static_pool
             assert pool is not None  # compile_plan pools every such op
-            result, ordered = pool
+            result = pool[0]
+            for members in pool[1:]:
+                result = result & members
         for admissible in op.admissible:
             result = result & admissible
-            ordered = None
         for prior, fetch in op.negations:
             if not result:
                 break
@@ -217,7 +220,4 @@ class CandidateComputer:
             # Forbid candidates adjacent to f(prior) in the negation
             # cluster (Definition 1's vertex-induced check).
             result = result - excluded
-            ordered = None
-        if ordered is not None:
-            return ordered
         return tuple(sorted(result))

@@ -12,15 +12,14 @@ at compile time instead of per search-tree node:
 * vertex-induced negation probes likewise become prebound exclusion-set
   fetchers (the direction arithmetic of
   :class:`~repro.core.plan.NegationConstraint` runs once, here);
-* a static candidate pool becomes a ``(frozenset, sorted tuple)`` pair;
-  a cluster's row-index pool is built once, cached on its CSR and shared
-  by every plan that reads it;
 * row requirements (injective variants) become the CSRs' live admissible
   sets (:meth:`~repro.ccsr.cluster.Cluster.rows_at_least`), shared by
-  every plan that asks for the same cluster, direction and length. They
-  are bound by reference, never copied: an in-place patch changes row
-  lengths without changing the layout version, so a cached plan must see
-  the sets the patch keeps live;
+  every plan that asks for the same cluster, direction and length, and a
+  static candidate pool binds its cluster side's live ``rows_at_least(1)``
+  the same way (beside a label set where the side mixes labels). They
+  are bound by reference, never copied: an in-place patch adds, empties
+  and resizes rows without changing the layout version, so a cached plan
+  must see the sets the patch keeps live;
 * SCE memo specs are interned to small integer ``spec_id``\\ s — NEC-
   equivalent steps share an id and therefore share cached candidate sets —
   and each op's memo key over its priors is compiled to one C-level
@@ -38,8 +37,9 @@ at compile time instead of per search-tree node:
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
 ``(pattern fingerprint, variant, planner, restrictions, order prefix,
-store layout version)``: a store update that patches a cluster in place leaves the
-compiled ops valid, as they fetch rows through the patched cluster.
+store layout version)``: an edge update that patches a cluster in place
+leaves the compiled ops valid, as they fetch rows and bind row sets
+through the patched cluster, also when it adds or empties a row.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.ccsr.store import FORWARD
-from repro.core.plan import SUCCESSORS, Plan
+from repro.core.plan import SUCCESSORS, Plan, Pool, pool_size
 from repro.core.variants import Variant
 from repro.errors import PlanError
 from repro.graph.model import Graph
@@ -68,12 +66,14 @@ class ExtendOp:
     where ``fetch(f(prior))`` returns one cluster row as a ``frozenset``
     to intersect (respectively to subtract); the set is cached on the
     cluster and shared, so it must never be mutated. ``static_pool``
-    (unconstrained positions only) is the pool as a ``(frozenset, sorted
-    tuple)`` pair. ``admissible`` holds the live sets of the vertex's row
-    requirements, each intersected with the candidates after the edge
-    constraints (shared, never mutated here). ``restrictions`` holds
-    ``(other_vertex, candidate_is_smaller)`` order checks anchored at this
-    step. ``pin`` fixes the step to a single data vertex (seeded runs).
+    (unconstrained positions only) is the plan's pool, the sets whose
+    intersection is the candidates (:data:`~repro.core.plan.Pool`).
+    ``admissible`` holds the live sets of the vertex's row requirements,
+    each intersected with the candidates after the edge constraints.
+    Pool and admissible sets are shared, never mutated here.
+    ``restrictions`` holds ``(other_vertex, candidate_is_smaller)`` order
+    checks anchored at this step. ``pin`` fixes the step to a single data
+    vertex (seeded runs).
     ``memo_key(assignment)`` is the images of ``priors`` — the SCE memo
     key's variable half (:func:`prior_getter`).
     """
@@ -84,7 +84,7 @@ class ExtendOp:
     priors: tuple[int, ...]
     constraints: tuple[tuple[int, Callable[[int], frozenset[int]]], ...]
     negations: tuple[tuple[int, Callable[[int], frozenset[int]]], ...]
-    static_pool: tuple[frozenset[int], tuple[int, ...]] | None
+    static_pool: Pool | None
     admissible: tuple[set[int], ...] = ()
     restrictions: tuple[tuple[int, bool], ...] = ()
     pin: int | None = None
@@ -190,8 +190,9 @@ class PhysicalPlan:
         return copy
 
     def step_table(self) -> list[dict[str, Any]]:
-        """Per-op summary rows for EXPLAIN output and the profiler. Each
-        row filter reports how many of its CSR's rows it admits now."""
+        """Per-op summary rows for EXPLAIN output and the profiler. A
+        static pool reports how many candidates it holds now, and each row
+        filter how many of its CSR's rows it admits now."""
         return [
             {
                 "position": op.pos,
@@ -200,7 +201,7 @@ class PhysicalPlan:
                 "constraints": len(op.constraints),
                 "negations": len(op.negations),
                 "static_pool": (
-                    None if op.static_pool is None else len(op.static_pool[1])
+                    None if op.static_pool is None else pool_size(op.static_pool)
                 ),
                 "filters": [
                     {
@@ -453,27 +454,6 @@ def pattern_fingerprint(pattern: Graph) -> tuple:
     return pattern.fingerprint()
 
 
-def _pool_view(
-    plan: Plan, pool: np.ndarray | None
-) -> tuple[frozenset[int], tuple[int, ...]] | None:
-    """The ``(frozenset, sorted tuple)`` view of a static pool array.
-
-    A pool that is a task cluster's row index shares the view cached on
-    that CSR with every plan over the cluster; any other pool (a label
-    pool, built per plan) gets a view of its own.
-    """
-    if pool is None:
-        return None
-    for cluster in plan.task_clusters.edge_clusters.values():
-        if cluster is None:
-            continue
-        for csr in (cluster.out_csr, cluster.in_csr):
-            if csr is not None and csr.rows is pool:
-                return csr.rows_view()
-    values = tuple(pool.tolist())
-    return frozenset(values), values
-
-
 def compile_plan(
     plan: Plan,
     restrictions: tuple[tuple[int, int], ...] | None = None,
@@ -538,7 +518,7 @@ def compile_plan(
                 priors=plan.memo_priors[pos],
                 constraints=constraints,
                 negations=tuple(negations),
-                static_pool=_pool_view(plan, plan.first_candidates[pos]),
+                static_pool=plan.first_candidates[pos],
                 admissible=tuple(
                     r.cluster.rows_at_least(r.direction == SUCCESSORS, r.k)
                     for r in plan.requirements[pos]

@@ -12,10 +12,11 @@ with the pinned pattern vertices (the prefix), so continuous matching's
 pin-first plans share this cache, its layout purge and ``verify`` with
 every other plan. :attr:`~repro.ccsr.store.CCSRStore.layout_version`
 bumps only on the updates that can stale a compiled plan (a cluster
-created or dropped, a vertex added, a CSR row set changed); an update that
-only patches a cluster in place keeps every cached plan valid, because the
-plan reads the patched rows through the same cluster object. Entries of
-an older layout are purged on the next fresh compile.
+created or dropped, a vertex added); an edge update that patches a
+cluster in place keeps every cached plan valid, also when it adds or
+empties a row, because the plan reads the patched rows and live row sets
+through the same cluster object. Entries of an older layout are purged
+on the next fresh compile.
 ``use_sce`` and seeds are deliberately *not* part of the key — memoization
 is runtime state, and seeds rebind via
 :meth:`~repro.engine.physical.PhysicalPlan.with_seed` without recompiling

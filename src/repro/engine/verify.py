@@ -24,7 +24,8 @@ diagnostic instead of producing silently wrong counts:
 * every row requirement is one the vertex's pattern edges imply (same
   cluster, direction and length; none under homomorphism), and each op
   binds the cluster's live admissible set for it, not a copy that an
-  in-place patch would leave stale;
+  in-place patch would leave stale; likewise each static pool binds the
+  live row set of a cluster side its vertex's pattern edges name;
 * restriction slots sit at the later endpoint's position and seed pins
   name in-range data vertices with the pattern vertex's label.
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.ccsr.key import ClusterKey
 from repro.ccsr.store import FORWARD, CCSRStore
 from repro.core.plan import (
     PREDECESSORS,
@@ -65,6 +67,7 @@ from repro.obs.catalog import (  # the diagnostic codes, declared there
     ROW_FILTER_MISMATCH,
     SEED_PIN_INVALID,
     SPEC_COLLISION,
+    STATIC_POOL_MISMATCH,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -578,6 +581,7 @@ def _check_ops(
                     )
         _check_op_negations(plan, pos, op, store, out)
         _check_op_filters(plan, pos, op, out)
+        _check_op_pool(plan, store, pos, op, out)
         _check_op_pin(plan, store, pos, op, out)
 
 
@@ -661,6 +665,43 @@ def _check_op_filters(
             f" are not the live sets of the plan's {len(expected)} row"
             " requirement(s): a wrong length, cluster or direction, or a"
             " copy that in-place patches would leave stale",
+            position=pos,
+        )
+
+
+def _check_op_pool(
+    plan: Plan, store: CCSRStore, pos: int, op: "ExtendOp", out: _Collector
+) -> None:
+    """An unconstrained op's pool must bind, by identity, the live
+    ``rows_at_least(1)`` (looked up, never built) of one cluster side its
+    vertex's pattern edges name, beside the vertex's label set exactly
+    when that side mixes two labels; a vertex with no edges has the label
+    set alone. An impossible plan's empty pool is not checked."""
+    if plan.backward[pos] or plan.impossible():
+        return
+    sides: dict[int, ClusterKey] = {}
+    for cluster, direction in pattern_row_lengths(
+        plan.task_clusters, plan.pattern, op.u
+    ):
+        live = cluster.built_rows_at_least(direction == SUCCESSORS, 1)
+        if live is not None:
+            sides[id(live)] = cluster.key
+    pool = op.static_pool or ()
+    bound = [sides[id(members)] for members in pool if id(members) in sides]
+    others = [members for members in pool if id(members) not in sides]
+    mixed = any(not k.directed and k.src_label != k.dst_label for k in bound)
+    label = plan.pattern.vertex_label(op.u)
+    if (
+        len(bound) != (1 if sides else 0)
+        or len(others) != (1 if mixed or not sides else 0)
+        or any(members != set(store.vertices_with_label(label)) for members in others)
+    ):
+        out.add(
+            STATIC_POOL_MISMATCH,
+            f"op {pos}'s static pool is not the live row set of a cluster"
+            f" side u{op.u}'s pattern edges name (with its label set where"
+            " that side mixes labels): a frozen copy that in-place patches"
+            " would leave stale, or the wrong side",
             position=pos,
         )
 

@@ -141,6 +141,7 @@ SEED_PIN_INVALID = "seed-pin-invalid"
 OP_TABLE_INCONSISTENT = "op-table-inconsistent"
 SPEC_COLLISION = "spec-collision"
 ROW_FILTER_MISMATCH = "row-filter-mismatch"
+STATIC_POOL_MISMATCH = "static-pool-mismatch"
 PLAN_DIAGNOSTICS: tuple[str, ...] = (
     ORDER_NOT_PERMUTATION,
     ORDER_DISCONNECTED,
@@ -158,6 +159,7 @@ PLAN_DIAGNOSTICS: tuple[str, ...] = (
     OP_TABLE_INCONSISTENT,
     SPEC_COLLISION,
     ROW_FILTER_MISMATCH,
+    STATIC_POOL_MISMATCH,
 )
 
 #: Stop reasons that leave the frame stack intact and so support

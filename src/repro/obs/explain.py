@@ -17,8 +17,8 @@
   off the compiled plan's region table, the one
   :func:`~repro.engine.executor.execute_physical` routes by, with the
   number of order suffixes that split into independent regions;
-* **estimated** candidate counts per step (static-pool sizes and average
-  cluster neighbor-list lengths), and — when a profiled run-report is
+* **estimated** candidate counts per step (live static-pool sizes and
+  average cluster neighbor-list lengths), and — when a profiled run-report is
   supplied — the **actual** mean candidate counts measured per depth, so
   misestimates that misorder the plan become visible.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.equivalence import sce_statistics
-from repro.core.plan import SUCCESSORS, Plan
+from repro.core.plan import SUCCESSORS, Plan, pool_size
 
 
 def estimate_candidates(plan: Plan) -> list[float]:
@@ -43,7 +43,7 @@ def estimate_candidates(plan: Plan) -> list[float]:
         constraints = plan.backward[pos]
         if not constraints:
             pool = plan.first_candidates[pos]
-            estimates.append(float(0 if pool is None else len(pool)))
+            estimates.append(float(0 if pool is None else pool_size(pool)))
             continue
         best = None
         for c in constraints:
@@ -119,7 +119,7 @@ def build_explain(
             "label": pattern.vertex_label(u),
             "constraints": constraints,
             "negations": len(plan.negations[pos]),
-            "static_pool": None if pool is None else int(len(pool)),
+            "static_pool": None if pool is None else pool_size(pool),
             "estimated_candidates": estimates[pos],
         }
         rationale = rationale_by_vertex.get(u)

@@ -21,7 +21,12 @@ from repro.graph.patterns import by_name, path
 from repro.graph.sampling import sample_pattern
 from repro.obs.catalog import ORDER_DISCONNECTED
 
-from conftest import make_random_graph, pinned_positions, recording_pinned_plans
+from conftest import (
+    brute_count,
+    make_random_graph,
+    pinned_positions,
+    recording_pinned_plans,
+)
 
 
 class TestSeededMatching:
@@ -203,6 +208,50 @@ class TestPinFirstPlans:
         for physical in pinned_runs:
             assert pinned_positions(physical) == [0, 1]
             assert verify_physical(physical, engine.store).ok
+
+    @pytest.mark.parametrize("variant", ["edge_induced", "homomorphic"])
+    def test_new_and_emptied_rows_keep_every_plan(self, variant):
+        """On a 2-label graph every edge lands in the one mixed-label
+        cluster, so each pool is its live rows filtered by a label set.
+        An insert that gives a vertex its first row there, and a remove
+        that empties one, change no layout and plan nothing; every delta
+        count, and the cached standing plan's count, is brute force."""
+        labels = ["A"] * 4 + ["B"] * 4
+        edges = [(0, 4), (1, 4), (1, 5), (2, 5), (0, 6)]
+        pattern = Graph()
+        pattern.add_vertices(["A", "B", "A"])
+        pattern.add_edge(0, 1)
+        pattern.add_edge(1, 2)
+
+        def graph(pairs):
+            g = Graph()
+            g.add_vertices(labels)
+            for a, b in pairs:
+                g.add_edge(a, b)
+            return g
+
+        engine = CSCE(graph(edges), verify=True)
+        matcher = ContinuousMatcher(engine, pattern, variant)
+        (cluster,) = engine.store.clusters.values()
+        live = cluster.rows_at_least(True, 1)
+        standing = engine.session.compile(pattern, variant).physical
+        assert any(op.static_pool and op.static_pool[0] is live for op in standing.ops)
+        layout, misses = engine.store.layout_version, engine.session.cache_misses
+        # 3 and 7 get their first rows; then 6 and 3 lose their last.
+        for update, (a, b) in [("insert", (3, 5)), ("insert", (7, 2)),
+                               ("remove", (0, 6)), ("remove", (3, 5))]:
+            before = brute_count(graph(edges), pattern, variant)
+            delta = getattr(matcher, update)(a, b)
+            if update == "insert":
+                edges.append((a, b))
+            else:
+                edges.remove((a, b))
+            after = brute_count(graph(edges), pattern, variant)
+            assert delta.count == abs(after - before) and matcher.total == after
+            assert engine.count(pattern, variant) == after
+            assert live == {v for pair in edges for v in pair}
+        assert engine.store.layout_version == layout
+        assert engine.session.cache_misses == misses
 
     def test_plans_of_long_patterns_stay_cached(self):
         """A 66-edge path needs 67 plans, more than the session's default

@@ -147,18 +147,19 @@ class TestCompiler:
         assert seen == {0, 1, 2}
 
     def test_static_pool_view_shared_across_plans(self):
-        # Unlabeled: every root pool is the one cluster's row index, so
-        # all plans share one pool view cached on its CSR.
+        # Unlabeled: every root pool is the one cluster's live row set
+        # rows_at_least(1), bound by identity by every plan and variant.
         engine = CSCE(make_random_graph(30, 60, num_labels=0, seed=3))
+        (cluster,) = engine.store.clusters.values()
+        live = cluster.rows_at_least(True, 1)
         pools = []
         for p in (small_pattern(), complete_graph(4)):
-            for variant in ("edge_induced", "vertex_induced"):
+            for variant in Variant:
                 physical = compile_plan(engine.build_plan(p, variant))
                 pools += [op.static_pool for op in physical.ops if op.static_pool]
-        assert len(pools) == 4
-        assert all(pool is pools[0] for pool in pools)
-        members, ordered = pools[0]
-        assert list(ordered) == sorted(members)
+        assert len(pools) == 6
+        assert all(len(pool) == 1 and pool[0] is live for pool in pools)
+        assert live == set(cluster.source_vertices().tolist())
 
     def test_plan_seconds_clamped_nonnegative(self, engine):
         plan = engine.build_plan(small_pattern(), "edge_induced")

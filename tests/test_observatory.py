@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.csce import CSCE
+from repro.core.plan import pool_size
 from repro.graph import Graph, save_graph
 from repro.obs import (
     NULL_METRICS,
@@ -397,7 +398,7 @@ class TestExplain:
         assert len(estimates) == plan.num_vertices
         # The first (unconstrained) step is costed by its static pool.
         first = plan.first_candidates[0]
-        expected = 0.0 if first is None else float(len(first))
+        expected = 0.0 if first is None else float(pool_size(first))
         assert estimates[0] == expected
 
     def test_actuals_joined_from_profiled_report(self):

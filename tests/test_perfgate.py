@@ -74,8 +74,14 @@ def _full_run(ops_per_s, failed=0):
 
 
 def check_record(record):
-    """A gate record's layout (``tools/perfgate.py --record``)."""
-    assert record["schema"] == RECORD_SCHEMA
+    """A gate record's layout (``tools/perfgate.py --record``): the
+    current schema carries the calibrate probe; version 1 records,
+    written before it did, carry none."""
+    if record["schema"] == RECORD_SCHEMA:
+        assert record["calibrate"] > 0
+    else:
+        assert record["schema"] == "repro-perfgate-record/1"
+        assert "calibrate" not in record
     for side in ("parent", "change"):
         assert set(record[side]) == {"commit", "dirty"}
     assert isinstance(record["seed"], int)
@@ -111,6 +117,7 @@ def test_record_appends_one_record_per_gate_run(monkeypatch, tmp_path, capsys):
     records = json.loads(path.read_text())
     assert len(records) == 2
     for record in records:
+        assert record["schema"] == RECORD_SCHEMA and "calibrate" in record
         check_record(record)
         assert record["verdict"] == "fail"
         assert record["parent"] == {"commit": None, "dirty": None}
@@ -127,6 +134,6 @@ def test_record_appends_one_record_per_gate_run(monkeypatch, tmp_path, capsys):
 
 def test_committed_records_follow_the_schema():
     records = json.loads((REPO / "BENCH_perf.json").read_text())
-    assert records
+    assert records and records[-1]["schema"] == RECORD_SCHEMA
     for record in records:
         check_record(record)

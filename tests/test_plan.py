@@ -8,7 +8,7 @@ import pytest
 from repro.ccsr import CCSRStore
 from repro.core import CSCE, Variant
 from repro.core.dag import build_dag
-from repro.core.plan import PREDECESSORS, SUCCESSORS, assemble_plan
+from repro.core.plan import PREDECESSORS, SUCCESSORS, assemble_plan, pool_size
 from repro.engine import MatchOptions, compile_plan, execute_physical, plan_query
 from repro.engine.verify import verify_physical
 from repro.errors import PlanError
@@ -42,7 +42,7 @@ class TestAssembly:
     def test_first_position_has_pool(self, fig1_engine):
         plan = fig1_engine.build_plan(ab_pattern(), Variant.EDGE_INDUCED)
         pool = plan.first_candidates[0]
-        assert pool is not None and len(pool) > 0
+        assert pool is not None and pool_size(pool) > 0
         assert plan.backward[0] == []
 
     def test_directed_edge_direction_resolution(self, fig1_engine):
@@ -159,6 +159,19 @@ class TestPlannerConfigs:
 
 
 class TestFirstCandidatePool:
+    def test_reported_pool_size_is_live(self):
+        """describe, the op table and EXPLAIN report the pool's size now:
+        a vertex's first row in the cluster grows it, with no replan."""
+        from repro.obs.explain import build_explain
+
+        engine = CSCE(Graph.from_edges(4, [(0, 1), (1, 2)]))
+        physical = engine.session.compile(Graph.from_edges(2, [(0, 1)])).physical
+        engine.store.insert_edge(2, 3)
+        assert "static pool of 4 candidates" in physical.logical.describe()
+        assert physical.step_table()[0]["static_pool"] == 4
+        explain = build_explain(physical.logical, physical=physical)
+        assert explain["steps"][0]["static_pool"] == 4
+
     def test_pool_label_filtered_for_undirected_edge(self):
         g = Graph()
         g.add_vertices(["A", "B", "B"])
@@ -167,11 +180,14 @@ class TestFirstCandidatePool:
         p = Graph()
         p.add_vertices(["B", "A"])
         p.add_edge(0, 1)
-        plan = CSCE(g).build_plan(p, Variant.EDGE_INDUCED)
-        first = plan.order[0]
-        pool = plan.first_candidates[0]
-        labels = {g.vertex_label(v) for v in pool.tolist()}
-        assert labels == {p.vertex_label(first)}
+        engine = CSCE(g)
+        plan = engine.build_plan(p, Variant.EDGE_INDUCED)
+        label = p.vertex_label(plan.order[0])
+        # The mixed-label cluster's live rows, filtered by a label set.
+        rows, labelled = plan.first_candidates[0]
+        (cluster,) = engine.store.clusters.values()
+        assert rows is cluster.rows_at_least(True, 1) and rows == {0, 1, 2}
+        assert labelled == {v for v in range(3) if g.vertex_label(v) == label}
 
     def test_isolated_pattern_vertex_pool_falls_back_to_label(self):
         g = Graph()
@@ -182,8 +198,7 @@ class TestFirstCandidatePool:
         p.add_edge(0, 1)
         plan = CSCE(g).build_plan(p, Variant.EDGE_INDUCED)
         pos = plan.position[2]
-        pool = plan.first_candidates[pos]
-        assert set(pool.tolist()) == {0, 1}
+        assert plan.first_candidates[pos] == (frozenset({0, 1}),)
 
 
 def _row_filter_case():

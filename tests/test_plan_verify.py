@@ -5,7 +5,8 @@ variants (what CI's plan-verify step runs through the CLI); the negative
 direction seeds four classes of invalid plans — a cyclic DAG, a
 disconnected matching order, a cluster from a foreign store, and a
 deleted negation probe — and asserts each is rejected with its typed
-diagnostic code, as it does for hand-corrupted row filters.
+diagnostic code, as it does for hand-corrupted row filters and static
+pools.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.engine.verify import (
     RESTRICTION_MALFORMED,
     ROW_FILTER_MISMATCH,
     SEED_PIN_INVALID,
+    STATIC_POOL_MISMATCH,
     VerificationReport,
     verify_physical,
     verify_plan,
@@ -316,6 +318,48 @@ def test_verification_builds_no_admissible_set():
     report = verify_physical(physical, local)
     assert ROW_FILTER_MISMATCH in report.codes()
     assert requirement.cluster.built_rows_at_least(successors, longer) is None
+
+
+def _pooled(directed):
+    """A store over a 2-label graph (A sources, B destinations when
+    directed) and the compiled plan of one A-B edge, whose first op draws
+    its static pool from the one cluster: the live rows of its side, and
+    a label set when the cluster is undirected and so mixes labels."""
+    g = Graph()
+    g.add_vertices(["A"] * 3 + ["B"] * 3)
+    for src, dst in [(0, 3), (0, 4), (1, 4), (2, 5)]:
+        g.add_edge(src, dst, directed=directed)
+    p = Graph()
+    p.add_vertices(["A", "B"])
+    p.add_edge(0, 1, directed=directed)
+    local = CCSRStore(g)
+    return local, compile_plan(plan_query(local, p))
+
+
+@pytest.mark.parametrize(
+    "corruption", ["copy", "side", "unlabelled", "labels only"]
+)
+def test_corrupted_static_pool_rejected(corruption):
+    """An unconstrained op must bind the live row set of a cluster side
+    its vertex's edges name: a frozen copy of it, the other side of a
+    directed cluster, a mixed-label pool without its label set, or a
+    label set alone is rejected."""
+    local, physical = _pooled(directed=corruption == "side")
+    assert verify_physical(physical, local).ok
+    op = physical.ops[0]
+    (cluster,) = local.clusters.values()
+    successors = physical.order[0] == 0
+    live = cluster.rows_at_least(successors, 1)
+    assert op.static_pool[0] is live
+    bad = {
+        "copy": (frozenset(live), *op.static_pool[1:]),
+        "side": (cluster.rows_at_least(not successors, 1),),
+        "unlabelled": op.static_pool[:1],
+        "labels only": op.static_pool[1:],
+    }[corruption]
+    report = verify_physical(_replace_op(physical, 0, static_pool=bad), local)
+    assert report.codes() == [STATIC_POOL_MISMATCH]
+    assert report.diagnostics[0].position == 0
 
 
 def test_row_filter_on_homomorphic_plan_rejected():

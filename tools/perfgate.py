@@ -20,8 +20,8 @@ they rest on.
 
 ``--record PATH`` appends one record of the gate run to the JSON list in
 ``PATH`` (created if missing): both checkouts' commits, each pair's
-end-to-end metrics per side, each workload's median ratio and verdict
-(:func:`gate_record`). ``BENCH_perf.json`` at the repository root holds
+end-to-end metrics per side, each workload's median ratio and verdict,
+and the machine's speed constant (:func:`gate_record`). ``BENCH_perf.json`` at the repository root holds
 the records behind the performance claims in CHANGES.md.
 """
 
@@ -34,6 +34,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parents[1]
 SEED = 1
 SECONDS = 5
 PAIRS = 5
@@ -94,8 +95,9 @@ def verdict(
     return ratio, problems
 
 
-#: The version of :func:`gate_record`'s layout.
-RECORD_SCHEMA = "repro-perfgate-record/1"
+#: The version of :func:`gate_record`'s layout; version 1 had no
+#: ``calibrate``.
+RECORD_SCHEMA = "repro-perfgate-record/2"
 #: The end-to-end metrics a record keeps per run, besides ``failed``.
 RECORD_METRICS = ("ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
 
@@ -127,13 +129,25 @@ def commit_of(checkout: Path) -> dict:
     }
 
 
+def calibration() -> float:
+    """:func:`repro.bench.history.calibrate` (seconds for a fixed loop),
+    the probe perfbench stamps into its runs, so records from two
+    machines can be read against their speeds."""
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    from repro.bench.history import calibrate
+
+    return calibrate()
+
+
 def gate_record(
     parent: Path,
     change: Path,
     results: dict[str, tuple[list[tuple[dict, dict]], float, list[str]]],
 ) -> dict:
     """One JSON-ready record of a gate run from each workload's
-    ``(pairs, median ratio, problems)``."""
+    ``(pairs, median ratio, problems)``, with this machine's
+    :func:`calibration`."""
     workloads = {
         workload: {
             "bound": BOUNDS[workload],
@@ -152,6 +166,7 @@ def gate_record(
         "change": commit_of(change),
         "seed": SEED,
         "seconds": SECONDS,
+        "calibrate": calibration(),
         "workloads": workloads,
         "verdict": "pass" if all(w["passed"] for w in workloads.values())
         else "fail",
