@@ -36,15 +36,15 @@ Each pin runs a **pin-first plan**: one plan per pinned pattern edge,
 whose order starts with that edge's two endpoints (Graphflow compiles one
 delta plan per pattern edge the same way). Reusing the standing query's
 order instead would make a pin that lands late in it scan the unpinned
-prefix first and only then filter to the pin. The plans come from the
-engine's :class:`~repro.engine.MatchSession` with the edge as the order
-prefix (:class:`ContinuousMatcher` compiles them at registration, so a
-delta hits the cache unless its update created or dropped a cluster, see
-:attr:`~repro.ccsr.store.CCSRStore.layout_version`). Each pin rebinds its
-edge's plan with :meth:`~repro.engine.PhysicalPlan.with_seed`; both
-orientations of an undirected data edge share it — no replanning per pin
-— and share its candidate memo, which the delta clears when it moves on
-to the next pattern edge's plan (memo keys hold per-plan spec ids).
+prefix first and only then filter to the pin. :class:`ContinuousMatcher`
+builds an edge's plan (:meth:`~repro.engine.MatchSession.build`) on its
+first pin, before the delta's run starts, and keeps it until the store's
+:attr:`~repro.ccsr.store.CCSRStore.layout_version` moves. Each pin
+rebinds its edge's plan with :meth:`~repro.engine.PhysicalPlan.with_seed`;
+both orientations of an undirected data edge share it — no replanning
+per pin — and share its candidate memo, which the delta clears when it
+moves on to the next pattern edge's plan (memo keys hold per-plan spec
+ids).
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class DeltaResult:
 Pin = tuple[tuple[int, int], dict[int, int], tuple[tuple[int, int], ...]]
 
 
-def _pin_prefix(pattern_edge: Edge) -> tuple[int, int]:
-    """The order prefix of a pattern edge's pin-first plan."""
-    return (pattern_edge.src, pattern_edge.dst)
-
-
 def _compatible_pins(pattern: Graph, data_labels, edge: Edge) -> list[Pin]:
     """Seeds pinning a pattern edge onto the data edge, label-checked, in
     pattern-edge order. Each seed comes with its pattern edge's plan
@@ -101,7 +96,8 @@ def _compatible_pins(pattern: Graph, data_labels, edge: Edge) -> list[Pin]:
             continue
         if pattern_edge.directed != edge.directed:
             continue
-        orientations = [(pattern_edge.src, pattern_edge.dst)]
+        prefix = (pattern_edge.src, pattern_edge.dst)
+        orientations = [prefix]
         if not edge.directed:
             orientations.append((pattern_edge.dst, pattern_edge.src))
         seeds = [
@@ -111,7 +107,7 @@ def _compatible_pins(pattern: Graph, data_labels, edge: Edge) -> list[Pin]:
             and pattern.vertex_label(u_dst) == dst_label
         ]
         if seeds:
-            prefix, before = _pin_prefix(pattern_edge), tuple(earlier)
+            before = tuple(earlier)
             pins.extend((prefix, seed, before) for seed in seeds)
             earlier.append(prefix)
     return pins
@@ -147,9 +143,14 @@ def embeddings_containing_edge(
     time_limit: float | None = None,
     obs=None,
     governor=None,
+    plans: dict[tuple[int, int], PhysicalPlan] | None = None,
 ) -> DeltaResult:
     """Count the embeddings of ``pattern`` that map some pattern edge onto
     ``edge`` (which must already be present in the engine's store).
+
+    ``plans`` maps a pattern edge's ``(src, dst)`` to its pin-first plan
+    for the store's current layout; the delta adds the ones its pins lack
+    before its run starts (``None``: a fresh table for this delta).
 
     The delta is one run: every pin searches on one
     :class:`~repro.engine.executor.Runtime`, so ``time_limit`` and the
@@ -173,14 +174,14 @@ def embeddings_containing_edge(
         governor=governor,
         count_only=True,
     )
-    # One compile (a cache hit) per pinned pattern edge; each pin is a
-    # cheap rebind of that plan's first two ops.
-    plans = {
-        prefix: engine.session.compile(
-            pattern, variant, obs=obs, prefix=prefix
-        ).physical
-        for prefix in dict.fromkeys(prefix for prefix, _, _ in pins)
-    }
+    # One plan per pinned pattern edge; each pin is a cheap rebind of
+    # that plan's first two ops.
+    plans = {} if plans is None else plans
+    for prefix, _, _ in pins:
+        if prefix not in plans:
+            plans[prefix] = engine.session.build(
+                pattern, variant, obs=obs, prefix=prefix
+            ).physical
     runtime = Runtime(options, run_limits(options))
     recorder = obs.recorder
     if recorder.enabled:
@@ -240,16 +241,13 @@ def embeddings_containing_edge(
 class ContinuousMatcher:
     """Maintains embedding counts of a standing query under edge updates.
 
-    The one-time query runs once at registration; afterwards each
-    :meth:`insert` / :meth:`remove` updates the store incrementally and
-    reports only the delta — the continuous-query model of Graphflow.
-
-    Registration plans the standing query plus one pin-first plan per
-    pattern edge (``1 + |E|`` plans), and keeps them all in the session's
-    plan cache: it adds ``|E| + 1`` to ``engine.session.cache_size``, so
-    that a delta on an unchanged layout plans nothing, even for patterns
-    of more edges than the default capacity and with several standing
-    queries sharing one engine. :meth:`close` gives that share back.
+    The one-time query runs once at registration, under ``governor`` (a
+    stop raises its typed :class:`~repro.errors.LimitExceeded`);
+    afterwards each :meth:`insert` / :meth:`remove` updates the store
+    incrementally and reports only the delta — the continuous-query model
+    of Graphflow. The matcher owns its pin-first plans, one per pinned
+    pattern edge, planned on its first pin and kept until the store's
+    layout changes, so a delta on an unchanged layout plans nothing.
 
     The vertex-induced variant is intentionally unsupported: there, an
     *arriving* edge can also destroy embeddings that do not use it (it may
@@ -276,24 +274,21 @@ class ContinuousMatcher:
         self.variant = variant
         self.obs = obs
         self.governor = governor
-        session = engine.session
-        self._cache_share = pattern.num_edges + 1
-        session.cache_size += self._cache_share
-        self.total = engine.count(pattern, variant, obs=obs)
-        # Plan every pin-first plan now, so deltas start on cache hits.
-        for pattern_edge in pattern.edges():
-            session.compile(
-                pattern, variant, obs=obs, prefix=_pin_prefix(pattern_edge)
-            )
+        self._plans: dict[tuple[int, int], PhysicalPlan] = {}
+        self._layout = engine.store.layout_version
+        self.total = engine.match(
+            pattern, variant, count_only=True, obs=obs, governor=governor
+        ).check().count
 
-    def close(self) -> None:
-        """Give this matcher's ``|E| + 1`` plan-cache share back to the
-        session (idempotent). The cache drops its least recently used
-        plans down to the lowered capacity on its next miss. The matcher
-        stays usable, but its deltas no longer have room reserved for
-        their plans."""
-        self.engine.session.cache_size -= self._cache_share
-        self._cache_share = 0
+    def _delta(self, edge: Edge) -> DeltaResult:
+        if self._layout != self.engine.store.layout_version:
+            # A cluster was created or dropped: the plans may hold it.
+            self._plans.clear()
+            self._layout = self.engine.store.layout_version
+        return embeddings_containing_edge(
+            self.engine, self.pattern, edge, self.variant,
+            obs=self.obs, governor=self.governor, plans=self._plans,
+        )
 
     def insert(
         self, src: int, dst: int, label=None, directed: bool = False
@@ -305,17 +300,17 @@ class ContinuousMatcher:
         :class:`~repro.errors.LimitExceeded` subclass is raised: a partial
         delta cannot be folded into ``total`` without corrupting it, and
         rolling back leaves the matcher consistent and reusable — clear
-        the token and retry the same insert.
+        the token and retry the same insert. Any other error of the delta
+        rolls the insert back too.
         """
         self.engine.store.insert_edge(src, dst, label, directed)
-        edge = Edge(src, dst, label, directed)
-        delta = embeddings_containing_edge(
-            self.engine, self.pattern, edge, self.variant,
-            obs=self.obs, governor=self.governor,
-        )
-        if delta.stop_reason is not None:
+        try:
+            delta = self._delta(Edge(src, dst, label, directed))
+            if delta.stop_reason is not None:
+                raise_stop(delta.stop_reason, delta.count)
+        except BaseException:
             self.engine.store.remove_edge(src, dst, label, directed)
-            raise_stop(delta.stop_reason, delta.count)
+            raise
         self.total += delta.count
         return delta
 
@@ -325,14 +320,10 @@ class ContinuousMatcher:
         """Remove an edge; returns the count of embeddings it destroyed.
 
         As with :meth:`insert`, an early stop raises the typed limit error
-        *before* the store is touched, so the matcher (store, total, and
-        plan cache) is untouched and reusable for the next delta.
+        *before* the store is touched, so the matcher (store and total) is
+        untouched and reusable for the next delta.
         """
-        edge = Edge(src, dst, label, directed)
-        delta = embeddings_containing_edge(
-            self.engine, self.pattern, edge, self.variant,
-            obs=self.obs, governor=self.governor,
-        )
+        delta = self._delta(Edge(src, dst, label, directed))
         if delta.stop_reason is not None:
             raise_stop(delta.stop_reason, delta.count)
         self.engine.store.remove_edge(src, dst, label, directed)

@@ -36,8 +36,8 @@ at compile time instead of per search-tree node:
 
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
-``(pattern fingerprint, variant, planner, restrictions, order prefix,
-store layout version)``: an edge update that patches a cluster in place
+``(pattern fingerprint, variant, planner, restrictions, store layout
+version)``: an edge update that patches a cluster in place
 leaves the compiled ops valid, as they fetch rows and bind row sets
 through the patched cluster, also when it adds or empties a row.
 """

@@ -2,15 +2,11 @@
 
 The session owns the read→optimize→compile pipeline and a small LRU cache
 of its output, so that enumeration (:class:`repro.core.CSCE`), factorized
-counting, continuous/delta matching (:mod:`repro.core.continuous`), and the
-symmetry-breaking baseline all execute the same cached
+counting and the symmetry-breaking baseline all execute the same cached
 :class:`~repro.engine.physical.PhysicalPlan` instead of replanning per call.
 
 Cache keys are ``(pattern fingerprint, variant, planner, restrictions,
-order prefix, store layout version)``. A pinned run's plan starts its order
-with the pinned pattern vertices (the prefix), so continuous matching's
-pin-first plans share this cache, its layout purge and ``verify`` with
-every other plan. :attr:`~repro.ccsr.store.CCSRStore.layout_version`
+store layout version)``. :attr:`~repro.ccsr.store.CCSRStore.layout_version`
 bumps only on the updates that can stale a compiled plan (a cluster
 created or dropped, a vertex added); an edge update that patches a
 cluster in place keeps every cached plan valid, also when it adds or
@@ -19,8 +15,9 @@ through the same cluster object. Entries of an older layout are purged
 on the next fresh compile.
 ``use_sce`` and seeds are deliberately *not* part of the key — memoization
 is runtime state, and seeds rebind via
-:meth:`~repro.engine.physical.PhysicalPlan.with_seed` without recompiling
-(one prefixed plan serves every data vertex its prefix is pinned to).
+:meth:`~repro.engine.physical.PhysicalPlan.with_seed` without recompiling.
+Continuous matching keeps its pin-first plans itself, built uncached by
+:meth:`MatchSession.build`.
 
 Cache hits return the original plan object, whose ``read_seconds`` /
 ``plan_seconds`` describe the priced-once planning work; only
@@ -186,8 +183,8 @@ class MatchSession:
         self.cache_size = cache_size
         self.verify = verify
         """Debug mode: run the ahead-of-execution verifier
-        (:func:`repro.engine.verify.verify_physical`) on every freshly
-        compiled plan, raising
+        (:func:`repro.engine.verify.verify_physical`) on every plan
+        :meth:`build` compiles, raising
         :class:`~repro.errors.PlanVerificationError` before the executor
         ever sees an unsound plan. Cache hits were verified when first
         compiled and are not re-checked."""
@@ -202,18 +199,16 @@ class MatchSession:
         variant: Variant,
         planner: str,
         restrictions: tuple[tuple[int, int], ...] | None,
-        prefix: tuple[int, ...] = (),
     ) -> tuple:
         return (
             pattern_fingerprint(pattern),
             variant.value,
             planner,
             tuple(restrictions) if restrictions else (),
-            tuple(prefix),
             self.store.layout_version,
         )
 
-    def compile(
+    def build(
         self,
         pattern: Graph,
         variant: Variant | str = Variant.EDGE_INDUCED,
@@ -222,12 +217,36 @@ class MatchSession:
         obs: Any = None,
         prefix: tuple[int, ...] = (),
     ) -> CompiledQuery:
+        """The read→optimize→compile pipeline, uncached: plan, compile and,
+        under :attr:`verify`, verify one query. ``prefix`` fixes the
+        order's first pattern vertices (see :func:`plan_query`)."""
+        plan = plan_query(
+            self.store, pattern, variant, planner=planner,
+            obs=obs or self.obs, prefix=prefix,
+        )
+        physical = compile_plan(
+            plan, restrictions=tuple(restrictions) if restrictions else None
+        )
+        if self.verify:
+            from repro.engine.verify import verify_physical
+
+            verify_physical(physical, self.store).raise_for_errors()
+        return CompiledQuery(plan=plan, physical=physical)
+
+    def compile(
+        self,
+        pattern: Graph,
+        variant: Variant | str = Variant.EDGE_INDUCED,
+        planner: str = "csce",
+        restrictions: tuple[tuple[int, int], ...] | None = None,
+        obs: Any = None,
+    ) -> CompiledQuery:
         """The cached read→optimize→compile pipeline.
 
         Returns a :class:`CompiledQuery`; on a hit no cluster is read and
         no span is emitted (bump ``plan_cache.hits`` instead), so traced
-        sessions see read/plan spans only for fresh plans. ``prefix``
-        fixes the order's first pattern vertices (see :func:`plan_query`).
+        sessions see read/plan spans only for fresh plans. A miss runs
+        :meth:`build`.
         """
         variant = Variant.parse(variant)
         if planner not in PLANNERS:
@@ -235,7 +254,7 @@ class MatchSession:
                 f"unknown planner {planner!r}; choose from {PLANNERS}"
             )
         obs = obs or self.obs or NULL_OBS
-        key = self.cache_key(pattern, variant, planner, restrictions, prefix)
+        key = self.cache_key(pattern, variant, planner, restrictions)
         entry = self._cache.get(key)
         if entry is not None:
             self._cache.move_to_end(key)
@@ -246,18 +265,7 @@ class MatchSession:
         self.cache_misses += 1
         if obs.enabled:
             obs.counters.inc("plan_cache.misses")
-        plan = plan_query(
-            self.store, pattern, variant, planner=planner, obs=obs,
-            prefix=prefix,
-        )
-        physical = compile_plan(
-            plan, restrictions=tuple(restrictions) if restrictions else None
-        )
-        if self.verify:
-            from repro.engine.verify import verify_physical
-
-            verify_physical(physical, self.store).raise_for_errors()
-        entry = CompiledQuery(plan=plan, physical=physical, cached=False)
+        entry = self.build(pattern, variant, planner, restrictions, obs)
         # Plans for an older store layout can never hit again, and they
         # pin the clusters (and row caches) that layout dropped.
         layout = self.store.layout_version

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import random
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
+from repro.engine import session as session_module
 from repro.engine.physical import PhysicalPlan
 from repro.graph.model import Graph
 
@@ -200,3 +202,28 @@ def recording_pinned_plans():
 def pinned_positions(physical: PhysicalPlan) -> list[int]:
     """The order positions of a plan's pinned ops."""
     return [op.pos for op in physical.ops if op.pin is not None]
+
+
+@contextmanager
+def recording_planning():
+    """Record the order prefix of every :func:`plan_query` call a session
+    makes, and every :meth:`MatchSession.compile` call, while the context
+    is open: ``.prefixes`` lists one prefix per plan (``()`` for an
+    unpinned plan), ``.compiles`` counts the compile calls."""
+    calls = SimpleNamespace(prefixes=[], compiles=0)
+    plan_query = session_module.plan_query
+    compile_query = session_module.MatchSession.compile
+
+    def counted_plan(*args, prefix=(), **kwargs):
+        calls.prefixes.append(tuple(prefix))
+        return plan_query(*args, prefix=prefix, **kwargs)
+
+    def counted_compile(session, *args, **kwargs):
+        calls.compiles += 1
+        return compile_query(session, *args, **kwargs)
+
+    with mock.patch.object(session_module, "plan_query", counted_plan), \
+            mock.patch.object(
+                session_module.MatchSession, "compile", counted_compile
+            ):
+        yield calls

@@ -296,6 +296,32 @@ class TestContinuousUnderFaults:
         matcher.insert(a, b)
         assert matcher.total == engine.count(matcher.pattern, matcher.variant)
 
+    @pytest.mark.parametrize("site", ["engine.tick", "ccsr.read_cluster"])
+    def test_failed_insert_rolls_back(self, site):
+        """An insert whose delta raises instead of stopping, in its search
+        (``engine.tick``) or while it plans a pin-first plan (a cluster
+        read that outlasts its retries), is rolled back: the store and
+        ``total`` are as before, and the same insert then succeeds."""
+        engine = CSCE(Graph.from_edges(30, [(i, i + 1) for i in range(29)]))
+        matcher = ContinuousMatcher(engine, Graph.from_edges(
+            4, [(0, 1), (1, 2), (2, 3)]
+        ))
+        assert matcher.total == 54
+        edges = engine.store.num_edges
+        injector = FaultInjector(seed=8).on(
+            site, raise_error(lambda: ClusterReadError("injected"))
+        )
+        with injector, pytest.raises(ClusterReadError):
+            matcher.insert(3, 7)
+        assert injector.fired[site] > 0
+        assert engine.store.num_edges == edges
+        assert matcher.total == 54 == engine.count(matcher.pattern)
+        delta = matcher.insert(3, 7)
+        assert engine.store.num_edges == edges + 1
+        assert matcher.total == 54 + delta.count == engine.count(
+            matcher.pattern
+        ) == 70
+
 
 class TestSessionCacheConsistency:
     def test_cache_survives_fault_storm(self, engine):

@@ -1,6 +1,7 @@
 """Tests for seeded execution and continuous (delta) matching."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -14,8 +15,13 @@ from repro.engine import (
     execute_physical,
     plan_query,
 )
-from repro.errors import EmbeddingLimitExceeded, TimeLimitExceeded
-from repro.engine.verify import verify_physical
+from repro.errors import (
+    EmbeddingLimitExceeded,
+    MatchCancelled,
+    PlanVerificationError,
+    TimeLimitExceeded,
+)
+from repro.engine.verify import Diagnostic, verify_physical
 from repro.graph import Edge, Graph
 from repro.graph.patterns import by_name, path
 from repro.graph.sampling import sample_pattern
@@ -26,6 +32,7 @@ from conftest import (
     make_random_graph,
     pinned_positions,
     recording_pinned_plans,
+    recording_planning,
 )
 
 
@@ -186,24 +193,32 @@ class TestPinFirstPlans:
     )
     def test_every_pinned_run_verifies(self, directed, num_labels, edge_labels):
         """A labeled and a directed standing query under ``verify=True``:
-        the session verifies every pin-first plan it compiles, and every
-        pinned copy a delta runs starts at its pin and passes the
-        verifier too (GCF connectivity, topological order, pins)."""
+        the session verifies every plan it builds, the standing query's
+        and each pin-first plan a delta plans, and every pinned copy a
+        delta runs starts at its pin and passes the verifier too (GCF
+        connectivity, topological order, pins)."""
+        from repro.engine import verify as verify_module
+
         g = make_random_graph(
             16, 40, num_labels=num_labels, directed=directed,
             edge_labels=edge_labels, seed=91,
         )
         pattern = sample_pattern(g, 4, rng=3, style="sparse")
         engine = CSCE(g, verify=True)
-        matcher = ContinuousMatcher(engine, pattern)
         churn = random.Random(5).sample(list(g.edges()), 8)
-        with recording_pinned_plans() as pinned_runs:
-            for e in churn:
-                matcher.remove(e.src, e.dst, e.label, e.directed)
-                assert matcher.total == engine.count(pattern)
-            for e in churn:
-                matcher.insert(e.src, e.dst, e.label, e.directed)
+        with recording_planning() as planned, mock.patch.object(
+            verify_module, "verify_physical", wraps=verify_physical
+        ) as verified:
+            matcher = ContinuousMatcher(engine, pattern)
+            with recording_pinned_plans() as pinned_runs:
+                for e in churn:
+                    matcher.remove(e.src, e.dst, e.label, e.directed)
+                    assert matcher.total == engine.count(pattern)
+                for e in churn:
+                    matcher.insert(e.src, e.dst, e.label, e.directed)
         assert matcher.total == CSCE(g).count(pattern)
+        assert any(planned.prefixes)
+        assert verified.call_count == len(planned.prefixes)
         assert pinned_runs
         for physical in pinned_runs:
             assert pinned_positions(physical) == [0, 1]
@@ -214,8 +229,10 @@ class TestPinFirstPlans:
         """On a 2-label graph every edge lands in the one mixed-label
         cluster, so each pool is its live rows filtered by a label set.
         An insert that gives a vertex its first row there, and a remove
-        that empties one, change no layout and plan nothing; every delta
-        count, and the cached standing plan's count, is brute force."""
+        that empties one, change no layout: over the four updates each
+        pattern edge's pin-first plan is planned once, on its first pin,
+        and the standing plan never again; every delta count, and the
+        cached standing plan's count, is brute force."""
         labels = ["A"] * 4 + ["B"] * 4
         edges = [(0, 4), (1, 4), (1, 5), (2, 5), (0, 6)]
         pattern = Graph()
@@ -238,61 +255,128 @@ class TestPinFirstPlans:
         assert any(op.static_pool and op.static_pool[0] is live for op in standing.ops)
         layout, misses = engine.store.layout_version, engine.session.cache_misses
         # 3 and 7 get their first rows; then 6 and 3 lose their last.
-        for update, (a, b) in [("insert", (3, 5)), ("insert", (7, 2)),
-                               ("remove", (0, 6)), ("remove", (3, 5))]:
-            before = brute_count(graph(edges), pattern, variant)
-            delta = getattr(matcher, update)(a, b)
-            if update == "insert":
-                edges.append((a, b))
-            else:
-                edges.remove((a, b))
-            after = brute_count(graph(edges), pattern, variant)
-            assert delta.count == abs(after - before) and matcher.total == after
-            assert engine.count(pattern, variant) == after
-            assert live == {v for pair in edges for v in pair}
+        with recording_planning() as planned:
+            for update, (a, b) in [("insert", (3, 5)), ("insert", (7, 2)),
+                                   ("remove", (0, 6)), ("remove", (3, 5))]:
+                before = brute_count(graph(edges), pattern, variant)
+                delta = getattr(matcher, update)(a, b)
+                if update == "insert":
+                    edges.append((a, b))
+                else:
+                    edges.remove((a, b))
+                after = brute_count(graph(edges), pattern, variant)
+                assert delta.count == abs(after - before) and matcher.total == after
+                assert engine.count(pattern, variant) == after
+                assert live == {v for pair in edges for v in pair}
+        assert sorted(planned.prefixes) == [(0, 1), (1, 2)]
         assert engine.store.layout_version == layout
         assert engine.session.cache_misses == misses
 
     def test_plans_of_long_patterns_stay_cached(self):
         """A 66-edge path needs 67 plans, more than the session's default
-        capacity of 64: registration raises it, so a layout-neutral insert
-        plans nothing."""
+        capacity of 64, and an insert into the path graph pins every
+        pattern edge. Registration runs one ``plan_query``, for the
+        standing query, and leaves the capacity alone. The first insert
+        plans each pattern edge once; the matcher keeps the plans, so a
+        second layout-neutral insert calls neither ``plan_query`` nor
+        ``MatchSession.compile``."""
         g = Graph.from_edges(70, [(i, i + 1) for i in range(69)])
         pattern = path(67)
         engine = CSCE(g)
-        matcher = ContinuousMatcher(engine, pattern)
-        assert engine.session.cache_size >= pattern.num_edges + 1
-        layout, misses = engine.store.layout_version, engine.session.cache_misses
-        delta = matcher.insert(10, 12)
+        with recording_planning() as planned:
+            matcher = ContinuousMatcher(engine, pattern)
+        assert planned.prefixes == [()]
+        assert engine.session.cache_size == 64
+        layout = engine.store.layout_version
+        with recording_planning() as planned:
+            first = matcher.insert(10, 12)
+        assert sorted(planned.prefixes) == sorted(
+            (e.src, e.dst) for e in pattern.edges()
+        )
+        assert planned.compiles == 0
+        with recording_planning() as planned:
+            second = matcher.insert(30, 32)
+        assert planned.prefixes == [] and planned.compiles == 0
         assert engine.store.layout_version == layout
-        assert engine.session.cache_misses == misses
         g.add_edge(10, 12)
-        assert delta.count > 0 and matcher.total == CSCE(g).count(pattern)
+        g.add_edge(30, 32)
+        assert first.count > 0 and second.count > 0
+        assert matcher.total == CSCE(g).count(pattern)
 
     def test_standing_queries_on_one_engine_keep_each_others_plans(self):
         """A 40-edge and a 50-edge standing path on one engine need 41 +
-        51 plans: each matcher adds its own share to the capacity, so
-        alternating layout-neutral inserts through both plan nothing."""
+        51 plans, more than the session's capacity: each matcher keeps
+        its own pin-first plans, so of alternating layout-neutral inserts
+        through both, the first through each plans each of its pattern
+        edges once and the second plans and compiles nothing."""
         g = Graph.from_edges(90, [(i, i + 1) for i in range(89)])
         engine = CSCE(g)
         short = ContinuousMatcher(engine, path(41))
         long = ContinuousMatcher(engine, path(51))
-        layout, misses = engine.store.layout_version, engine.session.cache_misses
-        for i, matcher in enumerate([short, long, short, long]):
-            matcher.insert(10 * i, 10 * i + 2)
-        assert engine.store.layout_version == layout
-        assert engine.session.cache_misses == misses
+        layout = engine.store.layout_version
 
-    def test_closed_matchers_give_their_cache_share_back(self):
-        """Registering and closing a 3-edge standing path 100 times leaves
-        the capacity where it started; a second close is a no-op."""
+        def pattern_edges(matcher):
+            return sorted((e.src, e.dst) for e in matcher.pattern.edges())
+
+        for i, (matcher, expected) in enumerate([
+            (short, pattern_edges(short)), (long, pattern_edges(long)),
+            (short, []), (long, []),
+        ]):
+            with recording_planning() as planned:
+                matcher.insert(10 * i, 10 * i + 2)
+            assert sorted(planned.prefixes) == expected
+            assert planned.compiles == 0
+        assert engine.store.layout_version == layout
+
+    def test_a_layout_change_replans_only_the_edges_pinned_after_it(self):
+        """A labelled A-B-C path: an A-B insert pins only pattern edge
+        (0, 1), a B-C insert only (1, 2). Each is planned on its first
+        pin; an A-A insert creates a cluster, which empties the table,
+        and afterwards each pattern edge is replanned once, on its next
+        pin, and not before. Every delta is brute force."""
+        labels = ["A"] * 3 + ["B"] * 3 + ["C"] * 3
+        edges = [(0, 3), (3, 6), (1, 4), (4, 7)]
+        pattern = Graph()
+        pattern.add_vertices(["A", "B", "C"])
+        pattern.add_edge(0, 1)
+        pattern.add_edge(1, 2)
+
+        def graph(pairs):
+            g = Graph()
+            g.add_vertices(labels)
+            for a, b in pairs:
+                g.add_edge(a, b)
+            return g
+
+        engine = CSCE(graph(edges))
+        matcher = ContinuousMatcher(engine, pattern)
+        layout = engine.store.layout_version
+        for (a, b), expected in [
+            ((2, 5), [(0, 1)]), ((5, 8), [(1, 2)]), ((0, 1), []),
+            ((1, 5), [(0, 1)]), ((2, 4), []), ((4, 8), [(1, 2)]),
+            ((3, 7), []),
+        ]:
+            before = brute_count(graph(edges), pattern, "edge_induced")
+            with recording_planning() as planned:
+                delta = matcher.insert(a, b)
+            edges.append((a, b))
+            assert delta.count == brute_count(
+                graph(edges), pattern, "edge_induced"
+            ) - before
+            assert planned.prefixes == expected and planned.compiles == 0
+            if (a, b) == (0, 1):
+                assert engine.store.layout_version != layout
+        assert matcher.total == CSCE(graph(edges)).count(pattern)
+
+    def test_registrations_leave_the_cache_capacity_alone(self):
+        """Registering a 3-edge standing path 100 times on one engine
+        leaves the session's capacity at its default of 64, and its
+        cache holding the one standing plan."""
         engine = CSCE(make_random_graph(30, 60, seed=5))
         for _ in range(100):
-            matcher = ContinuousMatcher(engine, path(4))
-            assert engine.session.cache_size == 64 + 4
-            matcher.close()
-        matcher.close()
+            ContinuousMatcher(engine, path(4))
         assert engine.session.cache_size == 64
+        assert engine.session.cache_info["size"] == 1
 
     def test_prefix_off_the_pattern_edges_fails_verification(self):
         """The verifier's connectivity check covers prefixed orders: a
@@ -371,13 +455,64 @@ class TestDeltaLimits:
         assert engine.store.num_edges == edges
         assert matcher.total == 0
 
+    @pytest.mark.parametrize(
+        "budget, tripped, error",
+        [(None, True, MatchCancelled),
+         (Budget(max_embeddings=1), False, EmbeddingLimitExceeded)],
+        ids=["cancelled", "embedding_cap"],
+    )
+    def test_registration_runs_under_the_governor(self, budget, tripped, error):
+        """The initial count runs under the matcher's governor: a tripped
+        token or a cap below the standing count raises the typed stop,
+        so no matcher starts from a partial total."""
+        engine = CSCE(Graph.from_edges(30, [(i, i + 1) for i in range(29)]))
+        gov = ResourceGovernor(budget=budget)
+        if tripped:
+            gov.cancel.trip("registration")
+        with pytest.raises(error) as stopped:
+            ContinuousMatcher(engine, path(4), governor=gov)
+        assert stopped.value.partial_count < engine.count(path(4)) == 54
+
+    def test_unverifiable_pin_first_plan_rolls_the_insert_back(
+        self, monkeypatch
+    ):
+        """Under ``verify=True`` a delta verifies each pin-first plan it
+        builds; a plan that fails raises ``PlanVerificationError`` out of
+        the insert, which is rolled back."""
+        from repro.engine import verify as verify_module
+
+        engine = CSCE(
+            Graph.from_edges(30, [(i, i + 1) for i in range(29)]),
+            verify=True,
+        )
+        matcher = ContinuousMatcher(engine, path(4))
+        edges = engine.store.num_edges
+
+        def reject(physical, store):
+            report = verify_physical(physical, store)
+            report.diagnostics.append(
+                Diagnostic("injected", "rejected for the test")
+            )
+            return report
+
+        monkeypatch.setattr(verify_module, "verify_physical", reject)
+        with pytest.raises(PlanVerificationError):
+            matcher.insert(3, 7)
+        assert engine.store.num_edges == edges
+        assert matcher.total == 54
+        monkeypatch.undo()
+        matcher.insert(3, 7)
+        assert matcher.total == engine.count(path(4)) == 70
+
 
 class TestOneRunPerDelta:
     def test_a_delta_is_one_run(self, monkeypatch):
         """A 6-pin triangle delta builds one runtime, merges its stats
         into the counters once, and leaves one ``execute`` span and one
-        ``run_start``/``run_end`` pair; its search counters are the sums
-        of separate runs of the same pinned copies."""
+        ``run_start``/``run_end`` pair; the ``read``/``plan`` spans of its
+        three pin-first plans, planned on their first pin, precede the
+        run. Its search counters are the sums of separate runs of the
+        same pinned copies."""
         from repro.core import continuous
         from repro.obs import Observation
         from repro.obs.counters import CounterRegistry
@@ -411,7 +546,7 @@ class TestOneRunPerDelta:
         assert len(runtimes) == 1
         assert merges == [delta.stats]
         spans = [root["name"] for root in obs.tracer.to_list()]
-        assert spans == ["execute"]
+        assert spans == ["read", "plan"] * 3 + ["execute"]
         runs = [
             event.name for event in obs.recorder.events()
             if event.name in ("run_start", "run_end")

@@ -129,11 +129,18 @@ class TestPlannerConfigs:
         p = sample_pattern(g, 5, rng=0)
         session = CSCE(g).session
         standing = session.compile(p, planner=planner)
+        cache = dict(session.cache_info)
         for e in p.edges():
+            # A prefixed plan is built apart from the cache: it neither
+            # enters it nor displaces the standing plan.
             prefix = (e.dst, e.src)
-            pinned = session.compile(p, planner=planner, prefix=prefix)
+            pinned = session.build(p, planner=planner, prefix=prefix)
             assert pinned.plan.order[:2] == list(prefix)
-            assert session.compile(p, planner=planner, prefix=prefix).cached
+            assert not pinned.cached
+            assert session.cache_info == cache
+            again = session.compile(p, planner=planner)
+            assert again.cached and again.physical is standing.physical
+            cache = dict(session.cache_info)
             counted = MatchOptions(count_only=True)
             assert (
                 execute_physical(pinned.physical, counted).count

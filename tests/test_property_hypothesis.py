@@ -4,7 +4,7 @@ import os
 import tempfile
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.ccsr import CCSRStore
 from repro.ccsr.io import load_store, save_store
@@ -348,6 +348,13 @@ class TestMatchingProperties:
                     assert drained + rest == resumed.count == total
 
     @given(continuous_streams())
+    @example((
+        Graph.from_edges(4, [(0, 3), (3, 2), (1, 3), (2, 0)], directed=True),
+        Graph.from_edges(4, [(1, 0), (2, 1), (3, 2)], directed=True),
+        # Each edge is removed, then inserted again.
+        [(a, b, True) for a, b in [(0, 3), (3, 2), (1, 3), (2, 0)]
+         for _ in range(2)],
+    ))
     @settings(_SETTINGS, derandomize=True)
     def test_continuous_deltas_agree(self, stream_input):
         """The continuous leg: a drawn insert/remove stream through a
@@ -357,9 +364,14 @@ class TestMatchingProperties:
         from the graph, row views and admissible sets included, and the
         plan compiled at the last layout change counts what a fresh plan
         counts. Every pin ran on a pin-first plan, its two pinned pattern
-        vertices at positions 0 and 1, and each pin-first plan compiled
-        at the last layout change counts, under every pin onto every
-        final data edge, what a freshly planned one counts."""
+        vertices at positions 0 and 1, and each pin-first plan built at
+        the last layout change, and each plan in the matcher's table if
+        it is valid for the final layout, counts, under every pin onto
+        every final data edge, what a freshly planned one counts.
+
+        The example is a directed 4-path whose every delta pins all three
+        pattern edges: a candidate memo kept across the switch to the
+        next pattern edge's plan miscounts it."""
         g, p, updates = stream_input
         labels = list(g.vertex_labels)
         start = {
@@ -377,7 +389,7 @@ class TestMatchingProperties:
 
             def compile_all():
                 return engine.session.compile(p, variant).physical, {
-                    prefix: engine.session.compile(
+                    prefix: engine.session.build(
                         p, variant, prefix=prefix
                     ).physical
                     for prefix in prefixes
@@ -433,7 +445,10 @@ class TestMatchingProperties:
                 == matcher.total
             )
             final = store.to_graph()
-            for prefix, cached in pin_first.items():
+            built = list(pin_first.items())
+            if matcher._layout == store.layout_version:
+                built += matcher._plans.items()
+            for prefix, cached in built:
                 fresh_pinned = compile_plan(
                     plan_query(store, p, variant, prefix=prefix)
                 )
