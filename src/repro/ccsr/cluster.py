@@ -7,10 +7,17 @@ run-length compresses ``I_R`` so that each edge contributes at most two
 integers, bounding the total row-index storage by ``4|E|``. Reading a
 cluster for a task *decompresses* it back into a standard CSR for O(1)
 neighbor lookup.
+
+Each CSR also keeps one dict from row id to that row's current
+``frozenset``: the matcher's row views, and the rows changed since the
+arrays were last built. An edge update replaces one row's set there and
+copies no array; a reader of the arrays folds the changed rows into
+fresh ones first.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -23,7 +30,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class CompressedCSR:
     """A CSR over one direction of a cluster, stored compressed.
 
-    Compressed form (always present):
+    Compressed form (the arrays):
 
     * ``rows`` — sorted distinct source vertices that have at least one edge,
     * ``row_counts`` — the run-length "repeat count": the degree of each row,
@@ -33,6 +40,17 @@ class CompressedCSR:
 
     * ``full_offsets`` — the standard ``I_R`` of length ``num_vertices + 1``
       giving O(1) ``cols[I_R[v]:I_R[v+1]]`` neighbor slices.
+
+    Row sets (:meth:`row`): one dict from row id to the row's current
+    ``frozenset``, filled on a row's first read and replaced by
+    :meth:`insert` and :meth:`remove`, which copy no array. The arrays
+    are then a base that the rows written since they were built
+    override; every method that reads them (:meth:`neighbors`,
+    :meth:`iter_edges`, :meth:`source_vertices`, :meth:`decompress`,
+    :meth:`compressed_arrays`, :meth:`nbytes`,
+    :attr:`compressed_index_length`, and building an admissible set)
+    first folds those rows into fresh arrays, so what it returns is
+    exact.
 
     Admissible sets (built on demand by :meth:`rows_at_least`): per
     length ``k`` asked for, the set of rows holding at least ``k``
@@ -47,6 +65,9 @@ class CompressedCSR:
         "_offsets",
         "full_offsets",
         "num_vertices",
+        "num_entries",
+        "_row_sets",
+        "_changed",
         "_at_least",
     )
 
@@ -86,6 +107,20 @@ class CompressedCSR:
     ) -> None:
         """Set every slot; the one assignment path of both constructors."""
         self.num_vertices = num_vertices
+        self.full_offsets: np.ndarray | None = None
+        self._set_arrays(rows, row_counts, cols)
+        #: Length of ``I_C`` — the paper's cluster size — kept by the
+        #: updates, so it reads no array.
+        self.num_entries = int(cols.shape[0])
+        self._row_sets: dict[int, frozenset[int]] = {}
+        # Rows written since the arrays were built: their sets override
+        # the arrays until the next fold.
+        self._changed: set[int] = set()
+        self._at_least: dict[int, set[int]] = {}
+
+    def _set_arrays(
+        self, rows: np.ndarray, row_counts: np.ndarray, cols: np.ndarray
+    ) -> None:
         self.rows = rows
         self.row_counts = row_counts
         self.cols = cols
@@ -93,15 +128,40 @@ class CompressedCSR:
         self._offsets = np.concatenate(([0], np.cumsum(row_counts))).astype(
             np.int64
         )
-        self.full_offsets: np.ndarray | None = None
-        self._at_least: dict[int, set[int]] = {}
+        if self.full_offsets is not None:
+            self.full_offsets = self._standard_index()
+
+    def _fold(self) -> None:
+        """Rebuild the arrays from the rows no update touched and the
+        current sets of those it did: O(entries), and nothing when no
+        row changed since the last build."""
+        if not self._changed:
+            return
+        changed = sorted(self._changed)
+        self._changed.clear()
+        sets = [sorted(self._row_sets[v]) for v in changed]
+        kept = np.repeat(
+            ~np.isin(self.rows, np.asarray(changed, dtype=np.int64)),
+            self.row_counts,
+        )
+        src = np.concatenate((
+            np.repeat(self.rows, self.row_counts)[kept],
+            np.repeat(
+                np.asarray(changed, dtype=np.int64),
+                np.asarray([len(row) for row in sets], dtype=np.int64),
+            ),
+        ))
+        cols = np.concatenate((
+            self.cols[kept],
+            np.fromiter(chain.from_iterable(sets), dtype=np.int64),
+        ))
+        # Each row's entries come from one sorted run, base or changed,
+        # so a stable sort on the row id keeps every run sorted.
+        order = np.argsort(src, kind="stable")
+        rows, row_counts = np.unique(src[order], return_counts=True)
+        self._set_arrays(rows, row_counts, cols[order])
 
     # ------------------------------------------------------------------
-    @property
-    def num_entries(self) -> int:
-        """Length of ``I_C`` — the paper's cluster size."""
-        return int(self.cols.shape[0])
-
     @property
     def is_decompressed(self) -> bool:
         return self.full_offsets is not None
@@ -109,6 +169,7 @@ class CompressedCSR:
     @property
     def compressed_index_length(self) -> int:
         """Integers in the compressed ``I_R`` (value + repeat count)."""
+        self._fold()
         return 2 * int(self.rows.shape[0])
 
     def standard_index_length(self) -> int:
@@ -117,25 +178,41 @@ class CompressedCSR:
 
     def nbytes(self) -> int:
         """Approximate resident bytes of the stored arrays."""
+        self._fold()
         total = self.rows.nbytes + self.row_counts.nbytes + self.cols.nbytes
         total += self._offsets.nbytes
         if self.full_offsets is not None:
             total += self.full_offsets.nbytes
         return total
 
+    def compressed_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The current ``(rows, row_counts, cols)``: what the store
+        format saves."""
+        self._fold()
+        return self.rows, self.row_counts, self.cols
+
     # ------------------------------------------------------------------
-    def decompress(self) -> None:
-        """Materialize the standard ``I_R`` for O(1) neighbor access."""
-        if self.full_offsets is not None:
-            return
+    def _standard_index(self) -> np.ndarray:
         full = np.zeros(self.num_vertices + 1, dtype=np.int64)
         if self.rows.shape[0]:
             full[self.rows + 1] = self.row_counts
             np.cumsum(full, out=full)
-        self.full_offsets = full
+        return full
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """The sorted neighbor array of ``v`` (empty if none).
+    def decompress(self) -> None:
+        """Materialize the standard ``I_R`` for O(1) neighbor access."""
+        self._fold()
+        if self.full_offsets is None:
+            self.full_offsets = self._standard_index()
+
+    def resize(self, num_vertices: int) -> None:
+        """Grow the vertex count to ``num_vertices``. The standard ``I_R``
+        is |V|+1 long, so it is dropped until the next :meth:`decompress`."""
+        self.num_vertices = num_vertices
+        self.full_offsets = None
+
+    def _array_row(self, v: int) -> np.ndarray:
+        """``v``'s slice of the arrays as built (empty if none).
 
         O(1) when decompressed; a binary search over stored rows otherwise.
         """
@@ -147,50 +224,42 @@ class CompressedCSR:
             return _EMPTY
         return self.cols[self._offsets[idx] : self._offsets[idx + 1]]
 
+    def neighbors(self, v: int) -> np.ndarray:
+        """The sorted neighbor array of ``v`` (empty if none)."""
+        self._fold()
+        return self._array_row(v)
+
+    def row(self, v: int) -> frozenset[int]:
+        """``v``'s entries as a set (the candidate kernel's operand), built
+        from the arrays on the row's first read and kept until an update
+        replaces it. The set is shared; callers must not mutate it."""
+        row = self._row_sets.get(v)
+        if row is None:
+            # A row without a set was not written since the arrays were
+            # built, so its slice there is current.
+            row = self._row_sets[v] = frozenset(self._array_row(v).tolist())
+        return row
+
     def insert(self, src: int, dst: int) -> None:
-        """Patch the absent entry ``src -> dst`` in, keeping every run
-        sorted (a new row joins ``rows_at_least(1)``)."""
-        i = int(np.searchsorted(self.rows, src))
-        start = int(self._offsets[i])
-        if i == self.rows.shape[0] or self.rows[i] != src:
-            at = start
-            self.rows = np.insert(self.rows, i, src)
-            self.row_counts = np.insert(self.row_counts, i, 1)
-            # The new row's end offset; the shift below makes it start + 1.
-            self._offsets = np.insert(self._offsets, i + 1, start)
-            length = 1
-        else:
-            stop = int(self._offsets[i + 1])
-            at = start + int(np.searchsorted(self.cols[start:stop], dst))
-            self.row_counts[i] += 1
-            length = stop - start + 1
-        admitted = self._at_least.get(length)
+        """Add the absent entry ``src -> dst`` to its row's set (a new
+        row joins ``rows_at_least(1)``)."""
+        row = self._row_sets[src] = self.row(src) | {dst}
+        self._changed.add(src)
+        self.num_entries += 1
+        admitted = self._at_least.get(len(row))
         if admitted is not None:
             admitted.add(src)
-        self.cols = np.insert(self.cols, at, dst)
-        self._offsets[i + 1 :] += 1
-        if self.full_offsets is not None:
-            self.full_offsets[src + 1 :] += 1
 
     def remove(self, src: int, dst: int) -> None:
-        """Patch the present entry ``src -> dst`` out; a row it empties is
-        dropped (and leaves ``rows_at_least(1)``)."""
-        i = int(np.searchsorted(self.rows, src))
-        start, stop = int(self._offsets[i]), int(self._offsets[i + 1])
-        at = start + int(np.searchsorted(self.cols[start:stop], dst))
-        admitted = self._at_least.get(stop - start)
+        """Take the present entry ``src -> dst`` out of its row's set; a
+        row it empties leaves ``rows_at_least(1)``."""
+        row = self.row(src)
+        admitted = self._at_least.get(len(row))
         if admitted is not None:
             admitted.discard(src)
-        self.cols = np.delete(self.cols, at)
-        self._offsets[i + 1 :] -= 1
-        if self.full_offsets is not None:
-            self.full_offsets[src + 1 :] -= 1
-        if stop - start == 1:
-            self.rows = np.delete(self.rows, i)
-            self.row_counts = np.delete(self.row_counts, i)
-            self._offsets = np.delete(self._offsets, i + 1)
-        else:
-            self.row_counts[i] -= 1
+        self._row_sets[src] = row - {dst}
+        self._changed.add(src)
+        self.num_entries -= 1
 
     def rows_at_least(self, k: int) -> set[int]:
         """The rows holding at least ``k`` entries, built on first use and
@@ -200,6 +269,7 @@ class CompressedCSR:
         is shared; callers must not mutate it."""
         admitted = self._at_least.get(k)
         if admitted is None:
+            self._fold()
             admitted = self._at_least[k] = set(
                 self.rows[self.row_counts >= k].tolist()
             )
@@ -211,22 +281,22 @@ class CompressedCSR:
         return self._at_least.get(k)
 
     def degree(self, v: int) -> int:
-        return int(self.neighbors(v).shape[0])
+        return len(self.row(v))
 
     def contains(self, src: int, dst: int) -> bool:
-        """Binary-search membership test for the edge ``src -> dst``."""
-        nbrs = self.neighbors(src)
-        idx = np.searchsorted(nbrs, dst)
-        return idx < nbrs.shape[0] and nbrs[idx] == dst
+        """Membership test for the entry ``src -> dst``."""
+        return dst in self.row(src)
 
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """Yield every (src, dst) entry stored in this CSR."""
+        self._fold()
         for i, r in enumerate(self.rows):
             for c in self.cols[self._offsets[i] : self._offsets[i + 1]]:
                 yield int(r), int(c)
 
     def source_vertices(self) -> np.ndarray:
         """Sorted distinct vertices with at least one outgoing entry."""
+        self._fold()
         return self.rows
 
 
@@ -239,15 +309,14 @@ class Cluster:
     undirected edge is stored in both orientations inside it.
 
     The matcher reads rows as ``frozenset`` views (:meth:`successor_set`,
-    :meth:`predecessor_set`), built on a row's first read and cached here,
-    so they are dropped with the cluster. The numpy arrays stay the
-    storage: :meth:`nbytes` counts only them. An update patches the
-    cluster in place (:meth:`insert`, :meth:`remove`), so the object, and
-    every row view the update does not touch, outlives it, and so do the
-    admissible sets (:meth:`rows_at_least`), which the patch keeps live.
+    :meth:`predecessor_set`), which are the CSRs' row sets
+    (:meth:`CompressedCSR.row`). An update patches the cluster in place
+    (:meth:`insert`, :meth:`remove`): it replaces the sets of the two rows
+    it touches, so the object, every other row view, and the admissible
+    sets (:meth:`rows_at_least`), which the patch keeps live, outlive it.
     """
 
-    __slots__ = ("key", "out_csr", "in_csr", "_out_rows", "_in_rows", "__weakref__")
+    __slots__ = ("key", "out_csr", "in_csr", "_out_sets", "_in_sets", "__weakref__")
 
     def __init__(
         self,
@@ -296,10 +365,11 @@ class Cluster:
         self.key = key
         self.out_csr = out_csr
         self.in_csr = in_csr
-        # Row views, filled one row at a time by successor_set /
-        # predecessor_set. An undirected cluster has one CSR, so one cache.
-        self._out_rows: dict[int, frozenset[int]] = {}
-        self._in_rows = self._out_rows if in_csr is None else {}
+        # The CSRs' row dicts, read here directly so that a row view
+        # already built costs one dict lookup. An undirected cluster has
+        # one CSR, so one dict.
+        self._out_sets = out_csr._row_sets
+        self._in_sets = self._csr(False)._row_sets
 
     # ------------------------------------------------------------------
     @property
@@ -323,6 +393,12 @@ class Cluster:
     def is_decompressed(self) -> bool:
         return self.out_csr.is_decompressed
 
+    def resize(self, num_vertices: int) -> None:
+        """Grow both CSRs to ``num_vertices`` (:meth:`CompressedCSR.resize`)."""
+        self.out_csr.resize(num_vertices)
+        if self.in_csr is not None:
+            self.in_csr.resize(num_vertices)
+
     def nbytes(self) -> int:
         total = self.out_csr.nbytes()
         if self.in_csr is not None:
@@ -336,24 +412,20 @@ class Cluster:
 
     def predecessors(self, v: int) -> np.ndarray:
         """Vertices with an edge into ``v`` in this cluster."""
-        if self.in_csr is None:
-            return self.out_csr.neighbors(v)
-        return self.in_csr.neighbors(v)
+        return self._csr(False).neighbors(v)
 
     def successor_set(self, v: int) -> frozenset[int]:
-        """:meth:`successors` as a set, built on first read and cached on
-        the cluster (the candidate kernel's operand)."""
-        row = self._out_rows.get(v)
+        """:meth:`successors` as a set (the candidate kernel's operand)."""
+        row = self._out_sets.get(v)
         if row is None:
-            row = self._out_rows[v] = frozenset(self.out_csr.neighbors(v).tolist())
+            row = self.out_csr.row(v)
         return row
 
     def predecessor_set(self, v: int) -> frozenset[int]:
-        """:meth:`predecessors` as a set, cached like :meth:`successor_set`."""
-        row = self._in_rows.get(v)
+        """:meth:`predecessors` as a set, read like :meth:`successor_set`."""
+        row = self._in_sets.get(v)
         if row is None:
-            csr = self.out_csr if self.in_csr is None else self.in_csr
-            row = self._in_rows[v] = frozenset(csr.neighbors(v).tolist())
+            row = self._csr(False).row(v)
         return row
 
     def rows_at_least(self, successors: bool, k: int) -> set[int]:
@@ -371,20 +443,16 @@ class Cluster:
         return self.out_csr if successors or self.in_csr is None else self.in_csr
 
     def insert(self, src: int, dst: int) -> None:
-        """Patch one absent edge in place: both CSR entries (each keeping
-        its admissible sets, static pools included, live), and the cached
-        row views of the two rows it touches are dropped."""
+        """Patch one absent edge in: both CSR entries, each replacing one
+        row set and keeping its admissible sets, static pools included,
+        live."""
         self.out_csr.insert(src, dst)
-        (self.out_csr if self.in_csr is None else self.in_csr).insert(dst, src)
-        self._out_rows.pop(src, None)
-        self._in_rows.pop(dst, None)
+        self._csr(False).insert(dst, src)
 
     def remove(self, src: int, dst: int) -> None:
         """Patch one present edge out; the mirror of :meth:`insert`."""
         self.out_csr.remove(src, dst)
-        (self.out_csr if self.in_csr is None else self.in_csr).remove(dst, src)
-        self._out_rows.pop(src, None)
-        self._in_rows.pop(dst, None)
+        self._csr(False).remove(dst, src)
 
     def contains_edge(self, src: int, dst: int) -> bool:
         """True if the cluster stores an edge allowing ``src -> dst``."""
@@ -405,9 +473,7 @@ class Cluster:
 
     def destination_vertices(self) -> np.ndarray:
         """Sorted distinct vertices usable as edge destinations."""
-        if self.in_csr is None:
-            return self.out_csr.source_vertices()
-        return self.in_csr.source_vertices()
+        return self._csr(False).source_vertices()
 
     def iter_directed_entries(self) -> Iterator[tuple[int, int]]:
         """Yield each stored (src, dst) orientation once."""

@@ -60,10 +60,11 @@ def _decode_label(tagged: list) -> Hashable:
 
 
 def _csr_arrays(csr: CompressedCSR, prefix: str) -> dict[str, np.ndarray]:
+    rows, row_counts, cols = csr.compressed_arrays()
     return {
-        f"{prefix}_rows": csr.rows,
-        f"{prefix}_counts": csr.row_counts,
-        f"{prefix}_cols": csr.cols,
+        f"{prefix}_rows": rows,
+        f"{prefix}_counts": row_counts,
+        f"{prefix}_cols": cols,
     }
 
 

@@ -184,8 +184,8 @@ class CCSRStore:
         self.version = 0
         #: Bumped only by the updates that can stale a compiled plan: a
         #: cluster created or dropped, or a vertex added (a static pool's
-        #: label set). An edge update within a cluster patches its arrays,
-        #: row views and live row sets in place, which a plan reads
+        #: label set). An edge update within a cluster replaces row sets
+        #: and patches live row sets in place, which a plan reads
         #: through the same cluster object, so the session's plan cache
         #: keys on this counter.
         self.layout_version = 0
@@ -255,23 +255,22 @@ class CCSRStore:
     #
     # The paper positions CCSR against graph-database storage (Kùzu),
     # where updates are table stakes. An update touches exactly one
-    # cluster — the heterogeneity index localizes the work — and patches
-    # that cluster's CSR arrays in place, leaving every other cluster
-    # untouched. A cluster is built only when its key first appears and
-    # dropped only when it empties.
+    # cluster — the heterogeneity index localizes the work — and in it
+    # replaces the row sets of the edge's two rows, in time proportional
+    # to those rows: no CSR array is copied, and every other cluster is
+    # untouched. The arrays are rebuilt from the changed rows only when
+    # something reads them (a task read, a save, a plan's row
+    # statistics). A cluster is built only when its key first appears
+    # and dropped only when it empties.
     # ------------------------------------------------------------------
     def insert_vertex(self, label: Hashable = 0) -> int:
-        """Append a vertex; returns its id. Invalidates decompressed row
+        """Append a vertex; returns its id. Drops decompressed row
         indices (their length is |V|+1)."""
         self.vertex_labels.append(label)
         self.label_frequency[label] += 1
         self.num_vertices += 1
         for cluster in self.clusters.values():
-            cluster.out_csr.num_vertices = self.num_vertices
-            cluster.out_csr.full_offsets = None
-            if cluster.in_csr is not None:
-                cluster.in_csr.num_vertices = self.num_vertices
-                cluster.in_csr.full_offsets = None
+            cluster.resize(self.num_vertices)
         self.version += 1
         self.layout_version += 1
         return self.num_vertices - 1

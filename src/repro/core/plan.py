@@ -251,9 +251,10 @@ def _shortest_row(store: CCSRStore, cluster: Cluster, direction: str) -> int:
     else:
         csr, labels = cluster.in_csr, {key.dst_label}
     eligible = sum(store.label_frequency[label] for label in labels)
-    if csr.rows.shape[0] < eligible:
+    rows, row_counts, _ = csr.compressed_arrays()
+    if rows.shape[0] < eligible:
         return 0
-    return int(csr.row_counts.min())
+    return int(row_counts.min())
 
 
 def _row_requirements(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
@@ -19,6 +20,29 @@ import pytest
 from repro.engine import session as session_module
 from repro.engine.physical import PhysicalPlan
 from repro.graph.model import Graph
+from repro.testing import faults
+
+
+# ---------------------------------------------------------------------------
+# Leak guard
+# ---------------------------------------------------------------------------
+@pytest.fixture(autouse=True)
+def _no_leaked_global_state():
+    """Fail the test that leaves tracemalloc running (when it was off
+    before) or a fault injector installed: either slows or skews every
+    later test in the process. The leak is undone before failing, so the
+    failure stays with the test that caused it."""
+    tracing = tracemalloc.is_tracing()
+    yield
+    leaks = []
+    if not tracing and tracemalloc.is_tracing():
+        tracemalloc.stop()
+        leaks.append("tracemalloc left running")
+    if faults.ACTIVE is not None:
+        faults.ACTIVE.uninstall()
+        leaks.append("a FaultInjector left installed")
+    if leaks:
+        pytest.fail("test leaked " + " and ".join(leaks), pytrace=False)
 
 
 # ---------------------------------------------------------------------------

@@ -337,11 +337,16 @@ class TestLadderReachesRegionMemo:
         injector = FaultInjector().on(
             "governor.memory", memory_spike(10_000.0), after=5, times=2
         )
-        with injector:
-            counter = FactorizedCounter(
-                physical, MatchOptions(count_only=True, governor=governor)
-            )
-            count = counter.count()
+        try:
+            with injector:
+                counter = FactorizedCounter(
+                    physical, MatchOptions(count_only=True, governor=governor)
+                )
+                count = counter.count()
+        finally:
+            # The run's Runtime started tracemalloc for the ceiling; a
+            # direct counter caller owns the release.
+            governor.release()
         runtime = counter.runtime
         assert runtime.degradation == [DEGRADE_EVICT, DEGRADE_DISABLE]
         assert runtime.stop_reason is None
