@@ -30,7 +30,7 @@ once, an embedding cap or deadline bounds the delta as a whole, and its
 stats, trace span and flight-recorder events are those of one run. The
 candidate kernel resolves each pinned position by membership
 (:class:`~repro.engine.candidates.CandidateComputer`), so a pin costs no
-memo probe, intersection or sort.
+memo probe, intersection or sort; each pin rebinds its ``pins``.
 
 Each pin runs a **pin-first plan**: one plan per pinned pattern edge,
 whose order starts with that edge's two endpoints (Graphflow compiles one
@@ -39,12 +39,11 @@ order instead would make a pin that lands late in it scan the unpinned
 prefix first and only then filter to the pin. :class:`ContinuousMatcher`
 builds an edge's plan (:meth:`~repro.engine.MatchSession.build`) on its
 first pin, before the delta's run starts, and keeps it until the store's
-:attr:`~repro.ccsr.store.CCSRStore.layout_version` moves. Each pin
-rebinds its edge's plan with :meth:`~repro.engine.PhysicalPlan.with_seed`;
-both orientations of an undirected data edge share it — no replanning
-per pin — and share its candidate memo, which the delta clears when it
-moves on to the next pattern edge's plan (memo keys hold per-plan spec
-ids).
+:attr:`~repro.ccsr.store.CCSRStore.layout_version` moves. Every pin onto
+a pattern edge runs that one plan, uncopied — both orientations of an
+undirected data edge included, so no replanning per pin — and shares its
+candidate memo, which the delta clears when it moves on to the next
+pattern edge's plan (memo keys hold per-plan spec ids).
 """
 
 from __future__ import annotations
@@ -174,8 +173,7 @@ def embeddings_containing_edge(
         governor=governor,
         count_only=True,
     )
-    # One plan per pinned pattern edge; each pin is a cheap rebind of
-    # that plan's first two ops.
+    # One plan per pinned pattern edge, shared by its pins.
     plans = {} if plans is None else plans
     for prefix, _, _ in pins:
         if prefix not in plans:
@@ -202,7 +200,8 @@ def embeddings_containing_edge(
                     # undirected data edge share one plan and its memo.
                     current = prefix
                     runtime.computer.clear()
-                physical = plans[prefix].with_seed(seed)
+                physical = plans[prefix]
+                runtime.computer.pins = physical.with_seed(seed, engine.store)
                 if variant.injective or not earlier:
                     before = runtime.emitted
                     count += count_capped(physical, runtime) - before

@@ -116,13 +116,13 @@ class CSCE:
         restrictions: tuple[tuple[int, int], ...] | None,
         seed: dict[int, int] | None,
         obs,
-    ) -> PhysicalPlan:
-        """The session's compiled plan for one call, with ``seed`` bound."""
+    ) -> tuple[PhysicalPlan, dict[int, int] | None]:
+        """The session's compiled plan for one call, and ``seed`` bound."""
         physical = self.session.compile(
             pattern, variant, planner=planner,
             restrictions=restrictions, obs=obs,
         ).physical
-        return physical.with_seed(seed) if seed else physical
+        return physical, physical.with_seed(seed, self.store) if seed else None
 
     def match(
         self,
@@ -165,7 +165,8 @@ class CSCE:
         seed:
             Pinned mappings ``{pattern vertex: data vertex}``; only
             embeddings extending the seed are produced (delta matching).
-            Seeds rebind onto the cached compiled plan without recompiling.
+            The run binds the seed to the cached plan, uncopied; an invalid
+            seed raises :class:`~repro.errors.PlanVerificationError` first.
         obs:
             A :class:`repro.obs.Observation` receiving spans (``match`` →
             ``read``/``plan``/``execute``), counters, and heartbeats for
@@ -212,7 +213,7 @@ class CSCE:
         with obs.tracer.span(
             "match", engine="CSCE", variant=variant.value
         ) as span:
-            physical = self._compiled(
+            physical, pins = self._compiled(
                 pattern, variant, planner, restrictions, seed, obs
             )
             options = MatchOptions(
@@ -220,6 +221,7 @@ class CSCE:
                 max_embeddings=max_embeddings,
                 time_limit=time_limit,
                 use_sce=use_sce,
+                seed=pins,
                 obs=obs if obs.enabled else None,
                 governor=governor,
                 workers=workers,
@@ -274,13 +276,14 @@ class CSCE:
         """
         variant = Variant.parse(variant)
         obs = obs or self.obs or NULL_OBS
-        physical = self._compiled(
+        physical, pins = self._compiled(
             pattern, variant, planner, restrictions, seed, obs
         )
         options = MatchOptions(
             max_embeddings=max_embeddings,
             time_limit=time_limit,
             use_sce=use_sce,
+            seed=pins,
             obs=obs if obs.enabled else None,
             governor=governor,
         )

@@ -26,10 +26,10 @@ op intersects its pool's sets and sorts the result, once per run under
 the memo, so it sees the rows an update added or emptied without a
 recompile.
 
-A pinned op (a seeded run, a continuous delta's pin) skips all of that:
-its candidates are its pin if the pin passes every row, pool set,
-admissible set and negation by membership, else none, and never enter the
-memo.
+An op whose vertex the run's binding ``pins`` names (the seed, rebound
+per pin by a continuous delta) skips all of that: its candidates are its
+pin if the pin passes every row, pool set, admissible set and negation
+by membership, else none, and never enter the memo.
 This kernel is the one place pins are applied.
 """
 
@@ -83,8 +83,11 @@ class CandidateComputer:
         use_sce: bool = True,
         memo_limit: int = 1_000_000,
         profile: Any = None,
+        pins: dict[int, int] | None = None,
     ) -> None:
         self.use_sce = use_sce
+        #: The run's binding ``{pattern vertex: data vertex}`` (:meth:`_pinned`).
+        self.pins: dict[int, int] = pins or {}
         self.memo_limit = memo_limit
         self.stats = CandidateStats()
         #: Optional :class:`repro.obs.profile.SearchDepthProfile` receiving
@@ -140,9 +143,11 @@ class CandidateComputer:
         """The sorted raw candidate tuple of ``op.u`` under the current
         partial embedding (before injectivity filtering). A pinned op's
         tuple is its pin or nothing (:meth:`_pinned`)."""
-        pin = op.pin
-        if pin is not None:
-            return self._pinned(op, pin, assignment)
+        pins = self.pins
+        if pins:
+            pin = pins.get(op.u)
+            if pin is not None:
+                return self._pinned(op, pin, assignment)
         if self.use_sce:
             key = (op.spec_id, op.memo_key(assignment))
             cached = self._memo.get(key)

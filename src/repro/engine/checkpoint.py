@@ -161,8 +161,8 @@ def checkpoint_payload(
 ) -> dict:
     """One checkpoint document: a work unit's ``state`` payload and the
     ``progress`` it carries, stamped with the query identity (pattern,
-    variant, planner, restrictions, seed pins) of the compiled plan it
-    ran, the run's ``options`` and the ``limits`` it enforced (its cap and
+    variant, planner, restrictions; seed pins from ``options.seed``) of the
+    run, its ``options`` and the ``limits`` it enforced (its cap and
     relative time limit, so a resume keeps them). Every writer — stream,
     pool shard, quarantine residue — builds its document here."""
     from repro.graph.io import format_graph_text, parse_graph_text
@@ -173,7 +173,7 @@ def checkpoint_payload(
     # everything else as str).
     text = format_graph_text(plan.pattern)
     digest = pattern_digest(parse_graph_text(text))
-    pins = sorted((op.u, op.pin) for op in physical.ops if op.pin is not None)
+    pins = sorted((options.seed or {}).items())
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -409,9 +409,9 @@ def restore(
     checkpoint's own limits (pass an override — including ``None`` for
     unlimited — to change them); extra keyword ``options`` go to
     :class:`MatchOptions`. The plan is compiled with the checkpoint's
-    restrictions and its seed rebound with
+    restrictions and its seed bound with
     :meth:`~repro.engine.physical.PhysicalPlan.with_seed`, so the restored
-    run executes the plan the checkpointed one ran.
+    run executes the query the checkpointed one ran.
     """
     if not documents:
         raise CheckpointError("empty checkpoint set: nothing to restore")
@@ -439,8 +439,6 @@ def restore(
     physical = session.compile(
         pattern, variant, planner=planner, restrictions=restrictions, obs=obs
     ).physical
-    if seed:
-        physical = physical.with_seed(seed)
     # A run that degraded past DEGRADE_DISABLE must not re-enable the memo
     # on resume — the memory pressure that forced it off is still the
     # operative assumption until the governor says otherwise.
@@ -453,6 +451,7 @@ def restore(
             max_embeddings=max_embeddings,
             time_limit=time_limit,
             use_sce=use_sce,
+            seed=physical.with_seed(seed, session.store) if seed else None,
             obs=obs if obs is not None and obs.enabled else None,
             governor=governor,
             **options,

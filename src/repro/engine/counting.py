@@ -300,5 +300,8 @@ def count_physical(
     ``stop_reason`` names the cause.
     """
     counter = FactorizedCounter(physical, options, limits)
-    counter.count()
+    try:
+        counter.count()
+    finally:
+        counter.runtime.release()
     return counter.runtime

@@ -235,6 +235,7 @@ class Runtime:
             use_sce=options.use_sce,
             memo_limit=options.memo_limit,
             profile=self.profile,
+            pins=options.seed,
         )
         self.nodes = 0
         self.emitted = 0
@@ -736,8 +737,8 @@ def execute_physical(
 ) -> MatchResult:
     """Run a compiled plan to completion and package the result.
 
-    The plan is the run's whole query: its restrictions and pins are
-    executed as compiled. With ``options.workers > 1`` the count runs on
+    The plan and ``options.seed`` are the run's whole query: its
+    restrictions are executed as compiled and its pins as bound. With ``options.workers > 1`` the count runs on
     the worker pool (:func:`~repro.engine.pool.execute_parallel`), which
     writes unfinished units to ``checkpoint`` (a
     :class:`~repro.engine.checkpoint.PoolCheckpointDir`) on an early stop
@@ -792,7 +793,7 @@ def execute_physical(
             options.count_only
             and options.use_sce
             and not physical.restrictions
-            and not physical.has_pins
+            and not options.seed
             and limits.cap is None
             and physical.regions.factorizes
         ):

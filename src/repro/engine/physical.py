@@ -26,9 +26,8 @@ at compile time instead of per search-tree node:
   ``operator.itemgetter`` call;
 * symmetry restrictions are folded into per-step slots evaluated at the
   position where their later endpoint is matched;
-* seed pins ride on the op (:meth:`PhysicalPlan.with_seed` rebinding
-  copies only the pinned ops, so continuous matching reuses one compiled
-  pin-first plan per pattern edge across every pin onto that edge);
+* seed pins are not compiled in: they bind to the run
+  (:meth:`PhysicalPlan.with_seed`), so every pinned run shares one plan;
 * the independent-region splits the factorized counter multiplies over
   (:class:`RegionTable`) are computed once per plan, lazily, on the first
   exact count that asks, and compiled into the counter's region tree
@@ -50,9 +49,10 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Any, Callable
 
-from repro.ccsr.store import FORWARD
+from repro.ccsr.store import FORWARD, CCSRStore
 from repro.core.plan import SUCCESSORS, Plan, Pool, pool_size
 from repro.core.variants import Variant
+from repro.engine.verify import check_seed
 from repro.errors import PlanError
 from repro.graph.model import Graph
 
@@ -72,8 +72,7 @@ class ExtendOp:
     each intersected with the candidates after the edge constraints.
     Pool and admissible sets are shared, never mutated here.
     ``restrictions`` holds ``(other_vertex, candidate_is_smaller)`` order
-    checks anchored at this step. ``pin`` fixes the step to a single data
-    vertex (seeded runs).
+    checks anchored at this step.
     ``memo_key(assignment)`` is the images of ``priors`` — the SCE memo
     key's variable half (:func:`prior_getter`).
     """
@@ -87,7 +86,6 @@ class ExtendOp:
     static_pool: Pool | None
     admissible: tuple[set[int], ...] = ()
     restrictions: tuple[tuple[int, bool], ...] = ()
-    pin: int | None = None
     memo_key: Callable[[list[int]], Any] = field(
         init=False, compare=False, repr=False
     )
@@ -111,23 +109,13 @@ def prior_getter(indices: tuple[int, ...]) -> Callable[[list[int]], Any]:
     return itemgetter(*indices) if indices else _no_priors
 
 
-def _repinned(op: ExtendOp, pin: int | None) -> ExtendOp:
-    """A copy of ``op`` with ``pin`` rebound, made without re-running
-    the dataclass machinery (its fields are already resolved)."""
-    copy = object.__new__(ExtendOp)
-    fields = copy.__dict__
-    fields.update(op.__dict__)
-    fields["pin"] = pin
-    return copy
-
-
 @dataclass(frozen=True)
 class PhysicalPlan:
     """A compiled plan: one :class:`ExtendOp` per order position.
 
     Holds a reference to the logical plan it was lowered from (for the
     variant, the dependency DAG used by count factorization, and the
-    EXPLAIN metadata). Immutable; per-run state lives in the executor.
+    EXPLAIN metadata). Immutable; per-run state, pins too, lives in the executor.
     """
 
     logical: Plan
@@ -152,42 +140,21 @@ class PhysicalPlan:
     def injective(self) -> bool:
         return self.logical.variant.injective
 
-    @property
-    def has_pins(self) -> bool:
-        return any(op.pin is not None for op in self.ops)
-
     @cached_property
     def regions(self) -> RegionTable:
         """The plan's :class:`RegionTable`, built on first use and kept
-        with the plan (so in the session's plan cache). Pinned copies made
-        by :meth:`with_seed` start without one and never need it."""
+        with the plan (so in the session's plan cache)."""
         return RegionTable(self.logical)
 
     def impossible(self) -> bool:
         """True when a pattern edge has no cluster: zero embeddings."""
         return self.logical.impossible()
 
-    def with_seed(self, seed: dict[int, int] | None) -> PhysicalPlan:
-        """A copy whose pins are exactly ``seed`` (others cleared).
-
-        This is the continuous-matching fast path: a pattern edge's
-        pin-first plan is rebound per pin instead of recompiled, so only
-        the two pinned ops (its first two) are copied. The copy shares
-        everything else with this plan except the cached :attr:`regions`.
-        """
-        pinned = seed or {}
-        ops = tuple(
-            _repinned(op, pinned.get(op.u))
-            if op.u in pinned or op.pin is not None
-            else op
-            for op in self.ops
-        )
-        copy = object.__new__(PhysicalPlan)
-        fields = copy.__dict__
-        fields.update(self.__dict__)
-        fields.pop("regions", None)
-        fields["ops"] = ops
-        return copy
+    def with_seed(self, seed: dict[int, int], store: CCSRStore) -> dict[int, int]:
+        """A run's binding of ``seed`` on ``store``: the seed, checked
+        (:func:`~repro.engine.verify.check_seed`). Nothing is copied: the
+        run carries it as :attr:`~repro.engine.results.MatchOptions.seed`."""
+        return check_seed(self.logical, seed, store)
 
     def step_table(self) -> list[dict[str, Any]]:
         """Per-op summary rows for EXPLAIN output and the profiler. A
@@ -220,7 +187,6 @@ class PhysicalPlan:
                     )
                 ],
                 "restrictions": len(op.restrictions),
-                "pinned": op.pin is not None,
             }
             for op in self.ops
         ]
@@ -461,8 +427,8 @@ def compile_plan(
     """Lower a logical plan into its physical operators.
 
     ``restrictions`` are baked into per-step slots (each pair checked at
-    the position where its later endpoint is matched). The ops start
-    unpinned; :meth:`PhysicalPlan.with_seed` binds a seed.
+    the position where its later endpoint is matched). Seeds bind to the
+    run instead (:meth:`PhysicalPlan.with_seed`).
     """
     start = time.perf_counter()
     n = plan.num_vertices

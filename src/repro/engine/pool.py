@@ -193,6 +193,7 @@ def _run_unit(
             count_only=True,
             use_sce=options.use_sce,
             memo_limit=options.memo_limit,
+            seed=options.seed,
             obs=obs,
             governor=ResourceGovernor(cancel=cancel, obs=obs),
         ),
@@ -1160,7 +1161,7 @@ def execute_parallel(
         units = list(initial_units)
     else:
         units = make_root_units(
-            physical, options.workers * DEFAULT_UNITS_PER_WORKER
+            physical, options.workers * DEFAULT_UNITS_PER_WORKER, options.seed
         )
     if ctx is None or not physical.ops:
         # No fork on this platform (or a degenerate zero-op plan, which

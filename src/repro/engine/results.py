@@ -72,11 +72,9 @@ class MatchOptions:
     ablations; ``count_only`` skips materializing embeddings. Both limits
     are cooperative in the iterative engine: the run stops at the next
     check, sets ``stop_reason``, and returns the partial count — no
-    exceptions on the engine path. Symmetry restrictions and seeds are
-    not options: they belong to the plan a run executes (compiled with
-    ``restrictions``, pinned with
-    :meth:`~repro.engine.physical.PhysicalPlan.with_seed`).
-    """
+    exceptions on the engine path. Symmetry restrictions are not options:
+    they are compiled into the plan a run executes; a seed binds to the
+    run (``seed``)."""
 
     count_only: bool = False
     max_embeddings: int | None = None
@@ -91,6 +89,10 @@ class MatchOptions:
     """Optional :class:`repro.obs.Observation` carrying the run's tracer,
     counter registry, and heartbeat. ``None`` (the default) selects the
     no-op instruments — the zero-cost-when-disabled path."""
+
+    seed: dict[int, int] | None = None
+    """The run's pins ``{pattern vertex: data vertex}``, checked by
+    :meth:`~repro.engine.physical.PhysicalPlan.with_seed`; ``None``: unpinned."""
 
     governor: object | None = None
     """Optional :class:`repro.engine.governor.ResourceGovernor` enforcing a

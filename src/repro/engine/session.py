@@ -13,9 +13,8 @@ cluster in place keeps every cached plan valid, also when it adds or
 empties a row, because the plan reads the patched rows and live row sets
 through the same cluster object. Entries of an older layout are purged
 on the next fresh compile.
-``use_sce`` and seeds are deliberately *not* part of the key — memoization
-is runtime state, and seeds rebind via
-:meth:`~repro.engine.physical.PhysicalPlan.with_seed` without recompiling.
+``use_sce`` and seeds are deliberately *not* part of the key — both are
+run state (:meth:`~repro.engine.physical.PhysicalPlan.with_seed`).
 Continuous matching keeps its pin-first plans itself, built uncached by
 :meth:`MatchSession.build`.
 

@@ -26,8 +26,8 @@ diagnostic instead of producing silently wrong counts:
   binds the cluster's live admissible set for it, not a copy that an
   in-place patch would leave stale; likewise each static pool binds the
   live row set of a cluster side its vertex's pattern edges name;
-* restriction slots sit at the later endpoint's position and seed pins
-  name in-range data vertices with the pattern vertex's label.
+* restriction slots sit at the later endpoint's position (a seed, not
+  part of a plan, is checked where a run binds it: :func:`check_seed`).
 
 Surfaces: :func:`verify_plan` / :func:`verify_physical` return a
 :class:`VerificationReport`; ``MatchSession(verify=True)`` runs
@@ -38,6 +38,7 @@ Surfaces: :func:`verify_plan` / :func:`verify_physical` return a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable
 
 from repro.ccsr.key import ClusterKey
@@ -582,7 +583,6 @@ def _check_ops(
         _check_op_negations(plan, pos, op, store, out)
         _check_op_filters(plan, pos, op, out)
         _check_op_pool(plan, store, pos, op, out)
-        _check_op_pin(plan, store, pos, op, out)
 
 
 def _check_op_negations(
@@ -706,28 +706,35 @@ def _check_op_pool(
         )
 
 
-def _check_op_pin(
-    plan: Plan, store: CCSRStore, pos: int, op: "ExtendOp", out: _Collector
-) -> None:
-    if op.pin is None:
-        return
-    if not (0 <= op.pin < store.num_vertices):
-        out.add(
-            SEED_PIN_INVALID,
-            f"op {pos} pins u{op.u} to data vertex {op.pin}, outside"
-            f" the store's {store.num_vertices} vertices",
-            position=pos,
-        )
-        return
-    want = plan.pattern.vertex_label(op.u)
-    got = store.vertex_labels[op.pin]
-    if want != got:
-        out.add(
-            SEED_PIN_INVALID,
-            f"op {pos} pins u{op.u} (label {want!r}) to data vertex"
-            f" {op.pin} (label {got!r})",
-            position=pos,
-        )
+def check_seed(
+    plan: Plan, seed: dict[int, int], store: CCSRStore
+) -> dict[int, int]:
+    """The run's binding of ``seed``: a fresh ``{pattern vertex: data
+    vertex}`` dict, once every key is a pattern vertex and every pin a
+    data vertex with that vertex's label; else ``PlanVerificationError``,
+    before any search."""
+    wanted, labels = plan.pattern.vertex_labels, store.vertex_labels
+    problems = []
+    for u, pin in seed.items():
+        if not _is_index(u, len(wanted)):
+            problems.append(f"seed key {u!r} is not a pattern vertex")
+        elif not _is_index(pin, len(labels)):
+            problems.append(f"seed pins u{u} to {pin!r}, not a data vertex")
+        elif wanted[u] != labels[pin]:
+            problems.append(
+                f"seed pins u{u} (label {wanted[u]!r}) to data vertex"
+                f" {pin} (label {labels[pin]!r})"
+            )
+    if problems:
+        VerificationReport(
+            [Diagnostic(SEED_PIN_INVALID, problem) for problem in problems]
+        ).raise_for_errors()
+    return {int(u): int(pin) for u, pin in seed.items()}
+
+
+def _is_index(value: object, size: int) -> bool:
+    integral = type(value) is int or isinstance(value, Integral)  # numpy too
+    return integral and 0 <= value < size  # type: ignore[operator]
 
 
 def _check_restrictions(
@@ -802,8 +809,8 @@ def verify_physical(
     plan, then validates the lowered operator table: op/order agreement,
     fetcher direction and cluster-map membership (object identity, so a
     plan compiled against a since-mutated store is rejected), negation
-    probe realization, row filters, restriction slots, seed pins, and
-    spec interning.
+    probe realization, row filters, restriction slots, and spec
+    interning.
     """
     out = _Collector()
     report = verify_plan(physical.logical, store)

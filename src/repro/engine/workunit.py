@@ -43,9 +43,9 @@ from repro.engine.physical import PhysicalPlan
 MIN_SPLIT_REMAINING = 2
 
 
-def root_candidates(physical: PhysicalPlan) -> list[int]:
-    """The depth-0 candidate list of a compiled plan, pin-filtered (the
-    candidate kernel resolves a pinned root).
+def root_candidates(physical: PhysicalPlan, pins: dict | None = None) -> list[int]:
+    """The depth-0 candidate list of a compiled plan under the run's
+    ``pins`` (the candidate kernel resolves a pinned root).
 
     Computed with memoization off — this runs once in the pool parent, on
     an empty assignment, so there is nothing to memoize. Returns ``[]``
@@ -53,12 +53,14 @@ def root_candidates(physical: PhysicalPlan) -> list[int]:
     """
     if physical.impossible() or not physical.ops:
         return []
-    computer = CandidateComputer(use_sce=False)
+    computer = CandidateComputer(use_sce=False, pins=pins)
     return list(computer.raw(physical.ops[0], [-1] * len(physical.ops)))
 
 
-def make_root_units(physical: PhysicalPlan, shards: int) -> list[dict]:
-    """Shard the root-candidate range into ``shards`` contiguous units.
+def make_root_units(
+    physical: PhysicalPlan, shards: int, pins: dict | None = None
+) -> list[dict]:
+    """Shard the root range under ``pins`` into ``shards`` contiguous units.
 
     Each unit is a ``SearchState.to_payload()`` dict whose depth-0
     candidate list is one chunk of the root range (chunk sizes differ by
@@ -68,7 +70,7 @@ def make_root_units(physical: PhysicalPlan, shards: int) -> list[dict]:
     """
     if shards < 1:
         raise ValueError(f"shards must be positive: {shards}")
-    roots = root_candidates(physical)
+    roots = root_candidates(physical, pins)
     if not roots:
         return []
     n = len(physical.ops)

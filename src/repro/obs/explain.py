@@ -264,11 +264,6 @@ def format_explain(info: dict) -> str:
             f" compiled in {physical['compile_seconds']:.4f} s"
         )
         for op in physical["ops"]:
-            flags = []
-            if op["restrictions"]:
-                flags.append(f"{op['restrictions']} restriction(s)")
-            if op["pinned"]:
-                flags.append("pinned")
             lines.append(
                 f"  op {op['position']:>2}: extend u{op['vertex']}"
                 f" spec#{op['spec']}"
@@ -279,7 +274,11 @@ def format_explain(info: dict) -> str:
                     if op["static_pool"] is not None
                     else ""
                 )
-                + (f"  [{', '.join(flags)}]" if flags else "")
+                + (
+                    f"  [{op['restrictions']} restriction(s)]"
+                    if op["restrictions"]
+                    else ""
+                )
             )
             for f in op["filters"]:
                 lines.append(

@@ -144,8 +144,16 @@ def _edge_maps(graph: Graph, a: int, b: int, e) -> bool:
     return False
 
 
-def brute_count(graph: Graph, pattern: Graph, variant: str) -> int:
-    """Reference count by exhaustive enumeration (tiny inputs only)."""
+def brute_count(
+    graph: Graph,
+    pattern: Graph,
+    variant: str,
+    seed: dict[int, int] | None = None,
+    restrictions: tuple[tuple[int, int], ...] = (),
+) -> int:
+    """Reference count by exhaustive enumeration (tiny inputs only), of
+    the embeddings that extend ``seed`` and map each restriction pair
+    ``(u, v)`` to ``f(u) < f(v)``."""
     n, total_vertices = pattern.num_vertices, graph.num_vertices
     if variant == "homomorphic":
         candidates = itertools.product(range(total_vertices), repeat=n)
@@ -153,6 +161,10 @@ def brute_count(graph: Graph, pattern: Graph, variant: str) -> int:
         candidates = itertools.permutations(range(total_vertices), n)
     count = 0
     for combo in candidates:
+        if seed and any(combo[u] != v for u, v in seed.items()):
+            continue
+        if any(combo[u] >= combo[v] for u, v in restrictions):
+            continue
         if any(
             graph.vertex_label(combo[v]) != pattern.vertex_label(v)
             for v in pattern.vertices()
@@ -209,23 +221,25 @@ def networkx_counts(graph: Graph, pattern: Graph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 @contextmanager
 def recording_pinned_plans():
-    """Collect every plan :meth:`PhysicalPlan.with_seed` returns while the
-    context is open: the pinned plans a continuous delta runs."""
-    plans: list[PhysicalPlan] = []
+    """Collect a ``(plan, pins)`` pair for every seed
+    :meth:`PhysicalPlan.with_seed` binds while the context is open: the
+    pinned runs a continuous delta makes, each the plan it runs and the
+    binding it runs it under."""
+    plans: list[tuple[PhysicalPlan, dict[int, int]]] = []
     original = PhysicalPlan.with_seed
 
-    def with_seed(self, seed):
-        pinned = original(self, seed)
-        plans.append(pinned)
-        return pinned
+    def with_seed(self, seed, store):
+        pins = original(self, seed, store)
+        plans.append((self, pins))
+        return pins
 
     with mock.patch.object(PhysicalPlan, "with_seed", with_seed):
         yield plans
 
 
-def pinned_positions(physical: PhysicalPlan) -> list[int]:
-    """The order positions of a plan's pinned ops."""
-    return [op.pos for op in physical.ops if op.pin is not None]
+def pinned_positions(physical: PhysicalPlan, pins: dict[int, int]) -> list[int]:
+    """The order positions a binding pins in a plan."""
+    return [op.pos for op in physical.ops if op.u in pins]
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """Checkpoint/resume tests: suspended streams serialize their frame stack
 and resume to byte-identical combined counts; mutated stores are refused."""
 
+import copy
 import json
 
 import pytest
@@ -21,12 +22,64 @@ from repro.engine.checkpoint import (
 )
 from repro.errors import CheckpointError
 from repro.graph import Graph
+from repro.graph.patterns import path
 from repro.obs import build_run_report, robustness_problems
 from repro.testing import FaultInjector, memory_spike
 
 from conftest import make_random_graph
 
 VARIANTS = ("edge_induced", "vertex_induced", "homomorphic")
+
+
+#: A seeded stream checkpoint (``path(4)``, seed ``{1: 2}``, capped at 5)
+#: as written when pins were fields of the compiled ops.
+SEEDED_PATH4_CHECKPOINT = {
+    "format": "repro-checkpoint",
+    "version": 1,
+    "pattern": {
+        "text": "t 4 3\nv 0 0\nv 1 0\nv 2 0\nv 3 0\ne 0 1 - u\ne 1 2 - u\ne 2 3 - u\n",
+        "digest": "79b80b5191585f371cf03c1902f5ccf3d424650190d6dc8ba731565417030b26",
+    },
+    "store": {
+        "version": 0,
+        "digest": "ef05b59f95efdcfb616eebf020ef899ae8a4f5d3ec6bcbdcce05cbce997e72db",
+        "num_vertices": 7,
+        "num_edges": 14,
+        "name": "",
+    },
+    "query": {
+        "variant": "edge_induced",
+        "planner": "csce",
+        "restrictions": [],
+        "seed": [[1, 2]],
+        "use_sce": True,
+    },
+    "limits": {"max_embeddings": 5, "time_limit": None},
+    "progress": {
+        "emitted": 5,
+        "stop_reason": "embedding_limit",
+        "degradation": [],
+        "counters": {
+            "nodes": 5,
+            "backtracks": 0,
+            "prunes_injective": 3,
+            "prunes_restriction": 0,
+            "computed": 3,
+            "memo_hits": 2,
+            "memo_misses": 2,
+            "intersections": 0,
+            "negation_checks": 0,
+        },
+    },
+    "state": {
+        "assignment": [5, 2, 0, 4],
+        "used": [0, 2, 4, 5],
+        "values": [[2], [0, 3, 5, 6], [0, 3, 5, 6], [1, 2, 4, 5]],
+        "index": [1, 1, 3, 3],
+        "emitted_at": [0, 0, 0, 3],
+        "pos": 3,
+    },
+}
 
 
 @pytest.fixture
@@ -178,6 +231,27 @@ class TestRoundTrip:
         pooled = engine.resume_pool(path, workers=2, max_embeddings=None)
         assert pooled.stop_reason is None
         assert pooled.count == full
+
+    def test_seeded_checkpoint_of_the_op_pin_format_resumes(self, tmp_path):
+        """A seeded checkpoint written when pins were compiled into the
+        ops (``query.seed`` read off them) resumes, in-process and on the
+        pool, to the seeded total: the format is unchanged, and the seed
+        is bound again at restore."""
+        document = SEEDED_PATH4_CHECKPOINT
+        engine = CSCE(
+            Graph.from_edges(
+                7,
+                [(i, j) for i in range(7) for j in range(i + 1, 7) if (i + j) % 3],
+            )
+        )
+        assert engine.count(path(4), seed={1: 2}) == 30
+        rest = list(engine.resume(copy.deepcopy(document), max_embeddings=None))
+        assert document["progress"]["emitted"] + len(rest) == 30
+        assert all(e[1] == 2 for e in rest)
+        file = tmp_path / "seeded.ck.json"
+        file.write_text(json.dumps(document))
+        pooled = engine.resume_pool(file, workers=2, max_embeddings=None)
+        assert pooled.stop_reason is None and pooled.count == 30
 
     def test_completed_stream_writes_no_checkpoint(self, graph, tmp_path):
         engine = CSCE(graph)

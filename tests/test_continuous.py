@@ -25,7 +25,8 @@ from repro.engine.verify import Diagnostic, verify_physical
 from repro.graph import Edge, Graph
 from repro.graph.patterns import by_name, path
 from repro.graph.sampling import sample_pattern
-from repro.obs.catalog import ORDER_DISCONNECTED
+from repro.engine.checkpoint import load_checkpoint
+from repro.obs.catalog import ORDER_DISCONNECTED, SEED_PIN_INVALID
 
 from conftest import (
     brute_count,
@@ -47,21 +48,45 @@ class TestSeededMatching:
             map(sorted, (m.items() for m in expected))
         )
 
-    def test_invalid_seed_yields_nothing(self, square_with_diagonal):
-        engine = CSCE(square_with_diagonal)
-        p = path(3)
-        # Vertex 1 of C4+diag has degree 2 — pinning the path *center* on a
-        # data vertex works, but pinning onto a non-candidate (wrong label
-        # universe) must not:
-        g = Graph()
-        g.add_vertices(["X", "Y"])
-        g.add_edge(0, 1)
-        e = CSCE(g)
-        q = Graph()
-        q.add_vertices(["X", "Y"])
-        q.add_edge(0, 1)
-        assert e.match(q, seed={0: 1}).count == 0  # label mismatch
-        assert e.match(q, seed={0: 0}).count == 1
+    @pytest.mark.parametrize(
+        "seed", [{99: 0}, {0: 1000}, {0: -1}, {0: 3}],
+        ids=["non-pattern-key", "out-of-range", "negative", "label-mismatch"],
+    )
+    def test_invalid_seed_is_refused(self, seed, tmp_path):
+        """A seed whose key is not a pattern vertex, whose pin is not a
+        data vertex, or whose pin has another label is refused with
+        ``seed-pin-invalid`` before any search, on ``match``,
+        ``match_iter`` and resume."""
+        labels = ["A", "A", "A", "B", "A"]
+        bowtie = Graph.from_edges(
+            5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
+            vertex_labels=labels,
+        )
+        triangle = Graph.from_edges(
+            3, [(0, 1), (1, 2), (2, 0)], vertex_labels="AAA"
+        )
+        engine = CSCE(bowtie)
+        assert engine.count(triangle) == 6
+
+        def refused(run):
+            with pytest.raises(PlanVerificationError) as error:
+                run()
+            assert {d.code for d in error.value.diagnostics} == {
+                SEED_PIN_INVALID
+            }
+
+        refused(lambda: engine.match(triangle, count_only=True, seed=seed))
+        refused(lambda: engine.match_iter(triangle, seed=seed))
+        path = tmp_path / "seeded.ck.json"
+        with engine.match_iter(
+            triangle, seed={0: 2}, max_embeddings=1, checkpoint_path=path
+        ) as stream:
+            assert len(list(stream)) == 1
+        document = load_checkpoint(path)
+        document["query"]["seed"] = [list(pair) for pair in seed.items()]
+        refused(lambda: engine.resume(document))
+        document["query"]["seed"] = [[0, 2]]
+        assert len(list(engine.resume(document, max_embeddings=None))) == 1
 
     def test_multi_vertex_seed(self, square_with_diagonal):
         engine = CSCE(square_with_diagonal)
@@ -194,8 +219,8 @@ class TestPinFirstPlans:
     def test_every_pinned_run_verifies(self, directed, num_labels, edge_labels):
         """A labeled and a directed standing query under ``verify=True``:
         the session verifies every plan it builds, the standing query's
-        and each pin-first plan a delta plans, and every pinned copy a
-        delta runs starts at its pin and passes the verifier too (GCF
+        and each pin-first plan a delta plans, and every pinned run a
+        delta makes starts at its pin and its plan passes the verifier too (GCF
         connectivity, topological order, pins)."""
         from repro.engine import verify as verify_module
 
@@ -220,8 +245,8 @@ class TestPinFirstPlans:
         assert any(planned.prefixes)
         assert verified.call_count == len(planned.prefixes)
         assert pinned_runs
-        for physical in pinned_runs:
-            assert pinned_positions(physical) == [0, 1]
+        for physical, pins in pinned_runs:
+            assert pinned_positions(physical, pins) == [0, 1]
             assert verify_physical(physical, engine.store).ok
 
     @pytest.mark.parametrize("variant", ["edge_induced", "homomorphic"])
@@ -410,9 +435,9 @@ class TestDeltaLimits:
         )
         rebind = PhysicalPlan.with_seed
 
-        def slow_rebind(physical, seed):
+        def slow_rebind(physical, seed, store):
             now[0] += 0.4
-            return rebind(physical, seed)
+            return rebind(physical, seed, store)
 
         monkeypatch.setattr(PhysicalPlan, "with_seed", slow_rebind)
 
@@ -512,7 +537,7 @@ class TestOneRunPerDelta:
         ``run_start``/``run_end`` pair; the ``read``/``plan`` spans of its
         three pin-first plans, planned on their first pin, precede the
         run. Its search counters are the sums of separate runs of the
-        same pinned copies."""
+        same pinned runs."""
         from repro.core import continuous
         from repro.obs import Observation
         from repro.obs.counters import CounterRegistry
@@ -553,14 +578,46 @@ class TestOneRunPerDelta:
         ]
         assert runs == ["run_start", "run_end"]
         separate = [
-            execute_physical(physical, MatchOptions(count_only=True))
-            for physical in pinned
+            execute_physical(physical, MatchOptions(count_only=True, seed=pins))
+            for physical, pins in pinned
         ]
         assert delta.count == sum(result.count for result in separate) == 12
         for key in ("nodes", "backtracks", "prunes_injective"):
             assert delta.stats[key] == sum(
                 result.stats[key] for result in separate
             )
+
+    def test_pins_of_a_pattern_edge_share_one_plan(self, monkeypatch):
+        """Pins bind to the run, not the plan: the 6-pin triangle delta
+        runs each pattern edge's two pins on the identical ``ops`` tuple
+        and ``regions`` object, with the runtime's pins rebound to each
+        seed in turn."""
+        from repro.core import continuous
+
+        engine = CSCE(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        matcher = ContinuousMatcher(engine, by_name("triangle"))
+        runs = []
+        count = continuous.count_capped
+
+        def recorded(physical, runtime, *args):
+            runs.append(
+                (physical.ops, physical.regions, dict(runtime.computer.pins))
+            )
+            return count(physical, runtime, *args)
+
+        monkeypatch.setattr(continuous, "count_capped", recorded)
+        assert matcher.insert(0, 2).count == 12
+        assert len(runs) == 6
+        by_edge: dict = {}
+        for ops, regions, pins in runs:
+            first_two = frozenset(op.u for op in ops[:2])
+            assert first_two == frozenset(pins)
+            by_edge.setdefault(first_two, []).append((ops, regions, pins))
+        assert len(by_edge) == 3
+        for (ops, regions, pins), (ops2, regions2, pins2) in by_edge.values():
+            assert ops2 is ops and regions2 is regions
+            # The data edge's other orientation.
+            assert pins2.keys() == pins.keys() and pins2 != pins
 
     def test_pattern_edges_do_not_share_memo_entries(self):
         """One delta runs a pin-first plan per pattern edge, and memo

@@ -6,7 +6,6 @@ satellite fixes riding on the engine PR (throughput epsilon, plan-time
 clamp, seed+restriction interaction).
 """
 
-import dataclasses
 import random
 import sys
 import time
@@ -95,34 +94,15 @@ class TestCompiler:
         with pytest.raises(PlanError):
             compile_plan(plan, restrictions=((0, 7),))
 
-    def test_with_seed_pins_ops(self, engine):
-        plan = engine.build_plan(small_pattern(), "edge_induced")
-        physical = compile_plan(plan)
-        assert not physical.has_pins
-        pinned = physical.with_seed({0: 3})
-        assert pinned.has_pins
-        position = {op.u: op.pos for op in pinned.ops}
-        assert pinned.ops[position[0]].pin == 3
-        # Rebinding back to no-seed state reuses the same compiled ops.
-        assert pinned.logical is physical.logical
-
-    def test_with_seed_copies_only_pinned_ops(self, engine):
-        plan = engine.build_plan(small_pattern(), "edge_induced")
-        physical = compile_plan(plan)
-        assert physical.regions is not None  # cached on the original
-        pinned = physical.with_seed({0: 3})
-        assert "regions" not in pinned.__dict__
-        for op, copy in zip(physical.ops, pinned.ops):
-            if op.u == 0:
-                assert copy is not op and copy.pin == 3
-                assert copy.memo_key is op.memo_key
-                assert copy == dataclasses.replace(op, pin=3)
-            else:
-                assert copy is op
-        unpinned = pinned.with_seed(None)
-        assert not unpinned.has_pins
-        assert unpinned.ops == physical.ops
-        assert physical.ops[0].pin is None  # the original is untouched
+    def test_with_seed_binds_without_copying(self, engine):
+        # A seed binds to the run: with_seed returns the checked binding
+        # and the plan keeps its ops and cached regions, so every pinned
+        # run shares them.
+        physical = compile_plan(engine.build_plan(small_pattern(), "edge_induced"))
+        ops, regions = physical.ops, physical.regions
+        pins = physical.with_seed({0: 3}, engine.store)
+        assert pins == {0: 3}
+        assert physical.ops is ops and physical.regions is regions
 
     def test_memo_key_reads_the_prior_images(self, engine):
         # The compiled key is itemgetter's reading of the priors: the
@@ -233,7 +213,10 @@ class TestIterativeExecutor:
         if case == "seed":
             with EmbeddingStream(physical) as s:
                 first = next(s)
-            physical = physical.with_seed({0: first[0]})
+            options = MatchOptions(
+                count_only=True,
+                seed=physical.with_seed({0: first[0]}, engine.store),
+            )
         elif case == "cap":
             options = MatchOptions(count_only=True, max_embeddings=3)
 
@@ -682,15 +665,14 @@ class TestPinnedCandidates:
                     pins = rng.sample(raw, min(2, len(raw)))
                     pins += rng.sample(outside, min(2, len(outside)))
                     for pin in pins:
-                        pinned = physical.with_seed({op.u: pin})
                         expected = (pin,) if pin in raw else ()
-                        kernel = CandidateComputer()
-                        got = kernel.raw(pinned.ops[op.pos], assignment)
+                        kernel = CandidateComputer(pins={op.u: pin})
+                        got = kernel.raw(op, assignment)
                         assert got == expected
                         assert kernel.memo_size == 0
                         if op.pos == 0:
                             roots = [] if physical.impossible() else list(expected)
-                            assert root_candidates(pinned) == roots
+                            assert root_candidates(physical, {op.u: pin}) == roots
 
 
 class TestLayering:

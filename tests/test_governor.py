@@ -261,6 +261,33 @@ class TestDegradationLadder:
             tracemalloc.stop()
 
 
+    @pytest.mark.parametrize("tracing", [False, True], ids=["off", "on"])
+    def test_count_physical_leaves_tracing_as_it_found_it(self, tracing):
+        """A direct ``count_physical`` caller whose governor has a memory
+        ceiling gets tracemalloc back as it was: the counter's runtime
+        releases what it started, and stops no foreign tracing."""
+        from repro.engine import count_physical
+
+        engine = CSCE(make_random_graph(12, 30, seed=4))
+        physical = engine.session.compile(square(), "edge_induced").physical
+        if tracing:
+            tracemalloc.start()
+        try:
+            runtime = count_physical(
+                physical,
+                MatchOptions(
+                    count_only=True,
+                    governor=ResourceGovernor(
+                        budget=Budget(memory_limit_mb=512.0)
+                    ),
+                ),
+            )
+            assert runtime.emitted == engine.count(square())
+            assert tracemalloc.is_tracing() == tracing
+        finally:
+            if tracing:
+                tracemalloc.stop()
+
 class TestFactorizedStopConsistency:
     """Satellite: LimitExceeded.partial_count must agree with the result
     count on the factorized (count-only) path, including a time-limit trip

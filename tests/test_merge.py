@@ -38,13 +38,15 @@ def engine(graph):
 
 
 def shard_by_root(engine, pattern, variant="edge_induced"):
-    """Split a run into one seeded shard per root-candidate data vertex —
-    the multi-worker sharding model (each worker gets a pinned root) —
-    and snapshot each shard's counters and stats."""
+    """Split a run into one seeded shard per data vertex with the root's
+    label — the multi-worker sharding model (each worker gets a pinned
+    root) — and snapshot each shard's counters and stats."""
     plan = engine.build_plan(pattern, variant)
     root = plan.order[0]
     shards = []
-    for v in range(engine.store.num_vertices):
+    for v, label in enumerate(engine.store.vertex_labels):
+        if label != pattern.vertex_label(root):
+            continue  # a seed must keep the pattern vertex's label
         obs = Observation(trace=False)
         result = engine.match(
             pattern, variant, count_only=False, seed={root: v}, obs=obs

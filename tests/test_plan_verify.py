@@ -147,11 +147,28 @@ def test_negation_on_non_induced_plan_rejected(store):
     assert NEGATION_UNEXPECTED in report.codes()
 
 
+def _seed_codes(physical, seed, store) -> list[str]:
+    with pytest.raises(PlanVerificationError) as refused:
+        physical.with_seed(seed, store)
+    return [d.code for d in refused.value.diagnostics]
+
+
 def test_bad_seed_pin_rejected(store):
+    """A seed is checked where a run binds it: an out-of-range pin and a
+    pin whose data vertex has another label are refused at binding."""
     plan = plan_query(store, by_name("triangle"))
-    physical = compile_plan(plan).with_seed({plan.order[0]: store.num_vertices + 7})
-    report = verify_physical(physical, store)
-    assert SEED_PIN_INVALID in report.codes()
+    physical = compile_plan(plan)
+    u = plan.order[0]
+    assert _seed_codes(physical, {u: store.num_vertices + 7}, store) == [
+        SEED_PIN_INVALID
+    ]
+    labeled = CCSRStore(
+        Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], vertex_labels="AAB")
+    )
+    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], vertex_labels="AAB")
+    physical = compile_plan(plan_query(labeled, triangle))
+    assert physical.with_seed({2: 2}, labeled) == {2: 2}
+    assert _seed_codes(physical, {2: 0}, labeled) == [SEED_PIN_INVALID]
 
 
 def test_misplaced_restriction_rejected(store):

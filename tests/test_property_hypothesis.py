@@ -264,18 +264,36 @@ class TestMatchingProperties:
         cap and with a drawn cap, a stream drain, a capped stream's
         checkpoint resumed to the end, and a two-worker pool with and
         without the drawn cap. Count mode and the drain must also leave
-        the same counters and frame stack. Derandomized, so the pool leg
-        runs the same few examples on every run."""
+        the same counters and frame stack. About half the inputs draw a
+        seed pinning one pattern vertex to a data vertex of its label:
+        every path then counts the brute-force embeddings through that
+        pin, so the run's binding reaches the counter, forked workers and
+        checkpoints. Derandomized, so the pool leg runs the same few
+        examples on every run."""
         g, p = gp
         engine = CSCE(g)
         restrictions = ((0, 1),) if restricted else ()
-        options = MatchOptions(count_only=True)
+        seed = None
+        if data.draw(st.booleans(), label="seeded"):
+            u = data.draw(
+                st.integers(min_value=0, max_value=p.num_vertices - 1),
+                label="pinned vertex",
+            )
+            images = [
+                v for v in g.vertices() if g.vertex_label(v) == p.vertex_label(u)
+            ]
+            seed = {u: data.draw(st.sampled_from(images), label="pin")}
+        query = dict(
+            count_only=True, restrictions=restrictions or None, seed=seed
+        )
         physical = engine.session.compile(
             p, variant, restrictions=restrictions or None
         ).physical
+        pins = physical.with_seed(seed, engine.store) if seed else None
+        options = MatchOptions(count_only=True, seed=pins)
 
         def run(cap, emit):
-            opts = MatchOptions(count_only=True, max_embeddings=cap)
+            opts = MatchOptions(count_only=True, max_embeddings=cap, seed=pins)
             runtime = Runtime(opts)
             state = SearchState.fresh(len(physical.ops))
             if emit:
@@ -292,31 +310,22 @@ class TestMatchingProperties:
 
         counted = run(None, emit=False)
         total = counted[0]
+        assert total == brute_count(g, p, variant, seed, restrictions)
         assert counted == run(None, emit=True)
-        routed = engine.match(
-            p, variant, count_only=True, restrictions=restrictions or None
-        )
+        routed = engine.match(p, variant, **query)
         assert routed.count == total
-        pooled = engine.match(
-            p, variant, count_only=True, restrictions=restrictions or None,
-            workers=2,
-        )
+        pooled = engine.match(p, variant, workers=2, **query)
         assert pooled.count == total
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "store.npz")
             save_store(engine.session.store, path)
             loaded = CSCE(load_store(path))
         # A loaded store builds its clusters on the loader's path.
-        assert (
-            loaded.match(
-                p, variant, count_only=True, restrictions=restrictions or None
-            ).count
-            == total
-        )
+        assert loaded.match(p, variant, **query).count == total
         if not restricted:
             runtime = count_physical(physical, options)
             factorized, stats = runtime.emitted, runtime.stats()
-            assert factorized == total == brute_count(g, p, variant)
+            assert factorized == total
             if not physical.regions.factorizes:
                 # Nothing splits: the counter walks the frame machine's tree.
                 assert {key: stats[key] for key in counted[1]} == counted[1]
@@ -326,9 +335,7 @@ class TestMatchingProperties:
             assert capped[0] == cap
             assert capped == run(cap, emit=True)
             capped_pool = engine.match(
-                p, variant, count_only=True,
-                restrictions=restrictions or None, workers=2,
-                max_embeddings=cap,
+                p, variant, workers=2, max_embeddings=cap, **query
             )
             assert capped_pool.count == min(cap, total)
             # Resume leg: the capped stream's checkpoint resumes to the total.
@@ -336,7 +343,8 @@ class TestMatchingProperties:
                 path = os.path.join(tmp, "ck.json")
                 first = engine.match_iter(
                     p, variant, max_embeddings=cap,
-                    restrictions=restrictions or None, checkpoint_path=path,
+                    restrictions=restrictions or None, seed=seed,
+                    checkpoint_path=path,
                 )
                 drained = sum(1 for _ in first)
                 assert drained == cap
@@ -366,8 +374,9 @@ class TestMatchingProperties:
         counts. Every pin ran on a pin-first plan, its two pinned pattern
         vertices at positions 0 and 1, and each pin-first plan built at
         the last layout change, and each plan in the matcher's table if
-        it is valid for the final layout, counts, under every pin onto
-        every final data edge, what a freshly planned one counts.
+        it is valid for the final layout, counts, under every
+        label-compatible pin onto every final data edge, what a freshly
+        planned one counts under the same binding.
 
         The example is a directed 4-path whose every delta pins all three
         pattern edges: a candidate memo kept across the switch to the
@@ -413,8 +422,8 @@ class TestMatchingProperties:
                     if store.layout_version != layout:
                         layout = store.layout_version
                         standing, pin_first = compile_all()
-            for physical in pinned_runs:
-                assert pinned_positions(physical) == [0, 1]
+            for physical, pins in pinned_runs:
+                assert pinned_positions(physical, pins) == [0, 1]
             rebuilt = CCSRStore(store.to_graph())
             assert rebuilt.clusters.keys() == store.clusters.keys()
             for key, cluster in store.clusters.items():
@@ -458,11 +467,17 @@ class TestMatchingProperties:
                 for e in final.edges():
                     for seed in (dict(zip(prefix, (e.src, e.dst))),
                                  dict(zip(prefix, (e.dst, e.src)))):
+                        if any(
+                            p.vertex_label(u) != labels[v]
+                            for u, v in seed.items()
+                        ):
+                            continue
+                        pinned = MatchOptions(
+                            count_only=True, seed=cached.with_seed(seed, store)
+                        )
                         assert (
-                            execute_physical(cached.with_seed(seed), counted).count
-                            == execute_physical(
-                                fresh_pinned.with_seed(seed), counted
-                            ).count
+                            execute_physical(cached, pinned).count
+                            == execute_physical(fresh_pinned, pinned).count
                         )
 
     @given(graph_and_pattern())
@@ -498,8 +513,8 @@ class TestExtensionProperties:
     @given(graph_and_pattern())
     @_SETTINGS
     def test_seeded_union_covers_full_enumeration(self, gp):
-        """Summing seeded runs over all first-vertex images reproduces the
-        unseeded enumeration exactly."""
+        """Summing seeded runs over all first-vertex images of its label
+        reproduces the unseeded enumeration exactly."""
         g, p = gp
         engine = CSCE(g)
         full = engine.match(p, "edge_induced")
@@ -507,6 +522,8 @@ class TestExtensionProperties:
         u = 0
         seeded_keys = set()
         for v in range(g.num_vertices):
+            if g.vertex_label(v) != p.vertex_label(u):
+                continue  # a seed must keep the pattern vertex's label
             part = engine.match(p, "edge_induced", seed={u: v})
             for m in part.embeddings:
                 assert m[u] == v
