@@ -62,6 +62,8 @@ def cluster_key_for_labels(
     ``(A, B)`` and ``(B, A)`` name the same cluster.
     """
     if not directed:
+        if src_label == dst_label:
+            return ClusterKey(src_label, dst_label, edge_label, False)
         a, b = sorted((src_label, dst_label), key=_label_order_key)
         return ClusterKey(a, b, edge_label, False)
     return ClusterKey(src_label, dst_label, edge_label, True)

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.ccsr.cluster import Cluster
 from repro.ccsr.key import ClusterKey, cluster_key_for_edge, cluster_key_for_labels
+from repro.errors import GraphError
 from repro.graph.model import Edge, Graph
 from repro.testing import faults
 
@@ -84,6 +85,10 @@ class TaskClusters:
         self.read_seconds = read_seconds
         self.bytes_read = bytes_read
         self.data_vertex_labels = data_vertex_labels or []
+        # Read once: edge_clusters is never mutated, and a cluster that
+        # appears or is dropped bumps the store's layout_version, which
+        # rereads every task.
+        self._impossible = any(c is None for c in edge_clusters.values())
 
     @property
     def clusters_used(self) -> list[Cluster]:
@@ -102,7 +107,7 @@ class TaskClusters:
 
     def has_impossible_edge(self) -> bool:
         """True when some pattern edge matched no cluster — zero embeddings."""
-        return any(cluster is None for cluster in self.edge_clusters.values())
+        return self._impossible
 
     def checks_between(self, u_i: int, u_j: int) -> list[NegationCheck]:
         """Negation probes for the ordered pattern pair (u_i, u_j).
@@ -283,8 +288,6 @@ class CCSRStore:
         directed: bool = False,
     ) -> None:
         """Add one edge, patching only its cluster."""
-        from repro.errors import GraphError
-
         n = self.num_vertices
         if not (0 <= src < n and 0 <= dst < n):
             raise GraphError(f"edge ({src}, {dst}) references a missing vertex")
@@ -315,8 +318,6 @@ class CCSRStore:
     ) -> None:
         """Remove one edge, patching only its cluster (dropping the
         cluster entirely when it empties)."""
-        from repro.errors import GraphError
-
         key = cluster_key_for_labels(
             self.vertex_labels[src] if 0 <= src < self.num_vertices else None,
             self.vertex_labels[dst] if 0 <= dst < self.num_vertices else None,

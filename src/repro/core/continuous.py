@@ -30,7 +30,9 @@ once, an embedding cap or deadline bounds the delta as a whole, and its
 stats, trace span and flight-recorder events are those of one run. The
 candidate kernel resolves each pinned position by membership
 (:class:`~repro.engine.candidates.CandidateComputer`), so a pin costs no
-memo probe, intersection or sort; each pin rebinds its ``pins``.
+memo probe, intersection or sort; each pin rebinds its ``pins``. The
+delta checks its data edge's endpoints once; every seed is built from
+them after a label test, so it binds as it stands, unchecked per pin.
 
 Each pin runs a **pin-first plan**: one plan per pinned pattern edge,
 whose order starts with that edge's two endpoints (Graphflow compiles one
@@ -56,6 +58,7 @@ from repro.engine.executor import Runtime, count_capped, stream
 from repro.engine.governor import run_limits
 from repro.engine.physical import PhysicalPlan
 from repro.engine.results import MatchOptions, raise_stop
+from repro.engine.verify import check_data_vertices
 from repro.graph.model import Edge, Graph
 from repro.obs import NULL_OBS
 
@@ -85,9 +88,12 @@ def _compatible_pins(pattern: Graph, data_labels, edge: Edge) -> list[Pin]:
     """Seeds pinning a pattern edge onto the data edge, label-checked, in
     pattern-edge order. Each seed comes with its pattern edge's plan
     prefix and with the earlier pattern edges that could also map onto
-    the data edge, as ``(src, dst)`` pairs."""
-    src_label = data_labels[edge.src]
-    dst_label = data_labels[edge.dst]
+    the data edge, as ``(src, dst)`` pairs. The edge's endpoints must be
+    data vertices (:func:`~repro.engine.verify.check_data_vertices`);
+    each seed is then a run's binding as it stands."""
+    src, dst = int(edge.src), int(edge.dst)
+    src_label = data_labels[src]
+    dst_label = data_labels[dst]
     pins: list[Pin] = []
     earlier: list[tuple[int, int]] = []
     for pattern_edge in pattern.edges():
@@ -100,7 +106,7 @@ def _compatible_pins(pattern: Graph, data_labels, edge: Edge) -> list[Pin]:
         if not edge.directed:
             orientations.append((pattern_edge.dst, pattern_edge.src))
         seeds = [
-            {u_src: edge.src, u_dst: edge.dst}
+            {u_src: src, u_dst: dst}
             for u_src, u_dst in orientations
             if pattern.vertex_label(u_src) == src_label
             and pattern.vertex_label(u_dst) == dst_label
@@ -166,6 +172,7 @@ def embeddings_containing_edge(
     """
     variant = Variant.parse(variant)
     obs = obs or engine.obs or NULL_OBS
+    check_data_vertices(engine.store, (edge.src, edge.dst))
     pins = _compatible_pins(pattern, engine.store.vertex_labels, edge)
     options = MatchOptions(
         time_limit=time_limit,
@@ -201,7 +208,7 @@ def embeddings_containing_edge(
                     current = prefix
                     runtime.computer.clear()
                 physical = plans[prefix]
-                runtime.computer.pins = physical.with_seed(seed, engine.store)
+                runtime.computer.pins = seed
                 if variant.injective or not earlier:
                     before = runtime.emitted
                     count += count_capped(physical, runtime) - before

@@ -22,9 +22,17 @@ two function calls and one set ``&`` per constraint, plus one ``&`` per
 admissible set (an op without row filters pays nothing for them). The
 operands are short (a handful to a few dozen vertices), where Python set
 algebra costs a fraction of a numpy call's fixed overhead. A static-pool
-op intersects its pool's sets and sorts the result, once per run under
-the memo, so it sees the rows an update added or emptied without a
-recompile.
+op intersects its pool's sets, once per run under the memo, so it sees
+the rows an update added or emptied without a recompile.
+
+A position whose candidates are only counted (the frame machine's count
+mode at its last position) asks for them ``bulk``: the unordered set,
+never sorted. With one constraint and nothing to intersect or subtract
+it is the cached row ``frozenset`` itself. Bulk entries live in the same
+memo under ``(~spec_id, priors)``, beside the sorted tuples of scanned
+positions, so NEC twins split across a scan and a count keep one entry
+each. A bulk set is never a static pool's live set: an update patches
+those in place, and a memo entry must not change under its reader.
 
 An op whose vertex the run's binding ``pins`` names (the seed, rebound
 per pin by a continuous delta) skips all of that: its candidates are its
@@ -35,10 +43,14 @@ This kernel is the one place pins are applied.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import AbstractSet, Any
 
 from repro.engine.physical import ExtendOp
 from repro.obs.catalog import CANDIDATE_STAT_KEYS
+
+#: Raw candidates: a sorted tuple where a frame scans them, an unordered
+#: set (or a tuple) where they are only counted.
+Candidates = tuple[int, ...] | AbstractSet[int]
 
 
 class CandidateStats:
@@ -70,12 +82,13 @@ class CandidateStats:
 
 
 class CandidateComputer:
-    """Computes (and, with SCE, reuses) raw candidate lists per op.
+    """Computes (and, with SCE, reuses) raw candidate sets per op.
 
-    A candidate list is a sorted ``tuple`` of data vertices. Memo entries
-    are shared by every caller that hits them, which is why they are
-    immutable: search frames scan them as they are, and a steal rebinds
-    a frame to new lists instead of truncating it.
+    A scanned candidate list is a sorted ``tuple`` of data vertices; a
+    bulk one (:meth:`raw`) is an unordered set, or a tuple.
+    Memo entries are shared by every caller that hits them, which is why
+    they are immutable: search frames scan them as they are, and a steal
+    rebinds a frame to new lists instead of truncating it.
     """
 
     def __init__(
@@ -93,7 +106,7 @@ class CandidateComputer:
         #: Optional :class:`repro.obs.profile.SearchDepthProfile` receiving
         #: per-depth memo hit/miss events; ``None`` keeps the hot path free.
         self._profile = profile
-        self._memo: dict[tuple, tuple[int, ...]] = {}
+        self._memo: dict[tuple, Candidates] = {}
         #: The factorized counter's region counts, keyed on (region node,
         #: frontier images, colliding used vertices): kept here, beside
         #: the candidate memo, so the memory ladder reaches both. The
@@ -139,17 +152,22 @@ class CandidateComputer:
         self.memo_limit = 0
         self.clear()
 
-    def raw(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
-        """The sorted raw candidate tuple of ``op.u`` under the current
-        partial embedding (before injectivity filtering). A pinned op's
-        tuple is its pin or nothing (:meth:`_pinned`)."""
+    def raw(
+        self, op: ExtendOp, assignment: list[int], bulk: bool = False
+    ) -> Candidates:
+        """The raw candidates of ``op.u`` under the current partial
+        embedding (before injectivity filtering): a sorted tuple, or with
+        ``bulk`` any sized iterable (a caller that only counts them). A
+        bulk result is memoized under ``(~spec_id, priors)`` and is never
+        a static pool's live set. A pinned op's candidates are its pin or
+        nothing (:meth:`_pinned`)."""
         pins = self.pins
         if pins:
             pin = pins.get(op.u)
             if pin is not None:
                 return self._pinned(op, pin, assignment)
         if self.use_sce:
-            key = (op.spec_id, op.memo_key(assignment))
+            key = (~op.spec_id if bulk else op.spec_id, op.memo_key(assignment))
             cached = self._memo.get(key)
             if cached is not None:
                 self.stats.memo_hits += 1
@@ -160,6 +178,10 @@ class CandidateComputer:
             if self._profile is not None:
                 self._profile.memo_miss(op.pos)
         result = self._compute(op, assignment)
+        if not bulk:
+            result = tuple(sorted(result))
+        elif op.static_pool is not None and result is op.static_pool[0]:
+            result = frozenset(result)
         if self.use_sce and len(self._memo) < self.memo_limit:
             self._memo[key] = result
         return result
@@ -190,12 +212,20 @@ class CandidateComputer:
                 return ()
         return (pin,)
 
-    def _compute(self, op: ExtendOp, assignment: list[int]) -> tuple[int, ...]:
+    def _compute(self, op: ExtendOp, assignment: list[int]) -> Candidates:
+        """The candidate set, unordered: the one row itself, the pool's
+        sets intersected (their first set itself when it is alone), or
+        the ``&``/``-`` result of the rows, admissible sets and
+        negations; ``()`` when the rows' intersection empties early."""
         stats = self.stats
         stats.computed += 1
-        if op.constraints:
+        constraints = op.constraints
+        if len(constraints) == 1:
+            prior, fetch = constraints[0]
+            result = fetch(assignment[prior])
+        elif constraints:
             rows = []
-            for prior, fetch in op.constraints:
+            for prior, fetch in constraints:
                 row = fetch(assignment[prior])
                 if not row:
                     return ()
@@ -225,4 +255,4 @@ class CandidateComputer:
             # Forbid candidates adjacent to f(prior) in the negation
             # cluster (Definition 1's vertex-induced check).
             result = result - excluded
-        return tuple(sorted(result))
+        return result

@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 import time
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence
 
 from repro.engine.candidates import CandidateComputer
 from repro.engine.governor import RunLimits, run_limits
@@ -81,17 +81,20 @@ def _satisfies(
 
 
 def leaf_count(
-    values: Sequence[int],
+    values: Collection[int],
     used: set[int],
     restrictions: tuple[tuple[int, bool], ...],
     assignment: list[int],
 ) -> tuple[int, int, int]:
-    """Scan the last position's sorted candidate list in bulk.
+    """Count the last position's candidates in bulk.
 
-    Returns ``(survivors, injective prunes, restriction prunes)`` exactly
-    as a one-by-one scan counts them (injectivity is checked first). The
-    restriction slots become one open value interval whose ends are found
-    by binary search. Under a non-injective variant ``used`` is empty.
+    ``values`` is any sized iterable of distinct data vertices, in any
+    order (:meth:`~repro.engine.candidates.CandidateComputer.raw` with
+    ``bulk``). Returns ``(survivors, injective prunes, restriction
+    prunes)`` exactly as a one-by-one scan counts them (injectivity is
+    checked first). The restriction slots become one open value interval
+    whose ends are found by binary search, so only a restricted count
+    sorts the candidates. Under a non-injective variant ``used`` is empty.
     """
     clash = used.intersection(values) if used else ()
     if not restrictions:
@@ -103,13 +106,14 @@ def leaf_count(
             high = image if high is None else min(high, image)
         else:
             low = max(low, image)
-    stop = len(values) if high is None else bisect_left(values, high)
-    inside = max(0, stop - bisect_right(values, low))
+    ordered = sorted(values)
+    stop = len(ordered) if high is None else bisect_left(ordered, high)
+    inside = max(0, stop - bisect_right(ordered, low))
     clash_inside = sum(1 for v in clash if low < v and (high is None or v < high))
     return (
         inside - clash_inside,
         len(clash),
-        len(values) - inside - (len(clash) - clash_inside),
+        len(ordered) - inside - (len(clash) - clash_inside),
     )
 
 
@@ -414,9 +418,10 @@ def _search(
     With ``emit`` it yields each embedding as a tuple indexed by pattern
     vertex id; without, it only counts into ``runtime.emitted`` and never
     yields, so a single ``next()`` runs the whole search. Count mode
-    counts the last position in bulk (:func:`leaf_count`), leaving the
-    counters and frames as the scan would; a leaf the embedding cap would
-    stop inside is scanned, so the stop lands on the exact candidate.
+    counts the last position in bulk (:func:`leaf_count`) from its
+    unordered candidate set, leaving the counters and frames as the scan
+    would; a leaf the embedding cap would stop inside is sorted and
+    scanned, so the stop lands on the exact candidate.
     Cooperative: on a limit it sets ``runtime.stop_reason`` and returns. A
     restored :class:`SearchState` resumes a checkpointed search mid-frame;
     the state is kept current at every suspension point and on every exit.
@@ -471,7 +476,7 @@ def _search(
                     and not runtime.tick(pos, phase)
                 ):
                     return
-                candidates = raw(op, assignment)
+                candidates = raw(op, assignment, pos == leaf)
                 if profile is not None:
                     profile.visit(pos, len(candidates))
                 if pos == leaf:
@@ -492,6 +497,10 @@ def _search(
                                 profile.backtrack(pos)
                         pos -= 1
                         continue
+                    # The cap stops inside this leaf: scan it in the order
+                    # a scanned position would, so the stop candidate and
+                    # the checkpointed frame are the same.
+                    candidates = tuple(sorted(candidates))
                 # The frame scans the (possibly memoized) tuple as is: a
                 # steal rebinds values[pos] to new lists and never mutates
                 # it, and the loop re-reads values[pos] every iteration.

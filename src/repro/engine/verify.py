@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.ccsr.key import ClusterKey
 from repro.ccsr.store import FORWARD, CCSRStore
@@ -725,11 +725,29 @@ def check_seed(
                 f"seed pins u{u} (label {wanted[u]!r}) to data vertex"
                 f" {pin} (label {labels[pin]!r})"
             )
+    _refuse_pins(problems)
+    return {int(u): int(pin) for u, pin in seed.items()}
+
+
+def check_data_vertices(store: CCSRStore, vertices: Iterable[object]) -> None:
+    """``PlanVerificationError`` (``seed-pin-invalid``) unless each of
+    ``vertices`` is a data vertex of ``store``: the check a continuous
+    delta makes once of its data edge's endpoints, whose label-checked
+    pins then bind without :func:`check_seed`."""
+    size = len(store.vertex_labels)
+    problems = [
+        f"edge endpoint {v!r} is not a data vertex"
+        for v in vertices
+        if not _is_index(v, size)
+    ]
+    _refuse_pins(problems)
+
+
+def _refuse_pins(problems: list[str]) -> None:
     if problems:
         VerificationReport(
             [Diagnostic(SEED_PIN_INVALID, problem) for problem in problems]
         ).raise_for_errors()
-    return {int(u): int(pin) for u, pin in seed.items()}
 
 
 def _is_index(value: object, size: int) -> bool:

@@ -221,19 +221,23 @@ def networkx_counts(graph: Graph, pattern: Graph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 @contextmanager
 def recording_pinned_plans():
-    """Collect a ``(plan, pins)`` pair for every seed
-    :meth:`PhysicalPlan.with_seed` binds while the context is open: the
-    pinned runs a continuous delta makes, each the plan it runs and the
-    binding it runs it under."""
+    """Collect a ``(plan, pins)`` pair for every pinned search a
+    continuous delta runs while the context is open: each the plan it
+    runs and the binding it runs it under."""
+    from repro.core import continuous
+
     plans: list[tuple[PhysicalPlan, dict[int, int]]] = []
-    original = PhysicalPlan.with_seed
 
-    def with_seed(self, seed, store):
-        pins = original(self, seed, store)
-        plans.append((self, pins))
-        return pins
+    def recording(search):
+        def recorded(physical, runtime, *args):
+            plans.append((physical, runtime.computer.pins))
+            return search(physical, runtime, *args)
 
-    with mock.patch.object(PhysicalPlan, "with_seed", with_seed):
+        return recorded
+
+    with mock.patch.object(
+        continuous, "count_capped", recording(continuous.count_capped)
+    ), mock.patch.object(continuous, "stream", recording(continuous.stream)):
         yield plans
 
 

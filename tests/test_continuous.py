@@ -88,6 +88,20 @@ class TestSeededMatching:
         document["query"]["seed"] = [[0, 2]]
         assert len(list(engine.resume(document, max_embeddings=None))) == 1
 
+    @pytest.mark.parametrize(
+        "edge", [(-1, 0), (0, 4)], ids=["negative", "out-of-range"]
+    )
+    def test_delta_on_a_non_vertex_is_refused(self, edge, square_with_diagonal):
+        """A delta checks its data edge's endpoints once, before any pin
+        binds: an endpoint that is not a data vertex is refused with
+        ``seed-pin-invalid``."""
+        engine = CSCE(square_with_diagonal)
+        with pytest.raises(PlanVerificationError) as error:
+            embeddings_containing_edge(
+                engine, by_name("triangle"), Edge(*edge, None, False)
+            )
+        assert {d.code for d in error.value.diagnostics} == {SEED_PIN_INVALID}
+
     def test_multi_vertex_seed(self, square_with_diagonal):
         engine = CSCE(square_with_diagonal)
         tri = by_name("triangle")
@@ -416,16 +430,16 @@ class TestPinFirstPlans:
 
 class TestDeltaLimits:
     """A delta's limits resolve once and bound all of its pins. A stub
-    clock advances 0.4 s per pin rebind (the search itself takes no
-    stub time), so a delta of six pins outlasts a 1 s limit at its third
-    pin, while each single pin stays far inside it."""
+    clock advances 0.4 s as each pin's search starts (the search itself
+    takes no stub time), so a delta of six pins outlasts a 1 s limit at
+    its third pin, while each single pin stays far inside it."""
 
     @pytest.fixture
     def slow_pins(self, monkeypatch):
         from types import SimpleNamespace
 
         import repro.engine.governor as governor_module
-        from repro.engine.physical import PhysicalPlan
+        from repro.core import continuous
 
         now = [0.0]
         monkeypatch.setattr(
@@ -433,13 +447,13 @@ class TestDeltaLimits:
             "time",
             SimpleNamespace(perf_counter=lambda: now[0], sleep=lambda s: None),
         )
-        rebind = PhysicalPlan.with_seed
+        count = continuous.count_capped
 
-        def slow_rebind(physical, seed, store):
+        def slow_count(physical, runtime, *args):
             now[0] += 0.4
-            return rebind(physical, seed, store)
+            return count(physical, runtime, *args)
 
-        monkeypatch.setattr(PhysicalPlan, "with_seed", slow_rebind)
+        monkeypatch.setattr(continuous, "count_capped", slow_count)
 
     def _square(self):
         # A 4-cycle: inserting its chord closes two triangles, and the

@@ -289,6 +289,14 @@ class TestBulkLeafCounting:
     them."""
 
     @staticmethod
+    def _search_counters(stats):
+        """The counters of the search itself: a leaf memoizes its bulk
+        set apart from a scanned twin's tuple, so only the candidate
+        counters can tell count mode from a scan."""
+        keys = ("nodes", "backtracks", "prunes_injective", "prunes_restriction")
+        return {key: stats[key] for key in keys}
+
+    @staticmethod
     def _run(physical, options, emit, state=None):
         runtime = Runtime(options)
         state = state or SearchState.fresh(len(physical.ops))
@@ -363,6 +371,129 @@ class TestBulkLeafCounting:
         assert result.count == count == brute_count(graph, pattern, "edge_induced")
         assert result.stats["factorizations"] == 0
         assert result.stats == stats and stop is None
+
+    @staticmethod
+    def _twin_star(variant):
+        """A 4-leaf star whose NEC twin leaves share one spec id at the
+        penultimate and the last position."""
+        graph = make_random_graph(14, 40, num_labels=1, seed=12)
+        star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        physical = compile_plan(CSCE(graph).build_plan(star, variant))
+        assert physical.ops[-1].spec_id == physical.ops[-2].spec_id
+        return graph, star, physical
+
+    @pytest.mark.parametrize("variant", ["edge_induced", "homomorphic"])
+    def test_twin_leaf_counts_from_its_own_memo_entry(self, variant):
+        """The leaf's bulk set and its scanned twin's sorted tuple are two
+        memo entries of one spec; the count is brute force, and a cap that
+        lands inside the last position stops on the candidate the
+        one-by-one scan stops on, with the same frames, and resumes to
+        the total."""
+        graph, star, physical = self._twin_star(variant)
+        total = brute_count(graph, star, variant)
+        options = MatchOptions(count_only=True)
+        count, stats, stop, _ = self._run(physical, options, emit=False)
+        drained = self._run(physical, options, emit=True)
+        assert count == total and stop is None
+        assert self._search_counters(stats) == self._search_counters(drained[1])
+
+        scanned, leaf = physical.ops[-2], physical.ops[-1]
+        assignment = [-1] * physical.num_vertices
+        assignment[0] = max(range(graph.num_vertices), key=graph.degree)
+        computer = CandidateComputer()
+        listed = computer.raw(scanned, assignment)
+        counted = computer.raw(leaf, assignment, bulk=True)
+        assert list(listed) == sorted(listed) and set(listed) == set(counted)
+        assert computer.memo_size == 2 and computer.stats.computed == 2
+        assert computer.raw(leaf, assignment) is listed
+        assert computer.raw(scanned, assignment, bulk=True) is counted
+
+        n = physical.num_vertices
+        for cap in (1, 2, 3, total // 2, total - 1):
+            capped = MatchOptions(count_only=True, max_embeddings=cap)
+            head, stats, stop, state = self._run(physical, capped, emit=False)
+            drained = self._run(physical, capped, emit=True)
+            assert head == cap and stop == STOP_EMBEDDING_LIMIT
+            assert state.pos == n - 1 and 0 < state.index[n - 1]
+            assert drained[2] == stop
+            assert self._search_counters(stats) == self._search_counters(
+                drained[1]
+            )
+            assert state.to_payload() == drained[3].to_payload()
+            resumed = SearchState.from_payload(state.to_payload())
+            tail = count_capped(physical, Runtime(options), resumed)
+            assert head + tail == total
+
+    @pytest.mark.parametrize("use_sce", [True, False])
+    def test_bulk_candidates_are_never_a_live_pool_set(self, use_sce):
+        """An unconstrained op whose pool is one live row set, unfiltered:
+        its bulk candidates hold the same vertices in another set, also
+        when served from the memo, and an update that patches the pool
+        in place leaves them as they were."""
+        graph = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        engine = CSCE(graph)
+        physical = compile_plan(engine.build_plan(small_pattern(), "homomorphic"))
+        root = physical.ops[0]
+        assert not root.constraints and not root.admissible
+        (pool,) = root.static_pool
+        assignment = [-1] * physical.num_vertices
+        computer = CandidateComputer(use_sce=use_sce)
+        first = computer.raw(root, assignment, bulk=True)
+        again = computer.raw(root, assignment, bulk=True)
+        for bulk in (first, again):
+            assert bulk is not pool and set(bulk) == pool
+        before = set(first)
+        engine.store.insert_edge(5, 0)
+        assert 5 in pool and set(first) == before == pool - {5}
+
+    def test_restricted_count_sorts_its_leaf_on_demand(self, monkeypatch):
+        """A restricted count hands leaf_count an unordered set, which
+        it sorts for its interval search; the count is brute force and
+        the counters are the one-by-one scan's."""
+        graph = make_random_graph(16, 50, num_labels=1, seed=21)
+        pattern = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+        restrictions = ((1, 3),)
+        physical = compile_plan(
+            CSCE(graph).build_plan(pattern, "edge_induced"),
+            restrictions=restrictions,
+        )
+        seen = []
+        bulk = executor_module.leaf_count
+        monkeypatch.setattr(
+            executor_module,
+            "leaf_count",
+            lambda *args: seen.append((type(args[0]), args[2])) or bulk(*args),
+        )
+        options = MatchOptions(count_only=True)
+        counted = self._run(physical, options, emit=False)
+        assert any(slots and kind is not tuple for kind, slots in seen)
+        drained = self._run(physical, options, emit=True)
+        assert counted[0] == brute_count(
+            graph, pattern, "edge_induced", restrictions=restrictions
+        )
+        assert counted[1]["prunes_restriction"] > 0
+        assert counted[0] == drained[0]
+        assert self._search_counters(counted[1]) == self._search_counters(
+            drained[1]
+        )
+
+    def test_leaf_count_ignores_candidate_order(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            values = rng.sample(range(40), rng.randrange(0, 20))
+            used = set(rng.sample(range(40), 3))
+            assignment = [rng.randrange(40) for _ in range(4)]
+            restrictions = tuple(
+                (other, rng.random() < 0.5)
+                for other in rng.sample(range(4), rng.randrange(0, 3))
+            )
+            expected = executor_module.leaf_count(
+                tuple(sorted(values)), used, restrictions, assignment
+            )
+            for unordered in (frozenset(values), set(values), tuple(values)):
+                assert executor_module.leaf_count(
+                    unordered, used, restrictions, assignment
+                ) == expected
 
 
 class TestStreaming:
