@@ -121,11 +121,11 @@ class SymmetryBreakingMatcher(BaselineMatcher):
         with obs.tracer.span(
             "match", engine=self.display_name, variant=variant.value
         ) as span:
-            compiled = self._session.compile(
+            physical = self._session.compile(
                 pattern, variant, restrictions=combined, obs=obs
             )
             result = execute_physical(
-                compiled.physical,
+                physical,
                 MatchOptions(
                     count_only=True,
                     time_limit=time_limit,

@@ -282,7 +282,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         plan = engine.session.compile(
             pattern, variant, planner=planner, restrictions=restrictions,
             obs=obs,
-        ).plan
+        ).logical
     governor = None
     previous_handler = None
     if isinstance(engine, CSCE):
@@ -715,7 +715,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     # A live tracer makes the planner record its order rationale (the GCF
     # rule firings EXPLAIN renders).
     obs = Observation()
-    compiled = engine.session.compile(
+    physical = engine.session.compile(
         pattern, args.variant, planner=args.planner, obs=obs
     )
     run_report = None
@@ -727,9 +727,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         run_report = reports[-1] if reports else None
-    info = build_explain(
-        compiled.plan, report=run_report, physical=compiled.physical
-    )
+    info = build_explain(physical.logical, report=run_report, physical=physical)
     if args.json:
         print(json.dumps(info, indent=2, default=str))
         return 0
@@ -739,7 +737,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.ccsr.store import CCSRStore
-    from repro.engine.physical import pattern_fingerprint
     from repro.engine.session import plan_query
     from repro.engine.verify import verify_physical
     from repro.graph.patterns import CATALOG
@@ -767,7 +764,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rows.append(
                 {
                     "pattern": name,
-                    "fingerprint_size": len(pattern_fingerprint(pattern)),
+                    "fingerprint_size": len(pattern.fingerprint()),
                     "variant": variant,
                     "planner": args.planner,
                     **report.as_dict(),

@@ -186,7 +186,7 @@ def embeddings_containing_edge(
         if prefix not in plans:
             plans[prefix] = engine.session.build(
                 pattern, variant, obs=obs, prefix=prefix
-            ).physical
+            )
     runtime = Runtime(options, run_limits(options))
     recorder = obs.recorder
     if recorder.enabled:

@@ -121,7 +121,7 @@ class CSCE:
         physical = self.session.compile(
             pattern, variant, planner=planner,
             restrictions=restrictions, obs=obs,
-        ).physical
+        )
         return physical, physical.with_seed(seed, self.store) if seed else None
 
     def match(

@@ -12,12 +12,15 @@ The engine separates the *logical* plan (what each step must check — see
   cooperative flags, not exceptions);
 * :class:`EmbeddingStream` streams embeddings lazily (``CSCE.match_iter``);
 * :func:`count_physical` is the SCE-factorized counting terminal over the
-  same operators, used for exact counts whose plan's region table says a
-  suffix splits (other counts run :func:`count_capped`); streaming,
-  capped counting and factorized counting all run on one
-  :class:`Runtime` (ticks, limits, governance, heartbeats);
-* :class:`MatchSession` holds a store plus an LRU cache of compiled plans,
-  shared by enumeration, counting, continuous matching, and baselines;
+  same operators, used for exact counts whose plan's region program
+  (``PhysicalPlan.regions``) has a product, i.e. some suffix splits
+  (other counts run :func:`count_capped`); streaming, capped counting
+  and factorized counting each take the caller's :class:`Runtime`
+  (ticks, limits, governance, heartbeats) and leave its release to the
+  caller;
+* :class:`MatchSession` holds a store plus an LRU cache of compiled plans
+  (``compile`` returns the :class:`PhysicalPlan` itself), shared by
+  enumeration, counting, continuous matching, and baselines;
 * :class:`ResourceGovernor` enforces a unified :class:`Budget` (deadline,
   embedding cap, memory ceiling with a graceful-degradation ladder) and a
   cooperative :class:`CancelToken` over any run;
@@ -53,12 +56,7 @@ from repro.engine.governor import (
     ResourceGovernor,
     RetryPolicy,
 )
-from repro.engine.physical import (
-    ExtendOp,
-    PhysicalPlan,
-    compile_plan,
-    pattern_fingerprint,
-)
+from repro.engine.physical import ExtendOp, PhysicalPlan, compile_plan
 from repro.engine.candidates import CandidateComputer
 from repro.engine.executor import (
     EmbeddingStream,
@@ -84,13 +82,8 @@ from repro.engine.workunit import (
     split_search_state,
 )
 from repro.engine.pool import execute_parallel
-from repro.engine.counting import FactorizedCounter, count_physical
-from repro.engine.session import (
-    PLANNERS,
-    CompiledQuery,
-    MatchSession,
-    plan_query,
-)
+from repro.engine.counting import count_physical
+from repro.engine.session import PLANNERS, MatchSession, plan_query
 from repro.engine.verify import (
     Diagnostic,
     VerificationReport,
@@ -129,17 +122,14 @@ __all__ = [
     "ExtendOp",
     "PhysicalPlan",
     "compile_plan",
-    "pattern_fingerprint",
     "CandidateComputer",
     "EmbeddingStream",
     "Runtime",
     "count_capped",
     "execute_physical",
     "stream",
-    "FactorizedCounter",
     "count_physical",
     "PLANNERS",
-    "CompiledQuery",
     "MatchSession",
     "plan_query",
     "Diagnostic",

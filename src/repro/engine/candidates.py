@@ -91,17 +91,23 @@ class CandidateComputer:
     rebinds a frame to new lists instead of truncating it.
     """
 
+    #: Cap on cached candidate sets, and separately on the factorized
+    #: counter's region counts; beyond it, computation continues uncached
+    #: (a memory bound for adversarial patterns).
+    MEMO_LIMIT = 1_000_000
+
     def __init__(
         self,
         use_sce: bool = True,
-        memo_limit: int = 1_000_000,
         profile: Any = None,
         pins: dict[int, int] | None = None,
     ) -> None:
         self.use_sce = use_sce
         #: The run's binding ``{pattern vertex: data vertex}`` (:meth:`_pinned`).
         self.pins: dict[int, int] = pins or {}
-        self.memo_limit = memo_limit
+        #: This run's bound on each memo: :data:`MEMO_LIMIT`, or 0 without
+        #: ``use_sce`` (as :meth:`disable_memo` leaves it).
+        self.memo_limit = self.MEMO_LIMIT if use_sce else 0
         self.stats = CandidateStats()
         #: Optional :class:`repro.obs.profile.SearchDepthProfile` receiving
         #: per-depth memo hit/miss events; ``None`` keeps the hot path free.

@@ -438,7 +438,7 @@ def restore(
         time_limit = limits.get("time_limit")
     physical = session.compile(
         pattern, variant, planner=planner, restrictions=restrictions, obs=obs
-    ).physical
+    )
     # A run that degraded past DEGRADE_DISABLE must not re-enable the memo
     # on resume — the memory pressure that forced it off is still the
     # operative assumption until the governor says otherwise.

@@ -38,6 +38,7 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence
 
+from repro.engine import counting
 from repro.engine.candidates import CandidateComputer
 from repro.engine.governor import RunLimits, run_limits
 from repro.engine.physical import PhysicalPlan
@@ -190,7 +191,7 @@ class Runtime:
     """Mutable per-run execution state: counters, limits, instruments.
 
     Shared by stream mode, count mode and the factorized counter
-    (:class:`~repro.engine.counting.FactorizedCounter`), so all three
+    (:func:`~repro.engine.counting.count_physical`), so all three
     report identical :data:`~repro.obs.catalog.STAT_KEYS` semantics and
     stop, tick and report through one implementation. Its limits are one
     :class:`~repro.engine.governor.RunLimits` record: resolved from the
@@ -237,7 +238,6 @@ class Runtime:
         self.profile = obs.profile.search if obs.profile.enabled else None
         self.computer = CandidateComputer(
             use_sce=options.use_sce,
-            memo_limit=options.memo_limit,
             profile=self.profile,
             pins=options.seed,
         )
@@ -756,14 +756,16 @@ def execute_physical(
     enforces the limits the options resolve to
     (:func:`~repro.engine.governor.run_limits`).
 
-    A count goes to the SCE-factorized counter when it is eligible
+    A count goes to the SCE-factorized counter
+    (:func:`~repro.engine.counting.count_physical`) when it is eligible
     (uncapped, unrestricted, unseeded, ``use_sce`` on) and the plan's
-    :class:`~repro.engine.physical.RegionTable` says some suffix of the
-    order splits into independent regions. Any other count runs the frame
-    machine's count mode (:func:`count_capped`, bulk-counting the last
-    position), which visits the same nodes a never-splitting factorized
-    count would; enumeration runs stream. Limits surface as
-    ``stop_reason`` with the partial count, never as exceptions.
+    :class:`~repro.engine.physical.RegionProgram` factorizes: some suffix
+    of the order splits into independent regions. Any other count runs
+    the frame machine's count mode (:func:`count_capped`, bulk-counting
+    the last position), which visits the same nodes a never-splitting
+    factorized count would; enumeration runs stream. All three run on one
+    :class:`Runtime`, released here. Limits surface as ``stop_reason``
+    with the partial count, never as exceptions.
     """
     options = options or MatchOptions()
     if checkpoint is not None and options.workers <= 1:
@@ -789,48 +791,42 @@ def execute_physical(
             ops=len(physical.ops),
         )
 
-    gov = options.governor
-    limits = run_limits(options)
-    # Exact SCE-factorized counting only applies to uncapped, unrestricted,
-    # unseeded counting; an embedding cap (from the options or the
-    # governor's budget) needs enumeration semantics (results are counted
-    # one by one up to the cap, the 1e5-cap convention of existing works),
-    # and restrictions/seeds couple independent regions. A plan that never
-    # splits gains nothing from it.
+    runtime = Runtime(options)
     try:
-        if (
+        # Exact SCE-factorized counting only applies to uncapped,
+        # unrestricted, unseeded counting; an embedding cap (from the
+        # options or the governor's budget) needs enumeration semantics
+        # (results are counted one by one up to the cap, the 1e5-cap
+        # convention of existing works), and restrictions/seeds couple
+        # independent regions. A plan that never splits gains nothing
+        # from it.
+        factorized = (
             options.count_only
             and options.use_sce
             and not physical.restrictions
             and not options.seed
-            and limits.cap is None
+            and runtime.limits.cap is None
             and physical.regions.factorizes
-        ):
-            from repro.engine import counting
-
-            with obs.tracer.span(
-                "execute", mode="count", variant=plan.variant.value
-            ) as span:
-                runtime = counting.count_physical(physical, options, limits)
-                span.set("count", runtime.emitted)
-        else:
-            runtime = Runtime(options, limits)
-            with obs.tracer.span(
-                "execute", mode="enumerate", variant=plan.variant.value
-            ) as span:
-                if options.count_only:
-                    count_capped(physical, runtime)
-                else:
-                    n = physical.num_vertices
-                    embeddings = [
-                        {u: tup[u] for u in range(n)}
-                        for tup in stream(physical, runtime)
-                    ]
-                span.set("count", runtime.emitted)
-                span.set("nodes", runtime.nodes)
+        )
+        with obs.tracer.span(
+            "execute",
+            mode="count" if factorized else "enumerate",
+            variant=plan.variant.value,
+        ) as span:
+            if factorized:
+                counting.count_physical(physical, runtime)
+            elif options.count_only:
+                count_capped(physical, runtime)
+            else:
+                n = physical.num_vertices
+                embeddings = [
+                    {u: tup[u] for u in range(n)}
+                    for tup in stream(physical, runtime)
+                ]
+            span.set("count", runtime.emitted)
+            span.set("nodes", runtime.nodes)
     finally:
-        if gov is not None:
-            gov.release()
+        runtime.release()
 
     result = _package_result(physical, runtime, start, embeddings, complete=True)
     if recorder.enabled:

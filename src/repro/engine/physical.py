@@ -29,9 +29,10 @@ at compile time instead of per search-tree node:
 * seed pins are not compiled in: they bind to the run
   (:meth:`PhysicalPlan.with_seed`), so every pinned run shares one plan;
 * the independent-region splits the factorized counter multiplies over
-  (:class:`RegionTable`) are computed once per plan, lazily, on the first
-  exact count that asks, and compiled into the counter's region tree
-  (:class:`RegionProgram`) on the first count that runs it.
+  (:func:`split_regions`) are compiled into the counter's region tree
+  (:class:`RegionProgram`, :attr:`PhysicalPlan.regions`) once per plan,
+  lazily, on the first exact count that asks; the program also routes
+  that count.
 
 Compilation is cheap (linear in plan size) and separated from planning so a
 :class:`repro.engine.MatchSession` can cache the result per
@@ -141,10 +142,11 @@ class PhysicalPlan:
         return self.logical.variant.injective
 
     @cached_property
-    def regions(self) -> RegionTable:
-        """The plan's :class:`RegionTable`, built on first use and kept
-        with the plan (so in the session's plan cache)."""
-        return RegionTable(self.logical)
+    def regions(self) -> RegionProgram:
+        """The plan's :class:`RegionProgram` (:func:`compile_regions`),
+        built on first use and kept with the plan (so in the session's
+        plan cache), shared by every run."""
+        return compile_regions(self.logical)
 
     def impossible(self) -> bool:
         """True when a pattern edge has no cluster: zero embeddings."""
@@ -229,6 +231,11 @@ class RegionProgram:
     node-indexed arrays. ``chain`` is the top-level sequential chain: the
     root and its ``SEQ`` descendants through ``child`` up to the first
     product or leaf, the nodes the progress probe reads.
+
+    The program also routes exact counts: :attr:`factorizes` holds when it
+    has a product node, which is when some suffix of the order splits
+    (the chain walks the suffixes in order up to the first split). A plan
+    without one counts exactly like the frame machine and runs there.
     """
 
     root: int
@@ -242,146 +249,98 @@ class RegionProgram:
     def size(self) -> int:
         return len(self.kind)
 
-
-class RegionTable:
-    """Independent-region splits of a plan's position sets (paper §V).
-
-    ``groups(positions)`` splits order positions into the components of
-    ``H`` restricted to their pattern vertices; under the injective
-    variants, components sharing a vertex label are merged back (sibling
-    regions could compete for the same data vertices, so their product
-    would double-count). A split depends only on the plan, so each
-    positions tuple is split once and memoized.
-
-    The same table decides the counting strategy: the factorized counter
-    only ever splits a suffix of the order or a region split off one, so a
-    plan none of whose suffixes split (:attr:`factorizes` false) counts
-    exactly like the frame machine and is routed there. It also compiles
-    the counter's :class:`RegionProgram`, once per ``use_sce`` setting.
-    """
-
-    def __init__(self, plan: Plan) -> None:
-        self._plan = plan
-        self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._programs: dict[bool, RegionProgram] = {}
-
-    def groups(self, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        split = self._splits.get(positions)
-        if split is None:
-            split = self._splits[positions] = self._split(positions)
-        return split
-
-    def _split(self, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        plan = self._plan
-        components = plan.dag.undirected_components(
-            plan.order[p] for p in positions
-        )
-        if len(components) > 1 and plan.variant.injective:
-            components = _merge_by_labels(components, plan.pattern)
-        if len(components) <= 1:
-            return (positions,)
-        position = plan.position
-        return tuple(
-            tuple(sorted(position[v] for v in component))
-            for component in components
-        )
-
-    def program(self, use_sce: bool) -> RegionProgram:
-        """The counter's region tree; without ``use_sce`` nothing splits
-        and the program is one sequential chain ending in a leaf."""
-        program = self._programs.get(use_sce)
-        if program is None:
-            program = self._programs[use_sce] = self._compile(use_sce)
-        return program
-
-    def _compile(self, use_sce: bool) -> RegionProgram:
-        """Number the reachable positions tuples breadth-first from the
-        whole order and resolve each one's node (iteratively: a
-        2000-vertex chain is 2000 nodes, not 2000 stack frames)."""
-        plan = self._plan
-        n = plan.num_vertices
-        if n == 0:
-            return RegionProgram(-1, (), (), (), (), ())
-        nodes: list[tuple[int, ...]] = [tuple(range(n))]
-        ids = {nodes[0]: 0}
-
-        def node_of(positions: tuple[int, ...]) -> int:
-            node = ids.get(positions)
-            if node is None:
-                node = ids[positions] = len(nodes)
-                nodes.append(positions)
-            return node
-
-        kind: list[int] = []
-        pos: list[int] = []
-        child: list[int] = []
-        parts: list[tuple] = []
-        # nodes grows while it is scanned: each tuple is resolved once.
-        for positions in nodes:
-            groups = (
-                self.groups(positions)
-                if use_sce and len(positions) > 1
-                else (positions,)
-            )
-            if len(groups) > 1:
-                kind.append(PROD)
-                pos.append(-1)
-                child.append(-1)
-                parts.append(
-                    tuple(
-                        (node_of(group), *self.frontier(group))
-                        for group in groups
-                    )
-                )
-                continue
-            kind.append(SEQ if len(positions) > 1 else LEAF)
-            pos.append(positions[0])
-            child.append(node_of(positions[1:]) if len(positions) > 1 else -1)
-            parts.append(())
-        chain = []
-        node = 0
-        while kind[node] == SEQ:
-            chain.append(node)
-            node = child[node]
-        return RegionProgram(
-            0, tuple(kind), tuple(pos), tuple(child), tuple(parts), tuple(chain)
-        )
-
-    def frontier(
-        self, positions: tuple[int, ...]
-    ) -> tuple[Callable[[list[int]], Any], frozenset]:
-        """A region's dependency frontier (the outside vertices its memo
-        priors name, sorted), compiled to a getter of their images
-        (:func:`prior_getter`), and its vertex labels."""
-        plan = self._plan
-        members = {plan.order[p] for p in positions}
-        frontier = sorted(
-            {
-                prior
-                for p in positions
-                for prior in plan.memo_priors[p]
-                if prior not in members
-            }
-        )
-        labels = frozenset(plan.pattern.vertex_label(v) for v in members)
-        return prior_getter(tuple(frontier)), labels
-
-    @property
-    def suffixes(self) -> int:
-        """Suffixes of the order with at least two positions."""
-        return max(0, self._plan.num_vertices - 1)
-
-    @cached_property
-    def split_suffixes(self) -> int:
-        """How many of those split into more than one region."""
-        n = self._plan.num_vertices
-        return sum(
-            len(self.groups(tuple(range(k, n)))) > 1 for k in range(n - 1)
-        )
-
     @property
     def factorizes(self) -> bool:
-        return self.split_suffixes > 0
+        return PROD in self.kind
+
+
+def split_regions(
+    plan: Plan, positions: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Split order positions into independent regions (paper §V): the
+    components of ``H`` restricted to their pattern vertices, as sorted
+    positions tuples. Under the injective variants components sharing a
+    vertex label are merged back (sibling regions could compete for the
+    same data vertices, so their product would double-count). One region
+    comes back as ``(positions,)``."""
+    components = plan.dag.undirected_components(plan.order[p] for p in positions)
+    if len(components) > 1 and plan.variant.injective:
+        components = _merge_by_labels(components, plan.pattern)
+    if len(components) <= 1:
+        return (positions,)
+    position = plan.position
+    return tuple(
+        tuple(sorted(position[v] for v in component)) for component in components
+    )
+
+
+def region_frontier(
+    plan: Plan, positions: tuple[int, ...]
+) -> tuple[Callable[[list[int]], Any], frozenset]:
+    """A region's dependency frontier (the outside vertices its memo
+    priors name, sorted), compiled to a getter of their images
+    (:func:`prior_getter`), and its vertex labels."""
+    members = {plan.order[p] for p in positions}
+    frontier = sorted(
+        {
+            prior
+            for p in positions
+            for prior in plan.memo_priors[p]
+            if prior not in members
+        }
+    )
+    labels = frozenset(plan.pattern.vertex_label(v) for v in members)
+    return prior_getter(tuple(frontier)), labels
+
+
+def compile_regions(plan: Plan) -> RegionProgram:
+    """The counter's :class:`RegionProgram` for ``plan``: number the
+    reachable positions tuples breadth-first from the whole order and
+    resolve each one's node (iteratively: a 2000-vertex chain is 2000
+    nodes, not 2000 stack frames). Each tuple is split once."""
+    n = plan.num_vertices
+    if n == 0:
+        return RegionProgram(-1, (), (), (), (), ())
+    nodes: list[tuple[int, ...]] = [tuple(range(n))]
+    ids = {nodes[0]: 0}
+
+    def node_of(positions: tuple[int, ...]) -> int:
+        node = ids.get(positions)
+        if node is None:
+            node = ids[positions] = len(nodes)
+            nodes.append(positions)
+        return node
+
+    kind: list[int] = []
+    pos: list[int] = []
+    child: list[int] = []
+    parts: list[tuple] = []
+    # nodes grows while it is scanned: each tuple is resolved once.
+    for positions in nodes:
+        groups = split_regions(plan, positions) if len(positions) > 1 else ()
+        if len(groups) > 1:
+            kind.append(PROD)
+            pos.append(-1)
+            child.append(-1)
+            parts.append(
+                tuple(
+                    (node_of(group), *region_frontier(plan, group))
+                    for group in groups
+                )
+            )
+            continue
+        kind.append(SEQ if len(positions) > 1 else LEAF)
+        pos.append(positions[0])
+        child.append(node_of(positions[1:]) if len(positions) > 1 else -1)
+        parts.append(())
+    chain = []
+    node = 0
+    while kind[node] == SEQ:
+        chain.append(node)
+        node = child[node]
+    return RegionProgram(
+        0, tuple(kind), tuple(pos), tuple(child), tuple(parts), tuple(chain)
+    )
 
 
 def _merge_by_labels(
@@ -408,16 +367,6 @@ def _merge_by_labels(
     for idx, component in enumerate(components):
         merged.setdefault(find(idx), []).extend(component)
     return [sorted(group) for group in merged.values()]
-
-
-def pattern_fingerprint(pattern: Graph) -> tuple:
-    """A hashable structural identity for plan-cache keys.
-
-    Two patterns with the same fingerprint produce the same plan against
-    the same store (labels and canonical edge set match exactly; this is
-    structural identity, not isomorphism).
-    """
-    return pattern.fingerprint()
 
 
 def compile_plan(

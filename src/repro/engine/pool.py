@@ -192,7 +192,6 @@ def _run_unit(
         MatchOptions(
             count_only=True,
             use_sce=options.use_sce,
-            memo_limit=options.memo_limit,
             seed=options.seed,
             obs=obs,
             governor=ResourceGovernor(cancel=cancel, obs=obs),

@@ -80,11 +80,6 @@ class MatchOptions:
     max_embeddings: int | None = None
     time_limit: float | None = None
     use_sce: bool = True
-    memo_limit: int = 1_000_000
-    """Cap on cached SCE candidate sets, and separately on the factorized
-    counter's region counts; beyond it, computation continues uncached
-    (memory bound for adversarial patterns)."""
-
     obs: object | None = None
     """Optional :class:`repro.obs.Observation` carrying the run's tracer,
     counter registry, and heartbeat. ``None`` (the default) selects the

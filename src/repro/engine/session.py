@@ -5,22 +5,26 @@ of its output, so that enumeration (:class:`repro.core.CSCE`), factorized
 counting and the symmetry-breaking baseline all execute the same cached
 :class:`~repro.engine.physical.PhysicalPlan` instead of replanning per call.
 
-Cache keys are ``(pattern fingerprint, variant, planner, restrictions,
-store layout version)``. :attr:`~repro.ccsr.store.CCSRStore.layout_version`
-bumps only on the updates that can stale a compiled plan (a cluster
-created or dropped, a vertex added); an edge update that patches a
-cluster in place keeps every cached plan valid, also when it adds or
-empties a row, because the plan reads the patched rows and live row sets
-through the same cluster object. Entries of an older layout are purged
+The pipeline's output is one object, the compiled
+:class:`~repro.engine.physical.PhysicalPlan` (its logical plan is its
+``logical``); per-run state, the :class:`~repro.engine.executor.Runtime`,
+is always the caller's. Cache keys are ``(pattern.fingerprint(), variant,
+planner, restrictions, store layout version)``.
+:attr:`~repro.ccsr.store.CCSRStore.layout_version` bumps only on the
+updates that can stale a compiled plan (a cluster created or dropped, a
+vertex added); an edge update that patches a cluster in place keeps
+every cached plan valid, also when it adds or empties a row, because the
+plan reads the patched rows and live row sets through the same cluster
+object. Entries of an older layout are purged
 on the next fresh compile.
 ``use_sce`` and seeds are deliberately *not* part of the key — both are
 run state (:meth:`~repro.engine.physical.PhysicalPlan.with_seed`).
 Continuous matching keeps its pin-first plans itself, built uncached by
 :meth:`MatchSession.build`.
 
-Cache hits return the original plan object, whose ``read_seconds`` /
-``plan_seconds`` describe the priced-once planning work; only
-``elapsed`` varies per run.
+Cache hits return the cached plan object itself, whose logical plan's
+``read_seconds`` / ``plan_seconds`` describe the priced-once planning
+work; only ``elapsed`` varies per run.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any
 
 from repro.ccsr.store import CCSRStore
@@ -38,11 +41,7 @@ from repro.core.gcf import gcf_order, rapidmatch_order
 from repro.core.ldsf import ldsf_order
 from repro.core.plan import Plan, assemble_plan
 from repro.core.variants import Variant
-from repro.engine.physical import (
-    PhysicalPlan,
-    compile_plan,
-    pattern_fingerprint,
-)
+from repro.engine.physical import PhysicalPlan, compile_plan
 from repro.errors import PlanError
 from repro.graph.model import Graph
 from repro.obs import NULL_OBS
@@ -144,19 +143,6 @@ def plan_query(
     return plan
 
 
-@dataclass(frozen=True)
-class CompiledQuery:
-    """A plan-cache entry: the logical plan and its compiled form.
-
-    ``cached`` tells whether this call was served from the session cache
-    (True) or planned and compiled fresh (False).
-    """
-
-    plan: Plan
-    physical: PhysicalPlan
-    cached: bool = False
-
-
 class MatchSession:
     """A store plus an LRU cache of compiled plans, shared across runs.
 
@@ -187,7 +173,7 @@ class MatchSession:
         :class:`~repro.errors.PlanVerificationError` before the executor
         ever sees an unsound plan. Cache hits were verified when first
         compiled and are not re-checked."""
-        self._cache: OrderedDict[tuple, CompiledQuery] = OrderedDict()
+        self._cache: OrderedDict[tuple, PhysicalPlan] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -200,7 +186,7 @@ class MatchSession:
         restrictions: tuple[tuple[int, int], ...] | None,
     ) -> tuple:
         return (
-            pattern_fingerprint(pattern),
+            pattern.fingerprint(),
             variant.value,
             planner,
             tuple(restrictions) if restrictions else (),
@@ -215,10 +201,11 @@ class MatchSession:
         restrictions: tuple[tuple[int, int], ...] | None = None,
         obs: Any = None,
         prefix: tuple[int, ...] = (),
-    ) -> CompiledQuery:
+    ) -> PhysicalPlan:
         """The read→optimize→compile pipeline, uncached: plan, compile and,
         under :attr:`verify`, verify one query. ``prefix`` fixes the
-        order's first pattern vertices (see :func:`plan_query`)."""
+        order's first pattern vertices (see :func:`plan_query`). The
+        logical plan is the result's ``logical``."""
         plan = plan_query(
             self.store, pattern, variant, planner=planner,
             obs=obs or self.obs, prefix=prefix,
@@ -230,7 +217,7 @@ class MatchSession:
             from repro.engine.verify import verify_physical
 
             verify_physical(physical, self.store).raise_for_errors()
-        return CompiledQuery(plan=plan, physical=physical)
+        return physical
 
     def compile(
         self,
@@ -239,13 +226,14 @@ class MatchSession:
         planner: str = "csce",
         restrictions: tuple[tuple[int, int], ...] | None = None,
         obs: Any = None,
-    ) -> CompiledQuery:
+    ) -> PhysicalPlan:
         """The cached read→optimize→compile pipeline.
 
-        Returns a :class:`CompiledQuery`; on a hit no cluster is read and
-        no span is emitted (bump ``plan_cache.hits`` instead), so traced
-        sessions see read/plan spans only for fresh plans. A miss runs
-        :meth:`build`.
+        Returns the compiled :class:`~repro.engine.physical.PhysicalPlan`;
+        on a hit (the cached object itself) no cluster is read and no span
+        is emitted (bump ``plan_cache.hits`` instead), so traced sessions
+        see read/plan spans only for fresh plans. A miss runs
+        :meth:`build`; :attr:`cache_info` counts both.
         """
         variant = Variant.parse(variant)
         if planner not in PLANNERS:
@@ -260,7 +248,7 @@ class MatchSession:
             self.cache_hits += 1
             if obs.enabled:
                 obs.counters.inc("plan_cache.hits")
-            return CompiledQuery(plan=entry.plan, physical=entry.physical, cached=True)
+            return entry
         self.cache_misses += 1
         if obs.enabled:
             obs.counters.inc("plan_cache.misses")

@@ -1,7 +1,8 @@
 """Portable work units: sharding one search into resumable pieces.
 
 A *work unit* is a :class:`~repro.engine.executor.SearchState` payload —
-the exact JSON shape PR 4's checkpoints already serialize — describing a
+the exact JSON shape checkpoints serialize, written only by
+:meth:`~repro.engine.executor.SearchState.to_payload` — describing a
 sub-region of the search space. Because candidate sets at depth ``d``
 depend only on the assignment prefix above ``d``, partitioning the
 candidate list at any open depth partitions the remaining subtree
@@ -84,18 +85,9 @@ def make_root_units(
         start += size
         if not chunk:
             continue
-        values: list[list | None] = [None] * n
-        values[0] = chunk
-        units.append(
-            {
-                "assignment": [-1] * n,
-                "used": [],
-                "values": values,
-                "index": [0] * n,
-                "emitted_at": [0] * n,
-                "pos": 0,
-            }
-        )
+        unit = SearchState.fresh(n)
+        unit.values[0] = chunk
+        units.append(unit.to_payload())
     return units
 
 
@@ -129,30 +121,20 @@ def split_search_state(
         if remaining < min_remaining:
             continue
         cut = index[depth] + (remaining + 1) // 2
-        donated_vals = list(vals[cut:])
+        donated = SearchState.fresh(len(values))
+        donated.values[depth] = vals[cut:]
+        donated.pos = depth
         values[depth] = list(vals[:cut])
-        n = len(values)
-        assignment = [-1] * n
-        donated_values: list[list[int] | None] = [None] * n
-        donated_index = [0] * n
-        prefix: list[int] = []
         for d in range(depth):
             image = state.assignment[op_vertices[d]]
-            assignment[op_vertices[d]] = image
-            prefix.append(image)
+            donated.assignment[op_vertices[d]] = image
+            if injective:
+                donated.used.add(image)
             # Each prefix depth is a fully-consumed single-candidate
             # list: backtracking out of the donated depth then unwinds
             # straight to exhaustion instead of recomputing (and
             # re-enumerating) candidates the victim still owns.
-            donated_values[d] = [image]
-            donated_index[d] = 1
-        donated_values[depth] = donated_vals
-        return {
-            "assignment": assignment,
-            "used": sorted(prefix) if injective else [],
-            "values": donated_values,
-            "index": donated_index,
-            "emitted_at": [0] * n,
-            "pos": depth,
-        }
+            donated.values[d] = [image]
+            donated.index[d] = 1
+        return donated.to_payload()
     return None

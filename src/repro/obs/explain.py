@@ -14,9 +14,10 @@
   and least row length a candidate needs, and how many of the CSR's rows
   admit it now;
 * the exact-count strategy — factorized counter or frame machine — read
-  off the compiled plan's region table, the one
+  off the compiled plan's region program, the one
   :func:`~repro.engine.executor.execute_physical` routes by, with the
-  number of order suffixes that split into independent regions;
+  number of order suffixes that split into independent regions
+  (:func:`~repro.engine.physical.split_regions`);
 * **estimated** candidate counts per step (live static-pool sizes and
   average cluster neighbor-list lengths), and — when a profiled run-report is
   supplied — the **actual** mean candidate counts measured per depth, so
@@ -86,9 +87,9 @@ def build_explain(
     (compiled here when omitted), so EXPLAIN reads the operators the
     executor actually runs, not just the logical plan.
     """
-    if physical is None:
-        from repro.engine.physical import compile_plan
+    from repro.engine.physical import compile_plan, split_regions
 
+    if physical is None:
         physical = compile_plan(plan)
     pattern = plan.pattern
     if sce_stats is None:
@@ -98,8 +99,11 @@ def build_explain(
     }
     estimates = estimate_candidates(plan)
     actuals = _actuals_from_report(report)
-    regions = physical.regions
-    strategy = "factorized" if regions.factorizes else "frame machine"
+    strategy = "factorized" if physical.regions.factorizes else "frame machine"
+    n = plan.num_vertices
+    split_suffixes = sum(
+        len(split_regions(plan, tuple(range(k, n)))) > 1 for k in range(n - 1)
+    )
 
     steps: list[dict] = []
     for pos, u in enumerate(plan.order):
@@ -161,8 +165,8 @@ def build_explain(
             "ops": physical.step_table(),
             "counting": {
                 "strategy": strategy,
-                "split_suffixes": regions.split_suffixes,
-                "suffixes": regions.suffixes,
+                "split_suffixes": split_suffixes,
+                "suffixes": max(0, n - 1),
                 "regions": (
                     "label-disjoint" if plan.variant.injective else "independent"
                 ),

@@ -290,7 +290,7 @@ class TestPinFirstPlans:
         matcher = ContinuousMatcher(engine, pattern, variant)
         (cluster,) = engine.store.clusters.values()
         live = cluster.rows_at_least(True, 1)
-        standing = engine.session.compile(pattern, variant).physical
+        standing = engine.session.compile(pattern, variant)
         assert any(op.static_pool and op.static_pool[0] is live for op in standing.ops)
         layout, misses = engine.store.layout_version, engine.session.cache_misses
         # 3 and 7 get their first rows; then 6 and 3 lose their last.

@@ -91,21 +91,38 @@ class TestFactorizationCorrectness:
 
     @pytest.mark.parametrize("memo_limit", [0, 1])
     def test_memo_limit_bounds_the_region_memo(self, memo_limit):
-        from repro.engine import MatchOptions
-        from repro.engine.counting import FactorizedCounter
+        from repro.engine import MatchOptions, Runtime, count_physical
 
         g = make_random_graph(12, 30, seed=4)
         p = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-        physical = CSCE(g).session.compile(p, "homomorphic").physical
-        unbounded = FactorizedCounter(physical, MatchOptions(count_only=True))
-        assert unbounded.count() == brute_count(g, p, "homomorphic")
-        assert len(unbounded.runtime.computer.region_memo) > 1
-        counter = FactorizedCounter(
-            physical, MatchOptions(count_only=True, memo_limit=memo_limit)
+        physical = CSCE(g).session.compile(p, "homomorphic")
+        options = MatchOptions(count_only=True)
+        unbounded = Runtime(options)
+        assert count_physical(physical, unbounded) == brute_count(
+            g, p, "homomorphic"
         )
-        assert counter.count() == brute_count(g, p, "homomorphic")
-        assert counter.runtime.factorizations > 0
-        assert len(counter.runtime.computer.region_memo) == memo_limit
+        assert len(unbounded.computer.region_memo) > 1
+        runtime = Runtime(options)
+        runtime.computer.memo_limit = memo_limit
+        assert count_physical(physical, runtime) == brute_count(
+            g, p, "homomorphic"
+        )
+        assert runtime.factorizations > 0
+        assert len(runtime.computer.region_memo) == memo_limit
+
+    def test_without_sce_the_counter_stores_no_region_count(self):
+        from repro.engine import MatchOptions, Runtime, count_physical
+
+        g = make_random_graph(12, 30, seed=4)
+        p = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        physical = CSCE(g).session.compile(p, "homomorphic")
+        runtime = Runtime(MatchOptions(count_only=True, use_sce=False))
+        assert count_physical(physical, runtime) == brute_count(
+            g, p, "homomorphic"
+        )
+        assert runtime.factorizations > 0
+        assert runtime.computer.region_memo == {}
+        assert runtime.group_memo_hits == 0
 
 
 class TestDisconnectedPatterns:
@@ -167,6 +184,7 @@ class TestRegionFrontier:
         # frontier (the outside priors its ops name).
         import random
 
+        from repro.engine.physical import region_frontier, split_regions
         from repro.graph.patterns import CATALOG
 
         engine = CSCE(make_random_graph(40, 120, num_labels=2, seed=8))
@@ -174,12 +192,12 @@ class TestRegionFrontier:
         sizes = set()
         for name in sorted(CATALOG):
             for variant in ("homomorphic", "edge_induced"):
-                physical = engine.session.compile(CATALOG[name](), variant).physical
-                plan, table = physical.logical, physical.regions
+                physical = engine.session.compile(CATALOG[name](), variant)
+                plan = physical.logical
                 n = len(physical.ops)
                 assignment = rng.sample(range(1000), n)
                 for k in range(n):
-                    for group in table.groups(tuple(range(k, n))):
+                    for group in split_regions(plan, tuple(range(k, n))):
                         members = {plan.order[p] for p in group}
                         frontier = sorted(
                             {
@@ -190,7 +208,7 @@ class TestRegionFrontier:
                             }
                         )
                         images = tuple(assignment[v] for v in frontier)
-                        getter, _ = table.frontier(group)
+                        getter, _ = region_frontier(plan, group)
                         key = getter(assignment)
                         if len(frontier) == 1:
                             key = (key,)
@@ -200,23 +218,61 @@ class TestRegionFrontier:
 
 
 class TestRegionProgram:
-    def _spy(self, monkeypatch):
-        from repro.engine.physical import RegionTable
+    @pytest.mark.parametrize("dataset", ["dip", "subcategory"])
+    def test_program_factorizes_exactly_when_a_suffix_splits(self, dataset):
+        # Over the catalog and every variant: the program has a product
+        # node exactly when some suffix of the order splits, and where
+        # none does the counter walks the frame machine's tree, so its
+        # count and search counters are count mode's. Patterns above six
+        # vertices are checked for routing only: on the smallest dip
+        # stand-in their counts take millions of nodes.
+        from repro.core.variants import Variant
+        from repro.datasets import load_dataset
+        from repro.engine import MatchOptions, Runtime, count_capped, count_physical
+        from repro.engine.physical import split_regions
+        from repro.graph.patterns import CATALOG
 
-        built = []
-        compile_program = RegionTable._compile
+        engine = CSCE(load_dataset(dataset, scale=0.01))
+        searched = ("nodes", "backtracks", "prunes_injective", "prunes_restriction")
+        for name in sorted(CATALOG):
+            for variant in Variant:
+                physical = engine.session.compile(CATALOG[name](), variant)
+                plan = physical.logical
+                n = plan.num_vertices
+                splits = any(
+                    len(split_regions(plan, tuple(range(k, n)))) > 1
+                    for k in range(n - 1)
+                )
+                assert physical.regions.factorizes == splits, (name, variant)
+                if splits or n > 6:
+                    continue
+                counter = Runtime(MatchOptions(count_only=True))
+                frames = Runtime(MatchOptions(count_only=True))
+                assert count_physical(physical, counter) == count_capped(
+                    physical, frames
+                ), (name, variant)
+                assert counter.factorizations == 0
+                assert {k: counter.stats()[k] for k in searched} == {
+                    k: frames.stats()[k] for k in searched
+                }, (name, variant)
 
-        def spy(table, use_sce):
-            built.append(compile_program(table, use_sce))
-            return built[-1]
+    def _spy(self, monkeypatch, name):
+        from repro.engine import physical as physical_module
 
-        monkeypatch.setattr(RegionTable, "_compile", spy)
-        return built
+        calls = []
+        original = getattr(physical_module, name)
+
+        def spy(*args):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(physical_module, name, spy)
+        return calls
 
     def test_program_is_built_once_per_plan(self, monkeypatch):
         # The region program is compiled on the first exact count and
         # kept with the session's plan: the second count reuses it.
-        built = self._spy(monkeypatch)
+        built = self._spy(monkeypatch, "compile_regions")
         engine = CSCE(make_random_graph(30, 80, num_labels=1, seed=5))
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         first = engine.match(star, "homomorphic", count_only=True)
@@ -224,18 +280,28 @@ class TestRegionProgram:
         assert first.count == second.count
         assert first.stats["factorizations"] > 0
         assert len(built) == 1
-        physical = engine.session.compile(star, "homomorphic").physical
-        assert physical.regions.program(True) is built[0]
+        physical = engine.session.compile(star, "homomorphic")
+        assert physical.regions is built[0]
+        assert built[0].factorizes
 
-    def test_frame_machine_plan_builds_no_program(self, monkeypatch):
+    def test_frame_machine_plan_builds_its_program_once(self, monkeypatch):
         # An unlabeled injective plan never splits, so its count runs on
-        # the frame machine and no program is compiled.
-        built = self._spy(monkeypatch)
+        # the frame machine. Routing still compiles its program, once per
+        # plan: a chain ending in a leaf, one split per suffix of two or
+        # more positions.
+        from repro.engine.physical import LEAF, SEQ
+
+        built = self._spy(monkeypatch, "compile_regions")
+        splits = self._spy(monkeypatch, "split_regions")
         engine = CSCE(make_random_graph(30, 80, num_labels=1, seed=5))
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         result = engine.match(star, "edge_induced", count_only=True)
-        assert result.count == engine.match(star, "edge_induced").count > 0
+        again = engine.match(star, "edge_induced", count_only=True)
+        enumerated = engine.match(star, "edge_induced").count
+        assert result.count == again.count == enumerated > 0
         assert result.stats["factorizations"] == 0
-        physical = engine.session.compile(star, "edge_induced").physical
+        physical = engine.session.compile(star, "edge_induced")
+        assert len(built) == 1 and physical.regions is built[0]
         assert not physical.regions.factorizes
-        assert built == []
+        assert physical.regions.kind == (SEQ, SEQ, SEQ, LEAF)
+        assert len(splits) == 3

@@ -208,7 +208,7 @@ class TestIterativeExecutor:
         restrictions = ((0, 1),) if case == "restriction" else None
         physical = engine.session.compile(
             p, variant, restrictions=restrictions
-        ).physical
+        )
         options = MatchOptions(count_only=True)
         if case == "seed":
             with EmbeddingStream(physical) as s:
@@ -268,10 +268,9 @@ class TestIterativeExecutor:
             elif path == "factorized":
                 # Forced: a path never splits on an unlabeled clique, so a
                 # routed count would run on the frame machine.
-                physical = clique.session.compile(p, "edge_induced").physical
-                runtime = count_physical(
-                    physical, MatchOptions(count_only=True, **options)
-                )
+                physical = clique.session.compile(p, "edge_induced")
+                runtime = Runtime(MatchOptions(count_only=True, **options))
+                count_physical(physical, runtime)
                 stop_reason, stats = runtime.stop_reason, runtime.stats()
             else:
                 result = clique.match(
@@ -357,7 +356,7 @@ class TestBulkLeafCounting:
         graph = make_random_graph(30, 90, num_labels=1, seed=3)
         pattern = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
         engine = CSCE(graph)
-        physical = engine.session.compile(pattern, "edge_induced").physical
+        physical = engine.session.compile(pattern, "edge_induced")
         assert not physical.regions.factorizes
 
         def forbidden(*args):
@@ -545,10 +544,11 @@ class TestMatchSession:
         session = MatchSession(random_graph)
         p = small_pattern()
         first = session.compile(p, Variant.EDGE_INDUCED)
+        assert session.cache_info["misses"] == 1
         second = session.compile(p, Variant.EDGE_INDUCED)
-        assert not first.cached and second.cached
-        assert second.physical is first.physical
+        assert second is first
         assert session.cache_info["hits"] == 1
+        assert session.cache_info["misses"] == 1
 
     def test_distinct_keys_miss(self, random_graph):
         session = MatchSession(random_graph)
@@ -567,8 +567,8 @@ class TestMatchSession:
         after = session.compile(p, Variant.EDGE_INDUCED)
         # Version bump changed the key: the stale compiled plan (holding
         # references to rebuilt clusters) must not be reused.
-        assert not after.cached
-        assert after.physical is not before.physical
+        assert session.cache_info["misses"] == 2
+        assert after is not before
 
     def test_store_updates_purge_stale_plans(self, random_graph):
         """A patch keeps the cached plan, which still verifies and counts
@@ -583,7 +583,7 @@ class TestMatchSession:
         p = small_pattern()
         before = session.compile(p, Variant.EDGE_INDUCED)
         store = session.store
-        key = before.plan.backward[1][0].cluster.key
+        key = before.logical.backward[1][0].cluster.key
         live = store.clusters[key]
         cluster = weakref.ref(live)
         # A new edge between two vertices that already have rows in the
@@ -595,10 +595,11 @@ class TestMatchSession:
         )
         store.insert_edge(u, v, key.edge_label, key.directed)
         patched = session.compile(p, Variant.EDGE_INDUCED)
-        assert patched.cached and patched.physical is before.physical
-        assert verify_physical(patched.physical, store).ok
+        assert session.cache_info["hits"] == 1
+        assert patched is before
+        assert verify_physical(patched, store).ok
         assert execute_physical(
-            patched.physical, MatchOptions(count_only=True)
+            patched, MatchOptions(count_only=True)
         ).count == CSCE(store.to_graph()).count(p)
         del before, patched
         edges = [
@@ -610,7 +611,8 @@ class TestMatchSession:
             store.remove_edge(a, b, key.edge_label, key.directed)
         assert key not in store.clusters
         store.insert_edge(u, v, key.edge_label, key.directed)
-        assert not session.compile(p, Variant.EDGE_INDUCED).cached
+        session.compile(p, Variant.EDGE_INDUCED)
+        assert session.cache_info["misses"] == 2
         gc.collect()
         # Only the current layout's plan survives, and nothing holds the
         # cluster that emptied.
@@ -623,14 +625,16 @@ class TestMatchSession:
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         session.compile(tri, Variant.EDGE_INDUCED)
         session.compile(path, Variant.EDGE_INDUCED)
-        assert not session.compile(tri, Variant.EDGE_INDUCED).cached
+        session.compile(tri, Variant.EDGE_INDUCED)
+        assert session.cache_info["misses"] == 3
 
     def test_structural_fingerprint_shares_plans(self, random_graph):
         session = MatchSession(random_graph)
         a = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         b = Graph.from_edges(3, [(1, 2), (0, 2), (0, 1)])  # same edges
         session.compile(a, Variant.EDGE_INDUCED)
-        assert session.compile(b, Variant.EDGE_INDUCED).cached
+        session.compile(b, Variant.EDGE_INDUCED)
+        assert session.cache_info["hits"] == 1
 
 
 class TestSeedRestrictionInteraction:
@@ -721,11 +725,12 @@ class TestFactorizedCountingParity:
         p = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         plan = engine.build_plan(p, "homomorphic")
         physical = compile_plan(plan)
-        runtime = count_physical(physical, MatchOptions(count_only=True))
+        runtime = Runtime(MatchOptions(count_only=True))
+        counted = count_physical(physical, runtime)
         enumerated = execute_physical(
             physical, MatchOptions(count_only=True, max_embeddings=10**9)
         ).count
-        assert runtime.emitted == enumerated
+        assert counted == runtime.emitted == enumerated
         assert runtime.stop_reason is None
         assert runtime.degradation == []
         assert runtime.progress is None  # no observation, no estimator
@@ -782,7 +787,7 @@ class TestPinnedCandidates:
         rng = random.Random(7)
         vertices = range(graph.num_vertices)
         for build in CATALOG.values():
-            physical = engine.session.compile(build(), variant).physical
+            physical = engine.session.compile(build(), variant)
             found = stream(physical, Runtime(MatchOptions()))
             assignments = [list(image) for image in islice(found, 3)]
             assignments += [

@@ -263,17 +263,20 @@ class TestDegradationLadder:
 
     @pytest.mark.parametrize("tracing", [False, True], ids=["off", "on"])
     def test_count_physical_leaves_tracing_as_it_found_it(self, tracing):
-        """A direct ``count_physical`` caller whose governor has a memory
-        ceiling gets tracemalloc back as it was: the counter's runtime
-        releases what it started, and stops no foreign tracing."""
-        from repro.engine import count_physical
+        """``execute_physical``'s counter route under a governor with a
+        memory ceiling gives tracemalloc back as it was: the run's
+        ``Runtime`` started it, and the route releases it after
+        ``count_physical``, stopping no foreign tracing."""
+        from repro.engine import execute_physical
 
         engine = CSCE(make_random_graph(12, 30, seed=4))
-        physical = engine.session.compile(square(), "edge_induced").physical
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        physical = engine.session.compile(star, "homomorphic")
+        assert physical.regions.factorizes
         if tracing:
             tracemalloc.start()
         try:
-            runtime = count_physical(
+            result = execute_physical(
                 physical,
                 MatchOptions(
                     count_only=True,
@@ -282,7 +285,8 @@ class TestDegradationLadder:
                     ),
                 ),
             )
-            assert runtime.emitted == engine.count(square())
+            assert result.stats["factorizations"] > 0
+            assert result.count == engine.match(star, "homomorphic").count
             assert tracemalloc.is_tracing() == tracing
         finally:
             if tracing:
@@ -352,29 +356,27 @@ class TestLadderReachesRegionMemo:
     computer, so both memory-ladder rungs act on it too."""
 
     def test_disable_memo_clears_and_stops_the_region_memo(self):
-        from repro.engine.counting import FactorizedCounter
+        from repro.engine import Runtime, count_physical
 
         graph = make_random_graph(60, 400, num_labels=1, seed=3)
         pattern = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5)])
-        physical = CSCE(graph).session.compile(pattern, "homomorphic").physical
-        full = FactorizedCounter(physical, MatchOptions(count_only=True))
-        expected = full.count()
-        assert full.runtime.computer.region_memo
+        physical = CSCE(graph).session.compile(pattern, "homomorphic")
+        full = Runtime(MatchOptions(count_only=True))
+        expected = count_physical(physical, full)
+        assert full.computer.region_memo
         governor = ResourceGovernor(budget=Budget(memory_limit_mb=500.0))
         injector = FaultInjector().on(
             "governor.memory", memory_spike(10_000.0), after=5, times=2
         )
+        options = MatchOptions(count_only=True, governor=governor)
         try:
             with injector:
-                counter = FactorizedCounter(
-                    physical, MatchOptions(count_only=True, governor=governor)
-                )
-                count = counter.count()
+                runtime = Runtime(options)
+                count = count_physical(physical, runtime)
         finally:
-            # The run's Runtime started tracemalloc for the ceiling; a
-            # direct counter caller owns the release.
+            # The Runtime started tracemalloc for the ceiling; a direct
+            # counter caller owns the release.
             governor.release()
-        runtime = counter.runtime
         assert runtime.degradation == [DEGRADE_EVICT, DEGRADE_DISABLE]
         assert runtime.stop_reason is None
         assert count == expected

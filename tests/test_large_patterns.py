@@ -93,7 +93,8 @@ class TestWideFactorization:
 class TestMemoLimit:
     def test_memo_cap_preserves_correctness(self):
         from conftest import make_random_graph
-        from repro.engine.executor import execute_physical
+        from repro.engine.counting import count_physical
+        from repro.engine.executor import Runtime, count_capped, execute_physical
         from repro.engine.physical import compile_plan
         from repro.engine.results import MatchOptions
         from repro.graph.sampling import sample_pattern
@@ -107,9 +108,9 @@ class TestMemoLimit:
             physical, MatchOptions(count_only=True)
         ).count
 
-        # Re-run with the SCE memo capped at one entry: evictions must not
-        # change the answer.
-        capped = execute_physical(
-            physical, MatchOptions(count_only=True, memo_limit=1)
-        ).count
-        assert capped == unlimited
+        # Re-run both count paths with each memo capped at one entry:
+        # evictions must not change the answer.
+        for count in (count_capped, count_physical):
+            runtime = Runtime(MatchOptions(count_only=True))
+            runtime.computer.memo_limit = 1
+            assert count(physical, runtime) == unlimited

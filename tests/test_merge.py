@@ -171,7 +171,7 @@ class TestMergeRunReports:
     def test_degradation_takes_longest_ladder(self, engine):
         physical = engine.session.compile(
             CATALOG["triangle"](), "edge_induced"
-        ).physical
+        )
         shards = {
             "w0": dict(_new_agg(), degradation=["evict_memo"]),
             "w1": dict(_new_agg(), degradation=["evict_memo", "disable_memo"]),
@@ -187,7 +187,7 @@ class TestMergeRunReports:
         # that one worker.
         physical = engine.session.compile(
             CATALOG["triangle"](), "edge_induced"
-        ).physical
+        )
         options = MatchOptions(count_only=True, max_embeddings=10**9)
         seq = execute_physical(physical, options)
         merged = _execute_inline(physical, options, None)

@@ -320,7 +320,7 @@ class TestRunReport:
         obs = Observation(trace=trace)
         engine = CSCE(_triangle_fan(), obs=obs)
         pattern = _path_pattern(3)
-        plan = engine.session.compile(pattern).plan
+        plan = engine.session.compile(pattern).logical
         result = engine.match(pattern)
         return build_run_report(
             result,

@@ -332,7 +332,7 @@ class TestProfiledRun:
         graph = _triangle_fan()
         pattern = _path_pattern(3)
         engine = CSCE(graph)
-        root = engine.session.compile(pattern, "edge_induced").physical.ops[0].u
+        root = engine.session.compile(pattern, "edge_induced").ops[0].u
         obs = Observation(profile=True)
         result = engine.match(
             pattern, "edge_induced", count_only=True, seed={root: 0}, obs=obs
@@ -431,17 +431,17 @@ class TestExplain:
         # injectivity, homomorphism multiplies them.
         engine = CSCE(make_random_graph(40, 120, num_labels=1, seed=11))
         star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        compiled = engine.session.compile(star, variant)
-        info = build_explain(compiled.plan, physical=compiled.physical)
+        physical = engine.session.compile(star, variant)
+        info = build_explain(physical.logical, physical=physical)
         counting = info["physical"]["counting"]
         assert counting["strategy"] == strategy
         assert counting["suffixes"] == 4
         assert (counting["split_suffixes"] > 0) == (strategy == "factorized")
         assert f"exact-count strategy: {strategy}: " in format_explain(info)
-        # The table explain read is the one the routed count uses.
-        table = compiled.physical.regions
+        # The program explain read is the one the routed count uses.
+        program = physical.regions
         result = engine.match(star, variant, count_only=True)
-        assert engine.session.compile(star, variant).physical.regions is table
+        assert engine.session.compile(star, variant).regions is program
         assert (result.stats["factorizations"] > 0) == (strategy == "factorized")
 
     def test_format_explain_renders_sections(self):

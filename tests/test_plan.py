@@ -135,16 +135,16 @@ class TestPlannerConfigs:
             # enters it nor displaces the standing plan.
             prefix = (e.dst, e.src)
             pinned = session.build(p, planner=planner, prefix=prefix)
-            assert pinned.plan.order[:2] == list(prefix)
-            assert not pinned.cached
+            assert pinned.order[:2] == list(prefix)
             assert session.cache_info == cache
             again = session.compile(p, planner=planner)
-            assert again.cached and again.physical is standing.physical
+            assert again is standing
+            assert session.cache_info["hits"] == cache["hits"] + 1
             cache = dict(session.cache_info)
             counted = MatchOptions(count_only=True)
             assert (
-                execute_physical(pinned.physical, counted).count
-                == execute_physical(standing.physical, counted).count
+                execute_physical(pinned, counted).count
+                == execute_physical(standing, counted).count
             )
 
     def test_order_prefix_rejected_where_unsupported(self, fig1_engine):
@@ -172,7 +172,7 @@ class TestFirstCandidatePool:
         from repro.obs.explain import build_explain
 
         engine = CSCE(Graph.from_edges(4, [(0, 1), (1, 2)]))
-        physical = engine.session.compile(Graph.from_edges(2, [(0, 1)])).physical
+        physical = engine.session.compile(Graph.from_edges(2, [(0, 1)]))
         engine.store.insert_edge(2, 3)
         assert "static pool of 4 candidates" in physical.logical.describe()
         assert physical.step_table()[0]["static_pool"] == 4

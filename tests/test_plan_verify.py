@@ -395,10 +395,10 @@ def test_row_filter_on_homomorphic_plan_rejected():
 def test_session_verify_mode_accepts_sound_plans(store):
     session = MatchSession(store, verify=True)
     entry = session.compile(by_name("house"), "vertex_induced")
-    assert entry.physical.num_vertices == 5
+    assert entry.num_vertices == 5
     # Cache hits skip re-verification but still return the entry.
     again = session.compile(by_name("house"), "vertex_induced")
-    assert again.cached
+    assert again is entry and session.cache_info["hits"] == 1
 
 
 def test_csce_verify_passthrough(store):

@@ -54,7 +54,7 @@ def engine(graph):
 
 def compiled(engine, pattern, variant, **options):
     opts = MatchOptions(count_only=True, **options)
-    return engine.session.compile(pattern, variant).physical, opts
+    return engine.session.compile(pattern, variant), opts
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +629,7 @@ class TestPoolObservability:
         # way the forked pool does.
         physical = engine.session.compile(
             CATALOG["square"](), "homomorphic"
-        ).physical
+        )
         result = _execute_inline(
             physical, MatchOptions(count_only=True), None,
             prior_emitted=5, prior_counters={"nodes": 7},

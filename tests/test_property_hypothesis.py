@@ -288,7 +288,7 @@ class TestMatchingProperties:
         )
         physical = engine.session.compile(
             p, variant, restrictions=restrictions or None
-        ).physical
+        )
         pins = physical.with_seed(seed, engine.store) if seed else None
         options = MatchOptions(count_only=True, seed=pins)
 
@@ -323,8 +323,9 @@ class TestMatchingProperties:
         # A loaded store builds its clusters on the loader's path.
         assert loaded.match(p, variant, **query).count == total
         if not restricted:
-            runtime = count_physical(physical, options)
-            factorized, stats = runtime.emitted, runtime.stats()
+            runtime = Runtime(options)
+            factorized = count_physical(physical, runtime)
+            stats = runtime.stats()
             assert factorized == total
             if not physical.regions.factorizes:
                 # Nothing splits: the counter walks the frame machine's tree.
@@ -397,10 +398,10 @@ class TestMatchingProperties:
             prefixes = {(e.src, e.dst) for e in p.edges()}
 
             def compile_all():
-                return engine.session.compile(p, variant).physical, {
+                return engine.session.compile(p, variant), {
                     prefix: engine.session.build(
                         p, variant, prefix=prefix
-                    ).physical
+                    )
                     for prefix in prefixes
                 }
 
